@@ -1,9 +1,25 @@
 #include "baseline/tuple_engine.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 
 namespace vwise::baseline {
+
+namespace {
+
+// Hash-key text of a value: keys must compare as SQL values (Value's ==),
+// so doubles print losslessly and -0.0 folds into +0.0.
+std::string KeyText(const Value& v) {
+  if (v.kind() != Value::Kind::kDouble) return v.ToString();
+  double d = v.AsDouble();
+  if (d == 0.0) d = 0.0;
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", d);
+  return buf;
+}
+
+}  // namespace
 
 namespace rex {
 
@@ -183,7 +199,7 @@ void TupleAgg::Open() {
     std::vector<std::string> key;
     Row key_row;
     for (size_t c : group_cols_) {
-      key.push_back(row[c].ToString());
+      key.push_back(KeyText(row[c]));
       key_row.push_back(row[c]);
     }
     auto [it, inserted] = groups_.try_emplace(std::move(key));
@@ -298,7 +314,7 @@ std::string TupleHashJoin::KeyOf(const Row& row,
                                  const std::vector<size_t>& cols) const {
   std::string key;
   for (size_t c : cols) {
-    key += row[c].ToString();
+    key += KeyText(row[c]);
     key += '\x1f';  // unit separator: keeps multi-part keys unambiguous
   }
   return key;

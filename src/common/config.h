@@ -147,7 +147,7 @@ struct Config {
   // Recursive repartitioning bound: a spilled partition that alone exceeds
   // the budget when reloaded is re-partitioned on a fresh radix level (the
   // next hash byte) up to this many levels deep before the query fails.
-  // Each level consumes 8 independent hash bits, so values beyond 6 add no
+  // Levels 1-7 each consume 8 fresh hash bits, so values beyond 7 add no
   // discrimination power.
   size_t spill_max_repartition_depth = 4;
   // Base directory for spill temp files. Resolution order: this field, then

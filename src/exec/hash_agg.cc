@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <filesystem>
 #include <limits>
-#include <system_error>
 
 #include "common/bitutil.h"
-#include "common/failpoint.h"
-#include "common/hash.h"
+#include "exec/key_hash.h"
 #include "exec/profile.h"
 #include "storage/spill_file.h"
 
@@ -18,68 +15,18 @@ namespace {
 
 constexpr uint32_t kEmptySlot = 0xffffffffu;
 
-uint64_t HashAt(const Vector& vec, sel_t pos) {
+// Numeric value of column `vec` at `pos` widened to T (double / int64).
+template <typename T>
+T NumberAt(const Vector& vec, sel_t pos) {
   switch (vec.type()) {
     case TypeId::kU8:
-      return HashInt(vec.Data<uint8_t>()[pos]);
+      return static_cast<T>(vec.Data<uint8_t>()[pos]);
     case TypeId::kI32:
-      return HashInt(static_cast<uint64_t>(vec.Data<int32_t>()[pos]));
+      return static_cast<T>(vec.Data<int32_t>()[pos]);
     case TypeId::kI64:
-      return HashInt(static_cast<uint64_t>(vec.Data<int64_t>()[pos]));
+      return static_cast<T>(vec.Data<int64_t>()[pos]);
     case TypeId::kF64:
-      return HashInt(static_cast<uint64_t>(vec.Data<double>()[pos]));
-    case TypeId::kStr: {
-      const StringVal& s = vec.Data<StringVal>()[pos];
-      return HashBytes(s.ptr, s.len);
-    }
-  }
-  return 0;
-}
-
-bool KeyEquals(const Vector& vec, sel_t pos, const ColumnStore& store,
-               size_t group) {
-  switch (vec.type()) {
-    case TypeId::kU8:
-      return vec.Data<uint8_t>()[pos] == store.Get<uint8_t>(group);
-    case TypeId::kI32:
-      return vec.Data<int32_t>()[pos] == store.Get<int32_t>(group);
-    case TypeId::kI64:
-      return vec.Data<int64_t>()[pos] == store.Get<int64_t>(group);
-    case TypeId::kF64:
-      return vec.Data<double>()[pos] == store.Get<double>(group);
-    case TypeId::kStr:
-      return vec.Data<StringVal>()[pos] == store.Strs()[group];
-  }
-  return false;
-}
-
-// Numeric value of column `vec` at `pos` widened to double / int64.
-double F64At(const Vector& vec, sel_t pos) {
-  switch (vec.type()) {
-    case TypeId::kU8:
-      return vec.Data<uint8_t>()[pos];
-    case TypeId::kI32:
-      return vec.Data<int32_t>()[pos];
-    case TypeId::kI64:
-      return static_cast<double>(vec.Data<int64_t>()[pos]);
-    case TypeId::kF64:
-      return vec.Data<double>()[pos];
-    case TypeId::kStr:
-      break;
-  }
-  return 0;
-}
-
-int64_t I64At(const Vector& vec, sel_t pos) {
-  switch (vec.type()) {
-    case TypeId::kU8:
-      return vec.Data<uint8_t>()[pos];
-    case TypeId::kI32:
-      return vec.Data<int32_t>()[pos];
-    case TypeId::kI64:
-      return vec.Data<int64_t>()[pos];
-    case TypeId::kF64:
-      return static_cast<int64_t>(vec.Data<double>()[pos]);
+      return static_cast<T>(vec.Data<double>()[pos]);
     case TypeId::kStr:
       break;
   }
@@ -90,35 +37,20 @@ bool IntFamily(TypeId t) {
   return t == TypeId::kU8 || t == TypeId::kI32 || t == TypeId::kI64;
 }
 
-// Run-value readers over an RLE vector (compressed execution): the global-
+// Run-value reader over an RLE vector (compressed execution): the global-
 // aggregate fast path folds value x run_length per run instead of touching
 // every tuple.
-int64_t RleRunI64(const Vector& v, uint32_t r) {
+template <typename T>
+T RleRunAt(const Vector& v, uint32_t r) {
   switch (v.type()) {
     case TypeId::kU8:
-      return v.rle_values<uint8_t>()[r];
+      return static_cast<T>(v.rle_values<uint8_t>()[r]);
     case TypeId::kI32:
-      return v.rle_values<int32_t>()[r];
+      return static_cast<T>(v.rle_values<int32_t>()[r]);
     case TypeId::kI64:
-      return v.rle_values<int64_t>()[r];
+      return static_cast<T>(v.rle_values<int64_t>()[r]);
     case TypeId::kF64:
-      return static_cast<int64_t>(v.rle_values<double>()[r]);
-    case TypeId::kStr:
-      break;
-  }
-  return 0;
-}
-
-double RleRunF64(const Vector& v, uint32_t r) {
-  switch (v.type()) {
-    case TypeId::kU8:
-      return v.rle_values<uint8_t>()[r];
-    case TypeId::kI32:
-      return v.rle_values<int32_t>()[r];
-    case TypeId::kI64:
-      return static_cast<double>(v.rle_values<int64_t>()[r]);
-    case TypeId::kF64:
-      return v.rle_values<double>()[r];
+      return static_cast<T>(v.rle_values<double>()[r]);
     case TypeId::kStr:
       break;
   }
@@ -160,7 +92,7 @@ HashAggOperator::HashAggOperator(OperatorPtr child,
   }
 }
 
-HashAggOperator::~HashAggOperator() { DropPartitions(); }
+HashAggOperator::~HashAggOperator() = default;
 
 Status HashAggOperator::OpenImpl() {
   VWISE_RETURN_IF_ERROR(child_->Open(ctx()));
@@ -193,11 +125,8 @@ Status HashAggOperator::OpenImpl() {
   ResizeTable(1024);
   consumed_ = false;
   emit_cursor_ = 0;
-  spilled_ = false;
-  DropPartitions();
-  spill_partitions_stat_ = 0;
-  spill_repartitions_stat_ = 0;
-  spill_depth_stat_ = 0;
+  BuildStateSchema();
+  spill_.Init(ctx(), &config_, {{state_types_, identity_cols_, "agg_part"}});
   hash_scratch_ = ctx()->scratch()->AcquireArray<uint64_t>(config_.vector_size);
   group_idx_ = ctx()->scratch()->AcquireArray<uint32_t>(config_.vector_size);
   emit_idx_ = ctx()->scratch()->AcquireArray<uint32_t>(config_.vector_size);
@@ -243,41 +172,20 @@ uint32_t HashAggOperator::FindOrCreateGroup(const DataChunk& chunk, sel_t pos,
     // vwise-hotpath: allow(cold-call): per-new-group key copy, warm-up only
     key_stores_[k].AppendOne(chunk.column(key_cols[k]), pos);
   }
+  // One value lane per aggregate plus a count lane for min/max (first-touch
+  // marker) and avg, as laid out by BuildStateSchema.
   for (size_t i = 0; i < aggs_.size(); i++) {
     AggState& st = states_[i];
-    switch (aggs_[i].fn) {
-      case AggSpec::Fn::kSum:
-        if (IntFamily(st.in_type)) {
-          // vwise-hotpath: allow(alloc): per-new-group state, warm-up only
-          st.i64.push_back(0);
-        } else {
-          // vwise-hotpath: allow(alloc): per-new-group state, warm-up only
-          st.f64.push_back(0);
-        }
-        break;
-      case AggSpec::Fn::kMin:
-      case AggSpec::Fn::kMax:
-        if (st.in_type == TypeId::kF64) {
-          // vwise-hotpath: allow(alloc): per-new-group state, warm-up only
-          st.f64.push_back(0);
-        } else {
-          // vwise-hotpath: allow(alloc): per-new-group state, warm-up only
-          st.i64.push_back(0);
-        }
-        // vwise-hotpath: allow(alloc): per-new-group state, warm-up only
-        st.count.push_back(0);  // first-touch marker
-        break;
-      case AggSpec::Fn::kCount:
-      case AggSpec::Fn::kCountStar:
-        // vwise-hotpath: allow(alloc): per-new-group state, warm-up only
-        st.i64.push_back(0);
-        break;
-      case AggSpec::Fn::kAvg:
-        // vwise-hotpath: allow(alloc): per-new-group state, warm-up only
-        st.f64.push_back(0);
-        // vwise-hotpath: allow(alloc): per-new-group state, warm-up only
-        st.count.push_back(0);
-        break;
+    if (lanes_[i].is_i64) {
+      // vwise-hotpath: allow(alloc): per-new-group state, warm-up only
+      st.i64.push_back(0);
+    } else {
+      // vwise-hotpath: allow(alloc): per-new-group state, warm-up only
+      st.f64.push_back(0);
+    }
+    if (lanes_[i].count_col != SIZE_MAX) {
+      // vwise-hotpath: allow(alloc): per-new-group state, warm-up only
+      st.count.push_back(0);
     }
   }
   if (n_groups_ * 10 > slots_.size() * 7) {
@@ -324,7 +232,7 @@ VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
     const Vector& key = chunk.column(group_cols_[k]);
     for (size_t i = 0; i < n; i++) {
       sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
-      hashes[i] = HashCombine(hashes[i], HashAt(key, pos));
+      hashes[i] = HashCombine(hashes[i], HashValue(key, pos));
     }
   }
   // 2. Resolve group indices.
@@ -347,12 +255,13 @@ VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
           uint32_t m = in.rle_runs();
           if (IntFamily(st.in_type)) {
             for (uint32_t r = 0; r < m; r++) {
-              st.i64[g] += RleRunI64(in, r) *
+              st.i64[g] += RleRunAt<int64_t>(in, r) *
                            static_cast<int64_t>(starts[r + 1] - starts[r]);
             }
           } else {
             for (uint32_t r = 0; r < m; r++) {
-              st.f64[g] += RleRunF64(in, r) * (starts[r + 1] - starts[r]);
+              st.f64[g] +=
+                  RleRunAt<double>(in, r) * (starts[r + 1] - starts[r]);
             }
           }
           break;
@@ -360,12 +269,12 @@ VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
         if (IntFamily(st.in_type)) {
           for (size_t i = 0; i < n; i++) {
             sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
-            st.i64[groups[i]] += I64At(in, pos);
+            st.i64[groups[i]] += NumberAt<int64_t>(in, pos);
           }
         } else {
           for (size_t i = 0; i < n; i++) {
             sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
-            st.f64[groups[i]] += F64At(in, pos);
+            st.f64[groups[i]] += NumberAt<double>(in, pos);
           }
         }
         break;
@@ -379,12 +288,12 @@ VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
           uint32_t m = in.rle_runs();
           for (uint32_t r = 0; r < m; r++) {
             if (st.in_type == TypeId::kF64) {
-              double v = RleRunF64(in, r);
+              double v = RleRunAt<double>(in, r);
               if (!st.count[g] || (is_min ? v < st.f64[g] : v > st.f64[g])) {
                 st.f64[g] = v;
               }
             } else {
-              int64_t v = RleRunI64(in, r);
+              int64_t v = RleRunAt<int64_t>(in, r);
               if (!st.count[g] || (is_min ? v < st.i64[g] : v > st.i64[g])) {
                 st.i64[g] = v;
               }
@@ -397,12 +306,12 @@ VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
           sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
           uint32_t g = groups[i];
           if (st.in_type == TypeId::kF64) {
-            double v = F64At(in, pos);
+            double v = NumberAt<double>(in, pos);
             if (!st.count[g] || (is_min ? v < st.f64[g] : v > st.f64[g])) {
               st.f64[g] = v;
             }
           } else {
-            int64_t v = I64At(in, pos);
+            int64_t v = NumberAt<int64_t>(in, pos);
             if (!st.count[g] || (is_min ? v < st.i64[g] : v > st.i64[g])) {
               st.i64[g] = v;
             }
@@ -422,7 +331,7 @@ VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
           const uint32_t* starts = in.rle_starts();
           uint32_t m = in.rle_runs();
           for (uint32_t r = 0; r < m; r++) {
-            st.f64[g] += RleRunF64(in, r) * (starts[r + 1] - starts[r]);
+            st.f64[g] += RleRunAt<double>(in, r) * (starts[r + 1] - starts[r]);
           }
           st.count[g] += n;
           break;
@@ -430,7 +339,7 @@ VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
         for (size_t i = 0; i < n; i++) {
           sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
           uint32_t g = groups[i];
-          st.f64[g] += F64At(in, pos);
+          st.f64[g] += NumberAt<double>(in, pos);
           st.count[g]++;
         }
         break;
@@ -462,10 +371,8 @@ Status HashAggOperator::ConsumeInput() {
       while (true) {
         Status grown = mem_.Grow(slice * per_group_bytes_);
         if (grown.ok()) break;
-        if (grown.code() != StatusCode::kResourceExhausted ||
-            !config_.enable_spill) {
-          return grown;
-        }
+        VWISE_RETURN_IF_ERROR(
+            ShouldSpill(ctx(), config_, grown, mem_.bytes()).status());
         if (n_groups_ > 0) {
           // Flush the table to the radix partitions and retry with the
           // budget freed up.
@@ -502,36 +409,17 @@ Status HashAggOperator::ConsumeInput() {
       reserved_groups_ = n_groups_;
       done += slice;
     }
-    // Governor pressure signal (polled alongside ctx()->Check() above):
-    // queries are waiting for global memory, so proactively flush the group
-    // table and shrink this reservation instead of holding it.
-    if (config_.enable_spill && n_groups_ > 0 &&
-        mem_.bytes() >= config_.pressure_spill_min_bytes &&
-        ctx()->MemoryPressure()) {
-      VWISE_RETURN_IF_ERROR(SpillGroups());
-      ctx()->NotePressureSpill();
-      continue;
-    }
-    // Coexistence cap: flush the table once it holds more than half the
-    // budget so a downstream breaker (e.g. a Sort consuming our output)
-    // is not starved of reservation headroom — and vice versa, our own
-    // partition reloads still fit next to a capped downstream buffer.
-    if (config_.enable_spill && ctx()->memory_budget() > 0 && n_groups_ > 0 &&
-        mem_.bytes() > ctx()->memory_budget() / 2) {
-      VWISE_RETURN_IF_ERROR(SpillGroups());
-    }
+    bool spill = false;
+    VWISE_ASSIGN_OR_RETURN(
+        spill, ShouldSpill(ctx(), config_, Status::OK(), mem_.bytes()));
+    if (spill) VWISE_RETURN_IF_ERROR(SpillGroups());
   }
   child_->Close();
-  if (spilled_) {
+  if (spill_.spilled()) {
     // Flush the tail so every group lives in exactly one partition, then
     // close the writers; emission reloads partitions one at a time.
     VWISE_RETURN_IF_ERROR(SpillGroups());
-    writers_.clear();
-    pending_.clear();
-    for (const std::string& path : partition_paths_) {
-      pending_.push_back({path, 0});
-    }
-    partition_paths_.clear();
+    spill_.Seal();
     return Status::OK();
   }
   // An ungrouped aggregate always emits one row, even on empty input.
@@ -540,38 +428,7 @@ Status HashAggOperator::ConsumeInput() {
     empty.Init(child_->OutputTypes(), 1);
     // Materialize the single global group with zero-initialized states by
     // touching the table with a synthetic hash (no key columns to compare).
-    group_hashes_.push_back(0);
-    slots_[0] = 0;
-    n_groups_ = 1;
-    for (size_t i = 0; i < aggs_.size(); i++) {
-      AggState& st = states_[i];
-      switch (aggs_[i].fn) {
-        case AggSpec::Fn::kSum:
-          if (IntFamily(st.in_type)) {
-            st.i64.push_back(0);
-          } else {
-            st.f64.push_back(0);
-          }
-          break;
-        case AggSpec::Fn::kMin:
-        case AggSpec::Fn::kMax:
-          if (st.in_type == TypeId::kF64) {
-            st.f64.push_back(0);
-          } else {
-            st.i64.push_back(0);
-          }
-          st.count.push_back(0);
-          break;
-        case AggSpec::Fn::kCount:
-        case AggSpec::Fn::kCountStar:
-          st.i64.push_back(0);
-          break;
-        case AggSpec::Fn::kAvg:
-          st.f64.push_back(0);
-          st.count.push_back(0);
-          break;
-      }
-    }
+    FindOrCreateGroup(empty, 0, 0, group_cols_.data());
   }
   return Status::OK();
 }
@@ -635,78 +492,40 @@ void HashAggOperator::ClearTable() {
 
 Status HashAggOperator::SpillGroups() {
   if (n_groups_ == 0) return Status::OK();
-  if (writers_.empty()) {
-    spilled_ = true;
-    n_partitions_ = SpillPartitionCount(config_.spill_partitions);
-    spill_partitions_stat_ = n_partitions_;
-    BuildStateSchema();
-    for (size_t p = 0; p < n_partitions_; p++) {
-      std::string path;
-      VWISE_ASSIGN_OR_RETURN(path, ctx()->NewSpillPath("agg_part"));
-      partition_paths_.push_back(path);
-      std::unique_ptr<SpillWriter> writer;
-      VWISE_ASSIGN_OR_RETURN(writer,
-                             SpillWriter::Create(path, state_types_,
-                                                 &ctx()->spill_counters()));
-      writers_.push_back(std::move(writer));
-    }
-  }
-  // Partition on HIGH hash bits: the group table (and a downstream reload's
-  // table) masks the low bits, so low-bit partitioning would put every group
-  // of a partition in the same few buckets.
-  std::vector<std::vector<uint32_t>> buckets(n_partitions_);
-  for (uint32_t g = 0; g < n_groups_; g++) {
-    buckets[(group_hashes_[g] >> 56) & (n_partitions_ - 1)].push_back(g);
-  }
-  DataChunk scratch;
-  scratch.Init(state_types_, config_.vector_size);
-  for (size_t p = 0; p < n_partitions_; p++) {
-    const std::vector<uint32_t>& ids = buckets[p];
-    for (size_t i = 0; i < ids.size(); i += scratch.capacity()) {
-      VWISE_RETURN_IF_ERROR(ctx()->Check());
-      size_t batch = std::min(scratch.capacity(), ids.size() - i);
-      scratch.Reset();
-      for (size_t k = 0; k < group_cols_.size(); k++) {
-        key_stores_[k].Gather(ids.data() + i, batch, &scratch.column(k));
-      }
-      for (size_t a = 0; a < aggs_.size(); a++) {
-        const AggState& st = states_[a];
-        const StateLane& lane = lanes_[a];
-        Vector& value = scratch.column(lane.value_col);
-        for (size_t j = 0; j < batch; j++) {
-          uint32_t g = ids[i + j];
-          if (lane.is_i64) {
-            value.Data<int64_t>()[j] = st.i64[g];
-          } else {
-            value.Data<double>()[j] = st.f64[g];
-          }
-          if (lane.count_col != SIZE_MAX) {
-            scratch.column(lane.count_col).Data<int64_t>()[j] = st.count[g];
+  VWISE_RETURN_IF_ERROR(spill_.Flush(
+      0, n_groups_, [this](uint32_t g) { return group_hashes_[g]; },
+      [this](const uint32_t* ids, size_t n, DataChunk* out) {
+        for (size_t k = 0; k < group_cols_.size(); k++) {
+          key_stores_[k].Gather(ids, n, &out->column(k));
+        }
+        for (size_t a = 0; a < aggs_.size(); a++) {
+          const AggState& st = states_[a];
+          const StateLane& lane = lanes_[a];
+          Vector& value = out->column(lane.value_col);
+          for (size_t j = 0; j < n; j++) {
+            uint32_t g = ids[j];
+            if (lane.is_i64) {
+              value.Data<int64_t>()[j] = st.i64[g];
+            } else {
+              value.Data<double>()[j] = st.f64[g];
+            }
+            if (lane.count_col != SIZE_MAX) {
+              out->column(lane.count_col).Data<int64_t>()[j] = st.count[g];
+            }
           }
         }
-      }
-      scratch.SetCount(batch);
-      VWISE_RETURN_IF_ERROR(writers_[p]->Append(scratch));
-    }
-  }
+      }));
   ClearTable();
   return Status::OK();
 }
 
 Status HashAggOperator::ProcessStateChunk(const DataChunk& chunk) {
   size_t n = chunk.count();  // state chunks are dense
-  uint64_t* hashes = hash_scratch_.data<uint64_t>();
   uint32_t* groups = group_idx_.data<uint32_t>();
-  std::fill(hashes, hashes + n, 0);
-  for (size_t k = 0; k < group_cols_.size(); k++) {
-    const Vector& key = chunk.column(k);
-    for (size_t i = 0; i < n; i++) {
-      hashes[i] = HashCombine(hashes[i], HashAt(key, static_cast<sel_t>(i)));
-    }
-  }
   for (size_t i = 0; i < n; i++) {
-    groups[i] = FindOrCreateGroup(chunk, static_cast<sel_t>(i), hashes[i],
-                                  identity_cols_.data());
+    sel_t pos = static_cast<sel_t>(i);
+    uint64_t hash = HashKeys(chunk, pos, identity_cols_);
+    groups[i] = FindOrCreateGroup(chunk, pos, hash, identity_cols_.data());
   }
   // Merge the partial states: sums/counts add, min/max compare (their count
   // lane is the first-touch marker), avg adds both lanes.
@@ -762,12 +581,10 @@ Status HashAggOperator::ProcessStateChunk(const DataChunk& chunk) {
   return Status::OK();
 }
 
-Status HashAggOperator::LoadPartition(const std::string& path) {
+Status HashAggOperator::LoadPartition() {
   ClearTable();
   std::unique_ptr<SpillReader> reader;
-  VWISE_ASSIGN_OR_RETURN(reader,
-                         SpillReader::Open(path, state_types_,
-                                           &ctx()->spill_counters()));
+  VWISE_ASSIGN_OR_RETURN(reader, spill_.Read(0));
   DataChunk chunk;
   chunk.Init(state_types_, config_.vector_size);
   while (true) {
@@ -778,120 +595,20 @@ Status HashAggOperator::LoadPartition(const std::string& path) {
     size_t n = chunk.count();
     // Same reserve-before-insert protocol as the consume path.
     // ResourceExhausted here means one partition's groups alone exceed the
-    // budget; the caller re-partitions it onto a fresh radix level (bounded
-    // by Config::spill_max_repartition_depth) instead of failing the query.
-    VWISE_RETURN_IF_ERROR(mem_.Grow(n * per_group_bytes_));
+    // budget; the caller splits it onto a fresh radix level
+    // (RadixSpill::Split) instead of failing the query, so the partially
+    // merged groups go first.
+    Status grown = mem_.Grow(n * per_group_bytes_);
+    if (!grown.ok()) {
+      ClearTable();
+      return grown;
+    }
     size_t before = n_groups_;
     VWISE_RETURN_IF_ERROR(ProcessStateChunk(chunk));
     mem_.Shrink((n - (n_groups_ - before)) * per_group_bytes_);
     reserved_groups_ = n_groups_;
   }
   return Status::OK();
-}
-
-size_t HashAggOperator::RepartitionFanout(uint64_t part_bytes) const {
-  // Aim each child at a fraction of the budget: serialized state rows
-  // understate resident group bytes (per_group_bytes_ covers table slots and
-  // hash entries too).
-  size_t budget = ctx()->memory_budget();
-  uint64_t target = budget > 0 ? static_cast<uint64_t>(budget) / 4
-                               : (32ull << 20);
-  if (target == 0) target = 1;
-  uint64_t need = part_bytes / target + 2;
-  size_t fanout =
-      SpillPartitionCount(static_cast<size_t>(need > 256 ? 256 : need));
-  // Capped at the configured partition count: each child holds an open
-  // writer with its own buffers, so one level never fans wider than the
-  // initial flush; depth supplies the remaining capacity (fanout^depth).
-  size_t cap = SpillPartitionCount(config_.spill_partitions);
-  return fanout > cap ? cap : fanout;
-}
-
-Status HashAggOperator::RepartitionPartition(const PendingPartition& part) {
-  VWISE_FAILPOINT("spill.repartition");
-  // Drop the partially merged groups the failed load left behind.
-  ClearTable();
-  size_t level = part.level + 1;
-  // A fresh radix byte per level: level L routes on group-hash bits
-  // [56 - 8L, 64 - 8L), so children split what their parent could not.
-  // Identical-key groups can never be split (they were already merged into
-  // one state row per flush anyway); the depth bound fails such floods
-  // cleanly.
-  size_t shift = 56 - 8 * (level <= 7 ? level : 7);
-  std::error_code ec;
-  uint64_t part_bytes = std::filesystem::file_size(part.path, ec);
-  if (ec) part_bytes = 0;
-  size_t fanout = RepartitionFanout(part_bytes);
-  spill_repartitions_stat_++;
-  if (level > spill_depth_stat_) spill_depth_stat_ = level;
-  spill_partitions_stat_ += fanout;
-
-  std::vector<PendingPartition> children(fanout);
-  std::vector<std::unique_ptr<SpillWriter>> cw(fanout);
-  for (size_t f = 0; f < fanout; f++) {
-    children[f].level = level;
-    VWISE_ASSIGN_OR_RETURN(children[f].path,
-                           ctx()->NewSpillPath("agg_part_r"));
-    VWISE_ASSIGN_OR_RETURN(cw[f],
-                           SpillWriter::Create(children[f].path, state_types_,
-                                               &ctx()->spill_counters()));
-  }
-  // Stream the parent's state rows to the children, routing on the same
-  // group-key hash the table and the level-0 flush used. State chunks are
-  // dense; keys sit at columns [0, n_keys).
-  std::unique_ptr<SpillReader> reader;
-  VWISE_ASSIGN_OR_RETURN(reader,
-                         SpillReader::Open(part.path, state_types_,
-                                           &ctx()->spill_counters()));
-  DataChunk chunk;
-  chunk.Init(state_types_, config_.vector_size);
-  std::vector<std::vector<sel_t>> buckets(fanout);
-  uint64_t* hashes = hash_scratch_.data<uint64_t>();
-  while (true) {
-    VWISE_RETURN_IF_ERROR(ctx()->Check());
-    bool more = false;
-    VWISE_ASSIGN_OR_RETURN(more, reader->Next(&chunk));
-    if (!more) break;
-    size_t n = chunk.count();
-    std::fill(hashes, hashes + n, 0);
-    for (size_t k = 0; k < group_cols_.size(); k++) {
-      const Vector& key = chunk.column(k);
-      for (size_t i = 0; i < n; i++) {
-        hashes[i] = HashCombine(hashes[i], HashAt(key, static_cast<sel_t>(i)));
-      }
-    }
-    for (auto& rows : buckets) rows.clear();
-    for (size_t i = 0; i < n; i++) {
-      buckets[(hashes[i] >> shift) & (fanout - 1)].push_back(
-          static_cast<sel_t>(i));
-    }
-    for (size_t f = 0; f < fanout; f++) {
-      VWISE_RETURN_IF_ERROR(
-          cw[f]->AppendRows(chunk, buckets[f].data(), buckets[f].size()));
-    }
-  }
-  reader.reset();
-  cw.clear();  // close the children before the parent is unlinked
-  std::filesystem::remove(part.path, ec);
-  // Depth-first: merging (or further splitting) the fresh children first
-  // bounds live spill disk to one lineage per level.
-  pending_.insert(pending_.begin(), children.begin(), children.end());
-  return Status::OK();
-}
-
-void HashAggOperator::DropPartitions() {
-  writers_.clear();
-  for (const std::string& path : partition_paths_) {
-    std::error_code ec;
-    std::filesystem::remove(path, ec);  // best effort; ctx dir is the backstop
-  }
-  partition_paths_.clear();
-  for (const PendingPartition& part : pending_) {
-    std::error_code ec;
-    std::filesystem::remove(part.path, ec);
-  }
-  pending_.clear();
-  n_partitions_ = 0;
 }
 
 Status HashAggOperator::Next(DataChunk* out) {
@@ -902,32 +619,24 @@ Status HashAggOperator::Next(DataChunk* out) {
     consumed_ = true;
     emit_cursor_ = 0;
   }
-  if (spilled_) {
+  if (spill_.spilled()) {
     // Partition-at-a-time emission: when the resident table is drained,
     // reload and merge the next pending partition (skipping empty ones). A
     // partition whose groups alone overflow the budget is split onto the
     // next radix level and its children retried, up to the depth bound.
     while (emit_cursor_ >= n_groups_) {
-      if (pending_.empty()) {
+      if (!spill_.Next()) {
         out->SetCount(0);
         return Status::OK();
       }
-      PendingPartition part = std::move(pending_.front());
-      pending_.pop_front();
       // vwise-hotpath: allow(cold-call): partition reload runs only after
       // the aggregation degraded to disk under a memory budget
-      Status load = LoadPartition(part.path);
+      Status load = LoadPartition();
       if (!load.ok()) {
-        if (load.code() != StatusCode::kResourceExhausted ||
-            part.level >= config_.spill_max_repartition_depth) {
-          return load;
-        }
         // vwise-hotpath: allow(cold-call): budget-driven degradation path
-        VWISE_RETURN_IF_ERROR(RepartitionPartition(part));
+        VWISE_RETURN_IF_ERROR(spill_.Split(load));
         continue;
       }
-      std::error_code ec;
-      std::filesystem::remove(part.path, ec);  // merged; file no longer needed
       emit_cursor_ = 0;
     }
   }
@@ -991,8 +700,7 @@ void HashAggOperator::Close() {
   key_stores_.clear();
   states_.clear();
   slots_.clear();
-  DropPartitions();
-  spilled_ = false;
+  spill_.Drop();
   hash_scratch_.Release();
   group_idx_.Release();
   emit_idx_.Release();

@@ -1,18 +1,15 @@
 #ifndef VWISE_EXEC_HASH_AGG_H_
 #define VWISE_EXEC_HASH_AGG_H_
 
-#include <deque>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "exec/column_store.h"
 #include "exec/operator.h"
+#include "exec/radix_spill.h"
 #include "service/query_context.h"
 
 namespace vwise {
-
-class SpillWriter;  // storage/spill_file.h
 
 // One aggregate function over an input column.
 struct AggSpec {
@@ -61,15 +58,11 @@ class HashAggOperator final : public Operator {
   const Operator& child() const { return *child_; }
   const std::vector<size_t>& group_cols() const { return group_cols_; }
   const std::vector<AggSpec>& aggs() const { return aggs_; }
-  // Spill telemetry (EXPLAIN ANALYZE): radix partitions written, if any.
-  // Survives Close() — the profile is rendered after the tree is closed —
-  // and resets on the next Open.
-  size_t spill_partitions() const { return spill_partitions_stat_; }
-  // Recursive-repartition telemetry: oversized partitions split onto a
-  // fresh radix level, and the deepest level reached (0 = initial flush
-  // sufficed). Survive Close() like spill_partitions().
-  size_t spill_repartitions() const { return spill_repartitions_stat_; }
-  size_t spill_repartition_depth() const { return spill_depth_stat_; }
+  // Spill telemetry (EXPLAIN ANALYZE); survives Close() and resets on the
+  // next Open.
+  const RadixSpill::Stats& spill_stats() const { return spill_.stats(); }
+  size_t spill_repartitions() const { return spill_.stats().repartitions; }
+  size_t spill_repartition_depth() const { return spill_.stats().depth; }
 
  private:
   Status OpenImpl() override;
@@ -81,31 +74,19 @@ class HashAggOperator final : public Operator {
   void ResizeTable(size_t buckets);
   uint32_t FindOrCreateGroup(const DataChunk& chunk, sel_t pos, uint64_t hash,
                              const size_t* key_cols);
-  // Lays out the spill "state row" schema: key columns first, then one value
-  // lane per aggregate (i64 or f64) plus a count lane for min/max/avg.
+  // Lays out the aggregate state lanes — of the in-memory states and of the
+  // spill "state row" schema alike: key columns first, then one value lane
+  // per aggregate (i64 or f64) plus a count lane for min/max/avg.
   void BuildStateSchema();
-  // One spilled partition of state rows awaiting its merge pass. Level 0
-  // partitions come from the consume-phase flushes; deeper levels are
-  // created by recursive repartitioning when one partition's groups alone
-  // exceed the budget — each level routes on a fresh byte of the group hash.
-  struct PendingPartition {
-    std::string path;
-    size_t level = 0;
-  };
-
-  // Flushes the whole group table to the partition writers (creating them on
-  // first use) and clears it, giving its reservation back.
+  // Flushes the whole group table to the radix partitions and clears it,
+  // giving its reservation back.
   Status SpillGroups();
-  // Re-aggregates one spilled partition into the (empty) in-memory table.
-  Status LoadPartition(const std::string& path);
-  // Splits an oversized partition onto the next radix level.
-  Status RepartitionPartition(const PendingPartition& part);
-  size_t RepartitionFanout(uint64_t part_bytes) const;
+  // Re-aggregates the current spilled partition into the (empty) table.
+  Status LoadPartition();
   // Merge-aggregates a chunk of state rows (the spill-side ProcessChunk).
   Status ProcessStateChunk(const DataChunk& chunk);
   // Resets the group table and returns its budget reservation.
   void ClearTable();
-  void DropPartitions();
 
   OperatorPtr child_;
   std::vector<size_t> group_cols_;
@@ -145,23 +126,16 @@ class HashAggOperator final : public Operator {
   size_t per_group_bytes_ = 0;
   size_t reserved_groups_ = 0;
 
-  // Radix-spill state; empty unless the budget forced a flush.
+  // Radix-spill state: one stream of mergeable state rows.
   struct StateLane {
     size_t value_col;  // state-row column of the value lane
     size_t count_col;  // count lane (min/max/avg), SIZE_MAX otherwise
     bool is_i64;       // physical type of the value lane
   };
-  bool spilled_ = false;
-  size_t n_partitions_ = 0;
   std::vector<TypeId> state_types_;
   std::vector<StateLane> lanes_;
   std::vector<size_t> identity_cols_;  // 0..n_keys-1: key cols of a state row
-  std::vector<std::string> partition_paths_;
-  std::vector<std::unique_ptr<SpillWriter>> writers_;
-  std::deque<PendingPartition> pending_;  // emit phase: partitions to merge
-  size_t spill_partitions_stat_ = 0;  // telemetry; outlives Close()
-  size_t spill_repartitions_stat_ = 0;
-  size_t spill_depth_stat_ = 0;
+  RadixSpill spill_;
 };
 
 }  // namespace vwise

@@ -1,12 +1,9 @@
 #include "exec/hash_join.h"
 
 #include <cstring>
-#include <filesystem>
-#include <system_error>
 
 #include "common/bitutil.h"
-#include "common/failpoint.h"
-#include "common/hash.h"
+#include "exec/key_hash.h"
 #include "exec/profile.h"
 #include "expr/primitives.h"
 #include "storage/spill_file.h"
@@ -16,59 +13,8 @@ namespace vwise {
 namespace {
 
 constexpr uint32_t kNoRow = 0xffffffffu;  // unmatched-probe sentinel
-
-uint64_t HashVectorValue(const Vector& vec, sel_t pos) {
-  switch (vec.type()) {
-    case TypeId::kU8:
-      return HashInt(vec.Data<uint8_t>()[pos]);
-    case TypeId::kI32:
-      return HashInt(static_cast<uint64_t>(vec.Data<int32_t>()[pos]));
-    case TypeId::kI64:
-      return HashInt(static_cast<uint64_t>(vec.Data<int64_t>()[pos]));
-    case TypeId::kF64:
-      return HashInt(static_cast<uint64_t>(vec.Data<double>()[pos]));
-    case TypeId::kStr: {
-      const StringVal& s = vec.Data<StringVal>()[pos];
-      return HashBytes(s.ptr, s.len);
-    }
-  }
-  return 0;
-}
-
-uint64_t HashStoreValue(const ColumnStore& col, size_t row) {
-  switch (col.type()) {
-    case TypeId::kU8:
-      return HashInt(col.Get<uint8_t>(row));
-    case TypeId::kI32:
-      return HashInt(static_cast<uint64_t>(col.Get<int32_t>(row)));
-    case TypeId::kI64:
-      return HashInt(static_cast<uint64_t>(col.Get<int64_t>(row)));
-    case TypeId::kF64:
-      return HashInt(static_cast<uint64_t>(col.Get<double>(row)));
-    case TypeId::kStr: {
-      const StringVal& s = col.Strs()[row];
-      return HashBytes(s.ptr, s.len);
-    }
-  }
-  return 0;
-}
-
-bool ValueEquals(const Vector& vec, sel_t pos, const ColumnStore& col,
-                 size_t row) {
-  switch (vec.type()) {
-    case TypeId::kU8:
-      return vec.Data<uint8_t>()[pos] == col.Get<uint8_t>(row);
-    case TypeId::kI32:
-      return vec.Data<int32_t>()[pos] == col.Get<int32_t>(row);
-    case TypeId::kI64:
-      return vec.Data<int64_t>()[pos] == col.Get<int64_t>(row);
-    case TypeId::kF64:
-      return vec.Data<double>()[pos] == col.Get<double>(row);
-    case TypeId::kStr:
-      return vec.Data<StringVal>()[pos] == col.Strs()[row];
-  }
-  return false;
-}
+constexpr size_t kBuildStream = 0;  // RadixSpill streams of a partition
+constexpr size_t kProbeStream = 1;
 
 // Gathers probe-side column values at pair positions into `out`.
 void GatherProbe(const Vector& src, const sel_t* positions, size_t n,
@@ -118,17 +64,6 @@ void ZeroFill(Vector* out, size_t i) {
   }
 }
 
-// Hash of the listed key columns at one chunk position — the shared key
-// hash for table lookup and radix partitioning (both sides must agree).
-uint64_t HashChunkKeys(const DataChunk& chunk, sel_t pos,
-                       const std::vector<size_t>& keys) {
-  uint64_t h = 0;
-  for (size_t c : keys) {
-    h = HashCombine(h, HashVectorValue(chunk.column(c), pos));
-  }
-  return h;
-}
-
 }  // namespace
 
 HashJoinOperator::HashJoinOperator(OperatorPtr probe, OperatorPtr build,
@@ -146,7 +81,7 @@ HashJoinOperator::HashJoinOperator(OperatorPtr probe, OperatorPtr build,
   }
 }
 
-HashJoinOperator::~HashJoinOperator() { DropSpillFiles(); }
+HashJoinOperator::~HashJoinOperator() = default;
 
 Status HashJoinOperator::OpenImpl() {
   VWISE_RETURN_IF_ERROR(probe_->Open(ctx()));
@@ -155,24 +90,23 @@ Status HashJoinOperator::OpenImpl() {
   // Reset pipeline-breaker state from a previous execution of a prepared
   // plan: build_rows_ in particular survives Close(), and a stale count
   // would make BuildTable() index past the freshly rebuilt stores.
-  build_key_cols_.clear();
-  build_payload_cols_.clear();
-  build_rows_ = 0;
   build_bytes_ = 0;
-  bucket_heads_.clear();
-  chain_next_.clear();
-  spilled_ = false;
+  ReleaseBuildSide();
   probe_partitioned_ = false;
-  spill_partitions_stat_ = 0;
-  spill_repartitions_stat_ = 0;
-  spill_depth_stat_ = 0;
-  DropSpillFiles();
+  // Spill rows keep only the columns the join retains: keys then payload.
+  spill_types_.clear();
+  std::vector<size_t> spill_keys;
   for (size_t c : spec_.build_keys) {
-    build_key_cols_.emplace_back(build_->OutputTypes()[c]);
+    spill_keys.push_back(spill_types_.size());
+    spill_types_.push_back(build_->OutputTypes()[c]);
   }
   for (size_t c : spec_.build_payload) {
-    build_payload_cols_.emplace_back(build_->OutputTypes()[c]);
+    spill_types_.push_back(build_->OutputTypes()[c]);
   }
+  build_view_.Init(spill_types_, 1);
+  spill_.Init(ctx(), &config_,
+              {{spill_types_, std::move(spill_keys), "join_build"},
+               {probe_->OutputTypes(), spec_.probe_keys, "join_probe"}});
   VWISE_RETURN_IF_ERROR(ConsumeBuildSide());
   input_.Init(probe_->OutputTypes(), config_.vector_size);
   input_exhausted_ = false;
@@ -204,56 +138,45 @@ Status HashJoinOperator::ConsumeBuildSide() {
     // Key hashing, the column-store copies, and the spill writers all read
     // values positionally; decode any encoded columns first.
     chunk.NormalizeColumns();
-    if (spilled_) {
+    // View the chunk through the spill schema (keys then payload), the
+    // layout of the resident stores and the partition files alike;
+    // Reference shares the buffers.
+    size_t n_keys = spec_.build_keys.size();
+    for (size_t k = 0; k < n_keys; k++) {
+      build_view_.column(k).Reference(chunk.column(spec_.build_keys[k]));
+    }
+    for (size_t k = 0; k < spec_.build_payload.size(); k++) {
+      build_view_.column(n_keys + k).Reference(
+          chunk.column(spec_.build_payload[k]));
+    }
+    if (spill_.spilled()) {
       // Already degraded: route the chunk straight to the partition files.
-      VWISE_RETURN_IF_ERROR(PartitionBuildChunk(chunk));
+      VWISE_RETURN_IF_ERROR(
+          spill_.Scatter(kBuildStream, build_view_, chunk.sel(), n));
       continue;
     }
     size_t grow = EstimateChunkBytes(chunk);
-    Status reserve = mem_.Grow(grow);
-    if (!reserve.ok()) {
-      if (reserve.code() != StatusCode::kResourceExhausted ||
-          !config_.enable_spill) {
-        return reserve;
-      }
-      // Budget hit: flush the buffered rows to radix partitions (returns
-      // their reservation) and stream the rest of the build side to disk.
-      VWISE_RETURN_IF_ERROR(SpillBuildRows());
-      VWISE_RETURN_IF_ERROR(PartitionBuildChunk(chunk));
-      continue;
+    Status grown = mem_.Grow(grow);
+    if (grown.ok()) {
+      build_bytes_ += grow;
+      AppendBuildRows(build_view_, chunk.sel(), n);
     }
-    build_bytes_ += grow;
-    const sel_t* sel = chunk.sel();
-    for (size_t k = 0; k < spec_.build_keys.size(); k++) {
-      build_key_cols_[k].AppendFrom(chunk.column(spec_.build_keys[k]), sel, n);
-    }
-    for (size_t k = 0; k < spec_.build_payload.size(); k++) {
-      build_payload_cols_[k].AppendFrom(chunk.column(spec_.build_payload[k]), sel, n);
-    }
-    build_rows_ += n;
-    // Governor pressure signal (polled alongside ctx()->Check() above):
-    // queries are waiting for global memory, so proactively flush the
-    // buffered rows and shrink this reservation instead of holding it until
-    // the budget forces the issue.
-    if (config_.enable_spill && mem_.bytes() >= config_.pressure_spill_min_bytes &&
-        ctx()->MemoryPressure()) {
-      VWISE_RETURN_IF_ERROR(SpillBuildRows());
-      ctx()->NotePressureSpill();
-      continue;
-    }
-    // Coexistence cap: cap the in-memory build side at half the budget so
-    // other pipeline breakers in the same query (aggregations, sorts) keep
-    // enough headroom for their own buffers and partition reloads.
-    if (config_.enable_spill && ctx()->memory_budget() > 0 &&
-        mem_.bytes() > ctx()->memory_budget() / 2) {
-      VWISE_RETURN_IF_ERROR(SpillBuildRows());
+    bool spill = false;
+    VWISE_ASSIGN_OR_RETURN(spill,
+                           ShouldSpill(ctx(), config_, grown, mem_.bytes()));
+    if (spill) VWISE_RETURN_IF_ERROR(SpillBuildRows());
+    // Budget hit: the chunk that did not fit, and the rest of the build
+    // side, stream straight to the partitions.
+    if (!grown.ok()) {
+      VWISE_RETURN_IF_ERROR(
+          spill_.Scatter(kBuildStream, build_view_, chunk.sel(), n));
     }
   }
   build_->Close();
-  if (spilled_) {
+  if (spill_.spilled()) {
     // Close the partition files; tables are built per partition at probe
     // time (LoadBuildPartition).
-    build_writers_.clear();
+    spill_.CloseStream(kBuildStream);
     return Status::OK();
   }
   return BuildTable();
@@ -277,109 +200,36 @@ Status HashJoinOperator::BuildTable() {
 }
 
 Status HashJoinOperator::SpillBuildRows() {
-  if (build_writers_.empty()) {
-    spilled_ = true;
-    n_partitions_ = SpillPartitionCount(config_.spill_partitions);
-    spill_partitions_stat_ = n_partitions_;
-    // Spill rows keep only the columns the join retains: keys then payload.
-    spill_types_.clear();
-    for (size_t c : spec_.build_keys) {
-      spill_types_.push_back(build_->OutputTypes()[c]);
-    }
-    for (size_t c : spec_.build_payload) {
-      spill_types_.push_back(build_->OutputTypes()[c]);
-    }
-    for (size_t p = 0; p < n_partitions_; p++) {
-      std::string path;
-      VWISE_ASSIGN_OR_RETURN(path, ctx()->NewSpillPath("join_build"));
-      build_paths_.push_back(path);
-      std::unique_ptr<SpillWriter> writer;
-      VWISE_ASSIGN_OR_RETURN(writer,
-                             SpillWriter::Create(path, spill_types_,
-                                                 &ctx()->spill_counters()));
-      build_writers_.push_back(std::move(writer));
-    }
-    build_view_.Init(spill_types_, 1);
-    part_rows_.assign(n_partitions_, {});
-  }
-  // Partition on HIGH hash bits; the per-partition table masks the low bits,
-  // so low-bit partitioning would collapse each partition into few buckets.
-  for (auto& rows : part_rows_) rows.clear();
-  for (uint32_t row = 0; row < build_rows_; row++) {
-    part_rows_[(HashBuildRow(row) >> 56) & (n_partitions_ - 1)].push_back(row);
-  }
-  DataChunk scratch;
-  scratch.Init(spill_types_, config_.vector_size);
   size_t n_keys = spec_.build_keys.size();
-  for (size_t p = 0; p < n_partitions_; p++) {
-    const std::vector<sel_t>& ids = part_rows_[p];
-    for (size_t i = 0; i < ids.size(); i += scratch.capacity()) {
-      VWISE_RETURN_IF_ERROR(ctx()->Check());
-      size_t batch = std::min(scratch.capacity(), ids.size() - i);
-      scratch.Reset();
-      for (size_t k = 0; k < n_keys; k++) {
-        build_key_cols_[k].Gather(ids.data() + i, batch, &scratch.column(k));
-      }
-      for (size_t k = 0; k < build_payload_cols_.size(); k++) {
-        build_payload_cols_[k].Gather(ids.data() + i, batch,
-                                      &scratch.column(n_keys + k));
-      }
-      scratch.SetCount(batch);
-      VWISE_RETURN_IF_ERROR(build_writers_[p]->Append(scratch));
-    }
-  }
-  // Rebuild empty stores and give back the reservation the rows held.
-  build_key_cols_.clear();
-  build_payload_cols_.clear();
-  for (size_t c : spec_.build_keys) {
-    build_key_cols_.emplace_back(build_->OutputTypes()[c]);
-  }
-  for (size_t c : spec_.build_payload) {
-    build_payload_cols_.emplace_back(build_->OutputTypes()[c]);
-  }
-  build_rows_ = 0;
-  mem_.Shrink(build_bytes_);
-  build_bytes_ = 0;
+  VWISE_RETURN_IF_ERROR(spill_.Flush(
+      kBuildStream, build_rows_,
+      [this](uint32_t row) { return HashBuildRow(row); },
+      [this, n_keys](const uint32_t* ids, size_t n, DataChunk* out) {
+        for (size_t k = 0; k < n_keys; k++) {
+          build_key_cols_[k].Gather(ids, n, &out->column(k));
+        }
+        for (size_t k = 0; k < build_payload_cols_.size(); k++) {
+          build_payload_cols_[k].Gather(ids, n, &out->column(n_keys + k));
+        }
+      }));
+  ReleaseBuildSide();
   return Status::OK();
 }
 
-Status HashJoinOperator::PartitionBuildChunk(const DataChunk& chunk) {
-  size_t n = chunk.ActiveCount();
-  const sel_t* sel = chunk.sel();
-  for (auto& rows : part_rows_) rows.clear();
-  for (size_t i = 0; i < n; i++) {
-    sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
-    uint64_t h = HashChunkKeys(chunk, pos, spec_.build_keys);
-    part_rows_[(h >> 56) & (n_partitions_ - 1)].push_back(pos);
-  }
-  // View the chunk through the spill schema (keys then payload) so the
-  // writers see matching column lists; Reference shares the buffers.
-  size_t n_keys = spec_.build_keys.size();
+void HashJoinOperator::AppendBuildRows(const DataChunk& rows,
+                                       const sel_t* sel, size_t n) {
+  size_t n_keys = build_key_cols_.size();
   for (size_t k = 0; k < n_keys; k++) {
-    build_view_.column(k).Reference(chunk.column(spec_.build_keys[k]));
+    build_key_cols_[k].AppendFrom(rows.column(k), sel, n);
   }
-  for (size_t k = 0; k < spec_.build_payload.size(); k++) {
-    build_view_.column(n_keys + k).Reference(
-        chunk.column(spec_.build_payload[k]));
+  for (size_t k = 0; k < build_payload_cols_.size(); k++) {
+    build_payload_cols_[k].AppendFrom(rows.column(n_keys + k), sel, n);
   }
-  for (size_t p = 0; p < n_partitions_; p++) {
-    VWISE_RETURN_IF_ERROR(build_writers_[p]->AppendRows(
-        build_view_, part_rows_[p].data(), part_rows_[p].size()));
-  }
-  return Status::OK();
+  build_rows_ += n;
 }
 
 Status HashJoinOperator::PartitionProbeSide() {
-  for (size_t p = 0; p < n_partitions_; p++) {
-    std::string path;
-    VWISE_ASSIGN_OR_RETURN(path, ctx()->NewSpillPath("join_probe"));
-    probe_paths_.push_back(path);
-    std::unique_ptr<SpillWriter> writer;
-    VWISE_ASSIGN_OR_RETURN(writer,
-                           SpillWriter::Create(path, probe_->OutputTypes(),
-                                               &ctx()->spill_counters()));
-    probe_writers_.push_back(std::move(writer));
-  }
+  VWISE_RETURN_IF_ERROR(spill_.OpenStream(kProbeStream));
   while (true) {
     VWISE_RETURN_IF_ERROR(ctx()->Check());
     input_.Reset();
@@ -387,25 +237,16 @@ Status HashJoinOperator::PartitionProbeSide() {
     size_t n = input_.ActiveCount();
     if (n == 0) break;
     input_.NormalizeColumns();
-    const sel_t* sel = input_.sel();
-    for (auto& rows : part_rows_) rows.clear();
-    for (size_t i = 0; i < n; i++) {
-      sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
-      uint64_t h = HashProbeRow(input_, pos);
-      part_rows_[(h >> 56) & (n_partitions_ - 1)].push_back(pos);
-    }
-    for (size_t p = 0; p < n_partitions_; p++) {
-      VWISE_RETURN_IF_ERROR(probe_writers_[p]->AppendRows(
-          input_, part_rows_[p].data(), part_rows_[p].size()));
-    }
+    VWISE_RETURN_IF_ERROR(
+        spill_.Scatter(kProbeStream, input_, input_.sel(), n));
   }
   probe_->Close();
-  probe_writers_.clear();  // close the files; readers reopen them
+  spill_.Seal();
   return Status::OK();
 }
 
 void HashJoinOperator::ReleaseBuildSide() {
-  // Swap out the resident partition's rows + table and their reservation.
+  // Swap out the resident rows + table and their reservation.
   mem_.Shrink(build_bytes_);
   build_bytes_ = 0;
   build_key_cols_.clear();
@@ -421,15 +262,12 @@ void HashJoinOperator::ReleaseBuildSide() {
   chain_next_.clear();
 }
 
-Status HashJoinOperator::LoadBuildPartition(const std::string& path) {
+Status HashJoinOperator::LoadBuildPartition() {
   ReleaseBuildSide();
   std::unique_ptr<SpillReader> reader;
-  VWISE_ASSIGN_OR_RETURN(reader,
-                         SpillReader::Open(path, spill_types_,
-                                           &ctx()->spill_counters()));
+  VWISE_ASSIGN_OR_RETURN(reader, spill_.Read(kBuildStream));
   DataChunk chunk;
   chunk.Init(spill_types_, config_.vector_size);
-  size_t n_keys = spec_.build_keys.size();
   while (true) {
     VWISE_RETURN_IF_ERROR(ctx()->Check());
     bool more = false;
@@ -437,195 +275,45 @@ Status HashJoinOperator::LoadBuildPartition(const std::string& path) {
     if (!more) break;
     size_t n = chunk.count();  // spill chunks are dense
     // ResourceExhausted here means this partition alone exceeds the budget;
-    // the caller re-partitions it onto a fresh radix level (bounded by
-    // Config::spill_max_repartition_depth) instead of failing the query.
+    // the caller splits it onto a fresh radix level (RadixSpill::Split)
+    // instead of failing the query.
     size_t grow = EstimateChunkBytes(chunk);
     VWISE_RETURN_IF_ERROR(mem_.Grow(grow));
     build_bytes_ += grow;
-    for (size_t k = 0; k < n_keys; k++) {
-      build_key_cols_[k].AppendFrom(chunk.column(k), nullptr, n);
-    }
-    for (size_t k = 0; k < build_payload_cols_.size(); k++) {
-      build_payload_cols_[k].AppendFrom(chunk.column(n_keys + k), nullptr, n);
-    }
-    build_rows_ += n;
+    AppendBuildRows(chunk, nullptr, n);
   }
   return BuildTable();
 }
 
-size_t HashJoinOperator::RepartitionFanout(uint64_t part_bytes) const {
-  // Aim each child at a fraction of the budget: serialized spill bytes
-  // understate resident bytes (string headers, table overhead), and the
-  // reload must coexist with the probe stream. Per-level fanout is capped at
-  // the configured partition count — every child holds an open writer pair
-  // with its own buffers, so one level never fans wider than the initial
-  // flush did; depth supplies the remaining capacity (fanout^depth).
-  size_t budget = ctx()->memory_budget();
-  uint64_t target = budget > 0 ? static_cast<uint64_t>(budget) / 4
-                               : (32ull << 20);
-  if (target == 0) target = 1;
-  uint64_t need = part_bytes / target + 2;
-  size_t fanout =
-      SpillPartitionCount(static_cast<size_t>(need > 256 ? 256 : need));
-  size_t cap = SpillPartitionCount(config_.spill_partitions);
-  return fanout > cap ? cap : fanout;
-}
-
-Status HashJoinOperator::RepartitionPartition(const SpillPartition& part) {
-  VWISE_FAILPOINT("spill.repartition");
-  // Drop whatever the failed load left resident before touching disk.
-  ReleaseBuildSide();
-  size_t level = part.level + 1;
-  // A fresh radix byte per level: level L routes on hash bits
-  // [56 - 8L, 64 - 8L). Level 0 used the top byte, so children split what
-  // their parent could not. Depth is bounded by spill_max_repartition_depth
-  // (and usefully by the 8 hash bytes); duplicate-key floods that no byte
-  // can split exhaust the bound and fail cleanly.
-  size_t shift = 56 - 8 * (level <= 7 ? level : 7);
-  std::error_code ec;
-  uint64_t build_bytes = std::filesystem::file_size(part.build_path, ec);
-  if (ec) build_bytes = 0;
-  size_t fanout = RepartitionFanout(build_bytes);
-  spill_repartitions_stat_++;
-  if (level > spill_depth_stat_) spill_depth_stat_ = level;
-  spill_partitions_stat_ += fanout;
-
-  std::vector<SpillPartition> children(fanout);
-  std::vector<std::unique_ptr<SpillWriter>> bw(fanout);
-  std::vector<std::unique_ptr<SpillWriter>> pw(fanout);
-  for (size_t f = 0; f < fanout; f++) {
-    children[f].level = level;
-    VWISE_ASSIGN_OR_RETURN(children[f].build_path,
-                           ctx()->NewSpillPath("join_build_r"));
-    VWISE_ASSIGN_OR_RETURN(bw[f],
-                           SpillWriter::Create(children[f].build_path,
-                                               spill_types_,
-                                               &ctx()->spill_counters()));
-    VWISE_ASSIGN_OR_RETURN(children[f].probe_path,
-                           ctx()->NewSpillPath("join_probe_r"));
-    VWISE_ASSIGN_OR_RETURN(pw[f],
-                           SpillWriter::Create(children[f].probe_path,
-                                               probe_->OutputTypes(),
-                                               &ctx()->spill_counters()));
-  }
-
-  // Stream the parent build file into the children. Spill chunks are dense;
-  // keys sit at columns [0, n_keys) of the spill schema.
-  std::vector<size_t> spill_keys(spec_.build_keys.size());
-  for (size_t k = 0; k < spill_keys.size(); k++) spill_keys[k] = k;
-  part_rows_.assign(fanout, {});
-  {
-    std::unique_ptr<SpillReader> reader;
-    VWISE_ASSIGN_OR_RETURN(reader,
-                           SpillReader::Open(part.build_path, spill_types_,
-                                             &ctx()->spill_counters()));
-    DataChunk chunk;
-    chunk.Init(spill_types_, config_.vector_size);
-    while (true) {
-      VWISE_RETURN_IF_ERROR(ctx()->Check());
-      bool more = false;
-      VWISE_ASSIGN_OR_RETURN(more, reader->Next(&chunk));
-      if (!more) break;
-      size_t n = chunk.count();
-      for (auto& rows : part_rows_) rows.clear();
-      for (size_t i = 0; i < n; i++) {
-        uint64_t h = HashChunkKeys(chunk, static_cast<sel_t>(i), spill_keys);
-        part_rows_[(h >> shift) & (fanout - 1)].push_back(
-            static_cast<sel_t>(i));
-      }
-      for (size_t f = 0; f < fanout; f++) {
-        VWISE_RETURN_IF_ERROR(
-            bw[f]->AppendRows(chunk, part_rows_[f].data(),
-                              part_rows_[f].size()));
-      }
-    }
-  }
-  // And the parent probe file, routed by the same hash bits of the same key
-  // hash — matching rows land in matching children.
-  {
-    std::unique_ptr<SpillReader> reader;
-    VWISE_ASSIGN_OR_RETURN(reader,
-                           SpillReader::Open(part.probe_path,
-                                             probe_->OutputTypes(),
-                                             &ctx()->spill_counters()));
-    DataChunk chunk;
-    chunk.Init(probe_->OutputTypes(), config_.vector_size);
-    while (true) {
-      VWISE_RETURN_IF_ERROR(ctx()->Check());
-      bool more = false;
-      VWISE_ASSIGN_OR_RETURN(more, reader->Next(&chunk));
-      if (!more) break;
-      size_t n = chunk.count();
-      for (auto& rows : part_rows_) rows.clear();
-      for (size_t i = 0; i < n; i++) {
-        uint64_t h = HashProbeRow(chunk, static_cast<sel_t>(i));
-        part_rows_[(h >> shift) & (fanout - 1)].push_back(
-            static_cast<sel_t>(i));
-      }
-      for (size_t f = 0; f < fanout; f++) {
-        VWISE_RETURN_IF_ERROR(
-            pw[f]->AppendRows(chunk, part_rows_[f].data(),
-                              part_rows_[f].size()));
-      }
-    }
-  }
-  bw.clear();  // close the children before the parents are unlinked
-  pw.clear();
-  std::filesystem::remove(part.build_path, ec);
-  std::filesystem::remove(part.probe_path, ec);
-  // Depth-first: joining (or further splitting) the fresh children before
-  // their siblings bounds live spill disk to one lineage per level.
-  pending_.insert(pending_.begin(), children.begin(), children.end());
-  return Status::OK();
-}
-
 Status HashJoinOperator::FetchProbeChunk() {
-  if (!spilled_) return probe_->Next(&input_);
+  if (!spill_.spilled()) return probe_->Next(&input_);
   if (!probe_partitioned_) {
     VWISE_RETURN_IF_ERROR(PartitionProbeSide());
     probe_partitioned_ = true;
-    for (size_t p = 0; p < n_partitions_; p++) {
-      pending_.push_back({build_paths_[p], probe_paths_[p], 0});
-    }
-    build_paths_.clear();
-    probe_paths_.clear();
   }
   while (true) {
     if (probe_reader_) {
       bool more = false;
       VWISE_ASSIGN_OR_RETURN(more, probe_reader_->Next(&input_));
       if (more) return Status::OK();
-      probe_reader_.reset();       // pair fully joined
-      RemovePartitionFiles(&cur_);
+      probe_reader_.reset();  // partition fully joined
     }
-    if (pending_.empty()) return Status::OK();  // input_ empty
-    cur_ = pending_.front();
-    pending_.pop_front();
+    if (!spill_.Next()) return Status::OK();  // input_ empty
     // Peek the probe partition first: if it is empty there is nothing to
     // join (or, for outer joins, to pad), so skip loading its build rows.
     std::unique_ptr<SpillReader> reader;
-    VWISE_ASSIGN_OR_RETURN(reader,
-                           SpillReader::Open(cur_.probe_path,
-                                             probe_->OutputTypes(),
-                                             &ctx()->spill_counters()));
+    VWISE_ASSIGN_OR_RETURN(reader, spill_.Read(kProbeStream));
     bool more = false;
     VWISE_ASSIGN_OR_RETURN(more, reader->Next(&input_));
-    if (!more) {
-      RemovePartitionFiles(&cur_);
-      continue;
-    }
-    Status load = LoadBuildPartition(cur_.build_path);
+    if (!more) continue;
+    Status load = LoadBuildPartition();
     if (!load.ok()) {
-      if (load.code() != StatusCode::kResourceExhausted ||
-          cur_.level >= config_.spill_max_repartition_depth) {
-        return load;
-      }
       // This partition alone exceeds the budget: split it onto the next
       // radix level and retry with its children. The peeked probe chunk is
-      // re-read from the file by the repartition pass.
+      // re-read from the file by the split.
       reader.reset();
-      VWISE_RETURN_IF_ERROR(RepartitionPartition(cur_));
-      cur_ = SpillPartition();
+      ReleaseBuildSide();
+      VWISE_RETURN_IF_ERROR(spill_.Split(load));
       continue;
     }
     probe_reader_ = std::move(reader);
@@ -633,51 +321,10 @@ Status HashJoinOperator::FetchProbeChunk() {
   }
 }
 
-void HashJoinOperator::RemovePartitionFiles(SpillPartition* part) {
-  std::error_code ec;
-  if (!part->build_path.empty()) {
-    std::filesystem::remove(part->build_path, ec);  // best effort
-  }
-  if (!part->probe_path.empty()) {
-    std::filesystem::remove(part->probe_path, ec);
-  }
-  *part = SpillPartition();
-}
-
-void HashJoinOperator::DropSpillFiles() {
-  build_writers_.clear();
-  probe_writers_.clear();
-  probe_reader_.reset();
-  for (const std::string& path : build_paths_) {
-    std::error_code ec;
-    std::filesystem::remove(path, ec);  // best effort; ctx dir is the backstop
-  }
-  for (const std::string& path : probe_paths_) {
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-  }
-  build_paths_.clear();
-  probe_paths_.clear();
-  for (SpillPartition& part : pending_) RemovePartitionFiles(&part);
-  pending_.clear();
-  RemovePartitionFiles(&cur_);
-  part_rows_.clear();
-  n_partitions_ = 0;
-}
-
 uint64_t HashJoinOperator::HashBuildRow(size_t row) const {
   uint64_t h = 0;
   for (const ColumnStore& col : build_key_cols_) {
-    h = HashCombine(h, HashStoreValue(col, row));
-  }
-  return h;
-}
-
-uint64_t HashJoinOperator::HashProbeRow(const DataChunk& chunk,
-                                        sel_t pos) const {
-  uint64_t h = 0;
-  for (size_t k = 0; k < spec_.probe_keys.size(); k++) {
-    h = HashCombine(h, HashVectorValue(chunk.column(spec_.probe_keys[k]), pos));
+    h = HashCombine(h, HashValue(col, row));
   }
   return h;
 }
@@ -685,8 +332,8 @@ uint64_t HashJoinOperator::HashProbeRow(const DataChunk& chunk,
 bool HashJoinOperator::KeysEqual(const DataChunk& chunk, sel_t pos,
                                  size_t build_row) const {
   for (size_t k = 0; k < spec_.probe_keys.size(); k++) {
-    if (!ValueEquals(chunk.column(spec_.probe_keys[k]), pos,
-                     build_key_cols_[k], build_row)) {
+    if (!KeyEquals(chunk.column(spec_.probe_keys[k]), pos,
+                   build_key_cols_[k], build_row)) {
       return false;
     }
   }
@@ -709,7 +356,7 @@ Status HashJoinOperator::ProcessProbeChunk() {
   for (size_t i = 0; i < n; i++) {
     sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
     if (build_rows_ > 0) {
-      uint64_t h = HashProbeRow(input_, pos) & bucket_mask_;
+      uint64_t h = HashKeys(input_, pos, spec_.probe_keys) & bucket_mask_;
       for (uint32_t row = bucket_heads_[h]; row != kNoRow; row = chain_next_[row]) {
         // vwise-hotpath: allow(alloc): amortized growth, capacity persists
         // across probe chunks
@@ -891,8 +538,8 @@ void HashJoinOperator::Close() {
   build_payload_cols_.clear();
   bucket_heads_.clear();
   chain_next_.clear();
-  DropSpillFiles();
-  spilled_ = false;
+  probe_reader_.reset();
+  spill_.Drop();
   probe_partitioned_ = false;
   build_bytes_ = 0;
   probe_pos_.Release();

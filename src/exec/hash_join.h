@@ -1,20 +1,16 @@
 #ifndef VWISE_EXEC_HASH_JOIN_H_
 #define VWISE_EXEC_HASH_JOIN_H_
 
-#include <deque>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "exec/column_store.h"
 #include "exec/operator.h"
+#include "exec/radix_spill.h"
 #include "expr/expression.h"
 #include "service/query_context.h"
 
 namespace vwise {
-
-class SpillWriter;  // storage/spill_file.h
-class SpillReader;
 
 enum class JoinType : uint8_t {
   kInner = 0,
@@ -66,15 +62,11 @@ class HashJoinOperator final : public Operator {
   const Operator& probe() const { return *probe_; }
   const Operator& build() const { return *build_; }
   const Spec& spec() const { return spec_; }
-  // Spill telemetry (EXPLAIN ANALYZE): radix partitions written, if any.
-  // Survives Close() — the profile is rendered after the tree is closed —
-  // and resets on the next Open.
-  size_t spill_partitions() const { return spill_partitions_stat_; }
-  // Recursive-repartition telemetry: how many oversized partitions were
-  // split onto a fresh radix level, and the deepest level reached (0 = the
-  // initial flush sufficed). Survive Close() like spill_partitions().
-  size_t spill_repartitions() const { return spill_repartitions_stat_; }
-  size_t spill_repartition_depth() const { return spill_depth_stat_; }
+  // Spill telemetry (EXPLAIN ANALYZE); survives Close() and resets on the
+  // next Open.
+  const RadixSpill::Stats& spill_stats() const { return spill_.stats(); }
+  size_t spill_repartitions() const { return spill_.stats().repartitions; }
+  size_t spill_repartition_depth() const { return spill_.stats().depth; }
 
  private:
   Status OpenImpl() override;
@@ -84,38 +76,24 @@ class HashJoinOperator final : public Operator {
   void EmitPairs(DataChunk* out);
   Status EmitSemiAnti(DataChunk* out);
 
-  // One spilled (build, probe) partition pair awaiting its join pass.
-  // Level 0 pairs come from the initial flush; deeper levels are created by
-  // recursive repartitioning when a pair's build side alone exceeds the
-  // budget — each level consumes a fresh byte of the same key hash.
-  struct SpillPartition {
-    std::string build_path;
-    std::string probe_path;
-    size_t level = 0;
-  };
+  // Appends rows of a spill-schema chunk (keys then payload) to the
+  // resident build side.
+  void AppendBuildRows(const DataChunk& rows, const sel_t* sel, size_t n);
 
   // Spill path (Grace hash join). SpillBuildRows flushes the buffered build
-  // rows to the radix partition writers (creating them on first use) and
-  // returns their reservation; PartitionBuildChunk routes a streamed build
-  // chunk straight to the writers; PartitionProbeSide drains the probe child
-  // into per-partition probe files; LoadBuildPartition reloads one build
-  // partition and rebuilds its table; RepartitionPartition splits an
-  // oversized pair onto the next radix level; FetchProbeChunk fills input_
-  // from the probe child (in-memory) or the current pair's probe file.
+  // rows to the radix partitions and returns their reservation;
+  // PartitionProbeSide drains the probe child into the probe partitions;
+  // LoadBuildPartition reloads the current partition's build rows and
+  // rebuilds the table; FetchProbeChunk fills input_ from the probe child
+  // (in-memory) or the current partition's probe file.
   Status SpillBuildRows();
-  Status PartitionBuildChunk(const DataChunk& chunk);
   Status PartitionProbeSide();
-  Status LoadBuildPartition(const std::string& path);
-  Status RepartitionPartition(const SpillPartition& part);
-  size_t RepartitionFanout(uint64_t part_bytes) const;
+  Status LoadBuildPartition();
   Status FetchProbeChunk();
   // Resets the resident build rows/table and returns their reservation.
   void ReleaseBuildSide();
-  void RemovePartitionFiles(SpillPartition* part);
-  void DropSpillFiles();
 
   uint64_t HashBuildRow(size_t row) const;
-  uint64_t HashProbeRow(const DataChunk& chunk, sel_t pos) const;
   bool KeysEqual(const DataChunk& chunk, sel_t pos, size_t build_row) const;
 
   OperatorPtr probe_;
@@ -156,25 +134,13 @@ class HashJoinOperator final : public Operator {
   MemoryReservation mem_;
   size_t build_bytes_ = 0;
 
-  // Radix-spill state; empty unless the budget forced a flush. Spill rows
-  // carry [build keys..., build payload...]; probe partitions carry full
-  // probe rows.
-  bool spilled_ = false;
+  // Grace partitions, one build and one probe stream. Build spill rows carry
+  // [build keys..., build payload...]; probe rows are full probe rows.
+  RadixSpill spill_;
   bool probe_partitioned_ = false;
-  size_t n_partitions_ = 0;
   std::vector<TypeId> spill_types_;
-  std::vector<std::string> build_paths_;
-  std::vector<std::string> probe_paths_;
-  std::vector<std::unique_ptr<SpillWriter>> build_writers_;
-  std::vector<std::unique_ptr<SpillWriter>> probe_writers_;
-  std::deque<SpillPartition> pending_;  // pairs not yet joined
-  SpillPartition cur_;                  // pair probe_reader_ is draining
   std::unique_ptr<SpillReader> probe_reader_;  // current partition's probe
   DataChunk build_view_;  // spill-schema view over a streamed build chunk
-  std::vector<std::vector<sel_t>> part_rows_;  // per-chunk radix buckets
-  size_t spill_partitions_stat_ = 0;  // telemetry; outlives Close()
-  size_t spill_repartitions_stat_ = 0;
-  size_t spill_depth_stat_ = 0;
 };
 
 }  // namespace vwise

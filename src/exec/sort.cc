@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <filesystem>
 #include <numeric>
-#include <system_error>
 
 #include "exec/profile.h"
+#include "exec/radix_spill.h"
 #include "storage/spill_file.h"
 
 namespace vwise {
@@ -111,10 +110,8 @@ Status SortOperator::ConsumeAndSort() {
     size_t grow = EstimateChunkBytes(chunk) + n * sizeof(uint32_t);
     Status grown = mem_.Grow(grow);
     if (!grown.ok()) {
-      if (grown.code() != StatusCode::kResourceExhausted ||
-          !config_.enable_spill) {
-        return grown;
-      }
+      VWISE_RETURN_IF_ERROR(
+          ShouldSpill(ctx(), config_, grown, mem_.bytes()).status());
       // Budget full: turn the buffered rows into a spill run, then retry.
       // A second failure means even one chunk exceeds the budget — spilling
       // cannot make progress, so surface the original error.
@@ -126,25 +123,10 @@ Status SortOperator::ConsumeAndSort() {
     for (size_t c = 0; c < chunk.num_columns(); c++) {
       data_[c].AppendFrom(chunk.column(c), sel, n);
     }
-    // Global memory pressure: queued queries are waiting on the governor's
-    // ledger. Flush the buffered rows early (once they are worth a run) so
-    // the reservation shrinks and waiters can admit.
-    if (config_.enable_spill &&
-        buffered_bytes_ >= config_.pressure_spill_min_bytes &&
-        ctx()->MemoryPressure()) {
-      VWISE_RETURN_IF_ERROR(SpillRun());
-      ctx()->NotePressureSpill();
-      continue;
-    }
-    // Coexistence cap: with several pipeline breakers sharing one budget, a
-    // breaker that grows until its own Grow fails saturates the budget and
-    // starves the upstream breaker's partition reloads (which cannot wait
-    // for this operator to flush). Cap the standing buffer at half the
-    // budget so stacked breakers always leave headroom for each other.
-    if (config_.enable_spill && ctx()->memory_budget() > 0 &&
-        mem_.bytes() > ctx()->memory_budget() / 2) {
-      VWISE_RETURN_IF_ERROR(SpillRun());
-    }
+    bool spill = false;
+    VWISE_ASSIGN_OR_RETURN(
+        spill, ShouldSpill(ctx(), config_, Status::OK(), mem_.bytes()));
+    if (spill) VWISE_RETURN_IF_ERROR(SpillRun());
   }
   child_->Close();
   if (!run_paths_.empty()) {
@@ -153,30 +135,19 @@ Status SortOperator::ConsumeAndSort() {
     sorted_ = true;
     return Status::OK();
   }
-  size_t rows = data_.empty() ? 0 : data_[0].size();
-  order_.resize(rows);
-  std::iota(order_.begin(), order_.end(), 0);
-  auto less = [this](uint32_t a, uint32_t b) { return RowLess(a, b); };
-  size_t want = std::min(rows, SatAdd(offset_, limit_));
-  if (want < rows) {
-    std::partial_sort(order_.begin(), order_.begin() + want, order_.end(), less);
-    order_.resize(want);
-  } else {
-    std::sort(order_.begin(), order_.end(), less);
-  }
+  SortBuffered();
   cursor_ = std::min(offset_, order_.size());
   sorted_ = true;
   return Status::OK();
 }
 
-Status SortOperator::SpillRun() {
+void SortOperator::SortBuffered() {
   size_t rows = data_.empty() ? 0 : data_[0].size();
-  if (rows == 0) return Status::OK();
   order_.resize(rows);
   std::iota(order_.begin(), order_.end(), 0);
   auto less = [this](uint32_t a, uint32_t b) { return RowLess(a, b); };
-  // A run only needs its own top offset+limit rows: anything deeper can
-  // never reach the global top-K the merge emits.
+  // A spill run only needs its own top offset+limit rows too: anything
+  // deeper can never reach the global top-K the merge emits.
   size_t want = std::min(rows, SatAdd(offset_, limit_));
   if (want < rows) {
     std::partial_sort(order_.begin(), order_.begin() + want, order_.end(), less);
@@ -184,6 +155,11 @@ Status SortOperator::SpillRun() {
   } else {
     std::sort(order_.begin(), order_.end(), less);
   }
+}
+
+Status SortOperator::SpillRun() {
+  if (data_.empty() || data_[0].size() == 0) return Status::OK();
+  SortBuffered();
   std::string path;
   VWISE_ASSIGN_OR_RETURN(path, ctx()->NewSpillPath("sort_run"));
   // Registered before writing so Close removes even a half-written file.
@@ -362,10 +338,7 @@ Status SortOperator::Next(DataChunk* out) {
 
 void SortOperator::DropRuns() {
   runs_.clear();
-  for (const std::string& path : run_paths_) {
-    std::error_code ec;
-    std::filesystem::remove(path, ec);  // best effort; ctx dir is the backstop
-  }
+  for (const std::string& path : run_paths_) RemoveSpillFile(path);
   run_paths_.clear();
   buffered_bytes_ = 0;
 }

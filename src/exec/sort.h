@@ -57,6 +57,8 @@ class SortOperator final : public Operator {
   Status OpenImpl() override;
   Status ConsumeAndSort();
   bool RowLess(uint32_t a, uint32_t b) const;
+  // Orders the buffered rows into order_, keeping the top offset+limit.
+  void SortBuffered();
   // Sorts and writes the buffered rows as one spill run, then resets the
   // buffer and gives its reservation back.
   Status SpillRun();

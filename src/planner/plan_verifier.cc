@@ -101,6 +101,21 @@ std::string ColName(size_t i) {
   return s;
 }
 
+// EXPLAIN ANALYZE note of a grace-partitioned join or aggregation; empty
+// when it stayed in memory.
+std::string RadixSpillNote(const RadixSpill::Stats& stats) {
+  if (stats.partitions == 0) return "";
+  std::string note = " spill_partitions=";
+  note += std::to_string(stats.partitions);
+  if (stats.repartitions > 0) {
+    note += " repartitions=";
+    note += std::to_string(stats.repartitions);
+    note += " depth=";
+    note += std::to_string(stats.depth);
+  }
+  return note;
+}
+
 Status ExprErr(const Expr& e, std::string msg) {
   std::string s = "plan verifier: ";
   s += msg;
@@ -403,14 +418,7 @@ size_t WalkNode(const Operator& op, size_t depth, const ProfiledOperator* prof,
       }
     }
     line += "]";
-    if (agg->spill_partitions() > 0) {
-      spill_note = " spill_partitions=" + std::to_string(agg->spill_partitions());
-      if (agg->spill_repartitions() > 0) {
-        spill_note += " repartitions=" +
-                      std::to_string(agg->spill_repartitions()) + " depth=" +
-                      std::to_string(agg->spill_repartition_depth());
-      }
-    }
+    spill_note = RadixSpillNote(agg->spill_stats());
     child0 = &agg->child();
   } else if (auto* j = dynamic_cast<const HashJoinOperator*>(&op)) {
     line += "HashJoin ";
@@ -435,14 +443,7 @@ size_t WalkNode(const Operator& op, size_t depth, const ProfiledOperator* prof,
       line += " residual=";
       line += ExplainFilter(*j->spec().residual);
     }
-    if (j->spill_partitions() > 0) {
-      spill_note = " spill_partitions=" + std::to_string(j->spill_partitions());
-      if (j->spill_repartitions() > 0) {
-        spill_note += " repartitions=" +
-                      std::to_string(j->spill_repartitions()) + " depth=" +
-                      std::to_string(j->spill_repartition_depth());
-      }
-    }
+    spill_note = RadixSpillNote(j->spill_stats());
     child0 = &j->probe();
     child1 = &j->build();
   } else if (auto* so = dynamic_cast<const SortOperator*>(&op)) {

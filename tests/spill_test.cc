@@ -2,10 +2,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "api/database.h"
+#include "baseline/tuple_engine.h"
 #include "common/failpoint.h"
 #include "exec/hash_agg.h"
 #include "exec/hash_join.h"
@@ -284,7 +286,8 @@ TEST_F(SpillTest, Q3ShapeBitIdenticalUnderBudget) {
 
 // The join's own spill: inner join with string payload under a budget far
 // below the build side. Sorted by the unique probe key, the spilled run
-// must match the in-memory run row for row.
+// must match the in-memory run row for row. Then f64 keys through the join
+// and the aggregation, against the tuple engine.
 TEST_F(SpillTest, JoinSpillBitIdentical) {
   auto session = db_->Connect();
   PlanBuilder q = session->NewPlan();
@@ -294,6 +297,82 @@ TEST_F(SpillTest, JoinSpillBitIdentical) {
   q.Join(std::move(build), JoinType::kInner, {0}, {0}, {1, 2});
   q.Sort({SortKey{0, true}});
   RunAndCompare(&q, session.get(), /*budget=*/64 << 10);
+
+  // f64 keys — negative, fractional, and both zeros (-0.0 == +0.0 must join
+  // and group as one key) — through the join and the aggregation, in memory
+  // and spilled, against the tuple engine. A hash that tells -0.0 from +0.0
+  // misses matches and splits the zero group.
+  TableSchema fk("fk", {ColumnDef("k", DataType::Double()),
+                        ColumnDef("v", DataType::Int64())});
+  ASSERT_TRUE(db_->CreateTable(fk).ok());
+  std::vector<baseline::Row> fk_rows;
+  for (int64_t i = 0; i < 3010; i++) {
+    double k = static_cast<double>(i % 301 - 150) * 0.25;  // -37.5 .. 37.5
+    if (k == 0.0 && i % 2 == 1) k = -0.0;
+    fk_rows.push_back({Value::Double(k), Value::Int(i)});
+  }
+  ASSERT_TRUE(db_->BulkLoad("fk", [&](TableWriter* w) -> Status {
+    for (const baseline::Row& row : fk_rows) {
+      VWISE_RETURN_IF_ERROR(w->AppendRow(row));
+    }
+    return Status::OK();
+  }).ok());
+  auto canonical = [](std::vector<std::vector<Value>> rows) {
+    std::sort(rows.begin(), rows.end(),
+              [](const std::vector<Value>& a, const std::vector<Value>& b) {
+                for (size_t i = 0; i < a.size(); i++) {
+                  int c = Compare(a[i], b[i]);
+                  if (c != 0) return c < 0;
+                }
+                return false;
+              });
+    return rows;
+  };
+  auto run = [&](PlanBuilder* plan, size_t budget) {
+    auto prepared = session->Prepare(plan);
+    EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
+    if (!prepared.ok()) return std::vector<std::vector<Value>>();
+    QueryOptions opt;
+    opt.memory_budget_bytes = budget;
+    Result<QueryResult> r = (*prepared)->Run(opt);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return std::vector<std::vector<Value>>();
+    EXPECT_EQ(r->spill_bytes_written > 0, budget > 0) << "budget " << budget;
+    return canonical(std::move(r->rows));
+  };
+  {
+    SCOPED_TRACE("f64 join");
+    baseline::TupleHashJoin tuple(
+        std::make_unique<baseline::TupleScan>(&fk_rows),
+        std::make_unique<baseline::TupleScan>(&fk_rows),
+        baseline::TupleHashJoin::Type::kInner, {0}, {0}, {1});
+    auto expect = canonical(baseline::TupleCollect(&tuple));
+    ASSERT_EQ(expect.size(), 30100u);  // 301 keys x 10 x 10
+    for (size_t budget : {size_t{0}, size_t{16} << 10}) {
+      PlanBuilder j = session->NewPlan();
+      ASSERT_TRUE(j.Scan("fk", {0, 1}).ok());
+      PlanBuilder jb = session->NewPlan();
+      ASSERT_TRUE(jb.Scan("fk", {0, 1}).ok());
+      j.Join(std::move(jb), JoinType::kInner, {0}, {0}, {1});
+      EXPECT_EQ(run(&j, budget), expect) << "budget " << budget;
+    }
+  }
+  {
+    SCOPED_TRACE("f64 agg");
+    baseline::TupleAgg tuple(
+        std::make_unique<baseline::TupleScan>(&fk_rows), {0},
+        {{baseline::TupleAgg::Fn::kCountStar, 0},
+         {baseline::TupleAgg::Fn::kSumI64, 1}});
+    auto expect = canonical(baseline::TupleCollect(&tuple));
+    ASSERT_EQ(expect.size(), 301u);
+    for (size_t budget : {size_t{0}, size_t{8} << 10}) {
+      PlanBuilder a = session->NewPlan();
+      ASSERT_TRUE(a.Scan("fk", {0, 1}).ok());
+      a.Agg({0}, {AggSpec::CountStar(), AggSpec::Sum(1)},
+            {DataType::Double(), DataType::Int64(), DataType::Int64()});
+      EXPECT_EQ(run(&a, budget), expect) << "budget " << budget;
+    }
+  }
 }
 
 TEST_F(SpillTest, LeftOuterJoinSpillBitIdentical) {
@@ -749,12 +828,54 @@ TEST_F(SpillTest, ReaderRejectsFlippedBytes) {
       << more.status().ToString();
 }
 
-// Deterministic fault sweep over the spill I/O sites: every injected error
-// surfaces as a clean query failure (no crash, no leaked reservation), and
-// the scratch files disappear with the query context.
+// Deterministic fault sweep over the spill I/O sites, against every breaker
+// that spills: the external sort and the grace-partitioned join and
+// aggregation. Every injected error surfaces as a clean query failure (no
+// crash, no leaked reservation), and the scratch files are gone as soon as
+// the tree is closed — while the query context is still alive.
 TEST_F(SpillTest, FailpointSweepOverSpillSites) {
-  auto snap = db_->Internals().tm->GetSnapshot("l");
-  ASSERT_TRUE(snap.ok());
+  auto snap_l = db_->Internals().tm->GetSnapshot("l");
+  ASSERT_TRUE(snap_l.ok());
+  auto snap_o = db_->Internals().tm->GetSnapshot("o");
+  ASSERT_TRUE(snap_o.ok());
+  // 2-way partitions under an 8 KB budget: the join and the aggregation
+  // also split partitions recursively, so spill.repartition fires too.
+  Config cfg = config_;
+  cfg.spill_partitions = 2;
+  cfg.spill_max_repartition_depth = 6;
+  using Make = std::function<OperatorPtr(const Config&)>;
+  Make make_join = [&](const Config& c) -> OperatorPtr {
+    HashJoinOperator::Spec spec;
+    spec.probe_keys = {0};
+    spec.build_keys = {0};
+    spec.build_payload = {1};
+    return std::make_unique<HashJoinOperator>(
+        std::make_unique<ScanOperator>(*snap_o, std::vector<uint32_t>{0, 1}, c),
+        std::make_unique<ScanOperator>(*snap_l, std::vector<uint32_t>{0, 2}, c),
+        std::move(spec), c);
+  };
+  Make make_agg = [&](const Config& c) -> OperatorPtr {
+    return std::make_unique<HashAggOperator>(
+        std::make_unique<ScanOperator>(*snap_l, std::vector<uint32_t>{0, 2}, c),
+        std::vector<size_t>{0}, std::vector<AggSpec>{AggSpec::Sum(1)}, c);
+  };
+  struct Breaker {
+    const char* name;
+    size_t budget;
+    bool repartitions;
+    std::function<OperatorPtr()> make;
+  };
+  const Breaker breakers[] = {
+      {"sort", 24 << 10, false,
+       [&]() -> OperatorPtr {
+         return std::make_unique<SortOperator>(
+             std::make_unique<ScanOperator>(
+                 *snap_l, std::vector<uint32_t>{0, 1}, config_),
+             std::vector<SortKey>{SortKey{0, true}}, config_);
+       }},
+      {"join", 8 << 10, true, [&]() { return make_join(cfg); }},
+      {"agg", 8 << 10, true, [&]() { return make_agg(cfg); }},
+  };
   struct Fault {
     const char* spec;
     StatusCode expect;
@@ -766,24 +887,47 @@ TEST_F(SpillTest, FailpointSweepOverSpillSites) {
       {"spill.open=err", StatusCode::kIOError},
       {"spill.read=err", StatusCode::kIOError},
       {"spill.read=corrupt,nth:2", StatusCode::kCorruption},
+      {"spill.repartition=err", StatusCode::kIOError},
   };
-  for (const Fault& f : faults) {
-    SCOPED_TRACE(f.spec);
-    ASSERT_TRUE(failpoint::Arm(f.spec).ok());
-    {
-      QueryContext ctx;
-      ctx.set_memory_budget(24 << 10);
-      ctx.set_spill_dir(SpillBase());
-      SortOperator sort(std::make_unique<ScanOperator>(
-                            *snap, std::vector<uint32_t>{0, 1}, config_),
-                        {SortKey{0, true}}, config_);
-      Result<QueryResult> r = CollectRows(&sort, &ctx, config_.vector_size);
-      ASSERT_FALSE(r.ok()) << f.spec << " did not fire";
-      EXPECT_EQ(r.status().code(), f.expect) << r.status().ToString();
-      EXPECT_EQ(ctx.reserved_bytes(), 0u);
+  for (const Breaker& b : breakers) {
+    for (const Fault& f : faults) {
+      bool repartition = std::string(f.spec).rfind("spill.repartition", 0) == 0;
+      if (repartition && !b.repartitions) continue;
+      SCOPED_TRACE(std::string(b.name) + " " + f.spec);
+      ASSERT_TRUE(failpoint::Arm(f.spec).ok());
+      {
+        QueryContext ctx;
+        ctx.set_memory_budget(b.budget);
+        ctx.set_spill_dir(SpillBase());
+        OperatorPtr op = b.make();
+        Result<QueryResult> r =
+            CollectRows(op.get(), &ctx, config_.vector_size);
+        ASSERT_FALSE(r.ok()) << f.spec << " did not fire";
+        EXPECT_EQ(r.status().code(), f.expect) << r.status().ToString();
+        EXPECT_EQ(ctx.reserved_bytes(), 0u);
+        // CollectRows closed the tree: Close() removed every spill file.
+        EXPECT_EQ(CountSpillFiles(SpillBase()), 0u);
+      }
+      failpoint::DisarmAll();
+      // ~QueryContext removed the per-query scratch directory.
+      EXPECT_EQ(CountSpillFiles(SpillBase()), 0u);
     }
-    failpoint::DisarmAll();
-    // ~QueryContext removed the per-query scratch directory.
+  }
+  // The depth bound: with no repartitioning allowed, an oversized
+  // partition fails its reload with ResourceExhausted — and Close() still
+  // removes the partition being reloaded.
+  Config no_depth = cfg;
+  no_depth.spill_max_repartition_depth = 0;
+  for (const Make& make : {make_join, make_agg}) {
+    QueryContext ctx;
+    ctx.set_memory_budget(8 << 10);
+    ctx.set_spill_dir(SpillBase());
+    OperatorPtr op = make(no_depth);
+    Result<QueryResult> r = CollectRows(op.get(), &ctx, config_.vector_size);
+    ASSERT_FALSE(r.ok()) << "an oversized partition fit in 8KB?";
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
+        << r.status().ToString();
+    EXPECT_EQ(ctx.reserved_bytes(), 0u);
     EXPECT_EQ(CountSpillFiles(SpillBase()), 0u);
   }
   // Short transfers are absorbed by the I/O retry loops: the spilled query
@@ -794,7 +938,7 @@ TEST_F(SpillTest, FailpointSweepOverSpillSites) {
     ctx.set_memory_budget(24 << 10);
     ctx.set_spill_dir(SpillBase());
     SortOperator sort(std::make_unique<ScanOperator>(
-                          *snap, std::vector<uint32_t>{0, 1}, config_),
+                          *snap_l, std::vector<uint32_t>{0, 1}, config_),
                       {SortKey{0, true}}, config_);
     Result<QueryResult> r = CollectRows(&sort, &ctx, config_.vector_size);
     ASSERT_TRUE(r.ok()) << r.status().ToString();

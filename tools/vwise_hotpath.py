@@ -16,7 +16,8 @@ Roots
     (src/expr/primitive_catalog.inc -> the template kernels and operator
     functors defined in src/expr/primitives.h);
   * every Operator::Next defined in src/exec/ (scan, select, project,
-    hash_agg, hash_join, sort, xchg, checked, profile);
+    hash_agg, hash_join, sort, xchg, checked, profile) — with the helpers
+    they reach in src/exec/ (key_hash.h, radix_spill.cc, ...);
   * expression dispatch: every Eval/Select defined in src/expr/expression.cc;
   * any function marked VWISE_HOT (src/common/macros.h).
 
@@ -821,6 +822,15 @@ def self_test(repo):
              "  shadow.push_back(1);\n"
              "  if (sel == nullptr) {\n"
              "    for (size_t i = 0; i < n; i++) out[i] = OP()(a[i], b[i]);"),
+            "alloc"),
+        # The spill lineage's Next is reached from HashAggOperator::Next on
+        # every emitted vector of a spilled aggregation.
+        "alloc in RadixSpill::Next": (
+            ("src/exec/radix_spill.cc",
+             "bool RadixSpill::Next() {",
+             "bool RadixSpill::Next() {\n"
+             "  std::vector<int> shadow;\n"
+             "  shadow.push_back(1);"),
             "alloc"),
         # Lock acquisition inside an operator's Next.
         "mutex in Next": (
