@@ -5,6 +5,7 @@
 
 #include "common/date.h"
 #include "expr/primitive_profiler.h"
+#include "expr/primitive_registry.h"
 #include "expr/primitives.h"
 #include "vector/representation.h"
 
@@ -108,90 +109,37 @@ Status ConstExpr::Eval(DataChunk& in, const sel_t* sel, size_t n,
 }
 
 // ---------------------------------------------------------------------------
-// ArithExpr
+// Primitive binding
 // ---------------------------------------------------------------------------
 
 namespace {
 
-template <typename T>
-T ConstScalar(const Expr* node);
+const char* const kArithOpTokens[] = {"add", "sub", "mul", "div"};
+const char* const kCmpOpTokens[] = {"eq", "ne", "lt", "le", "gt", "ge"};
 
-template <>
-int64_t ConstScalar<int64_t>(const Expr* node) {
-  return static_cast<const ConstExpr*>(node)->AsI64();
-}
-template <>
-double ConstScalar<double>(const Expr* node) {
-  return static_cast<const ConstExpr*>(node)->AsF64();
-}
-
-// Physical type of a kernel instantiation, for primitive-counter keys.
-template <typename T>
-struct PhysOf;
-template <>
-struct PhysOf<uint8_t> {
-  static constexpr TypeId value = TypeId::kU8;
-};
-template <>
-struct PhysOf<int32_t> {
-  static constexpr TypeId value = TypeId::kI32;
-};
-template <>
-struct PhysOf<int64_t> {
-  static constexpr TypeId value = TypeId::kI64;
-};
-template <>
-struct PhysOf<double> {
-  static constexpr TypeId value = TypeId::kF64;
-};
-template <>
-struct PhysOf<StringVal> {
-  static constexpr TypeId value = TypeId::kStr;
-};
-
-template <typename T, typename OP>
-void ArithKernel(ArithOp op, Expr* left, Vector* lv, Expr* right, Vector* rv,
-                 Vector* out, const sel_t* sel, size_t n) {
-  T* o = out->Data<T>();
-  constexpr TypeId kTy = PhysOf<T>::value;
-  if (left->IsConstant() && right->IsConstant()) {
-    // Constant folding at evaluation time (the builder does not fold); no
-    // catalog primitive runs, so nothing is recorded.
-    T v = OP()(ConstScalar<T>(left), ConstScalar<T>(right));
-    if (sel == nullptr) {
-      for (size_t i = 0; i < n; i++) o[i] = v;
-    } else {
-      for (size_t i = 0; i < n; i++) o[sel[i]] = v;
-    }
-  } else if (left->IsConstant()) {
-    PrimProfileScope prof(MapPrimId(static_cast<int>(op), kTy, MapKind::kValCol), n);
-    prim::MapValCol<T, T, T, OP>(ConstScalar<T>(left), rv->Data<T>(), o, sel, n);
-  } else if (right->IsConstant()) {
-    PrimProfileScope prof(MapPrimId(static_cast<int>(op), kTy, MapKind::kColVal), n);
-    prim::MapColVal<T, T, T, OP>(lv->Data<T>(), ConstScalar<T>(right), o, sel, n);
-  } else {
-    PrimProfileScope prof(MapPrimId(static_cast<int>(op), kTy, MapKind::kColCol), n);
-    prim::MapColCol<T, T, T, OP>(lv->Data<T>(), rv->Data<T>(), o, sel, n);
+// Binds the catalog entry <prefix>_<op>_<lty>_<lkind>_<rty>_<rkind> (the
+// name grammar of expr/primitive_catalog.inc). A combination the catalog
+// does not list has no kernel, and the expression cannot run.
+Status BindPrimitive(const char* prefix, const char* op, TypeId lty,
+                     const char* lkind, TypeId rty, const char* rkind,
+                     const PrimitiveEntry** out) {
+  std::string name = prefix;
+  for (const char* part : {op, TypeIdToString(lty), lkind,
+                           TypeIdToString(rty), rkind}) {
+    name += "_";
+    name += part;
   }
+  *out = PrimitiveRegistry::Find(name);
+  if (*out == nullptr) {
+    std::string msg = "no catalog primitive ";
+    msg += name;
+    return Status::NotImplemented(std::move(msg));
+  }
+  return Status::OK();
 }
 
-template <typename T>
-void ArithDispatch(ArithOp op, Expr* left, Vector* lv, Expr* right, Vector* rv,
-                   Vector* out, const sel_t* sel, size_t n) {
-  switch (op) {
-    case ArithOp::kAdd:
-      ArithKernel<T, prim::OpAdd>(op, left, lv, right, rv, out, sel, n);
-      break;
-    case ArithOp::kSub:
-      ArithKernel<T, prim::OpSub>(op, left, lv, right, rv, out, sel, n);
-      break;
-    case ArithOp::kMul:
-      ArithKernel<T, prim::OpMul>(op, left, lv, right, rv, out, sel, n);
-      break;
-    case ArithOp::kDiv:
-      ArithKernel<T, prim::OpDiv>(op, left, lv, right, rv, out, sel, n);
-      break;
-  }
+const void* ValOperand(const Expr& node) {
+  return static_cast<const ConstExpr&>(node).data();
 }
 
 DataType ArithResultType(const ExprPtr& l, const ExprPtr& r) {
@@ -204,36 +152,55 @@ DataType ArithResultType(const ExprPtr& l, const ExprPtr& r) {
 
 }  // namespace
 
+// ---------------------------------------------------------------------------
+// ArithExpr
+// ---------------------------------------------------------------------------
+
 ArithExpr::ArithExpr(ArithOp op, ExprPtr left, ExprPtr right)
     : Expr(ArithResultType(left, right)),
       op_(op),
       left_(std::move(left)),
-      right_(std::move(right)) {
-  VWISE_CHECK_MSG(left_->physical() == right_->physical(),
-                  "arith children must share a physical type");
-  VWISE_CHECK_MSG(
-      left_->physical() == TypeId::kI64 || left_->physical() == TypeId::kF64,
-      "arith only defined on i64/f64");
-}
+      right_(std::move(right)) {}
 
 Status ArithExpr::Prepare(size_t capacity) {
   VWISE_RETURN_IF_ERROR(Expr::Prepare(capacity));
   VWISE_RETURN_IF_ERROR(left_->Prepare(capacity));
-  return right_->Prepare(capacity);
+  VWISE_RETURN_IF_ERROR(right_->Prepare(capacity));
+  const bool lc = left_->IsConstant();
+  const bool rc = right_->IsConstant();
+  folded_ = lc && rc;
+  VWISE_RETURN_IF_ERROR(BindPrimitive(
+      "map", kArithOpTokens[static_cast<int>(op_)], left_->physical(),
+      lc && !rc ? "val" : "col", right_->physical(), rc && !lc ? "val" : "col",
+      &prim_));
+  if (folded_) {
+    // Constant folding (the builder does not fold): the col x col kernel
+    // runs once here over the constants' pre-filled scratch vectors; no
+    // primitive runs per vector, so nothing is recorded.
+    prim_->map(ValOperand(*left_), ValOperand(*right_), scratch_.raw(),
+               nullptr, capacity);
+  }
+  val_ = lc ? ValOperand(*left_) : rc ? ValOperand(*right_) : nullptr;
+  return Status::OK();
 }
 
 Status ArithExpr::Eval(DataChunk& in, const sel_t* sel, size_t n,
                        Vector** out) {
-  Vector* lv = nullptr;
-  Vector* rv = nullptr;
-  if (!left_->IsConstant()) VWISE_RETURN_IF_ERROR(left_->Eval(in, sel, n, &lv));
-  if (!right_->IsConstant()) VWISE_RETURN_IF_ERROR(right_->Eval(in, sel, n, &rv));
-  if (physical() == TypeId::kI64) {
-    ArithDispatch<int64_t>(op_, left_.get(), lv, right_.get(), rv, &scratch_, sel, n);
-  } else {
-    ArithDispatch<double>(op_, left_.get(), lv, right_.get(), rv, &scratch_, sel, n);
-  }
   *out = &scratch_;
+  if (folded_) return Status::OK();
+  const void* a = val_;
+  const void* b = val_;
+  Vector* v = nullptr;
+  if (!left_->IsConstant()) {
+    VWISE_RETURN_IF_ERROR(left_->Eval(in, sel, n, &v));
+    a = v->raw();
+  }
+  if (!right_->IsConstant()) {
+    VWISE_RETURN_IF_ERROR(right_->Eval(in, sel, n, &v));
+    b = v->raw();
+  }
+  PrimProfileScope prof(prim_->id, n);
+  prim_->map(a, b, scratch_.raw(), sel, n);
   return Status::OK();
 }
 
@@ -492,78 +459,9 @@ Status Filter::Prepare(size_t capacity) {
 // ---------------------------------------------------------------------------
 
 CmpFilter::CmpFilter(CmpOp op, ExprPtr left, ExprPtr right)
-    : op_(op), left_(std::move(left)), right_(std::move(right)) {
-  VWISE_CHECK_MSG(left_->physical() == right_->physical(),
-                  "comparison children must share a physical type");
-}
-
-Status CmpFilter::Prepare(size_t capacity) {
-  VWISE_RETURN_IF_ERROR(Filter::Prepare(capacity));
-  VWISE_RETURN_IF_ERROR(left_->Prepare(capacity));
-  return right_->Prepare(capacity);
-}
+    : op_(op), left_(std::move(left)), right_(std::move(right)) {}
 
 namespace {
-
-template <typename T>
-T ConstCmpScalar(const Expr* node);
-
-template <>
-uint8_t ConstCmpScalar<uint8_t>(const Expr* node) {
-  return static_cast<uint8_t>(static_cast<const ConstExpr*>(node)->AsI64());
-}
-template <>
-int32_t ConstCmpScalar<int32_t>(const Expr* node) {
-  return static_cast<int32_t>(static_cast<const ConstExpr*>(node)->AsI64());
-}
-template <>
-int64_t ConstCmpScalar<int64_t>(const Expr* node) {
-  return static_cast<const ConstExpr*>(node)->AsI64();
-}
-template <>
-double ConstCmpScalar<double>(const Expr* node) {
-  return static_cast<const ConstExpr*>(node)->AsF64();
-}
-template <>
-StringVal ConstCmpScalar<StringVal>(const Expr* node) {
-  return StringVal(static_cast<const ConstExpr*>(node)->value().AsString());
-}
-
-template <typename T, typename OP>
-size_t CmpKernel(CmpOp op, Expr* left, Vector* lv, Expr* right, Vector* rv,
-                 const sel_t* sel, size_t n, sel_t* out_sel) {
-  // The left side is always materialized (constants pre-fill their scratch
-  // vector at Prepare), so only the right side needs a val fast path.
-  (void)left;
-  constexpr TypeId kTy = PhysOf<T>::value;
-  if (right->IsConstant()) {
-    PrimProfileScope prof(SelPrimId(static_cast<int>(op), kTy, true), n);
-    return prim::SelectColVal<T, T, OP>(lv->Data<T>(), ConstCmpScalar<T>(right),
-                                        sel, n, out_sel);
-  }
-  PrimProfileScope prof(SelPrimId(static_cast<int>(op), kTy, false), n);
-  return prim::SelectColCol<T, T, OP>(lv->Data<T>(), rv->Data<T>(), sel, n, out_sel);
-}
-
-template <typename T>
-size_t CmpDispatchOp(CmpOp op, Expr* left, Vector* lv, Expr* right, Vector* rv,
-                     const sel_t* sel, size_t n, sel_t* out_sel) {
-  switch (op) {
-    case CmpOp::kEq:
-      return CmpKernel<T, prim::OpEq>(op, left, lv, right, rv, sel, n, out_sel);
-    case CmpOp::kNe:
-      return CmpKernel<T, prim::OpNe>(op, left, lv, right, rv, sel, n, out_sel);
-    case CmpOp::kLt:
-      return CmpKernel<T, prim::OpLt>(op, left, lv, right, rv, sel, n, out_sel);
-    case CmpOp::kLe:
-      return CmpKernel<T, prim::OpLe>(op, left, lv, right, rv, sel, n, out_sel);
-    case CmpOp::kGt:
-      return CmpKernel<T, prim::OpGt>(op, left, lv, right, rv, sel, n, out_sel);
-    case CmpOp::kGe:
-      return CmpKernel<T, prim::OpGe>(op, left, lv, right, rv, sel, n, out_sel);
-  }
-  return 0;
-}
 
 CmpOp MirrorOp(CmpOp op) {
   switch (op) {
@@ -580,145 +478,92 @@ CmpOp MirrorOp(CmpOp op) {
   }
 }
 
-// sel_<eq|ne>_str_dict_str_val: integer compare over the code array — no
-// string bytes touched on the hot path.
-size_t DictSelKernel(CmpOp op, const uint32_t* codes, uint32_t code,
-                     const sel_t* sel, size_t n, sel_t* out_sel) {
-  PrimProfileScope prof(DictSelPrimId(static_cast<int>(op)), n);
-  if (op == CmpOp::kEq) {
-    return prim::SelectDictVal<prim::OpEq>(codes, code, sel, n, out_sel);
-  }
-  return prim::SelectDictVal<prim::OpNe>(codes, code, sel, n, out_sel);
-}
-
-// sel_<cmp>_<ty>_rle_<ty>_val: one compare per run instead of per tuple.
-template <typename T, typename OP>
-size_t RleSelKernel(CmpOp op, const Vector& col, T val, const sel_t* sel,
-                    size_t n, sel_t* out_sel) {
-  PrimProfileScope prof(RleSelPrimId(static_cast<int>(op), PhysOf<T>::value),
-                        n);
-  return prim::SelectRleVal<T, OP>(col.rle_values<T>(), col.rle_starts(),
-                                   col.rle_runs(), val, sel, n, out_sel);
-}
-
-template <typename T>
-size_t RleSelDispatchOp(CmpOp op, const Vector& col, const Expr* r,
-                        const sel_t* sel, size_t n, sel_t* out_sel) {
-  T val = ConstCmpScalar<T>(r);
-  switch (op) {
-    case CmpOp::kEq:
-      return RleSelKernel<T, prim::OpEq>(op, col, val, sel, n, out_sel);
-    case CmpOp::kNe:
-      return RleSelKernel<T, prim::OpNe>(op, col, val, sel, n, out_sel);
-    case CmpOp::kLt:
-      return RleSelKernel<T, prim::OpLt>(op, col, val, sel, n, out_sel);
-    case CmpOp::kLe:
-      return RleSelKernel<T, prim::OpLe>(op, col, val, sel, n, out_sel);
-    case CmpOp::kGt:
-      return RleSelKernel<T, prim::OpGt>(op, col, val, sel, n, out_sel);
-    case CmpOp::kGe:
-      return RleSelKernel<T, prim::OpGe>(op, col, val, sel, n, out_sel);
-  }
-  return 0;
-}
-
 }  // namespace
 
-bool CmpFilter::TryEncodedSelect(DataChunk& in, Expr* l, Expr* r, CmpOp op,
-                                 const sel_t* sel, size_t n, sel_t* out_sel,
-                                 size_t* out_n) {
-  if (!r->IsConstant()) return false;
-  auto* colref = dynamic_cast<ColRefExpr*>(l);
-  if (colref == nullptr || colref->index() >= in.num_columns()) return false;
-  Vector& col = in.column(colref->index());
-  if (col.type() != l->physical()) return false;
-  if (col.repr() == VectorRepr::kDict) {
-    // Caps: the dict twins exist only for string eq/ne (ordering compares
-    // would need the dictionary's sort order, which PDICT does not promise).
-    if (op != CmpOp::kEq && op != CmpOp::kNe) return false;
-    const StringDict* d = col.dict();
-    if (d != cached_dict_.get()) {
-      // vwise-hotpath: allow(cold-call): constant→code translation runs once
-      // per dictionary (i.e. per storage segment), not per chunk or tuple.
-      // Holding the shared_ptr pins the dictionary: without it a freed
-      // dictionary's address can be recycled by the next stripe's dictionary
-      // and the identity check would keep a stale code.
-      cached_dict_ = col.dict_ref();
-      cached_code_ = kDictCodeNotFound;
-      std::string_view needle =
-          static_cast<const ConstExpr*>(r)->value().AsString();
-      for (uint32_t c = 0; c < d->size; c++) {
-        if (d->values[c].view() == needle) {
-          cached_code_ = c;
-          break;
-        }
-      }
-    }
-    *out_n = DictSelKernel(op, col.dict_codes(), cached_code_, sel, n, out_sel);
-    return true;
+Status CmpFilter::Prepare(size_t capacity) {
+  VWISE_RETURN_IF_ERROR(Filter::Prepare(capacity));
+  VWISE_RETURN_IF_ERROR(left_->Prepare(capacity));
+  VWISE_RETURN_IF_ERROR(right_->Prepare(capacity));
+  // Normalize "const OP col" to "col OP' const" so only col x val kernels
+  // are needed. A constant left with a constant right stays: ConstExpr's
+  // pre-filled scratch serves as the "column".
+  l_ = left_.get();
+  r_ = right_.get();
+  CmpOp op = op_;
+  if (l_->IsConstant() && !r_->IsConstant()) {
+    std::swap(l_, r_);
+    op = MirrorOp(op);
   }
-  if (col.repr() == VectorRepr::kRle) {
-    switch (col.type()) {
-      case TypeId::kU8:
-        *out_n = RleSelDispatchOp<uint8_t>(op, col, r, sel, n, out_sel);
-        return true;
-      case TypeId::kI32:
-        *out_n = RleSelDispatchOp<int32_t>(op, col, r, sel, n, out_sel);
-        return true;
-      case TypeId::kI64:
-        *out_n = RleSelDispatchOp<int64_t>(op, col, r, sel, n, out_sel);
-        return true;
-      case TypeId::kF64:
-        *out_n = RleSelDispatchOp<double>(op, col, r, sel, n, out_sel);
-        return true;
-      case TypeId::kStr:
-        return false;  // string RLE never reaches execution (codec gates it)
-    }
+  const char* op_token = kCmpOpTokens[static_cast<int>(op)];
+  val_ = r_->IsConstant() ? ValOperand(*r_) : nullptr;
+  bound_[1] = bound_[2] = nullptr;
+  VWISE_RETURN_IF_ERROR(BindPrimitive("sel", op_token, l_->physical(), "col",
+                                      r_->physical(), val_ ? "val" : "col",
+                                      &bound_[0]));
+  // Compressed execution: a direct column reference compared with a
+  // constant also binds the encoded twins the flat entry's caps grant — the
+  // ColRefExpr Eval would otherwise normalize the vector (the
+  // decode-on-demand boundary). Caps bit r grants VectorRepr r.
+  colref_ = val_ ? dynamic_cast<const ColRefExpr*>(l_) : nullptr;
+  for (VectorRepr repr : {VectorRepr::kDict, VectorRepr::kRle}) {
+    const int r = static_cast<int>(repr);
+    if (colref_ == nullptr || !(bound_[0]->caps & (1u << r))) continue;
+    VWISE_RETURN_IF_ERROR(BindPrimitive("sel", op_token, l_->physical(),
+                                        VectorReprToString(repr),
+                                        r_->physical(), "val", &bound_[r]));
   }
-  return false;
+  cached_dict_.reset();
+  return Status::OK();
 }
 
 Status CmpFilter::Select(DataChunk& in, const sel_t* sel, size_t n,
                          sel_t* out_sel, size_t* out_n) {
-  // Normalize "const OP col" to "col OP' const" so kernels only need the
-  // col x val fast path on the right.
-  Expr* l = left_.get();
-  Expr* r = right_.get();
-  CmpOp op = op_;
-  if (l->IsConstant() && !r->IsConstant()) {
-    std::swap(l, r);
-    op = MirrorOp(op);
+  const void* b = val_;
+  if (colref_ != nullptr && colref_->index() < in.num_columns()) {
+    const Vector& col = in.column(colref_->index());
+    const PrimitiveEntry* twin = bound_[static_cast<int>(col.repr())];
+    if (col.IsEncoded() && twin != nullptr && col.type() == l_->physical()) {
+      // sel_<cmp>_<ty>_rle_<ty>_val: one compare per run instead of per
+      // tuple; sel_<eq|ne>_str_dict_str_val: integer compare over the code
+      // array — no string bytes touched on the hot path.
+      RleColView runs{col.rle_values<void>(), col.rle_starts(), col.rle_runs()};
+      const void* a = &runs;
+      if (col.repr() == VectorRepr::kDict) {
+        const StringDict* d = col.dict();
+        if (d != cached_dict_.get()) {
+          // vwise-hotpath: allow(cold-call): constant→code translation runs
+          // once per dictionary (i.e. per storage segment), not per chunk or
+          // tuple. Holding the shared_ptr pins the dictionary: without it a
+          // freed dictionary's address can be recycled by the next stripe's
+          // dictionary and the identity check would keep a stale code.
+          cached_dict_ = col.dict_ref();
+          cached_code_ = kDictCodeNotFound;
+          std::string_view needle =
+              static_cast<const ConstExpr*>(r_)->value().AsString();
+          for (uint32_t c = 0; c < d->size; c++) {
+            if (d->values[c].view() == needle) {
+              cached_code_ = c;
+              break;
+            }
+          }
+        }
+        a = col.dict_codes();
+        b = &cached_code_;
+      }
+      PrimProfileScope prof(twin->id, n);
+      *out_n = twin->select(a, b, sel, n, out_sel);
+      return Status::OK();
+    }
   }
-  // Compressed execution: if the left column arrives encoded and an encoded
-  // twin of this select exists, run it on the codes/runs directly — the
-  // Eval below would otherwise normalize the vector (ColRefExpr's
-  // decode-on-demand boundary).
-  if (TryEncodedSelect(in, l, r, op, sel, n, out_sel, out_n)) {
-    return Status::OK();
-  }
-  // Evaluate the left side unconditionally: for a (rare) constant left with
-  // constant right, ConstExpr's pre-filled scratch serves as the "column".
   Vector* lv = nullptr;
-  Vector* rv = nullptr;
-  VWISE_RETURN_IF_ERROR(l->Eval(in, sel, n, &lv));
-  if (!r->IsConstant()) VWISE_RETURN_IF_ERROR(r->Eval(in, sel, n, &rv));
-  switch (l->physical()) {
-    case TypeId::kU8:
-      *out_n = CmpDispatchOp<uint8_t>(op, l, lv, r, rv, sel, n, out_sel);
-      break;
-    case TypeId::kI32:
-      *out_n = CmpDispatchOp<int32_t>(op, l, lv, r, rv, sel, n, out_sel);
-      break;
-    case TypeId::kI64:
-      *out_n = CmpDispatchOp<int64_t>(op, l, lv, r, rv, sel, n, out_sel);
-      break;
-    case TypeId::kF64:
-      *out_n = CmpDispatchOp<double>(op, l, lv, r, rv, sel, n, out_sel);
-      break;
-    case TypeId::kStr:
-      *out_n = CmpDispatchOp<StringVal>(op, l, lv, r, rv, sel, n, out_sel);
-      break;
+  VWISE_RETURN_IF_ERROR(l_->Eval(in, sel, n, &lv));
+  if (b == nullptr) {
+    Vector* rv = nullptr;
+    VWISE_RETURN_IF_ERROR(r_->Eval(in, sel, n, &rv));
+    b = rv->raw();
   }
+  PrimProfileScope prof(bound_[0]->id, n);
+  *out_n = bound_[0]->select(lv->raw(), b, sel, n, out_sel);
   return Status::OK();
 }
 

@@ -11,6 +11,8 @@
 
 namespace vwise {
 
+struct PrimitiveEntry;  // expr/primitive_registry.h
+
 // ---------------------------------------------------------------------------
 // Expressions
 // ---------------------------------------------------------------------------
@@ -38,8 +40,8 @@ class Expr {
   virtual Status Eval(DataChunk& in, const sel_t* sel, size_t n,
                       Vector** out) = 0;
 
-  // True for literal nodes; binary operators use this to pick col x val
-  // kernel variants.
+  // True for literal nodes; binary operators use this to bind col x val
+  // primitives.
   virtual bool IsConstant() const { return false; }
 
  protected:
@@ -64,7 +66,7 @@ class ColRefExpr final : public Expr {
 };
 
 // A literal. The scratch vector is pre-filled at Prepare time, so Eval is
-// free; binary operators instead read `value()` directly and use val-kernels.
+// free; binary operators instead bind val primitives and pass them `data()`.
 class ConstExpr final : public Expr {
  public:
   ConstExpr(Value value, DataType type) : Expr(type), value_(std::move(value)) {}
@@ -73,8 +75,9 @@ class ConstExpr final : public Expr {
   bool IsConstant() const override { return true; }
 
   const Value& value() const { return value_; }
-  int64_t AsI64() const { return value_.AsInt(); }
-  double AsF64() const { return value_.AsDouble(); }
+  // The value in the physical type, valid after Prepare: a primitive's `val`
+  // operand.
+  const void* data() const { return scratch_.raw(); }
 
  private:
   Value value_;
@@ -83,8 +86,9 @@ class ConstExpr final : public Expr {
 
 enum class ArithOp : uint8_t { kAdd, kSub, kMul, kDiv };
 
-// left OP right; both children must have the same physical type, which must
-// be kI64 or kF64 (the plan builder inserts casts).
+// left OP right through the catalog's map_<op>_<ty>_... primitive, bound at
+// Prepare; both children must have the same physical type, kI64 or kF64 (the
+// plan builder inserts casts), or Prepare fails.
 class ArithExpr final : public Expr {
  public:
   ArithExpr(ArithOp op, ExprPtr left, ExprPtr right);
@@ -98,6 +102,9 @@ class ArithExpr final : public Expr {
  private:
   ArithOp op_;
   ExprPtr left_, right_;
+  const PrimitiveEntry* prim_ = nullptr;
+  const void* val_ = nullptr;  // the constant operand, if any
+  bool folded_ = false;        // const OP const, computed at Prepare
 };
 
 // Physical-representation casts. The target DataType determines semantics:
@@ -188,7 +195,8 @@ class Filter {
 
 using FilterPtr = std::unique_ptr<Filter>;
 
-// left CMP right. Works for all physical types, col x col and col x const.
+// left CMP right through the catalog's sel_<cmp>_<ty>_... primitive, bound
+// at Prepare. Works for all physical types, col x col and col x const.
 class CmpFilter final : public Filter {
  public:
   CmpFilter(CmpOp op, ExprPtr left, ExprPtr right);
@@ -201,18 +209,21 @@ class CmpFilter final : public Filter {
   const Expr& right() const { return *right_; }
 
  private:
-  // Encoded fast path (compressed execution): when the left side is a direct
-  // column reference whose vector arrives dict- or RLE-encoded and the right
-  // side is a constant, Select compares codes/runs without normalizing. The
+  CmpOp op_;
+  ExprPtr left_, right_;
+  // Operands after Prepare's mirroring of "const OP col" to "col OP' const".
+  Expr* l_ = nullptr;
+  Expr* r_ = nullptr;
+  const void* val_ = nullptr;  // r_'s value when r_ is a constant
+  // Bound primitives indexed by the column's VectorRepr: the flat entry, and
+  // (compressed execution) the dict / RLE twins its caps grant when l_ is a
+  // direct column reference compared with a constant. Select compares
+  // codes/runs without normalizing when the column arrives encoded. The
   // dict constant is translated to a code once per dictionary and cached
   // here; the cache holds the dictionary itself (not a raw pointer) so the
   // identity check cannot alias a recycled allocation.
-  bool TryEncodedSelect(DataChunk& in, Expr* l, Expr* r, CmpOp op,
-                        const sel_t* sel, size_t n, sel_t* out_sel,
-                        size_t* out_n);
-
-  CmpOp op_;
-  ExprPtr left_, right_;
+  const PrimitiveEntry* bound_[3] = {};
+  const ColRefExpr* colref_ = nullptr;
   std::shared_ptr<const StringDict> cached_dict_;
   uint32_t cached_code_ = 0;
 };

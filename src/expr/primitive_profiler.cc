@@ -1,196 +1,17 @@
 #include "expr/primitive_profiler.h"
 
 #include <cstdio>
-#include <mutex>
 #include <sstream>
 
-#include "common/macros.h"
-
 namespace vwise {
-
-namespace {
-
-// Catalog names in id order, generated from the same X-macro list as the
-// PrimitiveId enum.
-const char* const kPrimitiveNames[] = {
-#define VWISE_MAP_PRIMITIVE(name, ctype, adapter, functor, caps) #name,
-#define VWISE_SEL_PRIMITIVE(name, ctype, adapter, functor, caps) #name,
-#define VWISE_ENC_PRIMITIVE(name, ctype, adapter, functor, repr) #name,
-#include "expr/primitive_catalog.inc"
-#undef VWISE_MAP_PRIMITIVE
-#undef VWISE_SEL_PRIMITIVE
-#undef VWISE_ENC_PRIMITIVE
-};
-static_assert(sizeof(kPrimitiveNames) / sizeof(kPrimitiveNames[0]) ==
-                  kNumPrimitives,
-              "name table out of sync with the PrimitiveId enum");
-
-const char* MapTypeToken(TypeId ty) {
-  switch (ty) {
-    case TypeId::kU8:
-      return "u8";
-    case TypeId::kI32:
-      return "i32";
-    case TypeId::kI64:
-      return "i64";
-    case TypeId::kF64:
-      return "f64";
-    case TypeId::kStr:
-      return "str";
-  }
-  return "?";
-}
-
-// The arithmetic id mapping assumes the catalog's block layout. Compose each
-// name from the grammar and compare against the generated table once, so a
-// reordered catalog fails loudly instead of mis-attributing counters.
-void ValidateLayout() {
-  static const char* const kMapOps[] = {"add", "sub", "mul", "div"};
-  static const TypeId kMapTys[] = {TypeId::kI64, TypeId::kF64};
-  static const char* const kMapKinds[] = {"col_%s_col", "col_%s_val",
-                                          "val_%s_col"};
-  for (int ty = 0; ty < 2; ty++) {
-    for (int op = 0; op < 4; op++) {
-      for (int kind = 0; kind < 3; kind++) {
-        const char* tok = MapTypeToken(kMapTys[ty]);
-        char suffix[32];
-        std::snprintf(suffix, sizeof(suffix), kMapKinds[kind], tok);
-        std::string want = std::string("map_") + kMapOps[op] + "_" + tok +
-                           "_" + suffix;
-        PrimitiveId id =
-            MapPrimId(op, kMapTys[ty], static_cast<MapKind>(kind));
-        VWISE_CHECK_MSG(want == kPrimitiveNames[id],
-                        "primitive_catalog.inc layout drifted from "
-                        "MapPrimId; fix the mapping in primitive_profiler");
-      }
-    }
-  }
-  static const char* const kSelOps[] = {"eq", "ne", "lt", "le", "gt", "ge"};
-  static const TypeId kSelTys[] = {TypeId::kU8, TypeId::kI32, TypeId::kI64,
-                                   TypeId::kF64, TypeId::kStr};
-  for (int ty = 0; ty < 5; ty++) {
-    for (int op = 0; op < 6; op++) {
-      for (int rhs_val = 0; rhs_val < 2; rhs_val++) {
-        const char* tok = MapTypeToken(kSelTys[ty]);
-        std::string want = std::string("sel_") + kSelOps[op] + "_" + tok +
-                           "_col_" + tok + (rhs_val ? "_val" : "_col");
-        PrimitiveId id = SelPrimId(op, kSelTys[ty], rhs_val != 0);
-        VWISE_CHECK_MSG(want == kPrimitiveNames[id],
-                        "primitive_catalog.inc layout drifted from "
-                        "SelPrimId; fix the mapping in primitive_profiler");
-      }
-    }
-  }
-  for (int op = 0; op < 2; op++) {
-    std::string want =
-        std::string("sel_") + kSelOps[op] + "_str_dict_str_val";
-    VWISE_CHECK_MSG(want == kPrimitiveNames[DictSelPrimId(op)],
-                    "primitive_catalog.inc layout drifted from "
-                    "DictSelPrimId; fix the mapping in primitive_profiler");
-  }
-  static const TypeId kRleTys[] = {TypeId::kU8, TypeId::kI32, TypeId::kI64,
-                                   TypeId::kF64};
-  for (int ty = 0; ty < 4; ty++) {
-    for (int op = 0; op < 6; op++) {
-      const char* tok = MapTypeToken(kRleTys[ty]);
-      std::string want = std::string("sel_") + kSelOps[op] + "_" + tok +
-                         "_rle_" + tok + "_val";
-      PrimitiveId id = RleSelPrimId(op, kRleTys[ty]);
-      VWISE_CHECK_MSG(want == kPrimitiveNames[id],
-                      "primitive_catalog.inc layout drifted from "
-                      "RleSelPrimId; fix the mapping in primitive_profiler");
-    }
-  }
-}
-
-}  // namespace
-
-PrimitiveId MapPrimId(int op, TypeId ty, MapKind kind) {
-  // Catalog layout: i64 block then f64 block; each block add/sub/mul/div;
-  // each op col_col, col_val, val_col.
-  int ty_block = (ty == TypeId::kI64) ? 0 : 1;
-  return static_cast<PrimitiveId>(kPrim_map_add_i64_col_i64_col +
-                                  ty_block * 12 + op * 3 +
-                                  static_cast<int>(kind));
-}
-
-PrimitiveId SelPrimId(int cmp, TypeId ty, bool rhs_val) {
-  // Catalog layout: u8, i32, i64, f64, str blocks; each block
-  // eq/ne/lt/le/gt/ge; each op the val variant then the col variant.
-  int ty_block;
-  switch (ty) {
-    case TypeId::kU8:
-      ty_block = 0;
-      break;
-    case TypeId::kI32:
-      ty_block = 1;
-      break;
-    case TypeId::kI64:
-      ty_block = 2;
-      break;
-    case TypeId::kF64:
-      ty_block = 3;
-      break;
-    case TypeId::kStr:
-      ty_block = 4;
-      break;
-    default:
-      ty_block = 0;
-      break;
-  }
-  return static_cast<PrimitiveId>(kPrim_sel_eq_u8_col_u8_val + ty_block * 12 +
-                                  cmp * 2 + (rhs_val ? 0 : 1));
-}
-
-PrimitiveId DictSelPrimId(int cmp) {
-  // Encoded-twin layout: the two dict selects (eq then ne) open the section.
-  return static_cast<PrimitiveId>(kPrim_sel_eq_str_dict_str_val + cmp);
-}
-
-PrimitiveId RleSelPrimId(int cmp, TypeId ty) {
-  // Encoded-twin layout: after the dict pair, one block per numeric type
-  // (u8, i32, i64, f64), each eq/ne/lt/le/gt/ge.
-  int ty_block;
-  switch (ty) {
-    case TypeId::kU8:
-      ty_block = 0;
-      break;
-    case TypeId::kI32:
-      ty_block = 1;
-      break;
-    case TypeId::kI64:
-      ty_block = 2;
-      break;
-    case TypeId::kF64:
-      ty_block = 3;
-      break;
-    default:
-      ty_block = 0;
-      break;
-  }
-  return static_cast<PrimitiveId>(kPrim_sel_eq_u8_rle_u8_val + ty_block * 6 +
-                                  cmp);
-}
 
 std::atomic<bool> PrimitiveProfiler::enabled_{false};
 PrimitiveProfiler::Counters PrimitiveProfiler::counters_[kNumPrimitives];
 
-void PrimitiveProfiler::SetEnabled(bool on) {
-  if (on) {
-    static std::once_flag validated;
-    std::call_once(validated, ValidateLayout);
-  }
-  enabled_.store(on, std::memory_order_relaxed);
-}
-
-const char* PrimitiveProfiler::Name(PrimitiveId id) {
-  return id < kNumPrimitives ? kPrimitiveNames[id] : "<invalid>";
-}
-
 std::vector<PrimitiveCounters> PrimitiveProfiler::Snapshot() {
   std::vector<PrimitiveCounters> out(kNumPrimitives);
   for (int i = 0; i < kNumPrimitives; i++) {
-    out[i].name = kPrimitiveNames[i];
+    out[i].name = PrimitiveRegistry::Get(static_cast<PrimitiveId>(i)).name;
     out[i].calls = counters_[i].calls.load(std::memory_order_relaxed);
     out[i].tuples = counters_[i].tuples.load(std::memory_order_relaxed);
     out[i].cycles = counters_[i].cycles.load(std::memory_order_relaxed);

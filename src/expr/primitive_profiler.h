@@ -7,51 +7,9 @@
 #include <string>
 #include <vector>
 
-#include "vector/types.h"
+#include "expr/primitive_registry.h"
 
 namespace vwise {
-
-// ---------------------------------------------------------------------------
-// Primitive ids
-// ---------------------------------------------------------------------------
-//
-// One enumerator per catalog entry, in catalog order, generated from the same
-// X-macro file that feeds the registry (expr/primitive_catalog.inc) — the
-// profiler, the registry, and the lint all key off one list. The expression
-// dispatch path maps its (op, type, operand-kind) coordinates onto these ids
-// arithmetically (MapPrimId / SelPrimId below); the layout assumption is
-// validated against the generated name table the first time profiling is
-// enabled.
-
-enum PrimitiveId : uint16_t {
-#define VWISE_MAP_PRIMITIVE(name, ctype, adapter, functor, caps) kPrim_##name,
-#define VWISE_SEL_PRIMITIVE(name, ctype, adapter, functor, caps) kPrim_##name,
-#define VWISE_ENC_PRIMITIVE(name, ctype, adapter, functor, repr) kPrim_##name,
-#include "expr/primitive_catalog.inc"
-#undef VWISE_MAP_PRIMITIVE
-#undef VWISE_SEL_PRIMITIVE
-#undef VWISE_ENC_PRIMITIVE
-  kNumPrimitives,
-};
-
-// Operand-kind index of a map primitive, in catalog block order.
-enum class MapKind : uint8_t { kColCol = 0, kColVal = 1, kValCol = 2 };
-
-// Maps (ArithOp index, physical type, operand kind) to the catalog id.
-// `op` is the integer value of ArithOp (add=0, sub, mul, div); `ty` must be
-// kI64 or kF64.
-PrimitiveId MapPrimId(int op, TypeId ty, MapKind kind);
-
-// Maps (CmpOp index, physical type, rhs kind) to the catalog id. `cmp` is
-// the integer value of CmpOp (eq=0, ne, lt, le, gt, ge); `rhs_val` selects
-// the col x val variant.
-PrimitiveId SelPrimId(int cmp, TypeId ty, bool rhs_val);
-
-// Encoded twins (compressed execution). DictSelPrimId: the dict-code select
-// for CmpOp eq (0) or ne (1). RleSelPrimId: the per-run select for any
-// CmpOp and a numeric physical type.
-PrimitiveId DictSelPrimId(int cmp);
-PrimitiveId RleSelPrimId(int cmp, TypeId ty);
 
 // ---------------------------------------------------------------------------
 // Cycle counter
@@ -100,8 +58,9 @@ class PrimitiveProfiler {
   static bool Enabled() {
     return enabled_.load(std::memory_order_relaxed);
   }
-  // Idempotent; validates the id <-> catalog-name layout on first enable.
-  static void SetEnabled(bool on);
+  static void SetEnabled(bool on) {
+    enabled_.store(on, std::memory_order_relaxed);
+  }
 
   static void Record(PrimitiveId id, uint64_t tuples, uint64_t cycles) {
     Counters& c = counters_[id];
@@ -109,8 +68,6 @@ class PrimitiveProfiler {
     c.tuples.fetch_add(tuples, std::memory_order_relaxed);
     c.cycles.fetch_add(cycles, std::memory_order_relaxed);
   }
-
-  static const char* Name(PrimitiveId id);
 
   // All kNumPrimitives counters, in catalog order (calls may be zero).
   static std::vector<PrimitiveCounters> Snapshot();

@@ -72,71 +72,39 @@ size_t EncSelRleVal(const void* a, const void* b, const sel_t* sel, size_t n,
                                    *static_cast<const T*>(b), sel, n, out_sel);
 }
 
-}  // namespace
-
-PrimitiveRegistry::PrimitiveRegistry() {
-  // The catalog is a flat, explicit list — one line per primitive — so the
-  // lint pass (tools/vwise_lint.py) can statically cross-check every entry
-  // against the kernels and functors in expr/primitives.h.
-#define VWISE_MAP_PRIMITIVE(name, ctype, adapter, functor, caps) \
-  maps_[#name] = &adapter<ctype, prim::functor>;                 \
-  caps_[#name] = static_cast<uint8_t>(caps);
-#define VWISE_SEL_PRIMITIVE(name, ctype, adapter, functor, caps) \
-  selects_[#name] = &adapter<ctype, prim::functor>;              \
-  caps_[#name] = static_cast<uint8_t>(caps);
-#define VWISE_ENC_PRIMITIVE(name, ctype, adapter, functor, repr) \
-  enc_selects_[#name] = &adapter<ctype, prim::functor>;          \
-  caps_[#name] = static_cast<uint8_t>(repr);
+// The catalog is a flat, explicit list — one line per primitive — so the
+// lint pass (tools/vwise_lint.py) can statically cross-check every entry
+// against the kernels and functors in expr/primitives.h. Expanded here once,
+// in PrimitiveId order.
+constexpr PrimitiveEntry kCatalog[] = {
+#define VWISE_MAP_PRIMITIVE(name, ctype, adapter, functor, caps)          \
+  {kPrim_##name, #name, PrimitiveKind::kMap, static_cast<uint8_t>(caps), \
+   &adapter<ctype, prim::functor>, nullptr},
+#define VWISE_SEL_PRIMITIVE(name, ctype, adapter, functor, caps)          \
+  {kPrim_##name, #name, PrimitiveKind::kSel, static_cast<uint8_t>(caps), \
+   nullptr, &adapter<ctype, prim::functor>},
+#define VWISE_ENC_PRIMITIVE(name, ctype, adapter, functor, repr)          \
+  {kPrim_##name, #name, PrimitiveKind::kEnc, static_cast<uint8_t>(repr), \
+   nullptr, &adapter<ctype, prim::functor>},
 #include "expr/primitive_catalog.inc"
 #undef VWISE_MAP_PRIMITIVE
 #undef VWISE_SEL_PRIMITIVE
 #undef VWISE_ENC_PRIMITIVE
+};
+static_assert(sizeof(kCatalog) / sizeof(kCatalog[0]) == kNumPrimitives,
+              "catalog table out of sync with the PrimitiveId enum");
+
+}  // namespace
+
+const PrimitiveEntry& PrimitiveRegistry::Get(PrimitiveId id) {
+  return kCatalog[id];
 }
 
-const PrimitiveRegistry& PrimitiveRegistry::Instance() {
-  static const PrimitiveRegistry* registry = new PrimitiveRegistry();
-  return *registry;
-}
-
-PrimitiveRegistry::MapBinaryFn PrimitiveRegistry::FindMap(
-    const std::string& name) const {
-  auto it = maps_.find(name);
-  return it == maps_.end() ? nullptr : it->second;
-}
-
-PrimitiveRegistry::SelectFn PrimitiveRegistry::FindSelect(
-    const std::string& name) const {
-  auto it = selects_.find(name);
-  return it == selects_.end() ? nullptr : it->second;
-}
-
-PrimitiveRegistry::SelectFn PrimitiveRegistry::FindEncSelect(
-    const std::string& name) const {
-  auto it = enc_selects_.find(name);
-  return it == enc_selects_.end() ? nullptr : it->second;
-}
-
-uint8_t PrimitiveRegistry::Caps(const std::string& name) const {
-  auto it = caps_.find(name);
-  return it == caps_.end() ? kReprFlat : it->second;
-}
-
-std::vector<std::string> PrimitiveRegistry::Names() const {
-  std::vector<std::string> out;
-  out.reserve(size());
-  for (const auto& [name, fn] : maps_) {
-    (void)fn;
-    out.push_back(name);
+const PrimitiveEntry* PrimitiveRegistry::Find(std::string_view name) {
+  for (const PrimitiveEntry& e : kCatalog) {
+    if (name == e.name) return &e;
   }
-  for (const auto& [name, fn] : selects_) {
-    (void)fn;
-    out.push_back(name);
-  }
-  for (const auto& [name, fn] : enc_selects_) {
-    (void)fn;
-    out.push_back(name);
-  }
-  return out;
+  return nullptr;
 }
 
 }  // namespace vwise

@@ -2,9 +2,7 @@
 #define VWISE_EXPR_PRIMITIVE_REGISTRY_H_
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
+#include <string_view>
 
 #include "vector/types.h"
 
@@ -13,10 +11,12 @@ namespace vwise {
 // The X100 execution model exposes its kernels as a flat catalog of *named
 // primitives* — `map_add_i64_col_i64_col`, `sel_lt_f64_col_f64_val`, ... —
 // one specialized loop per (operation, type, operand-kind) combination
-// (Boncz et al., CIDR'05; paper Sec. I-A). The expression layer normally
-// binds kernels statically via templates; this registry exposes the same
-// instantiations by name for introspection, testing, and the micro-bench
-// harness (exactly how MonetDB/X100 enumerated its primitive table).
+// (Boncz et al., CIDR'05; paper Sec. I-A). The catalog
+// (expr/primitive_catalog.inc) is expanded exactly once, into the table
+// behind this registry, and that table is the engine's only dispatch table:
+// expression nodes compose a primitive name from the catalog grammar at
+// Prepare, bind the entry's kernel, and per vector make one indirect call
+// through it (bind-once dispatch, DESIGN.md "Per-primitive counters").
 //
 // Signatures are type-erased: operands are raw column pointers (or a
 // pointer to a single value for `val` kinds), results are written at the
@@ -26,6 +26,19 @@ namespace vwise {
 // whose column operand arrives in its storage encoding; the catalog's caps
 // column records which representations each logical primitive accepts.
 
+// One enumerator per catalog entry, in catalog order; indexes the registry
+// table and the profiler's counters.
+enum PrimitiveId : uint16_t {
+#define VWISE_MAP_PRIMITIVE(name, ctype, adapter, functor, caps) kPrim_##name,
+#define VWISE_SEL_PRIMITIVE(name, ctype, adapter, functor, caps) kPrim_##name,
+#define VWISE_ENC_PRIMITIVE(name, ctype, adapter, functor, repr) kPrim_##name,
+#include "expr/primitive_catalog.inc"
+#undef VWISE_MAP_PRIMITIVE
+#undef VWISE_SEL_PRIMITIVE
+#undef VWISE_ENC_PRIMITIVE
+  kNumPrimitives,
+};
+
 // Operand view for the sel_*_rle_* encoded selects through the erased
 // interface: `a` points at one of these instead of a value array.
 struct RleColView {
@@ -34,44 +47,34 @@ struct RleColView {
   uint32_t n_runs = 0;
 };
 
+// out[p] = op(a[p], b[p])  /  op(a[p], *b)  /  op(*a, b[p])
+using MapBinaryFn = void (*)(const void* a, const void* b, void* out,
+                             const sel_t* sel, size_t n);
+// Writes qualifying positions to out_sel, returns how many. Dict twins take
+// the uint32 code array as `a` and a pointer to the translated code as `b`;
+// RLE twins take a pointer to an RleColView as `a`.
+using SelectFn = size_t (*)(const void* a, const void* b, const sel_t* sel,
+                            size_t n, sel_t* out_sel);
+
+enum class PrimitiveKind : uint8_t { kMap, kSel, kEnc };
+
+struct PrimitiveEntry {
+  PrimitiveId id;
+  const char* name;
+  PrimitiveKind kind;
+  // Representation-capability mask (kRepr* bits, vector/representation.h):
+  // the representations of the column operand the flat entry accepts, or an
+  // encoded twin's own representation.
+  uint8_t caps;
+  MapBinaryFn map;  // kMap entries
+  SelectFn select;  // kSel and kEnc entries
+};
+
 class PrimitiveRegistry {
  public:
-  // out[p] = op(a[p], b[p])  /  op(a[p], *b)  /  op(*a, b[p])
-  using MapBinaryFn = void (*)(const void* a, const void* b, void* out,
-                               const sel_t* sel, size_t n);
-  // Writes qualifying positions to out_sel, returns how many.
-  using SelectFn = size_t (*)(const void* a, const void* b, const sel_t* sel,
-                              size_t n, sel_t* out_sel);
-
-  static const PrimitiveRegistry& Instance();
-
-  // nullptr if the name is not registered.
-  MapBinaryFn FindMap(const std::string& name) const;
-  SelectFn FindSelect(const std::string& name) const;
-  // Encoded twins only (sel_*_dict_* / sel_*_rle_*). Dict selects take the
-  // uint32 code array as `a` and a pointer to the translated code as `b`;
-  // RLE selects take a pointer to an RleColView as `a`.
-  SelectFn FindEncSelect(const std::string& name) const;
-
-  // Representation-capability mask of a named primitive (kRepr* bits,
-  // vector/representation.h). kReprFlat for unknown names: a primitive that
-  // is not in the catalog certainly consumes only normalized vectors.
-  uint8_t Caps(const std::string& name) const;
-
-  // All registered primitive names, sorted (map_* then sel_*, encoded twins
-  // included).
-  std::vector<std::string> Names() const;
-  size_t size() const {
-    return maps_.size() + selects_.size() + enc_selects_.size();
-  }
-
- private:
-  PrimitiveRegistry();
-
-  std::map<std::string, MapBinaryFn> maps_;
-  std::map<std::string, SelectFn> selects_;
-  std::map<std::string, SelectFn> enc_selects_;
-  std::map<std::string, uint8_t> caps_;
+  static const PrimitiveEntry& Get(PrimitiveId id);
+  // nullptr if the catalog has no entry of that name.
+  static const PrimitiveEntry* Find(std::string_view name);
 };
 
 }  // namespace vwise

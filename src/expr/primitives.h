@@ -2,6 +2,7 @@
 #define VWISE_EXPR_PRIMITIVES_H_
 
 #include <cstddef>
+#include <type_traits>
 
 #include "vector/types.h"
 
@@ -10,9 +11,10 @@
 // the same positions* as the inputs, keeping all vectors of a chunk aligned
 // so selections can be propagated without compaction.
 //
-// Each primitive is instantiated per type combination by the expression
-// layer; there are no per-value virtual calls or type dispatches — that is
-// the entire point of vectorized execution (paper Sec. I-A).
+// Each primitive is instantiated per type combination by the catalog
+// (expr/primitive_catalog.inc); there are no per-value virtual calls or type
+// dispatches — that is the entire point of vectorized execution (paper
+// Sec. I-A).
 
 namespace vwise::prim {
 
@@ -183,10 +185,16 @@ struct OpMul {
     return a * b;
   }
 };
+// Integral x / 0 is 0, as in both reference engines (the hardware would
+// trap); floating-point division stays IEEE.
 struct OpDiv {
   template <typename A, typename B>
   auto operator()(A a, B b) const {
-    return a / b;
+    if constexpr (std::is_integral_v<A> && std::is_integral_v<B>) {
+      return b == 0 ? decltype(a / b){0} : a / b;
+    } else {
+      return a / b;
+    }
   }
 };
 struct OpEq {

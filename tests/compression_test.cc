@@ -17,14 +17,15 @@ namespace {
 template <typename T>
 Vector ToVector(TypeId type, const std::vector<T>& in) {
   Vector v(type, std::max<size_t>(in.size(), 1));
-  std::memcpy(v.raw(), in.data(), in.size() * sizeof(T));
+  // memcpy from an empty vector's null data() is undefined even for 0 bytes.
+  if (!in.empty()) std::memcpy(v.raw(), in.data(), in.size() * sizeof(T));
   return v;
 }
 
 template <typename T>
 std::vector<T> FromVector(const Vector& v, size_t n) {
   std::vector<T> out(n);
-  std::memcpy(out.data(), v.raw(), n * sizeof(T));
+  if (n != 0) std::memcpy(out.data(), v.raw(), n * sizeof(T));
   return out;
 }
 

@@ -322,17 +322,23 @@ class DifferentialOracleTest : public ::testing::Test {
           e.a = int_cols[rng.Index(int_cols.size())];
           e.b = int_cols[rng.Index(int_cols.size())];
           // Multiplication can overflow the i64 SUM accumulator (UB);
-          // only small x small products are allowed.
+          // only small x small products are allowed. Division meets zero
+          // divisors in the data (x / 0 = 0 in every engine).
           e.op = (is_small(e.a) && is_small(e.b) && rng.Chance(40))
                      ? ArithOp::kMul
+                 : rng.Chance(20)
+                     ? ArithOp::kDiv
                      : (rng.Chance(50) ? ArithOp::kAdd : ArithOp::kSub);
           new_layout.push_back({DataType::Int64(), 0, 0, true});
         } else {
           e.kind = ProjSpec::kArithConst;
           e.a = int_cols[rng.Index(int_cols.size())];
           e.c = static_cast<int64_t>(rng.Index(100)) + 1;
-          e.op = rng.Chance(35) ? ArithOp::kMul
-                                : (rng.Chance(50) ? ArithOp::kAdd : ArithOp::kSub);
+          e.op = rng.Chance(35)   ? ArithOp::kMul
+                 : rng.Chance(20) ? ArithOp::kDiv
+                                  : (rng.Chance(50) ? ArithOp::kAdd
+                                                    : ArithOp::kSub);
+          if (e.op == ArithOp::kDiv && rng.Chance(25)) e.c = 0;
           new_layout.push_back({DataType::Int64(), 0, 0, true});
         }
         s.proj.push_back(std::move(e));

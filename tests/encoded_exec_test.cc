@@ -120,7 +120,7 @@ TEST_F(EncodedExecTest, DictSelEqRunsOnCodesWithoutDecode) {
   EXPECT_EQ(result.rows.size(), 333u);  // i%3==2 for i in [0,1000)
 
   const auto& dict = snap[kPrim_sel_eq_str_dict_str_val];
-  const auto& flat = snap[SelPrimId(0, TypeId::kStr, /*rhs_val=*/true)];
+  const auto& flat = snap[kPrim_sel_eq_str_col_str_val];
   EXPECT_GT(dict.calls, 0u) << "dict kernel never ran";
   EXPECT_EQ(dict.tuples, 1000u) << "dict kernel saw a partial input";
   EXPECT_EQ(flat.calls, 0u)
@@ -137,7 +137,7 @@ TEST_F(EncodedExecTest, DictSelHandlesConstantAbsentFromDictionary) {
       &eq_result);
   EXPECT_EQ(eq_result.rows.size(), 0u);
   EXPECT_GT(eq_snap[kPrim_sel_eq_str_dict_str_val].calls, 0u);
-  EXPECT_EQ(eq_snap[SelPrimId(0, TypeId::kStr, true)].calls, 0u);
+  EXPECT_EQ(eq_snap[kPrim_sel_eq_str_col_str_val].calls, 0u);
 
   QueryResult ne_result;
   auto ne_snap = Profiled(
@@ -145,7 +145,7 @@ TEST_F(EncodedExecTest, DictSelHandlesConstantAbsentFromDictionary) {
       &ne_result);
   EXPECT_EQ(ne_result.rows.size(), 1000u);
   EXPECT_GT(ne_snap[kPrim_sel_ne_str_dict_str_val].calls, 0u);
-  EXPECT_EQ(ne_snap[SelPrimId(1, TypeId::kStr, true)].calls, 0u);
+  EXPECT_EQ(ne_snap[kPrim_sel_ne_str_col_str_val].calls, 0u);
 }
 
 // RLE comparison runs per run, not per row: the rle twin's counters advance
@@ -163,8 +163,8 @@ TEST_F(EncodedExecTest, RleSelectRunsPerRun) {
       &result);
   EXPECT_EQ(result.rows.size(), 300u);  // levels 0,1,2 cover i in [0,300)
 
-  const auto& rle = snap[RleSelPrimId(2, TypeId::kF64)];  // kLt
-  const auto& flat = snap[SelPrimId(2, TypeId::kF64, /*rhs_val=*/true)];
+  const auto& rle = snap[kPrim_sel_lt_f64_rle_f64_val];
+  const auto& flat = snap[kPrim_sel_lt_f64_col_f64_val];
   EXPECT_GT(rle.calls, 0u) << "rle kernel never ran";
   EXPECT_EQ(flat.calls, 0u) << "flat f64 kernel ran — the column was decoded";
 }
@@ -230,7 +230,7 @@ TEST_F(EncodedExecTest, PdtDeltasForceEagerDecode) {
   EXPECT_EQ(result.rows.size(), 334u);  // row 0 ("alpha") patched to "gamma"
   EXPECT_EQ(snap[kPrim_sel_eq_str_dict_str_val].calls, 0u)
       << "dict kernel ran over a snapshot with pending deltas";
-  EXPECT_GT(snap[SelPrimId(0, TypeId::kStr, true)].calls, 0u);
+  EXPECT_GT(snap[kPrim_sel_eq_str_col_str_val].calls, 0u);
 }
 
 // The config knob is the other gate: with enable_encoded_exec off the scan

@@ -4,8 +4,11 @@
 
 #include "common/date.h"
 #include "expr/expression.h"
+#include "expr/primitive_profiler.h"
+#include "expr/primitive_registry.h"
 #include "gtest/gtest.h"
 #include "vector/chunk.h"
+#include "vector/representation.h"
 
 namespace vwise {
 namespace {
@@ -248,6 +251,40 @@ TEST_F(ExprTest, NotLike) {
   for (sel_t p : sel) EXPECT_NE(p % 3, 0u);
 }
 
+TEST_F(ExprTest, ArithConstConstFolds) {
+  auto expr = e::Mul(e::I64(6), e::I64(7));
+  Vector* out = EvalAll(expr.get());
+  EXPECT_EQ(out->Data<int64_t>()[0], 42);
+  EXPECT_EQ(out->Data<int64_t>()[kCap - 1], 42);
+}
+
+// Integral division by zero yields 0, as in both reference engines, for
+// col / col and col / const alike (row 0 of col0 is 0).
+TEST_F(ExprTest, IntegerDivisionByZeroIsZero) {
+  auto by_col = e::Div(e::I64(84), e::Col(0, DataType::Int64()));
+  Vector* out = EvalAll(by_col.get());
+  EXPECT_EQ(out->Data<int64_t>()[0], 0);
+  EXPECT_EQ(out->Data<int64_t>()[2], 42);
+  auto self = e::Div(e::Col(0, DataType::Int64()), e::Col(0, DataType::Int64()));
+  out = EvalAll(self.get());
+  EXPECT_EQ(out->Data<int64_t>()[0], 0);
+  EXPECT_EQ(out->Data<int64_t>()[5], 1);
+  auto by_zero = e::Div(e::Col(0, DataType::Int64()), e::I64(0));
+  out = EvalAll(by_zero.get());
+  EXPECT_EQ(out->Data<int64_t>()[7], 0);
+}
+
+// A combination the catalog does not list has no kernel: Prepare fails
+// instead of running some other primitive.
+TEST_F(ExprTest, CombinationWithoutCatalogEntryFailsAtPrepare) {
+  auto i32_math = e::Add(e::Col(3, DataType::Date()), e::Col(3, DataType::Date()));
+  EXPECT_FALSE(i32_math->Prepare(kCap).ok());
+  auto mixed = e::Add(e::Col(0, DataType::Int64()), e::F64(1.0));
+  EXPECT_FALSE(mixed->Prepare(kCap).ok());
+  auto mixed_cmp = e::Lt(e::Col(1, DataType::Double()), e::I64(1));
+  EXPECT_FALSE(mixed_cmp->Prepare(kCap).ok());
+}
+
 TEST(LikeMatchTest, Patterns) {
   EXPECT_TRUE(LikeFilter::Match("PROMO BURNISHED", "PROMO%"));
   EXPECT_FALSE(LikeFilter::Match("STANDARD", "PROMO%"));
@@ -260,6 +297,169 @@ TEST(LikeMatchTest, Patterns) {
   EXPECT_TRUE(LikeFilter::Match("", "%"));
   EXPECT_FALSE(LikeFilter::Match("", "_"));
   EXPECT_TRUE(LikeFilter::Match("MEDIUM POLISHED BRASS", "MEDIUM POLISHED%"));
+}
+
+// ---------------------------------------------------------------------------
+// Binding coverage: each catalog entry is bound by the expression node its
+// name describes — running that node over one vector advances exactly that
+// entry's counter. Encoded twins run over a column in their representation.
+// ---------------------------------------------------------------------------
+
+const char* const kArithTokens[] = {"add", "sub", "mul", "div"};
+const char* const kCmpTokens[] = {"eq", "ne", "lt", "le", "gt", "ge"};
+// Column t of the coverage chunk has physical type TypeId(t).
+const DataType kColTypes[] = {DataType::Bool(), DataType::Int32(),
+                              DataType::Int64(), DataType::Double(),
+                              DataType::Varchar()};
+
+int IndexOf(const char* const* tokens, size_t n, const std::string& tok) {
+  for (size_t i = 0; i < n; i++) {
+    if (tok == tokens[i]) return static_cast<int>(i);
+  }
+  ADD_FAILURE() << "unknown token " << tok;
+  return 0;
+}
+
+std::vector<std::string> SplitName(const std::string& name) {
+  std::vector<std::string> out(1);
+  for (char c : name) {
+    if (c == '_') {
+      out.emplace_back();
+    } else {
+      out.back() += c;
+    }
+  }
+  return out;
+}
+
+CmpOp Mirror(CmpOp op) {
+  static const CmpOp kMirror[] = {CmpOp::kEq, CmpOp::kNe, CmpOp::kGt,
+                                  CmpOp::kGe, CmpOp::kLt, CmpOp::kLe};
+  return kMirror[static_cast<int>(op)];
+}
+
+class BindingCoverageTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kRows = 100;
+
+  // One column per physical type; column `enc` (if any) is published as a
+  // dict (strings) or RLE (numbers) view instead of flat values.
+  void MakeChunk(DataChunk* c, int enc = -1) {
+    c->Init({TypeId::kU8, TypeId::kI32, TypeId::kI64, TypeId::kF64,
+             TypeId::kStr},
+            kCap);
+    static const char* kWords[] = {"a", "b", "c"};
+    auto* heap = c->column(4).GetStringHeap();
+    for (size_t i = 0; i < kRows; i++) {
+      c->column(0).Data<uint8_t>()[i] = static_cast<uint8_t>(i % 2);
+      c->column(1).Data<int32_t>()[i] = static_cast<int32_t>(i);
+      c->column(2).Data<int64_t>()[i] = static_cast<int64_t>(i) + 1;
+      c->column(3).Data<double>()[i] = static_cast<double>(i) * 0.5;
+      c->column(4).Data<StringVal>()[i] = heap->Add(kWords[i % 3]);
+    }
+    c->SetCount(kRows);
+    if (enc == static_cast<int>(TypeId::kStr)) {
+      c->column(enc).SetDict(codes_.data(), dict_, nullptr);
+    } else if (enc >= 0) {
+      const void* runs[] = {u8_runs_, i32_runs_, i64_runs_, f64_runs_};
+      c->column(enc).SetRle(runs[enc], starts_, 2, nullptr);
+    }
+  }
+
+  void SetUp() override {
+    MakeChunk(&flat_);
+    for (size_t i = 0; i < kRows; i++) codes_.push_back(i % 2);
+    dict_values_[0] = StringVal("a", 1);
+    dict_values_[1] = StringVal("b", 1);
+    auto dict = std::make_shared<StringDict>();
+    dict->values = dict_values_;
+    dict->size = 2;
+    dict_ = dict;
+  }
+
+  static ExprPtr Operand(bool val, TypeId ty) {
+    const int t = static_cast<int>(ty);
+    if (!val) return e::Col(static_cast<size_t>(t), kColTypes[t]);
+    Value v = ty == TypeId::kStr   ? Value::String("b")
+              : ty == TypeId::kF64 ? Value::Double(1.5)
+                                   : Value::Int(1);
+    return std::make_unique<ConstExpr>(v, kColTypes[t]);
+  }
+
+  // Ids whose call counter advanced over one Eval / Select of the node.
+  template <typename Run>
+  static std::vector<int> Advanced(Run run) {
+    std::vector<PrimitiveCounters> before = PrimitiveProfiler::Snapshot();
+    run();
+    std::vector<PrimitiveCounters> after = PrimitiveProfiler::Snapshot();
+    std::vector<int> ids;
+    for (int i = 0; i < kNumPrimitives; i++) {
+      if (after[i].calls != before[i].calls) ids.push_back(i);
+    }
+    return ids;
+  }
+  static std::vector<int> RunOnce(Expr* node, DataChunk& in) {
+    EXPECT_TRUE(node->Prepare(kCap).ok());
+    return Advanced([&] {
+      Vector* out = nullptr;
+      EXPECT_TRUE(node->Eval(in, nullptr, in.count(), &out).ok());
+    });
+  }
+  static std::vector<int> RunOnce(Filter* node, DataChunk& in) {
+    EXPECT_TRUE(node->Prepare(kCap).ok());
+    return Advanced([&] {
+      std::vector<sel_t> out(kCap);
+      size_t k = 0;
+      EXPECT_TRUE(node->Select(in, nullptr, in.count(), out.data(), &k).ok());
+    });
+  }
+
+  DataChunk flat_;
+  std::vector<uint32_t> codes_;
+  StringVal dict_values_[2];
+  std::shared_ptr<const StringDict> dict_;
+  uint8_t u8_runs_[2] = {0, 1};
+  int32_t i32_runs_[2] = {0, 1};
+  int64_t i64_runs_[2] = {1, 2};
+  double f64_runs_[2] = {0.0, 1.5};
+  uint32_t starts_[3] = {0, 50, kRows};
+};
+
+TEST_F(BindingCoverageTest, EveryCatalogEntryIsBoundByItsNode) {
+  PrimitiveProfiler::ScopedEnable enable(true);
+  for (int i = 0; i < kNumPrimitives; i++) {
+    const std::string name = PrimitiveRegistry::Get(PrimitiveId(i)).name;
+    // <prefix>_<op>_<ty>_<lkind>_<ty>_<rkind>
+    const std::vector<std::string> tok = SplitName(name);
+    ASSERT_EQ(tok.size(), 6u) << name;
+    TypeId ty = TypeId::kU8;
+    while (tok[2] != TypeIdToString(ty)) {
+      ty = static_cast<TypeId>(static_cast<int>(ty) + 1);
+    }
+    const bool lval = tok[3] == "val";
+    const bool rval = tok[5] == "val";
+    const std::vector<int> want = {i};
+    if (tok[0] == "map") {
+      ArithExpr node(static_cast<ArithOp>(IndexOf(kArithTokens, 4, tok[1])),
+                     Operand(lval, ty), Operand(rval, ty));
+      EXPECT_EQ(RunOnce(&node, flat_), want) << name;
+      continue;
+    }
+    const CmpOp op = static_cast<CmpOp>(IndexOf(kCmpTokens, 6, tok[1]));
+    DataChunk enc;
+    DataChunk* in = &flat_;
+    if (tok[3] != "col") {  // dict / rle twin: the column arrives encoded
+      MakeChunk(&enc, static_cast<int>(ty));
+      in = &enc;
+    }
+    CmpFilter node(op, Operand(false, ty), Operand(rval, ty));
+    EXPECT_EQ(RunOnce(&node, *in), want) << name;
+    if (rval) {
+      // "const OP' col" is mirrored onto the same entry at Prepare.
+      CmpFilter mirrored(Mirror(op), Operand(true, ty), Operand(false, ty));
+      EXPECT_EQ(RunOnce(&mirrored, *in), want) << name << " (const on the left)";
+    }
+  }
 }
 
 }  // namespace

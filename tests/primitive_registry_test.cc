@@ -1,3 +1,4 @@
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -10,65 +11,104 @@ namespace vwise {
 namespace {
 
 TEST(PrimitiveRegistryTest, CatalogSizeAndNaming) {
-  const auto& reg = PrimitiveRegistry::Instance();
   // 4 ops x 2 types x 3 kinds = 24 maps; 6 cmps x 5 types x 2 kinds = 60
   // sels; 2 dict + 6 cmps x 4 numeric types rle = 26 encoded twins.
-  EXPECT_EQ(reg.size(), 24u + 60u + 26u);
-  auto names = reg.Names();
-  EXPECT_EQ(names.size(), reg.size());
-  for (const auto& n : names) {
-    EXPECT_TRUE(n.rfind("map_", 0) == 0 || n.rfind("sel_", 0) == 0) << n;
+  EXPECT_EQ(kNumPrimitives, 24 + 60 + 26);
+  for (int i = 0; i < kNumPrimitives; i++) {
+    const PrimitiveEntry& e = PrimitiveRegistry::Get(PrimitiveId(i));
+    std::string name = e.name;
+    EXPECT_EQ(e.id, i) << name;
+    // The table is the name index: every name finds its own entry.
+    EXPECT_EQ(PrimitiveRegistry::Find(name), &e) << name;
+    if (name.rfind("map_", 0) == 0) {
+      EXPECT_EQ(e.kind, PrimitiveKind::kMap) << name;
+      EXPECT_NE(e.map, nullptr) << name;
+      EXPECT_EQ(e.select, nullptr) << name;
+      continue;
+    }
+    ASSERT_EQ(name.rfind("sel_", 0), 0u) << name;
+    bool encoded = name.find("_dict_") != std::string::npos ||
+                   name.find("_rle_") != std::string::npos;
+    EXPECT_EQ(e.kind, encoded ? PrimitiveKind::kEnc : PrimitiveKind::kSel)
+        << name;
+    EXPECT_EQ(e.map, nullptr) << name;
+    EXPECT_NE(e.select, nullptr) << name;
   }
 }
 
 TEST(PrimitiveRegistryTest, LookupKnownAndUnknown) {
-  const auto& reg = PrimitiveRegistry::Instance();
-  EXPECT_NE(reg.FindMap("map_add_i64_col_i64_col"), nullptr);
-  EXPECT_NE(reg.FindMap("map_mul_f64_col_f64_val"), nullptr);
-  EXPECT_NE(reg.FindSelect("sel_lt_i64_col_i64_val"), nullptr);
-  EXPECT_NE(reg.FindSelect("sel_eq_str_col_str_col"), nullptr);
-  EXPECT_EQ(reg.FindMap("map_add_str_col_str_col"), nullptr);  // no string math
-  EXPECT_EQ(reg.FindSelect("sel_like_str_col_str_val"), nullptr);
-  EXPECT_EQ(reg.FindMap("nonsense"), nullptr);
-  // Encoded twins live in their own namespace: visible through
-  // FindEncSelect only, never through the flat select lookup.
-  EXPECT_NE(reg.FindEncSelect("sel_eq_str_dict_str_val"), nullptr);
-  EXPECT_NE(reg.FindEncSelect("sel_ge_i64_rle_i64_val"), nullptr);
-  EXPECT_EQ(reg.FindSelect("sel_eq_str_dict_str_val"), nullptr);
-  EXPECT_EQ(reg.FindEncSelect("sel_eq_str_col_str_val"), nullptr);
+  EXPECT_NE(PrimitiveRegistry::Find("map_add_i64_col_i64_col"), nullptr);
+  EXPECT_NE(PrimitiveRegistry::Find("map_mul_f64_col_f64_val"), nullptr);
+  EXPECT_NE(PrimitiveRegistry::Find("sel_lt_i64_col_i64_val"), nullptr);
+  EXPECT_NE(PrimitiveRegistry::Find("sel_eq_str_col_str_col"), nullptr);
+  // no string math
+  EXPECT_EQ(PrimitiveRegistry::Find("map_add_str_col_str_col"), nullptr);
+  EXPECT_EQ(PrimitiveRegistry::Find("map_add_i32_col_i32_col"), nullptr);
+  EXPECT_EQ(PrimitiveRegistry::Find("sel_like_str_col_str_val"), nullptr);
+  EXPECT_EQ(PrimitiveRegistry::Find("sel_lt_i64_col_f64_val"), nullptr);
+  EXPECT_EQ(PrimitiveRegistry::Find("nonsense"), nullptr);
+  EXPECT_EQ(PrimitiveRegistry::Find(""), nullptr);
+  // Encoded twins are their own entries, of their own kind.
+  const PrimitiveEntry* dict = PrimitiveRegistry::Find("sel_eq_str_dict_str_val");
+  ASSERT_NE(dict, nullptr);
+  EXPECT_EQ(dict->kind, PrimitiveKind::kEnc);
+  const PrimitiveEntry* rle = PrimitiveRegistry::Find("sel_ge_i64_rle_i64_val");
+  ASSERT_NE(rle, nullptr);
+  EXPECT_EQ(rle->kind, PrimitiveKind::kEnc);
+  EXPECT_EQ(PrimitiveRegistry::Find("sel_lt_str_dict_str_val"), nullptr);
+  EXPECT_EQ(PrimitiveRegistry::Find("sel_eq_str_rle_str_val"), nullptr);
+}
+
+uint8_t CapsOf(const std::string& name) {
+  const PrimitiveEntry* e = PrimitiveRegistry::Find(name);
+  EXPECT_NE(e, nullptr) << name;
+  return e == nullptr ? 0 : e->caps;
 }
 
 TEST(PrimitiveRegistryTest, CapsColumnMatchesEncodedTwins) {
-  const auto& reg = PrimitiveRegistry::Instance();
-  EXPECT_EQ(reg.Caps("map_add_i64_col_i64_col"), kReprFlat);
-  EXPECT_EQ(reg.Caps("sel_eq_str_col_str_val"), kReprFlat | kReprDict);
-  EXPECT_EQ(reg.Caps("sel_eq_str_col_str_col"), kReprFlat);
-  EXPECT_EQ(reg.Caps("sel_lt_i64_col_i64_val"), kReprFlat | kReprRle);
-  EXPECT_EQ(reg.Caps("sel_lt_str_col_str_val"), kReprFlat);
-  EXPECT_EQ(reg.Caps("sel_eq_str_dict_str_val"), kReprDict);
-  EXPECT_EQ(reg.Caps("sel_lt_f64_rle_f64_val"), kReprRle);
-  EXPECT_EQ(reg.Caps("unknown_primitive"), kReprFlat);
+  EXPECT_EQ(CapsOf("map_add_i64_col_i64_col"), kReprFlat);
+  EXPECT_EQ(CapsOf("sel_eq_str_col_str_val"), kReprFlat | kReprDict);
+  EXPECT_EQ(CapsOf("sel_eq_str_col_str_col"), kReprFlat);
+  EXPECT_EQ(CapsOf("sel_lt_i64_col_i64_val"), kReprFlat | kReprRle);
+  EXPECT_EQ(CapsOf("sel_lt_str_col_str_val"), kReprFlat);
+  EXPECT_EQ(CapsOf("sel_eq_str_dict_str_val"), kReprDict);
+  EXPECT_EQ(CapsOf("sel_lt_f64_rle_f64_val"), kReprRle);
   // Every granted dict/rle capability has its encoded twin registered under
   // the name with the column's `col` token swapped for the representation.
-  for (const auto& name : reg.Names()) {
-    if (name.find("_col_") == std::string::npos) continue;  // the twins
-    uint8_t caps = reg.Caps(name);
-    if (caps & kReprDict) {
+  for (int i = 0; i < kNumPrimitives; i++) {
+    const PrimitiveEntry& e = PrimitiveRegistry::Get(PrimitiveId(i));
+    if (e.kind == PrimitiveKind::kEnc) continue;
+    std::string name = e.name;
+    if (e.caps & kReprDict) {
       std::string twin = name;
       twin.replace(twin.find("_col_"), 5, "_dict_");
-      EXPECT_NE(reg.FindEncSelect(twin), nullptr) << name;
+      const PrimitiveEntry* t = PrimitiveRegistry::Find(twin);
+      ASSERT_NE(t, nullptr) << name;
+      EXPECT_EQ(t->kind, PrimitiveKind::kEnc) << name;
     }
-    if (caps & kReprRle) {
+    if (e.caps & kReprRle) {
       std::string twin = name;
       twin.replace(twin.find("_col_"), 5, "_rle_");
-      EXPECT_NE(reg.FindEncSelect(twin), nullptr) << name;
+      const PrimitiveEntry* t = PrimitiveRegistry::Find(twin);
+      ASSERT_NE(t, nullptr) << name;
+      EXPECT_EQ(t->kind, PrimitiveKind::kEnc) << name;
     }
   }
 }
 
+// Looks up a select (flat or encoded) kernel by name; nullptr if absent.
+SelectFn FindSelect(const char* name) {
+  const PrimitiveEntry* e = PrimitiveRegistry::Find(name);
+  return e == nullptr ? nullptr : e->select;
+}
+
+MapBinaryFn FindMap(const char* name) {
+  const PrimitiveEntry* e = PrimitiveRegistry::Find(name);
+  return e == nullptr ? nullptr : e->map;
+}
+
 TEST(PrimitiveRegistryTest, DictSelectComparesCodes) {
-  const auto& reg = PrimitiveRegistry::Instance();
-  auto fn = reg.FindEncSelect("sel_eq_str_dict_str_val");
+  auto fn = FindSelect("sel_eq_str_dict_str_val");
   ASSERT_NE(fn, nullptr);
   std::vector<uint32_t> codes = {2, 0, 2, 1, 2};
   uint32_t needle = 2;
@@ -81,8 +121,7 @@ TEST(PrimitiveRegistryTest, DictSelectComparesCodes) {
 }
 
 TEST(PrimitiveRegistryTest, RleSelectMatchesScalarReference) {
-  const auto& reg = PrimitiveRegistry::Instance();
-  auto fn = reg.FindEncSelect("sel_ge_i64_rle_i64_val");
+  auto fn = FindSelect("sel_ge_i64_rle_i64_val");
   ASSERT_NE(fn, nullptr);
   // Runs: 4x10, 3x-5, 2x10, 1x99 -> 10 values.
   std::vector<int64_t> run_vals = {10, -5, 10, 99};
@@ -101,8 +140,7 @@ TEST(PrimitiveRegistryTest, RleSelectMatchesScalarReference) {
 }
 
 TEST(PrimitiveRegistryTest, MapKernelComputesThroughErasedSignature) {
-  const auto& reg = PrimitiveRegistry::Instance();
-  auto fn = reg.FindMap("map_mul_i64_col_i64_val");
+  auto fn = FindMap("map_mul_i64_col_i64_val");
   ASSERT_NE(fn, nullptr);
   std::vector<int64_t> a = {1, 2, 3, 4, 5};
   int64_t scale = 10;
@@ -112,8 +150,7 @@ TEST(PrimitiveRegistryTest, MapKernelComputesThroughErasedSignature) {
 }
 
 TEST(PrimitiveRegistryTest, MapKernelHonorsSelectionVector) {
-  const auto& reg = PrimitiveRegistry::Instance();
-  auto fn = reg.FindMap("map_add_f64_col_f64_col");
+  auto fn = FindMap("map_add_f64_col_f64_col");
   ASSERT_NE(fn, nullptr);
   std::vector<double> a = {1, 2, 3, 4}, b = {10, 20, 30, 40};
   std::vector<double> out = {-1, -1, -1, -1};
@@ -123,8 +160,7 @@ TEST(PrimitiveRegistryTest, MapKernelHonorsSelectionVector) {
 }
 
 TEST(PrimitiveRegistryTest, SelectKernelMatchesScalarReference) {
-  const auto& reg = PrimitiveRegistry::Instance();
-  auto fn = reg.FindSelect("sel_ge_i32_col_i32_val");
+  auto fn = FindSelect("sel_ge_i32_col_i32_val");
   ASSERT_NE(fn, nullptr);
   Rng rng(3);
   std::vector<int32_t> a(300);
@@ -144,8 +180,7 @@ TEST(PrimitiveRegistryTest, SelectKernelMatchesScalarReference) {
 }
 
 TEST(PrimitiveRegistryTest, StringSelectThroughRegistry) {
-  const auto& reg = PrimitiveRegistry::Instance();
-  auto fn = reg.FindSelect("sel_eq_str_col_str_val");
+  auto fn = FindSelect("sel_eq_str_col_str_val");
   ASSERT_NE(fn, nullptr);
   std::string storage[3] = {"foo", "bar", "foo"};
   std::vector<StringVal> col;
@@ -158,10 +193,28 @@ TEST(PrimitiveRegistryTest, StringSelectThroughRegistry) {
   EXPECT_EQ(out[1], 2u);
 }
 
+// Integral division by zero yields 0 (the reference engines' semantics)
+// instead of trapping; floating-point division stays IEEE.
+TEST(PrimitiveRegistryTest, IntegerDivisionByZeroIsZero) {
+  std::vector<int64_t> a = {7, -7, 0, 9}, b = {0, 2, 0, 3};
+  std::vector<int64_t> out(4, -1);
+  FindMap("map_div_i64_col_i64_col")(a.data(), b.data(), out.data(), nullptr,
+                                     4);
+  EXPECT_EQ(out, (std::vector<int64_t>{0, -3, 0, 3}));
+  int64_t zero = 0;
+  FindMap("map_div_i64_col_i64_val")(a.data(), &zero, out.data(), nullptr, 4);
+  EXPECT_EQ(out, (std::vector<int64_t>{0, 0, 0, 0}));
+  int64_t ten = 10;
+  FindMap("map_div_i64_val_i64_col")(&ten, b.data(), out.data(), nullptr, 4);
+  EXPECT_EQ(out, (std::vector<int64_t>{0, 5, 0, 3}));
+  double one = 1.0, dzero = 0.0, q = 0.0;
+  FindMap("map_div_f64_col_f64_val")(&one, &dzero, &q, nullptr, 1);
+  EXPECT_TRUE(std::isinf(q));
+}
+
 TEST(PrimitiveRegistryTest, EveryRegisteredMapRunsWithoutCrashing) {
-  const auto& reg = PrimitiveRegistry::Instance();
   // Smoke-drive all 110 primitives through the erased interface with benign
-  // operands (value 1 avoids div-by-zero).
+  // operands.
   std::vector<int64_t> i64a(64, 6), i64b(64, 1), i64o(64);
   std::vector<double> f64a(64, 6.0), f64b(64, 1.0), f64o(64);
   std::vector<uint8_t> u8a(64, 1), u8b(64, 1);
@@ -172,17 +225,15 @@ TEST(PrimitiveRegistryTest, EveryRegisteredMapRunsWithoutCrashing) {
   std::vector<uint32_t> codes(64, 1);
   uint32_t code_val = 1;
   std::vector<uint32_t> run_starts = {0, 32, 64};
-  for (const auto& name : reg.Names()) {
+  for (int i = 0; i < kNumPrimitives; i++) {
+    const PrimitiveEntry& e = PrimitiveRegistry::Get(PrimitiveId(i));
+    std::string name = e.name;
     if (name.find("_dict_") != std::string::npos) {
-      auto fn = reg.FindEncSelect(name);
-      ASSERT_NE(fn, nullptr) << name;
-      size_t n = fn(codes.data(), &code_val, nullptr, 64, out_sel.data());
+      size_t n = e.select(codes.data(), &code_val, nullptr, 64, out_sel.data());
       EXPECT_LE(n, 64u) << name;
       continue;
     }
     if (name.find("_rle_") != std::string::npos) {
-      auto fn = reg.FindEncSelect(name);
-      ASSERT_NE(fn, nullptr) << name;
       RleColView view{nullptr, run_starts.data(), 2};
       const void* b = nullptr;
       if (name.find("_u8_") != std::string::npos) {
@@ -198,21 +249,17 @@ TEST(PrimitiveRegistryTest, EveryRegisteredMapRunsWithoutCrashing) {
         view.run_values = f64a.data();
         b = f64b.data();
       }
-      size_t n = fn(&view, b, nullptr, 64, out_sel.data());
+      size_t n = e.select(&view, b, nullptr, 64, out_sel.data());
       EXPECT_LE(n, 64u) << name;
       continue;
     }
-    if (name.rfind("map_", 0) == 0) {
-      auto fn = reg.FindMap(name);
-      ASSERT_NE(fn, nullptr) << name;
+    if (e.kind == PrimitiveKind::kMap) {
       if (name.find("_i64_") != std::string::npos) {
-        fn(i64a.data(), i64b.data(), i64o.data(), nullptr, 64);
+        e.map(i64a.data(), i64b.data(), i64o.data(), nullptr, 64);
       } else {
-        fn(f64a.data(), f64b.data(), f64o.data(), nullptr, 64);
+        e.map(f64a.data(), f64b.data(), f64o.data(), nullptr, 64);
       }
     } else {
-      auto fn = reg.FindSelect(name);
-      ASSERT_NE(fn, nullptr) << name;
       const void* a = nullptr;
       const void* b = nullptr;
       if (name.find("_u8_") != std::string::npos) {
@@ -231,7 +278,7 @@ TEST(PrimitiveRegistryTest, EveryRegisteredMapRunsWithoutCrashing) {
         a = stra.data();
         b = strb.data();
       }
-      size_t n = fn(a, b, nullptr, 64, out_sel.data());
+      size_t n = e.select(a, b, nullptr, 64, out_sel.data());
       EXPECT_LE(n, 64u) << name;
     }
   }

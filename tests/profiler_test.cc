@@ -118,18 +118,6 @@ TEST_F(ProfilerTest, OperatorCountersSumAcrossPlan) {
 }
 
 TEST_F(ProfilerTest, PrimitiveCountersMonotoneAndWellNamed) {
-  // The arithmetic id mapping must land on the catalog names.
-  EXPECT_STREQ(PrimitiveProfiler::Name(
-                   MapPrimId(0, TypeId::kI64, MapKind::kColCol)),
-               "map_add_i64_col_i64_col");
-  EXPECT_STREQ(PrimitiveProfiler::Name(
-                   MapPrimId(3, TypeId::kF64, MapKind::kValCol)),
-               "map_div_f64_val_f64_col");
-  EXPECT_STREQ(PrimitiveProfiler::Name(SelPrimId(0, TypeId::kU8, true)),
-               "sel_eq_u8_col_u8_val");
-  EXPECT_STREQ(PrimitiveProfiler::Name(SelPrimId(5, TypeId::kStr, false)),
-               "sel_ge_str_col_str_col");
-
   PrimitiveProfiler::ScopedEnable enable(true);
   std::vector<PrimitiveCounters> before = PrimitiveProfiler::Snapshot();
   auto r = tpch::RunQuery(1, mgr_, *config_);

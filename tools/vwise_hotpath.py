@@ -15,6 +15,10 @@ Roots
   * every primitive kernel backing the catalog
     (src/expr/primitive_catalog.inc -> the template kernels and operator
     functors defined in src/expr/primitives.h);
+  * the catalog's type-erased adapters in src/expr/primitive_registry.cc
+    (the adapter column of primitive_catalog.inc): expression dispatch
+    reaches them through the bound entry's function pointer, which no call
+    graph can follow;
   * every Operator::Next defined in src/exec/ (scan, select, project,
     hash_agg, hash_join, sort, xchg, checked, profile) — with the helpers
     they reach in src/exec/ (key_hash.h, radix_spill.cc, ...);
@@ -501,8 +505,20 @@ class SyntacticFrontend:
         return self
 
 
+CATALOG_ADAPTER_RE = re.compile(
+    r"^VWISE_\w+_PRIMITIVE\(\s*\w+\s*,\s*[\w:]+\s*,\s*(\w+)\s*,", re.M)
+
+
+def catalog_adapters(repo):
+    """Adapter names in the catalog's third column."""
+    path = os.path.join(repo, "src", "expr", "primitive_catalog.inc")
+    with open(path, encoding="utf-8") as f:
+        return set(CATALOG_ADAPTER_RE.findall(f.read()))
+
+
 def find_roots(frontend, repo):
     """The hot-path roots per DESIGN.md §9 (see module docstring)."""
+    adapters = catalog_adapters(repo)
     roots = []
     for fn in frontend.functions:
         p = fn.path.replace(os.sep, "/")
@@ -510,6 +526,8 @@ def find_roots(frontend, repo):
             roots.append(fn)
         elif p == "src/expr/primitives.h":
             roots.append(fn)  # catalog kernels + operator functors
+        elif p == "src/expr/primitive_registry.cc" and fn.name in adapters:
+            roots.append(fn)  # called through PrimitiveEntry::map / select
         elif p.startswith("src/exec/") and p.endswith(".cc") and fn.name == "Next":
             roots.append(fn)
         elif p == "src/expr/expression.cc" and fn.name in ("Eval", "Select"):
@@ -822,6 +840,17 @@ def self_test(repo):
              "  shadow.push_back(1);\n"
              "  if (sel == nullptr) {\n"
              "    for (size_t i = 0; i < n; i++) out[i] = OP()(a[i], b[i]);"),
+            "alloc"),
+        # Expression dispatch calls the catalog adapters through a function
+        # pointer; they must be roots in their own right.
+        "alloc in a catalog adapter": (
+            ("src/expr/primitive_registry.cc",
+             "size_t SelColVal(const void* a, const void* b, const sel_t* sel, "
+             "size_t n,\n                 sel_t* out_sel) {",
+             "size_t SelColVal(const void* a, const void* b, const sel_t* sel, "
+             "size_t n,\n                 sel_t* out_sel) {\n"
+             "  std::vector<int> shadow;\n"
+             "  shadow.push_back(1);"),
             "alloc"),
         # The spill lineage's Next is reached from HashAggOperator::Next on
         # every emitted vector of a spilled aggregation.

@@ -27,8 +27,8 @@ Checks
      there is used by the catalog and vice versa; every kernel the catalog
      references exists there; kernels not in the catalog (e.g. MapUnary,
      Gather) must be referenced somewhere else under src/;
-   * src/expr/primitive_registry.cc actually expands the catalog (so the
-     .inc is the registry, not a stale copy).
+   * src/expr/primitive_registry.cc actually expands the catalog into the
+     dispatch table (so the .inc is the registry, not a stale copy).
 2. Repo rules over src/:
    * header guards follow VWISE_<PATH>_H_;
    * no raw assert() (use VWISE_CHECK / VWISE_DCHECK) and no std::cout
@@ -276,7 +276,7 @@ class Lint:
         # Caps <-> encoded-twin 1:1: every encoded bit promises a twin whose
         # name swaps the column's 'col' token for the encoding, and every
         # twin's flat base must grant the matching bit (an orphan twin is
-        # unreachable: FindEncSelect consults the flat entry's caps).
+        # unreachable: CmpFilter binds twins from the flat entry's caps).
         for name, (lineno, bits) in sorted(flat_caps.items()):
             for enc, bit in sorted(ENC_REPR.items(), key=lambda kv: kv[1]):
                 if bit not in bits:
@@ -298,7 +298,7 @@ class Lint:
                 self.error(catalog_path, lineno,
                            f"encoded twin '{name}' exists but its flat base "
                            f"'{flat}' does not grant the {bit} cap, so the "
-                           "registry can never dispatch to it")
+                           "expression layer can never bind it")
 
         # Grid completeness: every (op, type) block lists every operand kind.
         for (family, op, ty), kinds_seen in sorted(grid.items()):
@@ -339,8 +339,8 @@ class Lint:
                            f"kernel {kernel} is defined in primitives.h but "
                            "neither the catalog nor any src/ file uses it")
 
-        # The registry must expand the catalog rather than keeping its own
-        # copy of the list.
+        # The registry's dispatch table must expand the catalog rather than
+        # keeping its own copy of the list.
         regsrc = open(registry_path, encoding="utf-8").read()
         if "primitive_catalog.inc" not in regsrc:
             self.error(registry_path, 0,
@@ -929,8 +929,8 @@ def self_test(repo):
             "SelColVal, OpEq, kReprFlat | kReprRle)",
             "VWISE_SEL_PRIMITIVE(sel_equals_u8_col_u8_val, uint8_t, "
             "SelColVal, OpEq, kReprFlat | kReprRle)"), "unknown op token"),
-        # Caps granted with no encoded twin behind it: the registry would
-        # route dict chunks to a kernel that does not exist.
+        # Caps granted with no encoded twin behind it: CmpFilter::Prepare
+        # would fail to bind a kernel that does not exist.
         "caps bit without encoded twin": (lambda tmp: patch_file(
             tmp, os.path.join("src", "expr", "primitive_catalog.inc"),
             "VWISE_SEL_PRIMITIVE(sel_lt_str_col_str_val, StringVal, "
@@ -946,7 +946,7 @@ def self_test(repo):
             "SelColVal, OpEq, kReprFlat | kReprDict)"),
             "PDICT covers strings only"),
         # Encoded twin whose flat base dropped the cap: the twin becomes
-        # dead code the registry can never dispatch to.
+        # dead code the expression layer can never bind.
         "encoded twin without caps bit": (lambda tmp: patch_file(
             tmp, os.path.join("src", "expr", "primitive_catalog.inc"),
             "VWISE_SEL_PRIMITIVE(sel_eq_str_col_str_val, StringVal, "
