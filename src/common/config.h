@@ -204,8 +204,6 @@ struct Config {
   // fsync the WAL on commit (off by default: benches measure engine cost, not
   // device sync latency; crash tests enable it).
   bool wal_sync_on_commit = false;
-  // Consolidate committed PDT layers once this many stack on a table.
-  size_t pdt_consolidate_threshold = 8;
 
   // --- Fault injection ------------------------------------------------------
   // Failpoint spec armed when the database opens (see common/failpoint.h for

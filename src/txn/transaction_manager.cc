@@ -8,9 +8,11 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 
 #include "common/failpoint.h"
 #include "common/serialize.h"
+#include "exec/scan.h"
 
 namespace vwise {
 
@@ -18,21 +20,26 @@ namespace {
 
 constexpr uint32_t kCatalogMagic = 0x56574354;  // "VWCT"
 
-// Converts one value of a decoded column to a boundary Value.
-Value ColumnValue(const DecodedColumn& col, size_t i) {
-  switch (col.type) {
-    case TypeId::kU8:
-      return Value::Int(col.Data<uint8_t>()[i]);
-    case TypeId::kI32:
-      return Value::Int(col.Data<int32_t>()[i]);
-    case TypeId::kI64:
-      return Value::Int(col.Data<int64_t>()[i]);
-    case TypeId::kF64:
-      return Value::Double(col.Data<double>()[i]);
-    case TypeId::kStr:
-      return Value::String(col.Data<StringVal>()[i].ToString());
+// Streams the visible rows of `snap` into `writer` through the scan's
+// vectorized positional merge of stable image and deltas. The deltas must be
+// non-empty: that keeps the scan off its encoded path, so every chunk is the
+// flat, dense kind TableWriter::Append takes.
+Status WriteSnapshot(const TableSnapshot& snap, const Config& config,
+                     TableWriter* writer) {
+  std::vector<uint32_t> columns(snap.schema->num_columns());
+  std::iota(columns.begin(), columns.end(), 0u);
+  ScanOperator scan(snap, std::move(columns), config);
+  Status s = scan.Open();
+  DataChunk chunk;
+  chunk.Init(scan.OutputTypes(), config.vector_size);
+  while (s.ok()) {
+    chunk.Reset();
+    s = scan.Next(&chunk);
+    if (!s.ok() || chunk.count() == 0) break;
+    s = writer->Append(chunk);
   }
-  return Value::Null();
+  scan.Close();
+  return s;
 }
 
 bool SortedIntersects(const std::vector<uint64_t>& a,
@@ -351,37 +358,12 @@ Status TransactionManager::CreateTable(const TableSchema& schema,
   if (tables_.count(schema.name()) > 0) {
     return Status::AlreadyExists("table " + schema.name());
   }
-  TableState st;
+  TableState& st = tables_[schema.name()];
   st.schema = schema;
   st.groups = groups;
-  st.file_version = 0;
-  // Write an empty initial version under a temp name, then rename: a version
-  // file under its final name is always complete.
-  std::string path = TableFilePath(schema.name(), 0);
-  std::string tmp = path + ".tmp";
-  {
-    TableWriter writer(schema, groups, config_, tmp, device_);
-    Status s = writer.Finish();
-    if (!s.ok()) {
-      ::unlink(tmp.c_str());
-      return s;
-    }
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    Status s = Status::IOError("rename " + tmp + ": " +
-                               std::string(std::strerror(errno)));
-    ::unlink(tmp.c_str());
-    return s;
-  }
-  VWISE_RETURN_IF_ERROR(SyncDir(dir_));
-  VWISE_RETURN_IF_ERROR(OpenTableFileLocked(&st));
-  tables_.emplace(schema.name(), std::move(st));
-  Status s = SaveCatalogLocked();
-  if (!s.ok()) {
-    // Roll back: the table never existed. The file is swept on reopen too.
-    tables_.erase(schema.name());
-    ::unlink(path.c_str());
-  }
+  Status s = PublishVersionsLocked(
+      {{&st, [](TableWriter*) { return Status::OK(); }}}, wal_epoch_);
+  if (!s.ok()) tables_.erase(schema.name());  // the table never existed
   return s;
 }
 
@@ -394,38 +376,97 @@ Status TransactionManager::BulkLoad(
   if (st.stable->row_count() > 0 || (st.committed && !st.committed->empty())) {
     return Status::InvalidArgument("bulk load requires an empty table");
   }
-  uint64_t old_version = st.file_version;
-  uint64_t new_version = old_version + 1;
-  std::string path = TableFilePath(table, new_version);
-  std::string tmp = path + ".tmp";
-  {
-    TableWriter writer(st.schema, st.groups, config_, tmp, device_);
-    Status s = fill(&writer);
-    if (s.ok()) s = writer.Finish();
+  return PublishVersionsLocked({{&st, fill}}, wal_epoch_);
+}
+
+Status TransactionManager::PublishVersionsLocked(
+    const std::vector<PublishJob>& jobs, uint64_t epoch) {
+  std::vector<uint64_t> versions;
+  std::vector<std::string> paths;
+  for (const PublishJob& job : jobs) {
+    versions.push_back(job.st->stable ? job.st->file_version + 1 : 0);
+    paths.push_back(TableFilePath(job.st->schema.name(), versions.back()));
+  }
+
+  // Undo before the commit point: nothing is published yet, so rollback is
+  // deleting whatever new-version files exist (temps or already renamed). A
+  // *crash* skips this — reopen sweeps the same files as stale.
+  size_t written = 0;
+  size_t renamed = 0;
+  auto undo = [&](Status s) {
+    for (size_t i = 0; i < written; i++) {
+      std::string path = i < renamed ? paths[i] : paths[i] + ".tmp";
+      ::unlink(path.c_str());
+    }
+    return s;
+  };
+
+  // Phase 1: write each version to `<name>.v<N>.tmp`, synced by Finish.
+  for (size_t i = 0; i < jobs.size(); i++) {
+    Status s;
+    if (failpoint::Armed()) s = failpoint::Check("ckpt.table");
+    if (s.ok()) {
+      written++;  // the writer may leave a partial temp behind on error
+      TableWriter writer(jobs[i].st->schema, jobs[i].st->groups, config_,
+                         paths[i] + ".tmp", device_);
+      s = jobs[i].fill(&writer);
+      if (s.ok()) s = writer.Finish();
+    }
+    if (!s.ok()) return undo(s);
+  }
+
+  // Phase 2: rename temps into place, make the renames durable, and open the
+  // new versions while an error can still roll back.
+  for (size_t i = 0; i < jobs.size(); i++) {
+    Status s;
+    if (failpoint::Armed()) s = failpoint::Check("ckpt.rename");
+    std::string tmp = paths[i] + ".tmp";
+    if (s.ok() && ::rename(tmp.c_str(), paths[i].c_str()) != 0) {
+      s = Status::IOError("rename " + tmp + ": " +
+                          std::string(std::strerror(errno)));
+    }
+    if (!s.ok()) return undo(s);
+    renamed++;
+  }
+  if (!jobs.empty()) {
+    Status s = SyncDir(dir_);
+    if (!s.ok()) return undo(s);
+  }
+  std::vector<std::shared_ptr<TableFile>> files;
+  for (size_t i = 0; i < jobs.size(); i++) {
+    auto tf = TableFile::Open(paths[i], jobs[i].st->schema, device_, buffers_);
+    if (!tf.ok()) return undo(tf.status());
+    files.push_back(std::shared_ptr<TableFile>(std::move(*tf)));
+  }
+
+  // Phase 3: the commit point. Saving the catalog (itself tmp+rename)
+  // atomically switches recovery to the new versions and `epoch`.
+  Status s;
+  if (failpoint::Armed()) s = failpoint::Check("ckpt.publish");
+  if (s.ok()) {
+    uint64_t old_epoch = wal_epoch_;
+    for (size_t i = 0; i < jobs.size(); i++) {
+      std::swap(jobs[i].st->file_version, versions[i]);
+    }
+    wal_epoch_ = epoch;
+    s = SaveCatalogLocked();
     if (!s.ok()) {
-      ::unlink(tmp.c_str());
-      return s;
+      wal_epoch_ = old_epoch;
+      for (size_t i = 0; i < jobs.size(); i++) {
+        std::swap(jobs[i].st->file_version, versions[i]);
+      }
     }
   }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    Status s = Status::IOError("rename " + tmp + ": " +
-                               std::string(std::strerror(errno)));
-    ::unlink(tmp.c_str());
-    return s;
+  if (!s.ok()) return undo(s);
+
+  // Phase 4: swap the new versions in; `versions` now holds the old ones.
+  for (size_t i = 0; i < jobs.size(); i++) {
+    TableState* st = jobs[i].st;
+    if (st->stable) {
+      ::unlink(TableFilePath(st->schema.name(), versions[i]).c_str());
+    }
+    st->stable = std::move(files[i]);
   }
-  VWISE_RETURN_IF_ERROR(SyncDir(dir_));
-  // Publish through the catalog before touching the old version: a crash on
-  // either side of the catalog rename leaves a catalog whose referenced file
-  // exists (the other version is swept on reopen).
-  st.file_version = new_version;
-  Status s = SaveCatalogLocked();
-  if (!s.ok()) {
-    st.file_version = old_version;
-    ::unlink(path.c_str());
-    return s;
-  }
-  VWISE_RETURN_IF_ERROR(OpenTableFileLocked(&st));
-  ::unlink(TableFilePath(table, old_version).c_str());
   return Status::OK();
 }
 
@@ -574,172 +615,32 @@ Status TransactionManager::Commit(Transaction* txn) {
 // Checkpoint
 // ---------------------------------------------------------------------------
 
-Status TransactionManager::WriteMergedTableLocked(TableState* st,
-                                                  const std::string& path) {
-  TableWriter writer(st->schema, st->groups, config_, path, device_);
-
-  // Stream the merge of stable + deltas into the new version, decoding the
-  // stable image stripe by stripe.
-  size_t n_cols = st->schema.num_columns();
-  std::vector<DecodedColumn> cols(n_cols);
-  size_t cur_stripe = SIZE_MAX;
-  auto load_stripe_for = [&](uint64_t sid, size_t* local) -> Status {
-    size_t stripe = 0;
-    while (stripe + 1 < st->stable->stripe_count() &&
-           st->stable->stripe_first_row(stripe + 1) <= sid) {
-      stripe++;
-    }
-    if (stripe != cur_stripe) {
-      for (size_t c = 0; c < n_cols; c++) {
-        VWISE_RETURN_IF_ERROR(st->stable->ReadStripeColumn(
-            stripe, static_cast<uint32_t>(c), &cols[c]));
-      }
-      cur_stripe = stripe;
-    }
-    *local = static_cast<size_t>(sid - st->stable->stripe_first_row(stripe));
-    return Status::OK();
-  };
-  auto stable_row = [&](uint64_t sid, std::vector<Value>* row) -> Status {
-    size_t local = 0;
-    VWISE_RETURN_IF_ERROR(load_stripe_for(sid, &local));
-    row->clear();
-    for (size_t c = 0; c < n_cols; c++) row->push_back(ColumnValue(cols[c], local));
-    return Status::OK();
-  };
-
-  Pdt::MergeScanner scanner(*st->committed, st->stable->row_count());
-  Pdt::MergeEvent ev;
-  std::vector<Value> row;
-  while (scanner.Next(&ev, 4096)) {
-    switch (ev.kind) {
-      case Pdt::MergeEvent::kStableRun:
-        for (uint64_t i = 0; i < ev.count; i++) {
-          VWISE_RETURN_IF_ERROR(stable_row(ev.sid + i, &row));
-          VWISE_RETURN_IF_ERROR(writer.AppendRow(row));
-        }
-        break;
-      case Pdt::MergeEvent::kModifiedRow: {
-        VWISE_RETURN_IF_ERROR(stable_row(ev.sid, &row));
-        for (const auto& [col, v] : ev.rec->mods) row[col] = v;
-        VWISE_RETURN_IF_ERROR(writer.AppendRow(row));
-        break;
-      }
-      case Pdt::MergeEvent::kDeletedRow:
-        break;
-      case Pdt::MergeEvent::kInsertedRow:
-        VWISE_RETURN_IF_ERROR(writer.AppendRow(ev.rec->row));
-        break;
-    }
-  }
-  return writer.Finish();
-}
-
 Status TransactionManager::Checkpoint() {
   MutexLock lock(&mu_);
   VWISE_FAILPOINT("ckpt.begin");
-
-  struct Pending {
-    std::string name;
-    TableState* st;
-    uint64_t old_version;
-    uint64_t new_version;
-  };
-  std::vector<Pending> pending;
+  std::vector<PublishJob> jobs;
   for (auto& [name, st] : tables_) {
-    if (st.committed && !st.committed->empty()) {
-      pending.push_back(Pending{name, &st, st.file_version,
-                                st.file_version + 1});
-    }
+    (void)name;
+    if (!st.committed || st.committed->empty()) continue;
+    TableSnapshot snap;
+    snap.schema = &st.schema;
+    snap.stable = st.stable;
+    snap.deltas = st.committed;
+    jobs.push_back({&st, [this, snap](TableWriter* w) {
+                      return WriteSnapshot(snap, config_, w);
+                    }});
   }
-
-  // Undo for the phases before the catalog publish: nothing published yet,
-  // so rollback is just deleting whatever new-version files exist (whether
-  // still temps or already renamed). A *crash* skips this — reopen sweeps
-  // the same files as stale.
-  std::vector<bool> renamed(pending.size(), false);
-  size_t written = 0;
-  auto unlink_new = [&]() {
-    for (size_t i = 0; i < written; i++) {
-      std::string path = TableFilePath(pending[i].name, pending[i].new_version);
-      ::unlink(renamed[i] ? path.c_str() : (path + ".tmp").c_str());
-    }
-  };
-
-  // Phase 1: merge each table's deltas into `<name>.v<N+1>.tmp`, synced.
-  for (Pending& p : pending) {
-    Status s;
-    if (failpoint::Armed()) s = failpoint::Check("ckpt.table");
-    std::string tmp = TableFilePath(p.name, p.new_version) + ".tmp";
-    if (s.ok()) {
-      written++;  // the writer may leave a partial temp behind on error
-      s = WriteMergedTableLocked(p.st, tmp);
-    }
-    if (!s.ok()) {
-      unlink_new();
-      return s;
-    }
-  }
-
-  // Phase 2: rename temps into place and make the renames durable.
-  for (size_t i = 0; i < pending.size(); i++) {
-    Status s;
-    if (failpoint::Armed()) s = failpoint::Check("ckpt.rename");
-    std::string path = TableFilePath(pending[i].name, pending[i].new_version);
-    std::string tmp = path + ".tmp";
-    if (s.ok() && ::rename(tmp.c_str(), path.c_str()) != 0) {
-      s = Status::IOError("rename " + tmp + ": " +
-                          std::string(std::strerror(errno)));
-    }
-    if (!s.ok()) {
-      unlink_new();
-      return s;
-    }
-    renamed[i] = true;
-  }
-  if (!pending.empty()) {
-    Status s = SyncDir(dir_);
-    if (!s.ok()) {
-      unlink_new();
-      return s;
-    }
-  }
-
-  // Phase 3: the commit point. Bumping the epoch and saving the catalog
-  // (itself tmp+rename) atomically switches recovery from "old files + full
-  // WAL replay" to "new files + skip old-epoch records".
-  {
-    Status s;
-    if (failpoint::Armed()) s = failpoint::Check("ckpt.publish");
-    if (s.ok()) {
-      for (Pending& p : pending) p.st->file_version = p.new_version;
-      wal_epoch_++;
-      s = SaveCatalogLocked();
-      if (!s.ok()) {
-        wal_epoch_--;
-        for (Pending& p : pending) p.st->file_version = p.old_version;
-      }
-    }
-    if (!s.ok()) {
-      unlink_new();
-      return s;
-    }
-  }
-
-  // Phase 4: swap the new versions in and drop what they absorbed. An open
-  // failure here leaves the old in-memory file + retained PDTs, which view
-  // to the same contents the new file holds — still consistent.
-  for (Pending& p : pending) {
-    VWISE_RETURN_IF_ERROR(OpenTableFileLocked(p.st));
-    p.st->committed = nullptr;
-    ::unlink(TableFilePath(p.name, p.old_version).c_str());
-  }
+  // The bumped epoch makes recovery skip the WAL's records: the new
+  // versions hold their deltas.
+  VWISE_RETURN_IF_ERROR(PublishVersionsLocked(jobs, wal_epoch_ + 1));
+  for (PublishJob& job : jobs) job.st->committed = nullptr;
   for (auto& [name, st] : tables_) {
     (void)name;
     st.commit_log.clear();
   }
 
-  // Phase 5: the WAL's records are all pre-publish now; empty it. A failure
-  // or crash here only costs recovery the work of skipping them.
+  // The WAL's records are all pre-publish now; empty it. A failure or crash
+  // here only costs recovery the work of skipping them.
   VWISE_FAILPOINT("ckpt.reset");
   VWISE_RETURN_IF_ERROR(wal_->Reset());
   VWISE_FAILPOINT("ckpt.done");

@@ -88,12 +88,13 @@ class TransactionManager {
 
   ~TransactionManager();
 
-  // Creates an empty table (durably recorded in the catalog).
+  // Creates an empty table: publishes version 0 (see PublishVersionsLocked).
   Status CreateTable(const TableSchema& schema, const ColumnGroups& groups)
       VWISE_EXCLUDES(mu_);
 
-  // Bulk-loads the initial version of `table` by streaming rows into the
-  // provided writer callback. Only valid while the table is empty.
+  // Bulk-loads the next version of `table` by streaming rows into the
+  // provided writer callback. Only valid while the table is empty. On error
+  // nothing is published: the table stays empty, also after reopen.
   Status BulkLoad(const std::string& table,
                   const std::function<Status(TableWriter*)>& fill)
       VWISE_EXCLUDES(mu_);
@@ -113,22 +114,13 @@ class TransactionManager {
   Status Commit(Transaction* txn) VWISE_EXCLUDES(mu_);
   void Abort(Transaction* txn) VWISE_EXCLUDES(mu_);
 
-  // Merges every table's committed deltas into new version files, then
-  // truncates the WAL.
-  //
-  // Crash-safe publication protocol (every step is a failpoint site):
-  //   1. ckpt.table    write each merged version to `<table>.v<N+1>.tmp`,
-  //                    synced (TableWriter::Finish)
-  //   2. ckpt.rename   atomically rename temps into place, fsync the dir
-  //   3. ckpt.publish  bump the WAL epoch and save the catalog (itself
-  //                    tmp+rename) — the single atomic commit point
-  //   4.               swap in new files, drop merged PDTs, unlink old
-  //                    versions
-  //   5. ckpt.reset    truncate the WAL; ckpt.done
-  // A crash before 3 recovers from the old catalog + full WAL replay (new
-  // files are swept as stale on reopen); a crash after 3 recovers from the
-  // new catalog, skipping the WAL's old-epoch records, whose deltas the new
-  // files already contain.
+  // Publishes, for every table with committed deltas, a new version holding
+  // the scan's merge of stable image and deltas, at a bumped WAL epoch; then
+  // drops the merged PDTs and truncates the WAL (ckpt.begin, ckpt.reset and
+  // ckpt.done bracket the publish). A crash before the catalog commit point
+  // recovers from the old catalog + full WAL replay; a crash after it
+  // recovers from the new catalog, skipping the WAL's old-epoch records,
+  // whose deltas the new files already contain.
   Status Checkpoint() VWISE_EXCLUDES(mu_);
 
   const Config& config() const { return config_; }
@@ -179,10 +171,25 @@ class TransactionManager {
   Status LoadCatalogLocked() VWISE_REQUIRES(mu_);
   Status RecoverLocked() VWISE_REQUIRES(mu_);
   Status OpenTableFileLocked(TableState* st) VWISE_REQUIRES(mu_);
-  // Streams the merge of stable + committed deltas into a new version file
-  // at `path` (synced on Finish); publication is the caller's job.
-  Status WriteMergedTableLocked(TableState* st, const std::string& path)
-      VWISE_REQUIRES(mu_);
+
+  // One new table version: `fill` streams its rows into the writer.
+  struct PublishJob {
+    TableState* st;
+    std::function<Status(TableWriter*)> fill;
+  };
+  // The one crash-safe publication protocol for new table versions (create,
+  // bulk load, checkpoint). A table without an open file publishes version
+  // 0, any other version N+1. Each phase keeps its failpoint site:
+  //   1. ckpt.table    write every `<table>.v<N>.tmp`, synced by Finish
+  //   2. ckpt.rename   rename the temps into place, fsync the dir, open the
+  //                    new files — nothing after the commit point can fail
+  //   3. ckpt.publish  save the catalog with the new versions and `epoch`
+  //                    (itself tmp+rename): the single atomic commit point
+  //   4.               swap in the new files, unlink the old versions
+  // An error before 3 unlinks the new files and changes nothing; a crash
+  // before 3 leaves them to CleanStaleFilesLocked on reopen.
+  Status PublishVersionsLocked(const std::vector<PublishJob>& jobs,
+                               uint64_t epoch) VWISE_REQUIRES(mu_);
   // Removes *.tmp litter and version files the catalog doesn't reference —
   // what a crash mid-checkpoint/bulk-load leaves behind.
   Status CleanStaleFilesLocked() VWISE_REQUIRES(mu_);

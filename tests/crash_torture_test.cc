@@ -63,10 +63,11 @@ Status OpenDb(const std::string& dir, const Config& cfg, Db* db) {
   return Status::OK();
 }
 
-// Reads the full visible contents of table "t" (two int64 columns) through
+// Reads the full visible contents of `table` (two int64 columns) through
 // the stable file + PDT merge path.
-Status Materialize(TransactionManager* mgr, Rows* out) {
-  auto snap = mgr->GetSnapshot("t");
+Status Materialize(TransactionManager* mgr, Rows* out,
+                   const std::string& table = "t") {
+  auto snap = mgr->GetSnapshot(table);
   if (!snap.ok()) return snap.status();
   TableFile* tf = snap->stable.get();
   Rows stable;
@@ -213,23 +214,38 @@ Status ApplyToDb(TransactionManager* mgr, const std::vector<Op>& plan) {
   return mgr->Commit(txn.get());
 }
 
-// Creates table "t", bulk-loads `n` rows (id=i, val=i), seeds the shadow.
-Status SeedDb(TransactionManager* mgr, int n, Rows* shadow,
-              int64_t* id_counter) {
-  TableSchema t("t", {ColumnDef("id", DataType::Int64()),
-                      ColumnDef("val", DataType::Int64())});
-  Status s = mgr->CreateTable(t, ColumnGroups::Dsm(2));
-  if (!s.ok()) return s;
-  s = mgr->BulkLoad("t", [n](TableWriter* w) -> Status {
+// Creates `table` with the two int64 columns (id, val).
+Status CreateTwoColumnTable(TransactionManager* mgr, const std::string& table) {
+  TableSchema t(table, {ColumnDef("id", DataType::Int64()),
+                        ColumnDef("val", DataType::Int64())});
+  return mgr->CreateTable(t, ColumnGroups::Dsm(2));
+}
+
+// Bulk-loads `n` rows (id=i, val=i) into `table`.
+Status LoadRows(TransactionManager* mgr, const std::string& table, int n) {
+  return mgr->BulkLoad(table, [n](TableWriter* w) -> Status {
     for (int i = 0; i < n; i++) {
       Status st = w->AppendRow({Value::Int(i), Value::Int(i)});
       if (!st.ok()) return st;
     }
     return Status::OK();
   });
+}
+
+Rows LoadedRows(int n) {
+  Rows rows;
+  for (int i = 0; i < n; i++) rows.push_back({i, i});
+  return rows;
+}
+
+// Creates table "t", bulk-loads `n` rows (id=i, val=i), seeds the shadow.
+Status SeedDb(TransactionManager* mgr, int n, Rows* shadow,
+              int64_t* id_counter) {
+  Status s = CreateTwoColumnTable(mgr, "t");
   if (!s.ok()) return s;
-  shadow->clear();
-  for (int i = 0; i < n; i++) shadow->push_back({i, i});
+  s = LoadRows(mgr, "t", n);
+  if (!s.ok()) return s;
+  *shadow = LoadedRows(n);
   *id_counter = n;
   return Status::OK();
 }
@@ -255,12 +271,17 @@ class CrashTortureTest : public ::testing::Test {
 
 struct CrashSite {
   const char* spec;    // failpoint arm spec, always a crash mode
-  bool via_commit;     // trigger with a commit (else with a checkpoint)
+  bool via_commit;     // trigger with a commit (else see via_bulk_load)
+  // Trigger with a bulk load of a second, freshly created table "b" (else
+  // with a checkpoint).
+  bool via_bulk_load = false;
 };
 
-// Every armed point in the commit and checkpoint sequences. Commit crashes
-// may lose or keep the in-flight transaction (both are consistent states);
-// checkpoint crashes must be invisible — a checkpoint only reorganizes.
+// Every armed point in the commit, checkpoint and bulk-load sequences.
+// Commit crashes may lose or keep the in-flight transaction (both are
+// consistent states); checkpoint crashes must be invisible — a checkpoint
+// only reorganizes; a bulk-load crash leaves "b" empty or fully loaded and
+// never touches "t".
 const CrashSite kSweep[] = {
     {"wal.append=crash", true},      // before the record is durable
     {"wal.sync=crash", true},        // record written, not yet acknowledged
@@ -279,7 +300,21 @@ const CrashSite kSweep[] = {
     {"ckpt.reset=crash", false},     // published, WAL not yet truncated
     {"wal.truncate=crash", false},   // inside the WAL reset itself
     {"ckpt.done=crash", false},      // fully complete
+    // A bulk load publishes through the same routine as a checkpoint.
+    {"ckpt.table=crash", false, true},
+    {"table.create=crash", false, true},
+    {"table.append=crash", false, true},
+    {"table.sync=crash", false, true},
+    {"ckpt.rename=crash", false, true},
+    {"table.open=crash", false, true},   // opening the renamed new version
+    {"table.read=crash", false, true},   // reading its footer
+    {"catalog.create=crash", false, true},
+    {"catalog.append=crash", false, true},
+    {"catalog.sync=crash", false, true},
+    {"ckpt.publish=crash", false, true},
 };
+
+constexpr int kBulkLoadRows = 150;  // three stripes: several table.append hits
 
 TEST_F(CrashTortureTest, SweepEveryCrashSiteRecoversBitIdentically) {
   Config cfg = TortureConfig();
@@ -309,6 +344,9 @@ TEST_F(CrashTortureTest, SweepEveryCrashSiteRecoversBitIdentically) {
       ApplyToShadow(&shadow, plan);
     }
 
+    if (site.via_bulk_load) {
+      ASSERT_TRUE(CreateTwoColumnTable(db.mgr.get(), "b").ok());
+    }
     ASSERT_TRUE(failpoint::Arm(site.spec).ok());
     std::vector<Op> crash_plan;
     bool crashed = false;
@@ -316,6 +354,8 @@ TEST_F(CrashTortureTest, SweepEveryCrashSiteRecoversBitIdentically) {
       if (site.via_commit) {
         crash_plan = MakePlan(&rng, shadow.size(), &id_counter);
         (void)ApplyToDb(db.mgr.get(), crash_plan);
+      } else if (site.via_bulk_load) {
+        (void)LoadRows(db.mgr.get(), "b", kBulkLoadRows);
       } else {
         (void)db.mgr->Checkpoint();
       }
@@ -350,7 +390,8 @@ TEST_F(CrashTortureTest, SweepEveryCrashSiteRecoversBitIdentically) {
           << ", expected " << Describe(shadow) << " or " << Describe(with);
       if (after) shadow = with;
     } else {
-      // A checkpoint is content-preserving: recovery must be exact.
+      // A checkpoint is content-preserving, a bulk load of "b" leaves "t"
+      // alone: recovery must be exact.
       if (recovered != shadow) {
         DumpArtifacts(dbdir, std::string("sweep-") + site.spec,
                       std::string(site.spec) + "\nexpected " +
@@ -359,6 +400,17 @@ TEST_F(CrashTortureTest, SweepEveryCrashSiteRecoversBitIdentically) {
       ASSERT_EQ(recovered, shadow)
           << site.spec << ": recovered " << Describe(recovered)
           << ", expected " << Describe(shadow);
+    }
+    if (site.via_bulk_load) {
+      // The load either fully happened or never did; an empty table still
+      // accepts it.
+      Rows loaded;
+      ASSERT_TRUE(Materialize(db.mgr.get(), &loaded, "b").ok());
+      ASSERT_TRUE(loaded.empty() || loaded == LoadedRows(kBulkLoadRows))
+          << site.spec << ": table b holds " << Describe(loaded);
+      if (loaded.empty()) {
+        ASSERT_TRUE(LoadRows(db.mgr.get(), "b", kBulkLoadRows).ok());
+      }
     }
 
     // Liveness: the recovered database keeps accepting work.
@@ -369,6 +421,34 @@ TEST_F(CrashTortureTest, SweepEveryCrashSiteRecoversBitIdentically) {
     ASSERT_TRUE(Materialize(db.mgr.get(), &recovered).ok());
     ASSERT_EQ(recovered, shadow) << site.spec;
   }
+}
+
+// A bulk load that returns an error must not be published: the table stays
+// empty in memory and after reopen. Failing the open of the new version
+// exercises the last step before the catalog commit point.
+TEST_F(CrashTortureTest, FailedBulkLoadIsNotDurable) {
+  Config cfg = TortureConfig();
+  std::string dbdir = dir_ + "/failed_load";
+  Db db;
+  ASSERT_TRUE(OpenDb(dbdir, cfg, &db).ok());
+  ASSERT_TRUE(CreateTwoColumnTable(db.mgr.get(), "t").ok());
+  ASSERT_TRUE(failpoint::Arm("table.open=err:EIO,count:1").ok());
+  Status s = LoadRows(db.mgr.get(), "t", 100);
+  failpoint::DisarmAll();
+  EXPECT_EQ(s.code(), StatusCode::kIOError) << s.ToString();
+
+  Rows rows;
+  ASSERT_TRUE(Materialize(db.mgr.get(), &rows).ok());
+  EXPECT_TRUE(rows.empty()) << Describe(rows);
+  ASSERT_TRUE(OpenDb(dbdir, cfg, &db).ok());
+  ASSERT_TRUE(Materialize(db.mgr.get(), &rows).ok());
+  EXPECT_TRUE(rows.empty()) << "after reopen: " << Describe(rows);
+
+  // The table still takes the load.
+  ASSERT_TRUE(LoadRows(db.mgr.get(), "t", 100).ok());
+  ASSERT_TRUE(OpenDb(dbdir, cfg, &db).ok());
+  ASSERT_TRUE(Materialize(db.mgr.get(), &rows).ok());
+  EXPECT_EQ(rows, LoadedRows(100));
 }
 
 // --- Randomized monkey mode -------------------------------------------------

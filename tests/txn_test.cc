@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "gtest/gtest.h"
 #include "txn/transaction_manager.h"
 
@@ -37,13 +38,15 @@ class TxnTest : public ::testing::Test {
     mgr_ = std::move(*mgr);
   }
 
-  void CreateAccounts(int64_t n) {
-    TableSchema schema("accounts", {ColumnDef("id", DataType::Int64()),
-                                    ColumnDef("balance", DataType::Int64()),
-                                    ColumnDef("owner", DataType::Varchar())});
+  // Creates an accounts-shaped table; n == 0 leaves the empty version 0.
+  void CreateAccounts(int64_t n, const std::string& name = "accounts") {
+    TableSchema schema(name, {ColumnDef("id", DataType::Int64()),
+                              ColumnDef("balance", DataType::Int64()),
+                              ColumnDef("owner", DataType::Varchar())});
     ASSERT_TRUE(mgr_->CreateTable(schema, ColumnGroups::Dsm(3)).ok());
+    if (n == 0) return;
     ASSERT_TRUE(mgr_
-                    ->BulkLoad("accounts",
+                    ->BulkLoad(name,
                                [&](TableWriter* w) -> Status {
                                  for (int64_t i = 0; i < n; i++) {
                                    std::string owner = "u";
@@ -337,6 +340,84 @@ TEST_F(TxnTest, CheckpointMergesAndSurvivesReopen) {
   EXPECT_EQ(rows[49][0].AsInt(), 50);
   EXPECT_EQ(rows[49][1].AsInt(), 5000);
   EXPECT_EQ(rows[99][2].AsString(), "z");
+
+  // Seeded random commits over every merge case (stripes of 64 rows): a
+  // deleted whole stripe, inserts mid-table and at the end, int and string
+  // modifies, random deletes and the deleted last row. Two edge tables ride
+  // along in the same checkpoint: an empty stable image with only inserts,
+  // and a table with every row deleted.
+  CreateAccounts(0, "inserts_only");
+  CreateAccounts(70, "all_deleted");
+  {
+    auto txn = mgr_->Begin();
+    for (int i = 0; i < 64; i++) ASSERT_TRUE(txn->Delete("accounts", 0).ok());
+    for (int i = 0; i < 70; i++) ASSERT_TRUE(txn->Delete("all_deleted", 0).ok());
+    ASSERT_TRUE(mgr_->Commit(txn.get()).ok());
+  }
+  Rng rng(14);
+  uint64_t n = 36;  // visible rows of "accounts"
+  uint64_t n_inserts_only = 0;
+  for (int round = 0; round < 40; round++) {
+    auto txn = mgr_->Begin();
+    for (int op = 0; op < 5; op++) {
+      int64_t v = static_cast<int64_t>(rng.Next() % 100000);
+      Row row = {Value::Int(1000 + v), Value::Int(v),
+                 Value::String("r" + std::to_string(v))};
+      switch (rng.Next() % 5) {
+        case 0:
+          ASSERT_TRUE(txn->Insert("accounts", rng.Next() % (n + 1), row).ok());
+          n++;
+          break;
+        case 1:
+          ASSERT_TRUE(txn->Append("accounts", row).ok());
+          n++;
+          break;
+        case 2:
+          ASSERT_TRUE(txn->Modify("accounts", rng.Next() % n, 1, row[1]).ok());
+          break;
+        case 3:
+          ASSERT_TRUE(txn->Modify("accounts", rng.Next() % n, 2, row[2]).ok());
+          break;
+        case 4:
+          ASSERT_TRUE(txn->Delete("accounts", rng.Next() % n).ok());
+          n--;
+          break;
+      }
+    }
+    Row row = {Value::Int(round), Value::Int(round),
+               Value::String("i" + std::to_string(round))};
+    ASSERT_TRUE(txn->Insert("inserts_only", rng.Next() % (n_inserts_only + 1),
+                            row)
+                    .ok());
+    n_inserts_only++;
+    ASSERT_TRUE(mgr_->Commit(txn.get()).ok());
+  }
+  {
+    auto txn = mgr_->Begin();
+    ASSERT_TRUE(txn->Delete("accounts", n - 1).ok());
+    ASSERT_TRUE(mgr_->Commit(txn.get()).ok());
+  }
+
+  const char* tables[] = {"accounts", "inserts_only", "all_deleted"};
+  std::vector<std::vector<Row>> before;
+  for (const char* t : tables) {
+    before.push_back(VisibleRows(*mgr_->GetSnapshot(t)));
+  }
+  EXPECT_EQ(before[0].size(), n - 1);
+  EXPECT_EQ(before[1].size(), n_inserts_only);
+  EXPECT_TRUE(before[2].empty());
+  ASSERT_TRUE(mgr_->Checkpoint().ok());
+  for (size_t i = 0; i < 3; i++) {
+    SCOPED_TRACE(tables[i]);
+    auto snap = mgr_->GetSnapshot(tables[i]);
+    EXPECT_TRUE(snap->deltas == nullptr || snap->deltas->empty());
+    EXPECT_EQ(VisibleRows(*snap), before[i]);
+  }
+  ReopenManager();
+  for (size_t i = 0; i < 3; i++) {
+    SCOPED_TRACE(tables[i]);
+    EXPECT_EQ(VisibleRows(*mgr_->GetSnapshot(tables[i])), before[i]);
+  }
 }
 
 TEST_F(TxnTest, CatalogPersistsSchemas) {
