@@ -19,7 +19,8 @@
 //     mu_ held (the DoThingLocked() convention becomes checked, not named);
 //   * every function annotated VWISE_EXCLUDES(mu_) is never called with
 //     mu_ held (self-deadlock on a non-recursive mutex becomes a compile
-//     error).
+//     error);
+//   * two mutexes related by VWISE_ACQUIRED_BEFORE are taken in that order.
 //
 // The analysis only understands capabilities it can see, so raw std::mutex /
 // std::lock_guard / std::unique_lock are forbidden outside this header
@@ -50,6 +51,11 @@
 #define VWISE_GUARDED_BY(x) VWISE_THREAD_ANNOTATION_(guarded_by(x))
 // Pointer members: the pointed-to data (not the pointer) is guarded by `x`.
 #define VWISE_PT_GUARDED_BY(x) VWISE_THREAD_ANNOTATION_(pt_guarded_by(x))
+
+// Mutex members: lock order. Whenever both are held, this mutex was taken
+// before `x` (checked under -Wthread-safety-beta).
+#define VWISE_ACQUIRED_BEFORE(...) \
+  VWISE_THREAD_ANNOTATION_(acquired_before(__VA_ARGS__))
 
 // Functions: caller must hold the capability (the *Locked() helpers).
 #define VWISE_REQUIRES(...) \

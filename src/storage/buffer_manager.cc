@@ -114,4 +114,18 @@ void BufferManager::EvictAll() {
   }
 }
 
+void BufferManager::DropFile(uint64_t file_id) {
+  MutexLock lock(&mu_);
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    if (it->file_id != file_id) {
+      ++it;
+      continue;
+    }
+    auto eit = entries_.find(*it);
+    bytes_cached_ -= eit->second.buffer->capacity();
+    entries_.erase(eit);
+    it = lru_.erase(it);
+  }
+}
+
 }  // namespace vwise

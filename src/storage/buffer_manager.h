@@ -68,6 +68,16 @@ class BufferManager {
   // Drops every unpinned entry (tests, table drops).
   void EvictAll() VWISE_EXCLUDES(mu_);
 
+  // Drops every entry of `file_id`, pinned or not: called when the file's
+  // last reader is gone (a table version a checkpoint superseded), so none
+  // of its blobs can hit again. A pinned buffer stays valid for its holder
+  // through the shared_ptr; only the cache lets go of it.
+  void DropFile(uint64_t file_id) VWISE_EXCLUDES(mu_);
+
+  // Expires with the pool. A table file checks it before DropFile: a
+  // snapshot or plan may hold the file past its database.
+  std::weak_ptr<const void> alive() const { return alive_; }
+
  private:
   struct Key {
     uint64_t file_id;
@@ -90,6 +100,7 @@ class BufferManager {
   void EvictLocked() VWISE_REQUIRES(mu_);
 
   size_t capacity_bytes_;
+  const std::shared_ptr<const void> alive_ = std::make_shared<char>(0);
   mutable Mutex mu_;
   std::unordered_map<Key, Entry, KeyHash> entries_ VWISE_GUARDED_BY(mu_);
   std::list<Key> lru_ VWISE_GUARDED_BY(mu_);  // front = most recent

@@ -303,6 +303,7 @@ Result<std::unique_ptr<TableFile>> TableFile::Open(const std::string& path,
   tf->schema_ = schema;
   tf->file_ = std::move(file);
   tf->buffers_ = buffers;
+  if (buffers != nullptr) tf->buffers_alive_ = buffers->alive();
 
   FooterReader r(footer.data(), footer.size());
   VWISE_RETURN_IF_ERROR(r.Get(&tf->row_count_));
@@ -377,6 +378,12 @@ Result<std::unique_ptr<TableFile>> TableFile::Open(const std::string& path,
     return Status::Corruption("stripe row counts disagree with total");
   }
   return tf;
+}
+
+TableFile::~TableFile() {
+  if (file_ != nullptr && !buffers_alive_.expired()) {
+    buffers_->DropFile(file_id());
+  }
 }
 
 Status TableFile::ReadStripeColumn(size_t stripe, uint32_t col,

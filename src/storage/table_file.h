@@ -117,6 +117,9 @@ class TableFile {
                                                  const TableSchema& schema,
                                                  IoDevice* device,
                                                  BufferManager* buffers);
+  // Drops the file's blobs from the buffer manager, if it still exists:
+  // with the last reader of this version gone, they can never hit again.
+  ~TableFile();
 
   uint64_t row_count() const { return row_count_; }
   size_t stripe_count() const { return stripes_.size(); }
@@ -153,6 +156,7 @@ class TableFile {
   std::vector<uint32_t> col_to_group_;
   std::unique_ptr<IoFile> file_;
   BufferManager* buffers_ = nullptr;
+  std::weak_ptr<const void> buffers_alive_;  // BufferManager::alive()
   uint64_t row_count_ = 0;
   std::vector<StripeInfo> stripes_;
   std::vector<uint64_t> stripe_start_;

@@ -354,66 +354,92 @@ Status TransactionManager::CleanStaleFilesLocked() {
 
 Status TransactionManager::CreateTable(const TableSchema& schema,
                                        const ColumnGroups& groups) {
-  MutexLock lock(&mu_);
-  if (tables_.count(schema.name()) > 0) {
-    return Status::AlreadyExists("table " + schema.name());
+  MutexLock publish(&publish_mu_);
+  {
+    MutexLock lock(&mu_);
+    if (tables_.count(schema.name()) > 0) {
+      return Status::AlreadyExists("table " + schema.name());
+    }
   }
-  TableState& st = tables_[schema.name()];
-  st.schema = schema;
-  st.groups = groups;
-  Status s = PublishVersionsLocked(
-      {{&st, [](TableWriter*) { return Status::OK(); }}}, wal_epoch_);
+  TableState created;
+  created.schema = schema;
+  created.groups = groups;
+  std::vector<PublishJob> jobs = {
+      {&created, [](TableWriter*) { return Status::OK(); }}};
+  VWISE_RETURN_IF_ERROR(WriteVersions(jobs));
+  // Inserted and published in one critical section: no reader ever sees the
+  // table without its version 0.
+  MutexLock lock(&mu_);
+  jobs[0].st = &tables_.emplace(schema.name(), std::move(created)).first->second;
+  Status s = InstallVersionsLocked(jobs, wal_epoch_);
   if (!s.ok()) tables_.erase(schema.name());  // the table never existed
   return s;
 }
 
 Status TransactionManager::BulkLoad(
     const std::string& table, const std::function<Status(TableWriter*)>& fill) {
-  MutexLock lock(&mu_);
-  auto it = tables_.find(table);
-  if (it == tables_.end()) return Status::NotFound("table " + table);
-  TableState& st = it->second;
-  if (st.stable->row_count() > 0 || (st.committed && !st.committed->empty())) {
-    return Status::InvalidArgument("bulk load requires an empty table");
+  MutexLock publish(&publish_mu_);
+  std::vector<PublishJob> jobs;
+  {
+    MutexLock lock(&mu_);
+    auto it = tables_.find(table);
+    if (it == tables_.end()) return Status::NotFound("table " + table);
+    TableState& st = it->second;
+    if (st.stable->row_count() > 0 || (st.committed && !st.committed->empty())) {
+      return Status::InvalidArgument("bulk load requires an empty table");
+    }
+    jobs.push_back({&st, fill});
   }
-  return PublishVersionsLocked({{&st, fill}}, wal_epoch_);
+  VWISE_RETURN_IF_ERROR(WriteVersions(jobs));
+  MutexLock lock(&mu_);
+  return InstallVersionsLocked(jobs, wal_epoch_);
 }
 
-Status TransactionManager::PublishVersionsLocked(
+Status TransactionManager::WriteVersions(const std::vector<PublishJob>& jobs) {
+  std::vector<std::string> temps;
+  for (const PublishJob& job : jobs) {
+    temps.push_back(
+        TableFilePath(job.st->schema.name(), NextFileVersion(*job.st)) + ".tmp");
+  }
+  for (size_t i = 0; i < jobs.size(); i++) {
+    Status s;
+    if (failpoint::Armed()) s = failpoint::Check("ckpt.table");
+    if (s.ok()) {
+      TableWriter writer(jobs[i].st->schema, jobs[i].st->groups, config_,
+                         temps[i], device_);
+      s = jobs[i].fill(&writer);
+      if (s.ok()) s = writer.Finish();
+    }
+    if (!s.ok()) {
+      // Nothing is published yet: rollback is deleting the temps, this one
+      // included (the writer may leave a partial one behind). A *crash*
+      // skips this — reopen sweeps the same files as stale.
+      for (size_t j = 0; j <= i; j++) ::unlink(temps[j].c_str());
+      return s;
+    }
+  }
+  return Status::OK();
+}
+
+Status TransactionManager::InstallVersionsLocked(
     const std::vector<PublishJob>& jobs, uint64_t epoch) {
   std::vector<uint64_t> versions;
   std::vector<std::string> paths;
   for (const PublishJob& job : jobs) {
-    versions.push_back(job.st->stable ? job.st->file_version + 1 : 0);
+    versions.push_back(NextFileVersion(*job.st));
     paths.push_back(TableFilePath(job.st->schema.name(), versions.back()));
   }
 
-  // Undo before the commit point: nothing is published yet, so rollback is
-  // deleting whatever new-version files exist (temps or already renamed). A
-  // *crash* skips this — reopen sweeps the same files as stale.
-  size_t written = 0;
+  // Undo before the commit point: delete the new-version files, renamed or
+  // still temps.
   size_t renamed = 0;
   auto undo = [&](Status s) {
-    for (size_t i = 0; i < written; i++) {
+    for (size_t i = 0; i < paths.size(); i++) {
       std::string path = i < renamed ? paths[i] : paths[i] + ".tmp";
       ::unlink(path.c_str());
     }
     return s;
   };
-
-  // Phase 1: write each version to `<name>.v<N>.tmp`, synced by Finish.
-  for (size_t i = 0; i < jobs.size(); i++) {
-    Status s;
-    if (failpoint::Armed()) s = failpoint::Check("ckpt.table");
-    if (s.ok()) {
-      written++;  // the writer may leave a partial temp behind on error
-      TableWriter writer(jobs[i].st->schema, jobs[i].st->groups, config_,
-                         paths[i] + ".tmp", device_);
-      s = jobs[i].fill(&writer);
-      if (s.ok()) s = writer.Finish();
-    }
-    if (!s.ok()) return undo(s);
-  }
 
   // Phase 2: rename temps into place, make the renames durable, and open the
   // new versions while an error can still roll back.
@@ -523,6 +549,7 @@ void TransactionManager::Abort(Transaction* txn) {
 Status TransactionManager::Commit(Transaction* txn) {
   VWISE_CHECK_MSG(!txn->finished_, "transaction already finished");
   txn->finished_ = true;
+  MutexLock publish(&publish_mu_);
   MutexLock lock(&mu_);
 
   // Read-only transactions commit trivially.
@@ -541,6 +568,14 @@ Status TransactionManager::Commit(Transaction* txn) {
   for (auto& [name, pt] : txn->tables_) {
     if (pt.ops.empty()) continue;
     TableState& st = tables_.at(name);
+    // A checkpoint republished the table since the snapshot: the stable row
+    // ids resolved against the old image mean other rows in the new one, and
+    // the commit log that validated them went with it.
+    if (st.stable != pt.stable) {
+      n_aborts_++;
+      return Status::TransactionConflict(
+          "a checkpoint republished " + name + " since the snapshot");
+    }
     for (const CommitEntry& entry : st.commit_log) {
       if (entry.version <= pt.snapshot_version) continue;
       if (entry.touched_delta && pt.touched_delta) {
@@ -616,27 +651,41 @@ Status TransactionManager::Commit(Transaction* txn) {
 // ---------------------------------------------------------------------------
 
 Status TransactionManager::Checkpoint() {
-  MutexLock lock(&mu_);
+  MutexLock publish(&publish_mu_);
   VWISE_FAILPOINT("ckpt.begin");
   std::vector<PublishJob> jobs;
-  for (auto& [name, st] : tables_) {
-    (void)name;
-    if (!st.committed || st.committed->empty()) continue;
-    TableSnapshot snap;
-    snap.schema = &st.schema;
-    snap.stable = st.stable;
-    snap.deltas = st.committed;
-    jobs.push_back({&st, [this, snap](TableWriter* w) {
-                      return WriteSnapshot(snap, config_, w);
-                    }});
+  std::vector<std::shared_ptr<const Pdt>> merged;  // the deltas each holds
+  {
+    MutexLock lock(&mu_);
+    for (auto& [name, st] : tables_) {
+      (void)name;
+      if (!st.committed || st.committed->empty()) continue;
+      TableSnapshot snap;
+      snap.schema = &st.schema;
+      snap.stable = st.stable;
+      snap.deltas = st.committed;
+      merged.push_back(st.committed);
+      jobs.push_back({&st, [this, snap](TableWriter* w) {
+                        return WriteSnapshot(snap, config_, w);
+                      }});
+    }
   }
+  // Readers go on with the current versions while the merges are written;
+  // commits wait on publish_mu_, so no delta arrives that the new versions
+  // would miss.
+  VWISE_RETURN_IF_ERROR(WriteVersions(jobs));
+  MutexLock lock(&mu_);
   // The bumped epoch makes recovery skip the WAL's records: the new
   // versions hold their deltas.
-  VWISE_RETURN_IF_ERROR(PublishVersionsLocked(jobs, wal_epoch_ + 1));
-  for (PublishJob& job : jobs) job.st->committed = nullptr;
-  for (auto& [name, st] : tables_) {
-    (void)name;
-    st.commit_log.clear();
+  VWISE_RETURN_IF_ERROR(InstallVersionsLocked(jobs, wal_epoch_ + 1));
+  for (size_t i = 0; i < jobs.size(); i++) {
+    TableState* st = jobs[i].st;
+    VWISE_CHECK_MSG(st->committed == merged[i],
+                    "a commit ran during the checkpoint");
+    st->committed = nullptr;
+    // Only republished tables lose their log: the others' entries still
+    // validate against an unchanged stable image.
+    st->commit_log.clear();
   }
 
   // The WAL's records are all pre-publish now; empty it. A failure or crash

@@ -88,16 +88,17 @@ class TransactionManager {
 
   ~TransactionManager();
 
-  // Creates an empty table: publishes version 0 (see PublishVersionsLocked).
+  // Creates an empty table: publishes version 0 (see WriteVersions and
+  // InstallVersionsLocked). The table becomes visible at the commit point.
   Status CreateTable(const TableSchema& schema, const ColumnGroups& groups)
-      VWISE_EXCLUDES(mu_);
+      VWISE_EXCLUDES(publish_mu_, mu_);
 
   // Bulk-loads the next version of `table` by streaming rows into the
   // provided writer callback. Only valid while the table is empty. On error
   // nothing is published: the table stays empty, also after reopen.
   Status BulkLoad(const std::string& table,
                   const std::function<Status(TableWriter*)>& fill)
-      VWISE_EXCLUDES(mu_);
+      VWISE_EXCLUDES(publish_mu_, mu_);
 
   bool HasTable(const std::string& name) const VWISE_EXCLUDES(mu_);
   const TableSchema* GetSchema(const std::string& name) const
@@ -110,8 +111,10 @@ class TransactionManager {
 
   std::unique_ptr<Transaction> Begin() VWISE_EXCLUDES(mu_);
   // Validates and applies the transaction. On kTransactionConflict the
-  // transaction is rolled back and may be retried by the caller.
-  Status Commit(Transaction* txn) VWISE_EXCLUDES(mu_);
+  // transaction is rolled back and may be retried by the caller; that
+  // includes a transaction that wrote a table a checkpoint republished after
+  // the transaction's snapshot of it. Waits for a running checkpoint.
+  Status Commit(Transaction* txn) VWISE_EXCLUDES(publish_mu_, mu_);
   void Abort(Transaction* txn) VWISE_EXCLUDES(mu_);
 
   // Publishes, for every table with committed deltas, a new version holding
@@ -120,8 +123,9 @@ class TransactionManager {
   // ckpt.done bracket the publish). A crash before the catalog commit point
   // recovers from the old catalog + full WAL replay; a crash after it
   // recovers from the new catalog, skipping the WAL's old-epoch records,
-  // whose deltas the new files already contain.
-  Status Checkpoint() VWISE_EXCLUDES(mu_);
+  // whose deltas the new files already contain. Readers are not blocked
+  // while the new versions are written; commits wait for the checkpoint.
+  Status Checkpoint() VWISE_EXCLUDES(publish_mu_, mu_);
 
   const Config& config() const { return config_; }
   IoDevice* device() { return device_; }
@@ -177,19 +181,34 @@ class TransactionManager {
     TableState* st;
     std::function<Status(TableWriter*)> fill;
   };
+  // The version a job publishes: 0 for a table without an open file, else
+  // N+1.
+  static uint64_t NextFileVersion(const TableState& st) {
+    return st.stable ? st.file_version + 1 : 0;
+  }
   // The one crash-safe publication protocol for new table versions (create,
-  // bulk load, checkpoint). A table without an open file publishes version
-  // 0, any other version N+1. Each phase keeps its failpoint site:
-  //   1. ckpt.table    write every `<table>.v<N>.tmp`, synced by Finish
-  //   2. ckpt.rename   rename the temps into place, fsync the dir, open the
-  //                    new files — nothing after the commit point can fail
+  // bulk load, checkpoint), in two calls. Each phase keeps its failpoint
+  // site:
+  //   1. ckpt.table    WriteVersions: write every `<table>.v<N>.tmp`, synced
+  //                    by Finish
+  //   2. ckpt.rename   InstallVersionsLocked: rename the temps into place,
+  //                    fsync the dir, open the new files — nothing after the
+  //                    commit point can fail
   //   3. ckpt.publish  save the catalog with the new versions and `epoch`
   //                    (itself tmp+rename): the single atomic commit point
   //   4.               swap in the new files, unlink the old versions
   // An error before 3 unlinks the new files and changes nothing; a crash
   // before 3 leaves them to CleanStaleFilesLocked on reopen.
-  Status PublishVersionsLocked(const std::vector<PublishJob>& jobs,
-                               uint64_t epoch) VWISE_REQUIRES(mu_);
+  //
+  // Phase 1 is the expensive part and runs without mu_, so readers keep
+  // using the current versions meanwhile. It uses the jobs' TableStates
+  // without mu_: publish_mu_, held by every writer of a TableState
+  // (CreateTable, BulkLoad, Checkpoint, Commit), keeps them unchanged.
+  Status WriteVersions(const std::vector<PublishJob>& jobs)
+      VWISE_REQUIRES(publish_mu_) VWISE_EXCLUDES(mu_);
+  Status InstallVersionsLocked(const std::vector<PublishJob>& jobs,
+                               uint64_t epoch)
+      VWISE_REQUIRES(publish_mu_, mu_);
   // Removes *.tmp litter and version files the catalog doesn't reference —
   // what a crash mid-checkpoint/bulk-load leaves behind.
   Status CleanStaleFilesLocked() VWISE_REQUIRES(mu_);
@@ -199,6 +218,9 @@ class TransactionManager {
   IoDevice* device_;
   BufferManager* buffers_;
 
+  // Serializes the publishers and committers; always taken before mu_.
+  Mutex publish_mu_ VWISE_ACQUIRED_BEFORE(mu_);
+  // Guards the catalog state below; readers take only this one.
   mutable Mutex mu_;
   std::unique_ptr<Wal> wal_ VWISE_GUARDED_BY(mu_);
   std::map<std::string, TableState> tables_ VWISE_GUARDED_BY(mu_);

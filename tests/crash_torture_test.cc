@@ -1,9 +1,11 @@
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -63,13 +65,10 @@ Status OpenDb(const std::string& dir, const Config& cfg, Db* db) {
   return Status::OK();
 }
 
-// Reads the full visible contents of `table` (two int64 columns) through
+// Reads the full visible contents of a snapshot (two int64 columns) through
 // the stable file + PDT merge path.
-Status Materialize(TransactionManager* mgr, Rows* out,
-                   const std::string& table = "t") {
-  auto snap = mgr->GetSnapshot(table);
-  if (!snap.ok()) return snap.status();
-  TableFile* tf = snap->stable.get();
+Status MaterializeSnapshot(const TableSnapshot& snap, Rows* out) {
+  TableFile* tf = snap.stable.get();
   Rows stable;
   stable.reserve(tf->row_count());
   for (size_t s = 0; s < tf->stripe_count(); s++) {
@@ -84,7 +83,7 @@ Status Materialize(TransactionManager* mgr, Rows* out,
   }
   out->clear();
   Pdt empty;
-  const Pdt* pdt = snap->deltas ? snap->deltas.get() : &empty;
+  const Pdt* pdt = snap.deltas ? snap.deltas.get() : &empty;
   Pdt::MergeScanner scanner(*pdt, tf->row_count());
   Pdt::MergeEvent ev;
   while (scanner.Next(&ev, 4096)) {
@@ -110,6 +109,14 @@ Status Materialize(TransactionManager* mgr, Rows* out,
     }
   }
   return Status::OK();
+}
+
+// Reads the latest visible contents of `table`.
+Status Materialize(TransactionManager* mgr, Rows* out,
+                   const std::string& table = "t") {
+  auto snap = mgr->GetSnapshot(table);
+  if (!snap.ok()) return snap.status();
+  return MaterializeSnapshot(*snap, out);
 }
 
 std::string Describe(const Rows& rows, size_t limit = 6) {
@@ -347,7 +354,36 @@ TEST_F(CrashTortureTest, SweepEveryCrashSiteRecoversBitIdentically) {
     if (site.via_bulk_load) {
       ASSERT_TRUE(CreateTwoColumnTable(db.mgr.get(), "b").ok());
     }
+    // While a ckpt.* site fires, a reader holding the pre-publish snapshot
+    // of "t" scans it over and over (the publish writes its versions
+    // without blocking readers); every scan, including the ones after the
+    // crash, must return the same rows.
+    bool with_reader = std::string(site.spec).rfind("ckpt.", 0) == 0;
+    TableSnapshot held;
+    Rows held_rows;
+    if (with_reader) {
+      auto snap = db.mgr->GetSnapshot("t");
+      ASSERT_TRUE(snap.ok());
+      held = *snap;
+      ASSERT_TRUE(MaterializeSnapshot(held, &held_rows).ok());
+      ASSERT_EQ(held_rows, shadow);
+    }
     ASSERT_TRUE(failpoint::Arm(site.spec).ok());
+    std::atomic<bool> stop_reader{false};
+    std::atomic<int> reader_scans{0};
+    std::thread reader;
+    if (with_reader) {
+      reader = std::thread([&] {
+        while (!stop_reader) {
+          Rows rows;
+          Status s = MaterializeSnapshot(held, &rows);
+          EXPECT_TRUE(s.ok()) << s.ToString();
+          EXPECT_EQ(rows, held_rows) << site.spec;
+          reader_scans++;
+        }
+      });
+      while (reader_scans == 0) std::this_thread::yield();
+    }
     std::vector<Op> crash_plan;
     bool crashed = false;
     try {
@@ -364,6 +400,13 @@ TEST_F(CrashTortureTest, SweepEveryCrashSiteRecoversBitIdentically) {
     }
     EXPECT_TRUE(crashed) << "site never fired: " << site.spec;
     failpoint::DisarmAll();
+    if (with_reader) {
+      // At least one whole scan starts after the crash.
+      int scans_at_crash = reader_scans;
+      while (reader_scans < scans_at_crash + 2) std::this_thread::yield();
+      stop_reader = true;
+      reader.join();
+    }
     // Abandon the crashed instance. (Destroying it only closes file
     // descriptors — no destructor repairs on-disk state, so the directory
     // is exactly what the crash left behind.)

@@ -1,5 +1,9 @@
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <thread>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "tpch/generator.h"
@@ -137,6 +141,88 @@ TEST_F(TpchUpdatesTest, RefreshChangesAggregates) {
                 (snap->visible_rows() - (clean_lines - 50)));
   EXPECT_GT(snap->visible_rows(), static_cast<uint64_t>(clean_lines) - 50);
   EXPECT_GT(total, 0);
+}
+
+// Three query threads run the 22 queries while a writer loops RF1 (append
+// refresh orders with their lineitems) -> Checkpoint -> RF2 (delete those
+// rows again). The checkpoint writes its versions without blocking the
+// queries' snapshots. An answer whose snapshots saw no refresh rows must
+// equal the reference; the others must still succeed.
+TEST_F(TpchUpdatesTest, QueriesBesideRefreshCheckpointLoop) {
+  constexpr int kQueryThreads = 3;
+  constexpr int kCycles = 3;
+  std::vector<QueryResult> reference;
+  for (int q = 1; q <= 22; q++) reference.push_back(Run(q, 1024));
+
+  // Even while no refresh rows are visible: the writer makes it odd before
+  // RF1 commits and even again after RF2 commits.
+  std::atomic<uint64_t> refresh_gen{0};
+  std::atomic<int> compared{0};
+  std::atomic<bool> writer_done{false};
+  auto refresh_cycle = [&](int round) {
+    refresh_gen++;
+    int64_t n_orders = 0, n_lines = 0;
+    auto rf1 = mgr_->Begin();
+    ASSERT_TRUE(tpch::Generator(kSf)
+                    .RefreshOrders(
+                        round, 20,
+                        [&](const std::vector<Value>& row) {
+                          n_orders++;
+                          return rf1->Append("orders", row);
+                        },
+                        [&](const std::vector<Value>& row) {
+                          n_lines++;
+                          return rf1->Append("lineitem", row);
+                        })
+                    .ok());
+    ASSERT_TRUE(mgr_->Commit(rf1.get()).ok());
+    ASSERT_TRUE(mgr_->Checkpoint().ok());
+    // The refresh rows are the last rows of the new versions.
+    auto rf2 = mgr_->Begin();
+    for (auto [table, n] : {std::pair{"orders", n_orders},
+                            std::pair{"lineitem", n_lines}}) {
+      uint64_t rows = mgr_->GetSnapshot(table)->visible_rows();
+      for (int64_t i = 1; i <= n; i++) {
+        ASSERT_TRUE(rf2->Delete(table, rows - static_cast<uint64_t>(i)).ok());
+      }
+    }
+    ASSERT_TRUE(mgr_->Commit(rf2.get()).ok());
+    refresh_gen++;
+  };
+  std::thread writer([&] {
+    for (int cycle = 1; cycle <= kCycles; cycle++) {
+      refresh_cycle(cycle);
+      if (HasFatalFailure()) break;
+      // Let at least one answer be checked before the next RF1.
+      int seen = compared;
+      while (compared == seen) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    writer_done = true;
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kQueryThreads; t++) {
+    readers.emplace_back([&, t] {
+      for (int pass = 0; pass == 0 || !writer_done; pass++) {
+        for (int i = 0; i < 22; i++) {
+          int q = 1 + (i + 7 * t) % 22;
+          uint64_t gen_before = refresh_gen;
+          QueryResult r = Run(q, 1024);
+          if (gen_before % 2 == 0 && refresh_gen == gen_before) {
+            ExpectSameRows(reference[q - 1], r, q, 1e-7);
+            compared++;
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : readers) th.join();
+  writer.join();
+  EXPECT_GT(compared, 0);
+  for (int q = 1; q <= 22; q++) {
+    ExpectSameRows(reference[q - 1], Run(q, 1024), q, 1e-7);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/rng.h"
 #include "gtest/gtest.h"
 #include "txn/transaction_manager.h"
@@ -418,6 +419,137 @@ TEST_F(TxnTest, CheckpointMergesAndSurvivesReopen) {
     SCOPED_TRACE(tables[i]);
     EXPECT_EQ(VisibleRows(*mgr_->GetSnapshot(tables[i])), before[i]);
   }
+}
+
+// Regression: a checkpoint between a transaction's snapshot and its commit
+// cleared the commit log the validation reads, so a write to a row another
+// transaction had changed since the snapshot committed unchecked (a lost
+// update).
+TEST_F(TxnTest, CheckpointSinceSnapshotConflictsOnSameRow) {
+  CreateAccounts(6);
+  auto t1 = mgr_->Begin();
+  ASSERT_TRUE(t1->GetView("accounts").ok());  // t1's snapshot
+  auto t2 = mgr_->Begin();
+  ASSERT_TRUE(t2->Modify("accounts", 2, 1, Value::Int(20)).ok());
+  ASSERT_TRUE(mgr_->Commit(t2.get()).ok());
+  ASSERT_TRUE(mgr_->Checkpoint().ok());
+  ASSERT_TRUE(t1->Modify("accounts", 2, 1, Value::Int(10)).ok());
+  Status s = mgr_->Commit(t1.get());
+  EXPECT_TRUE(s.IsConflict()) << s.ToString();
+  EXPECT_EQ(VisibleRows(*mgr_->GetSnapshot("accounts"))[2][1].AsInt(), 20);
+}
+
+// Regression: the commit rebased the stable row ids of the transaction's
+// snapshot onto the checkpoint's new image, where they name other rows: the
+// write meant for id 5 landed on id 6.
+TEST_F(TxnTest, CheckpointSinceSnapshotConflictsOnShiftedRows) {
+  CreateAccounts(8);
+  auto t1 = mgr_->Begin();
+  ASSERT_TRUE(t1->GetView("accounts").ok());  // t1's snapshot
+  auto t2 = mgr_->Begin();
+  ASSERT_TRUE(t2->Delete("accounts", 0).ok());
+  ASSERT_TRUE(mgr_->Commit(t2.get()).ok());
+  ASSERT_TRUE(mgr_->Checkpoint().ok());
+  auto t3 = mgr_->Begin();
+  ASSERT_TRUE(t3->Modify("accounts", 0, 1, Value::Int(1)).ok());
+  ASSERT_TRUE(mgr_->Commit(t3.get()).ok());
+  ASSERT_TRUE(t1->Modify("accounts", 5, 1, Value::Int(555)).ok());  // id 5
+  Status s = mgr_->Commit(t1.get());
+  EXPECT_TRUE(s.IsConflict()) << s.ToString();
+  auto rows = VisibleRows(*mgr_->GetSnapshot("accounts"));
+  ASSERT_EQ(rows.size(), 7u);
+  for (const Row& row : rows) {
+    if (row[0].AsInt() == 1) continue;  // t3's row
+    EXPECT_EQ(row[1].AsInt(), 100) << "id " << row[0].AsInt();
+  }
+}
+
+// A checkpoint writes its new versions without the manager's mutex. Held in
+// that phase by a ckpt.table delay, it lets another thread's snapshot and
+// full scan finish first, on the pre-checkpoint rows, while a commit
+// started meanwhile waits for it and then lands on top of the new version.
+// (The commit writes a second table the checkpoint leaves alone: its
+// snapshot predates the checkpoint, so a write to "accounts" would
+// conflict.)
+TEST_F(TxnTest, CheckpointDoesNotBlockReaders) {
+  CreateAccounts(300);
+  CreateAccounts(10, "ledger");
+  {
+    auto txn = mgr_->Begin();
+    ASSERT_TRUE(txn->Modify("accounts", 70, 1, Value::Int(7000)).ok());
+    ASSERT_TRUE(txn->Delete("accounts", 3).ok());
+    ASSERT_TRUE(mgr_->Commit(txn.get()).ok());
+  }
+  auto pre = mgr_->GetSnapshot("accounts");
+  ASSERT_TRUE(pre.ok());
+  const std::vector<Row> pre_rows = VisibleRows(*pre);
+
+  ASSERT_TRUE(failpoint::Arm("ckpt.table=delay:1500000").ok());
+  std::atomic<bool> ckpt_done{false};
+  Status ckpt_status;
+  std::thread checkpointer([&] {
+    ckpt_status = mgr_->Checkpoint();
+    ckpt_done = true;
+  });
+  while (failpoint::Hits("ckpt.table") == 0) std::this_thread::yield();
+
+  std::atomic<bool> commit_done{false};
+  Status commit_status;
+  std::thread committer([&] {
+    auto txn = mgr_->Begin();
+    commit_status = txn->Modify("ledger", 4, 1, Value::Int(44));
+    if (commit_status.ok()) commit_status = mgr_->Commit(txn.get());
+    commit_done = true;
+  });
+
+  // No ASSERT until both threads are joined.
+  auto during = mgr_->GetSnapshot("accounts");
+  EXPECT_EQ(during->stable, pre->stable);
+  EXPECT_EQ(VisibleRows(*during), pre_rows);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(ckpt_done) << "the reader waited for the checkpoint";
+  EXPECT_FALSE(commit_done) << "the commit did not wait for the checkpoint";
+
+  checkpointer.join();
+  committer.join();
+  failpoint::DisarmAll();
+  ASSERT_TRUE(ckpt_status.ok()) << ckpt_status.ToString();
+  ASSERT_TRUE(commit_status.ok()) << commit_status.ToString();
+  auto after = mgr_->GetSnapshot("accounts");
+  EXPECT_NE(after->stable, pre->stable);
+  EXPECT_TRUE(after->deltas == nullptr || after->deltas->empty());
+  EXPECT_EQ(VisibleRows(*after), pre_rows);
+  EXPECT_EQ(VisibleRows(*mgr_->GetSnapshot("ledger"))[4][1].AsInt(), 44);
+  EXPECT_EQ(VisibleRows(*during), pre_rows);  // the old version lives on
+
+  // The commit's WAL record carries the new epoch, so it survives the reset
+  // the checkpoint made before it.
+  ReopenManager();
+  EXPECT_EQ(VisibleRows(*mgr_->GetSnapshot("accounts")), pre_rows);
+  EXPECT_EQ(VisibleRows(*mgr_->GetSnapshot("ledger"))[4][1].AsInt(), 44);
+}
+
+// A version a checkpoint superseded leaves the buffer pool with its last
+// reader: none of its blobs can hit again.
+TEST_F(TxnTest, SupersededVersionLeavesBufferPool) {
+  CreateAccounts(300);
+  {
+    auto txn = mgr_->Begin();
+    ASSERT_TRUE(txn->Modify("accounts", 5, 1, Value::Int(5)).ok());
+    ASSERT_TRUE(mgr_->Commit(txn.get()).ok());
+  }
+  {
+    auto old_snap = mgr_->GetSnapshot("accounts");
+    EXPECT_EQ(VisibleRows(*old_snap).size(), 300u);  // caches the old version
+    ASSERT_TRUE(mgr_->Checkpoint().ok());
+  }
+  auto rows = VisibleRows(*mgr_->GetSnapshot("accounts"));
+  size_t cached = buffers_->bytes_cached();
+  EXPECT_GT(cached, 0u);
+  buffers_->EvictAll();
+  EXPECT_EQ(buffers_->bytes_cached(), 0u);
+  EXPECT_EQ(VisibleRows(*mgr_->GetSnapshot("accounts")), rows);
+  EXPECT_EQ(buffers_->bytes_cached(), cached) << "only the new version";
 }
 
 TEST_F(TxnTest, CatalogPersistsSchemas) {
