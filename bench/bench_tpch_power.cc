@@ -171,9 +171,9 @@ void RunPower(double sf, BenchReport* report) {
   report->SetMetric(key,
                     Json::Double(static_cast<double>(total_spilled) / 1048576.0));
 
-  // Compressed-execution rerun: Q1 (dict group keys + RLE-prone measures
-  // through aggregation) and Q6 (selection-heavy) with the scan handing
-  // PDICT/RLE segments straight to the encoded kernels vs eager decode.
+  // Compressed-execution rerun: Q1 (dict group keys through aggregation) and
+  // Q6 (selection-heavy) with the scan handing PDICT segments straight to
+  // the dict kernels vs eager decode.
   // Results must match exactly — the dict kernels compare integer codes and
   // TPC-H decimals are i64 cents, so there is no floating-point slack.
   std::printf("%5s %12s %12s %8s\n", "query", "encoded(s)", "decoded(s)",

@@ -184,10 +184,11 @@ struct Config {
   bool enable_compression = true;
   // Use min-max sparse indexes to skip stripes during scans.
   bool enable_minmax_skipping = true;
-  // Compressed execution (DESIGN.md §12): the scan adopts PDICT/RLE segments
-  // in their storage encoding and publishes encoded vectors; primitives with
-  // a matching capability (catalog caps column) run directly on codes/runs,
-  // everything else decodes on demand at the Normalize() boundary. Only
+  // Compressed execution (DESIGN.md §12): the scan adopts PDICT segments as
+  // dictionary codes and publishes dict-encoded vectors; primitives with a
+  // matching capability (catalog caps column) run directly on the codes,
+  // everything else decodes on demand at the Normalize() boundary. Every
+  // other codec (PFOR, PFOR-DELTA, RLE) decodes flat at the scan. Only
   // applies to stripes without pending deltas; VWISE_ENCODED_EXEC=0 turns it
   // off process-wide.
   bool enable_encoded_exec = detail::EnvEncodedExec();

@@ -513,37 +513,6 @@ Status DecodeDictRaw(TypeId type, uint32_t count, const uint8_t* data,
   return Status::OK();
 }
 
-Status DecodeRleRuns(TypeId type, uint32_t count, const uint8_t* data,
-                     size_t size, std::vector<uint8_t>* run_values,
-                     std::vector<uint32_t>* run_starts) {
-  if (type == TypeId::kStr) {
-    return Status::InvalidArgument("RLE adoption requires a fixed-width type");
-  }
-  Reader r(data, size);
-  uint32_t n_runs;
-  VWISE_RETURN_IF_ERROR(r.Get(&n_runs));
-  size_t w = FixedWidth(type);
-  run_values->clear();
-  run_values->resize(static_cast<size_t>(n_runs) * w);
-  run_starts->clear();
-  run_starts->reserve(static_cast<size_t>(n_runs) + 1);
-  uint32_t row = 0;
-  for (uint32_t run = 0; run < n_runs; run++) {
-    uint64_t v;
-    uint32_t len;
-    VWISE_RETURN_IF_ERROR(r.Get(&v));
-    VWISE_RETURN_IF_ERROR(r.Get(&len));
-    if (len == 0) return Status::Corruption("empty RLE run");
-    if (len > count - row) return Status::Corruption("RLE overflow");
-    StoreInt(type, run_values->data(), run, v);
-    run_starts->push_back(row);
-    row += len;
-  }
-  if (row != count) return Status::Corruption("RLE underflow");
-  run_starts->push_back(row);
-  return Status::OK();
-}
-
 }  // namespace vwise::compression
 
 namespace vwise {

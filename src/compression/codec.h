@@ -86,13 +86,6 @@ Status DecodeDictRaw(TypeId type, uint32_t count, const uint8_t* data,
                      size_t size, uint32_t* codes,
                      std::vector<StringVal>* dict_vals, StringHeap* heap);
 
-// RLE: run values (contiguous, `TypeWidth(type)` bytes each) plus run start
-// offsets; run r covers rows [starts[r], starts[r+1]), starts->back() ==
-// count.
-Status DecodeRleRuns(TypeId type, uint32_t count, const uint8_t* data,
-                     size_t size, std::vector<uint8_t>* run_values,
-                     std::vector<uint32_t>* run_starts);
-
 }  // namespace compression
 
 }  // namespace vwise

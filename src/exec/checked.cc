@@ -102,39 +102,6 @@ Status ChunkValidator::Validate(const DataChunk& chunk,
       }
       continue;  // the flat value array is not live while encoded
     }
-    if (col.repr() == VectorRepr::kRle) {
-      // Encoded contract: chunk-local runs — n_runs+1 ascending offsets
-      // opening at 0 and closing at the chunk count.
-      if (col.type() == TypeId::kStr) {
-        std::ostringstream os;
-        os << "column " << c << " is RLE-encoded but string-typed (string "
-           << "runs must decode at the scan)";
-        return Violation(context, os.str());
-      }
-      const uint32_t* starts = col.rle_starts();
-      uint32_t m = col.rle_runs();
-      if (starts == nullptr || m == 0) {
-        std::ostringstream os;
-        os << "rle column " << c << " lacks runs";
-        return Violation(context, os.str());
-      }
-      if (starts[0] != 0 || starts[m] != chunk.count()) {
-        std::ostringstream os;
-        os << "rle column " << c << " runs cover [" << starts[0] << ", "
-           << starts[m] << "), chunk holds [0, " << chunk.count() << ")";
-        return Violation(context, os.str());
-      }
-      for (uint32_t r = 0; r < m; r++) {
-        if (starts[r + 1] <= starts[r]) {
-          std::ostringstream os;
-          os << "rle column " << c << " run " << r << " is empty or "
-             << "non-ascending (start " << starts[r] << ", next "
-             << starts[r + 1] << ")";
-          return Violation(context, os.str());
-        }
-      }
-      continue;  // the flat value array is not live while encoded
-    }
     if (col.type() == TypeId::kStr) {
       const StringVal* vals = col.Data<StringVal>();
       const sel_t* sel = chunk.sel();

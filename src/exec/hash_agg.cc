@@ -37,26 +37,6 @@ bool IntFamily(TypeId t) {
   return t == TypeId::kU8 || t == TypeId::kI32 || t == TypeId::kI64;
 }
 
-// Run-value reader over an RLE vector (compressed execution): the global-
-// aggregate fast path folds value x run_length per run instead of touching
-// every tuple.
-template <typename T>
-T RleRunAt(const Vector& v, uint32_t r) {
-  switch (v.type()) {
-    case TypeId::kU8:
-      return static_cast<T>(v.rle_values<uint8_t>()[r]);
-    case TypeId::kI32:
-      return static_cast<T>(v.rle_values<int32_t>()[r]);
-    case TypeId::kI64:
-      return static_cast<T>(v.rle_values<int64_t>()[r]);
-    case TypeId::kF64:
-      return static_cast<T>(v.rle_values<double>()[r]);
-    case TypeId::kStr:
-      break;
-  }
-  return 0;
-}
-
 }  // namespace
 
 HashAggOperator::HashAggOperator(OperatorPtr child,
@@ -201,9 +181,8 @@ uint32_t HashAggOperator::FindOrCreateGroup(const DataChunk& chunk, sel_t pos,
 VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
   size_t n = chunk.ActiveCount();
   const sel_t* sel = chunk.sel();
-  // Compressed execution: group keys are hashed and compared value-at-a-time
-  // below, so they always decode; aggregate inputs decode only when the
-  // per-run RLE fast path (global aggregate, no selection) does not apply.
+  // Compressed execution: group keys and aggregate inputs are read
+  // value-at-a-time below, so encoded columns decode first.
   for (size_t k = 0; k < group_cols_.size(); k++) {
     Vector& key = chunk.column(group_cols_[k]);
     if (key.IsEncoded()) {
@@ -217,9 +196,7 @@ VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
       continue;  // counting never reads the input values
     }
     Vector& agg_in = chunk.column(spec.col);
-    bool rle_fast = group_cols_.empty() && sel == nullptr &&
-                    agg_in.repr() == VectorRepr::kRle;
-    if (agg_in.IsEncoded() && !rle_fast) {
+    if (agg_in.IsEncoded()) {
       // vwise-hotpath: allow(cold-call): per-chunk decode boundary
       agg_in.Normalize(chunk.count());
     }
@@ -247,25 +224,6 @@ VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
     switch (spec.fn) {
       case AggSpec::Fn::kSum: {
         const Vector& in = chunk.column(spec.col);
-        if (in.repr() == VectorRepr::kRle) {
-          // Per-run fold: every row is in the single global group (the
-          // normalize pass above leaves RLE in place only then).
-          uint32_t g = groups[0];
-          const uint32_t* starts = in.rle_starts();
-          uint32_t m = in.rle_runs();
-          if (IntFamily(st.in_type)) {
-            for (uint32_t r = 0; r < m; r++) {
-              st.i64[g] += RleRunAt<int64_t>(in, r) *
-                           static_cast<int64_t>(starts[r + 1] - starts[r]);
-            }
-          } else {
-            for (uint32_t r = 0; r < m; r++) {
-              st.f64[g] +=
-                  RleRunAt<double>(in, r) * (starts[r + 1] - starts[r]);
-            }
-          }
-          break;
-        }
         if (IntFamily(st.in_type)) {
           for (size_t i = 0; i < n; i++) {
             sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
@@ -283,25 +241,6 @@ VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
       case AggSpec::Fn::kMax: {
         const Vector& in = chunk.column(spec.col);
         bool is_min = spec.fn == AggSpec::Fn::kMin;
-        if (in.repr() == VectorRepr::kRle) {
-          uint32_t g = groups[0];
-          uint32_t m = in.rle_runs();
-          for (uint32_t r = 0; r < m; r++) {
-            if (st.in_type == TypeId::kF64) {
-              double v = RleRunAt<double>(in, r);
-              if (!st.count[g] || (is_min ? v < st.f64[g] : v > st.f64[g])) {
-                st.f64[g] = v;
-              }
-            } else {
-              int64_t v = RleRunAt<int64_t>(in, r);
-              if (!st.count[g] || (is_min ? v < st.i64[g] : v > st.i64[g])) {
-                st.i64[g] = v;
-              }
-            }
-            st.count[g] = 1;
-          }
-          break;
-        }
         for (size_t i = 0; i < n; i++) {
           sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
           uint32_t g = groups[i];
@@ -326,16 +265,6 @@ VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
         break;
       case AggSpec::Fn::kAvg: {
         const Vector& in = chunk.column(spec.col);
-        if (in.repr() == VectorRepr::kRle) {
-          uint32_t g = groups[0];
-          const uint32_t* starts = in.rle_starts();
-          uint32_t m = in.rle_runs();
-          for (uint32_t r = 0; r < m; r++) {
-            st.f64[g] += RleRunAt<double>(in, r) * (starts[r + 1] - starts[r]);
-          }
-          st.count[g] += n;
-          break;
-        }
         for (size_t i = 0; i < n; i++) {
           sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
           uint32_t g = groups[i];

@@ -67,9 +67,8 @@ class HashAggOperator final : public Operator {
  private:
   Status OpenImpl() override;
   Status ConsumeInput();
-  // Mutable chunk: encoded group-key columns are normalized in place, and
-  // encoded aggregate inputs either take the per-run RLE fast path (global
-  // aggregates) or normalize on demand.
+  // Mutable chunk: encoded group-key and aggregate-input columns are
+  // normalized in place.
   Status ProcessChunk(DataChunk& chunk);
   void ResizeTable(size_t buckets);
   uint32_t FindOrCreateGroup(const DataChunk& chunk, sel_t pos, uint64_t hash,

@@ -85,7 +85,6 @@ size_t EstimateChunkBytes(const DataChunk& chunk) {
         }
       }
     } else {
-      // RLE numeric columns estimate at their decoded width.
       bytes += n * TypeWidth(col.type());
     }
   }

@@ -100,7 +100,6 @@ Status ScanOperator::OpenImpl() {
   // from a stable stripe: delta merging (updates/inserts) writes through the
   // flat buffers, so any pending deltas force the eager-decode path.
   encoded_ok_ = config_.enable_encoded_exec && pdt_->empty();
-  rle_views_.assign(columns_.size(), nullptr);
   repr_stats_ = ReprStats();
   return Status::OK();
 }
@@ -162,7 +161,7 @@ Status ScanOperator::Next(DataChunk* out) {
   size_t cap = out->capacity();
   size_t filled = 0;
   // Stripe-local offset of the chunk's first stable row; anchors the
-  // encoded (codes/runs) views published after the merge loop. With
+  // dict-code views published after the merge loop. With
   // encoded_ok_ the PDT is empty, so a chunk is one contiguous stable range.
   size_t chunk_begin = SIZE_MAX;
   while (true) {
@@ -234,57 +233,13 @@ Status ScanOperator::Next(DataChunk* out) {
       }
       VWISE_DCHECK(chunk_begin != SIZE_MAX);
       VWISE_DCHECK(chunk_begin + filled <= col.count);
-      if (col.repr == VectorRepr::kDict) {
-        out->column(i).SetDict(col.dict_codes->As<uint32_t>() + chunk_begin,
-                               col.dict, col.dict_codes);
-        repr_stats_.dict_cols++;
-      } else {
-        PublishRleRange(col, chunk_begin, filled, &rle_views_[i],
-                        &out->column(i));
-        repr_stats_.rle_cols++;
-      }
+      out->column(i).SetDict(col.dict_codes->As<uint32_t>() + chunk_begin,
+                             col.dict, col.dict_codes);
+      repr_stats_.dict_cols++;
     }
   }
   out->SetCount(filled);
   return Status::OK();
-}
-
-// Slices the stripe's runs down to the chunk range [begin, begin + n) and
-// publishes them on `out_vec`, rebased so starts[0] == 0 and
-// starts[n_runs] == n (the chunk-local run contract, vector.h).
-void ScanOperator::PublishRleRange(const DecodedColumn& col, size_t begin,
-                                   size_t n, std::shared_ptr<RleView>* scratch,
-                                   Vector* out_vec) {
-  const std::vector<uint32_t>& starts = *col.rle_starts;
-  // First and last run overlapping the range: the largest r with
-  // starts[r] <= row (starts is ascending, starts.front() == 0).
-  size_t r0 = static_cast<size_t>(std::upper_bound(starts.begin(), starts.end(),
-                                                   static_cast<uint32_t>(begin)) -
-                                  starts.begin()) -
-              1;
-  size_t r1 = static_cast<size_t>(
-                  std::upper_bound(starts.begin(), starts.end(),
-                                   static_cast<uint32_t>(begin + n - 1)) -
-                  starts.begin()) -
-              1;
-  size_t m = r1 - r0 + 1;
-  if (*scratch == nullptr || scratch->use_count() > 1) {
-    // vwise-hotpath: allow(alloc): first chunk, or a consumer still
-    // references the previous chunk's view — steady state reuses the scratch
-    *scratch = std::make_shared<RleView>();
-  }
-  RleView& view = **scratch;
-  view.values = col.rle_values;
-  // vwise-hotpath: allow(alloc): capacity persists across chunks, bounded by
-  // runs per vector
-  view.starts.resize(m + 1);
-  view.starts[0] = 0;
-  for (size_t k = 1; k < m; k++) {
-    view.starts[k] = starts[r0 + k] - static_cast<uint32_t>(begin);
-  }
-  view.starts[m] = static_cast<uint32_t>(n);
-  out_vec->SetRle(col.rle_values->data() + r0 * TypeWidth(col.type),
-                  view.starts.data(), static_cast<uint32_t>(m), *scratch);
 }
 
 void ScanOperator::Close() {
@@ -294,7 +249,6 @@ void ScanOperator::Close() {
   }
   merge_.reset();
   decoded_.clear();
-  rle_views_.clear();
 }
 
 }  // namespace vwise

@@ -49,10 +49,9 @@ class ScanOperator final : public Operator {
 
   // Columns published per representation across all emitted chunks
   // (compressed-execution observability; EXPLAIN ANALYZE renders these as
-  // `repr=dict:N/rle:N/flat:N`).
+  // `repr=dict:N/rle:0/flat:N`).
   struct ReprStats {
     uint64_t dict_cols = 0;
-    uint64_t rle_cols = 0;
     uint64_t flat_cols = 0;
   };
   const ReprStats& repr_stats() const { return repr_stats_; }
@@ -63,21 +62,9 @@ class ScanOperator final : public Operator {
   const Options& options() const { return opts_; }
 
  private:
-  // Chunk-local RLE view published into an output vector: rebased run starts
-  // plus a reference pinning the stripe's run values. Handed to
-  // Vector::SetRle as the keepalive, so a consumer that Reference()s the
-  // chunk keeps the view alive past the next Next(); the scan then
-  // allocates a fresh view instead of overwriting the referenced one.
-  struct RleView {
-    std::shared_ptr<std::vector<uint8_t>> values;
-    std::vector<uint32_t> starts;
-  };
-
   Status OpenImpl() override;
   Status AdvanceStripe(bool* done);
   bool StripeQualifies(size_t stripe) const;
-  void PublishRleRange(const DecodedColumn& col, size_t begin, size_t n,
-                       std::shared_ptr<RleView>* scratch, Vector* out_vec);
 
   TableSnapshot snap_;
   std::vector<uint32_t> columns_;
@@ -100,11 +87,11 @@ class ScanOperator final : public Operator {
   const Pdt* pdt_ = nullptr;  // snapshot deltas or the shared empty PDT
   std::shared_ptr<StringHeap> insert_heap_;  // bytes of delta-row strings
   size_t stripes_read_ = 0;
-  // Compressed execution: true when this scan may adopt PDICT/RLE segments
-  // without decoding — the knob is on and the snapshot carries no deltas
-  // (delta merging writes through flat buffers).
+  // Compressed execution: true when this scan may adopt PDICT segments as
+  // dictionary codes without decoding — the knob is on and the snapshot
+  // carries no deltas (delta merging writes through flat buffers). Every
+  // other codec decodes flat.
   bool encoded_ok_ = false;
-  std::vector<std::shared_ptr<RleView>> rle_views_;  // per column scratch
   ReprStats repr_stats_;
 };
 

@@ -374,19 +374,8 @@ Status LimitOperator::Next(DataChunk* out) {
       for (size_t i = 0; i < take; i++) sel[i] = static_cast<sel_t>(skip + i);
       out->SetSelection(take);
     } else {
-      // Dense prefix: simply shrink the count. An RLE view's runs must close
-      // exactly at the chunk count, so a truncated chunk decodes its kept
-      // prefix first (dict views are per-row and survive the shrink).
-      if (take < n) {
-        for (size_t c = 0; c < out->num_columns(); c++) {
-          Vector& col = out->column(c);
-          if (col.repr() == VectorRepr::kRle) {
-            // vwise-hotpath: allow(cold-call): runs at most once per query —
-            // the chunk that crosses the limit boundary
-            col.Normalize(take);
-          }
-        }
-      }
+      // Dense prefix: simply shrink the count (dict views are per-row and
+      // survive the shrink).
       out->SetCount(take);
     }
     emitted_ += take;

@@ -43,7 +43,7 @@ Status ColRefExpr::Eval(DataChunk& in, const sel_t* sel, size_t n,
   }
   // Decode-on-demand boundary (DESIGN.md §12): a consumer reaching a column
   // through a plain reference expects flat data. Encoding-aware consumers
-  // (CmpFilter's dict/RLE fast paths) inspect the representation *before*
+  // (CmpFilter's dict fast path) inspect the representation *before*
   // Eval, so an encoded vector that survives to this point has no encoded
   // kernel and is normalized in place — the chunk's other readers then see
   // the flat form too.
@@ -496,21 +496,19 @@ Status CmpFilter::Prepare(size_t capacity) {
   }
   const char* op_token = kCmpOpTokens[static_cast<int>(op)];
   val_ = r_->IsConstant() ? ValOperand(*r_) : nullptr;
-  bound_[1] = bound_[2] = nullptr;
+  dict_twin_ = nullptr;
   VWISE_RETURN_IF_ERROR(BindPrimitive("sel", op_token, l_->physical(), "col",
                                       r_->physical(), val_ ? "val" : "col",
-                                      &bound_[0]));
+                                      &bound_));
   // Compressed execution: a direct column reference compared with a
-  // constant also binds the encoded twins the flat entry's caps grant — the
+  // constant also binds the dict twin the flat entry's caps grant — the
   // ColRefExpr Eval would otherwise normalize the vector (the
-  // decode-on-demand boundary). Caps bit r grants VectorRepr r.
+  // decode-on-demand boundary).
   colref_ = val_ ? dynamic_cast<const ColRefExpr*>(l_) : nullptr;
-  for (VectorRepr repr : {VectorRepr::kDict, VectorRepr::kRle}) {
-    const int r = static_cast<int>(repr);
-    if (colref_ == nullptr || !(bound_[0]->caps & (1u << r))) continue;
+  if (colref_ != nullptr && (bound_->caps & kReprDict) != 0) {
     VWISE_RETURN_IF_ERROR(BindPrimitive("sel", op_token, l_->physical(),
-                                        VectorReprToString(repr),
-                                        r_->physical(), "val", &bound_[r]));
+                                        "dict", r_->physical(), "val",
+                                        &dict_twin_));
   }
   cached_dict_.reset();
   return Status::OK();
@@ -519,39 +517,32 @@ Status CmpFilter::Prepare(size_t capacity) {
 Status CmpFilter::Select(DataChunk& in, const sel_t* sel, size_t n,
                          sel_t* out_sel, size_t* out_n) {
   const void* b = val_;
-  if (colref_ != nullptr && colref_->index() < in.num_columns()) {
+  if (dict_twin_ != nullptr && colref_->index() < in.num_columns()) {
     const Vector& col = in.column(colref_->index());
-    const PrimitiveEntry* twin = bound_[static_cast<int>(col.repr())];
-    if (col.IsEncoded() && twin != nullptr && col.type() == l_->physical()) {
-      // sel_<cmp>_<ty>_rle_<ty>_val: one compare per run instead of per
-      // tuple; sel_<eq|ne>_str_dict_str_val: integer compare over the code
-      // array — no string bytes touched on the hot path.
-      RleColView runs{col.rle_values<void>(), col.rle_starts(), col.rle_runs()};
-      const void* a = &runs;
-      if (col.repr() == VectorRepr::kDict) {
-        const StringDict* d = col.dict();
-        if (d != cached_dict_.get()) {
-          // vwise-hotpath: allow(cold-call): constant→code translation runs
-          // once per dictionary (i.e. per storage segment), not per chunk or
-          // tuple. Holding the shared_ptr pins the dictionary: without it a
-          // freed dictionary's address can be recycled by the next stripe's
-          // dictionary and the identity check would keep a stale code.
-          cached_dict_ = col.dict_ref();
-          cached_code_ = kDictCodeNotFound;
-          std::string_view needle =
-              static_cast<const ConstExpr*>(r_)->value().AsString();
-          for (uint32_t c = 0; c < d->size; c++) {
-            if (d->values[c].view() == needle) {
-              cached_code_ = c;
-              break;
-            }
+    if (col.repr() == VectorRepr::kDict && col.type() == l_->physical()) {
+      // sel_<eq|ne>_str_dict_str_val: integer compare over the code array —
+      // no string bytes touched on the hot path.
+      const StringDict* d = col.dict();
+      if (d != cached_dict_.get()) {
+        // vwise-hotpath: allow(cold-call): constant→code translation runs
+        // once per dictionary (i.e. per storage segment), not per chunk or
+        // tuple. Holding the shared_ptr pins the dictionary: without it a
+        // freed dictionary's address can be recycled by the next stripe's
+        // dictionary and the identity check would keep a stale code.
+        cached_dict_ = col.dict_ref();
+        cached_code_ = kDictCodeNotFound;
+        std::string_view needle =
+            static_cast<const ConstExpr*>(r_)->value().AsString();
+        for (uint32_t c = 0; c < d->size; c++) {
+          if (d->values[c].view() == needle) {
+            cached_code_ = c;
+            break;
           }
         }
-        a = col.dict_codes();
-        b = &cached_code_;
       }
-      PrimProfileScope prof(twin->id, n);
-      *out_n = twin->select(a, b, sel, n, out_sel);
+      PrimProfileScope prof(dict_twin_->id, n);
+      *out_n = dict_twin_->select(col.dict_codes(), &cached_code_, sel, n,
+                                  out_sel);
       return Status::OK();
     }
   }
@@ -562,8 +553,8 @@ Status CmpFilter::Select(DataChunk& in, const sel_t* sel, size_t n,
     VWISE_RETURN_IF_ERROR(r_->Eval(in, sel, n, &rv));
     b = rv->raw();
   }
-  PrimProfileScope prof(bound_[0]->id, n);
-  *out_n = bound_[0]->select(lv->raw(), b, sel, n, out_sel);
+  PrimProfileScope prof(bound_->id, n);
+  *out_n = bound_->select(lv->raw(), b, sel, n, out_sel);
   return Status::OK();
 }
 

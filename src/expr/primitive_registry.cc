@@ -52,8 +52,7 @@ size_t SelColCol(const void* a, const void* b, const sel_t* sel, size_t n,
 }
 
 // Encoded twins. The dict select's column operand is the uint32 code array
-// (T is pinned to uint32_t by the catalog); the RLE select's is an
-// RleColView describing the runs.
+// (T is pinned to uint32_t by the catalog).
 template <typename T, typename OP>
 size_t EncSelDictVal(const void* a, const void* b, const sel_t* sel, size_t n,
                      sel_t* out_sel) {
@@ -61,15 +60,6 @@ size_t EncSelDictVal(const void* a, const void* b, const sel_t* sel, size_t n,
   return prim::SelectDictVal<OP>(static_cast<const uint32_t*>(a),
                                  *static_cast<const uint32_t*>(b), sel, n,
                                  out_sel);
-}
-
-template <typename T, typename OP>
-size_t EncSelRleVal(const void* a, const void* b, const sel_t* sel, size_t n,
-                    sel_t* out_sel) {
-  const auto* view = static_cast<const RleColView*>(a);
-  return prim::SelectRleVal<T, OP>(static_cast<const T*>(view->run_values),
-                                   view->run_starts, view->n_runs,
-                                   *static_cast<const T*>(b), sel, n, out_sel);
 }
 
 // The catalog is a flat, explicit list — one line per primitive — so the

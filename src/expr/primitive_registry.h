@@ -22,9 +22,9 @@ namespace vwise {
 // pointer to a single value for `val` kinds), results are written at the
 // active positions, following the engine-wide selection-vector discipline.
 //
-// Compressed execution adds *encoded twins* (sel_<cmp>_<ty>_{dict,rle}_...)
-// whose column operand arrives in its storage encoding; the catalog's caps
-// column records which representations each logical primitive accepts.
+// Compressed execution adds *encoded twins* (sel_<cmp>_str_dict_str_val)
+// whose column operand arrives as PDICT codes; the catalog's caps column
+// records which representations each logical primitive accepts.
 
 // One enumerator per catalog entry, in catalog order; indexes the registry
 // table and the profiler's counters.
@@ -39,20 +39,11 @@ enum PrimitiveId : uint16_t {
   kNumPrimitives,
 };
 
-// Operand view for the sel_*_rle_* encoded selects through the erased
-// interface: `a` points at one of these instead of a value array.
-struct RleColView {
-  const void* run_values = nullptr;     // n_runs values, TypeWidth each
-  const uint32_t* run_starts = nullptr; // n_runs + 1; [0]=0, [n_runs]=n
-  uint32_t n_runs = 0;
-};
-
 // out[p] = op(a[p], b[p])  /  op(a[p], *b)  /  op(*a, b[p])
 using MapBinaryFn = void (*)(const void* a, const void* b, void* out,
                              const sel_t* sel, size_t n);
 // Writes qualifying positions to out_sel, returns how many. Dict twins take
-// the uint32 code array as `a` and a pointer to the translated code as `b`;
-// RLE twins take a pointer to an RleColView as `a`.
+// the uint32 code array as `a` and a pointer to the translated code as `b`.
 using SelectFn = size_t (*)(const void* a, const void* b, const sel_t* sel,
                             size_t n, sel_t* out_sel);
 

@@ -112,10 +112,9 @@ inline size_t SelectColCol(const A* a, const B* b, const sel_t* sel, size_t n,
 }
 
 // ---- Encoded-representation selects (compressed execution) -----------------
-// These run on a vector's *encoded* form — PDICT codes or RLE runs — so a
-// predicate costs one integer compare per tuple (dict; no string-heap
-// traffic at all) or one compare per run (RLE) instead of one full-value
-// compare per tuple. See DESIGN.md "Compressed execution".
+// These run on a vector's *encoded* form — PDICT codes — so a string
+// predicate costs one integer compare per tuple with no string-heap traffic
+// at all. See DESIGN.md "Compressed execution".
 
 // sel_<cmp>_str_dict_str_val: the string constant has been translated to its
 // dictionary code once per vector (kDictCodeNotFound when absent — matching
@@ -125,37 +124,6 @@ template <typename OP>
 inline size_t SelectDictVal(const uint32_t* codes, uint32_t code,
                             const sel_t* sel, size_t n, sel_t* out_sel) {
   return SelectColVal<uint32_t, uint32_t, OP>(codes, code, sel, n, out_sel);
-}
-
-// sel_<cmp>_<ty>_rle_<ty>_val: evaluates OP once per run and emits the
-// positions the matching runs cover. run_starts has n_runs + 1 ascending
-// entries with run_starts[0] == 0 and run_starts[n_runs] == n (the
-// chunk-local run contract, vector/vector.h).
-template <typename T, typename OP>
-inline size_t SelectRleVal(const T* run_values, const uint32_t* run_starts,
-                           uint32_t n_runs, T val, const sel_t* sel, size_t n,
-                           sel_t* out_sel) {
-  size_t k = 0;
-  if (sel == nullptr) {
-    for (uint32_t r = 0; r < n_runs; r++) {
-      if (!OP()(run_values[r], val)) continue;
-      uint32_t end = run_starts[r + 1];
-      for (uint32_t p = run_starts[r]; p < end; p++) {
-        out_sel[k++] = static_cast<sel_t>(p);
-      }
-    }
-  } else {
-    // Walk the (ascending) selection and the runs in tandem: one run-bound
-    // advance plus one per-run compare amortized over the run's positions.
-    uint32_t r = 0;
-    for (size_t i = 0; i < n; i++) {
-      sel_t p = sel[i];
-      while (run_starts[r + 1] <= p) r++;
-      out_sel[k] = p;
-      k += OP()(run_values[r], val);
-    }
-  }
-  return k;
 }
 
 // ---- Gather / scatter ------------------------------------------------------

@@ -384,10 +384,12 @@ size_t WalkNode(const Operator& op, size_t depth, const ProfiledOperator* prof,
       line += ")";
     }
     const ScanOperator::ReprStats& rs = s->repr_stats();
-    if (rs.dict_cols + rs.rle_cols + rs.flat_cols > 0) {
+    if (rs.dict_cols + rs.flat_cols > 0) {
+      // Three fields, `rle` always 0 (RLE segments decode flat at the scan):
+      // perfbench's AccumulateProfile reads the note with a three-field
+      // sscanf and profiler_test matches the same shape.
       repr_note = " repr=dict:" + std::to_string(rs.dict_cols) +
-                  "/rle:" + std::to_string(rs.rle_cols) +
-                  "/flat:" + std::to_string(rs.flat_cols);
+                  "/rle:0/flat:" + std::to_string(rs.flat_cols);
     }
   } else if (auto* sel = dynamic_cast<const SelectOperator*>(&op)) {
     line += "Select ";
@@ -917,7 +919,7 @@ Status VerifyReprPropagation(const std::vector<TypeId>& types,
     msg += std::to_string(types.size());
     return NodeErr("repr", std::move(msg));
   }
-  constexpr uint8_t kKnown = kReprFlat | kReprDict | kReprRle;
+  constexpr uint8_t kKnown = kReprFlat | kReprDict;
   for (size_t c = 0; c < types.size(); c++) {
     const uint8_t m = reprs[c];
     if ((m & ~kKnown) != 0) {
@@ -938,12 +940,6 @@ Status VerifyReprPropagation(const std::vector<TypeId>& types,
       msg += ":";
       msg += TypeIdToString(types[c]);
       msg += " claims a dict representation (PDICT covers strings only)";
-      return NodeErr("repr", std::move(msg));
-    }
-    if ((m & kReprRle) != 0 && types[c] == TypeId::kStr) {
-      std::string msg = ColName(c);
-      msg += ":str claims an RLE representation (string runs decode at the "
-             "scan)";
       return NodeErr("repr", std::move(msg));
     }
   }
@@ -1023,7 +1019,7 @@ Status PlanVerifier::VerifyScan(const ScanOperator& op,
   out->ordering.clear();
   out->partitions = 1;
   // Representation masks: which encodings this scan may hand through. The
-  // scan adopts storage encodings only when the knob is on and the snapshot
+  // scan adopts PDICT codes only when the knob is on and the snapshot
   // carries no deltas (scan.cc mirrors this as encoded_ok_ — delta merging
   // writes through flat buffers); the per-column possibilities come from the
   // stored segment codecs across the scanned stripes.
@@ -1042,8 +1038,6 @@ Status PlanVerifier::VerifyScan(const ScanOperator& op,
         const Codec codec = tf.stripe(s).segments[col].codec;
         if (codec == Codec::kPdict && out->types[i] == TypeId::kStr) {
           out->reprs[i] |= kReprDict;
-        } else if (codec == Codec::kRle && out->types[i] != TypeId::kStr) {
-          out->reprs[i] |= kReprRle;
         }
       }
     }
@@ -1156,7 +1150,7 @@ Status PlanVerifier::VerifyXchg(const XchgOperator& op,
   out->ordering.clear();  // nondeterministic interleave of worker streams
   out->partitions = n;
   // Producers normalize before the cross-thread deep copy (the consumer
-  // must not chase dict/RLE views into fragment-owned storage buffers).
+  // must not chase dict views into fragment-owned storage buffers).
   out->reprs.assign(out->types.size(), kReprFlat);
   return Status::OK();
 }
@@ -1327,7 +1321,7 @@ Status PlanVerifier::VerifyNode(const Operator& op, PlanProperties* out) const {
     out->ordering.clear();  // hash table iteration order
     out->partitions = 1;    // blocking operator re-serializes
     // Aggregation materializes fresh output vectors (inputs normalize at the
-    // ProcessChunk boundary, modulo the RLE per-run fast path).
+    // ProcessChunk boundary).
     out->reprs.assign(out->types.size(), kReprFlat);
     return Status::OK();
   }

@@ -57,8 +57,8 @@ struct PlanProperties {
   std::vector<SortKey> ordering;
   // Number of interleaved producer partitions feeding downstream.
   int partitions = 1;
-  // Per column: bitmask of representations (kReprFlat | kReprDict | kReprRle)
-  // chunks on this edge may carry. Always includes kReprFlat; empty means
+  // Per column: bitmask of representations (kReprFlat | kReprDict) chunks
+  // on this edge may carry. Always includes kReprFlat; empty means
   // the node predates representation tracking (treated as all-flat).
   std::vector<uint8_t> reprs;
 };
@@ -100,10 +100,9 @@ Status VerifyFilterTree(const Filter& f, const std::vector<TypeId>& input,
 
 // Checks a column layout's representation masks (PlanProperties::reprs) for
 // internal consistency: one mask per column, every mask includes kReprFlat
-// (Normalize() is always a legal landing), kReprDict only on string columns
-// (PDICT covers strings), kReprRle never on string columns (string runs
-// decode at the scan). Used by the verifier after deriving scan masks and
-// exposed for tests.
+// (Normalize() is always a legal landing), no bit outside kReprFlat |
+// kReprDict, and kReprDict only on string columns (PDICT covers strings).
+// Used by the verifier after deriving scan masks and exposed for tests.
 Status VerifyReprPropagation(const std::vector<TypeId>& types,
                              const std::vector<uint8_t>& reprs);
 
@@ -160,9 +159,10 @@ struct PlanNodeProfile {
   // only — plain ExplainPlan stays byte-identical whether or not the plan
   // has run.
   std::string spill;
-  // Compressed-execution telemetry (" repr=dict:N/rle:N/flat:N"), filled for
+  // Compressed-execution telemetry (" repr=dict:N/rle:0/flat:N"), filled for
   // scans that have emitted chunks: how many column instances were published
-  // per representation. Rendered by ExplainAnalyzePlan only.
+  // per representation (`rle` is always 0: RLE decodes flat at the scan).
+  // Rendered by ExplainAnalyzePlan only.
   std::string repr;
 };
 

@@ -408,8 +408,6 @@ Status TableFile::ReadStripeColumn(size_t stripe, uint32_t col,
   out->repr = VectorRepr::kFlat;
   out->dict_codes.reset();
   out->dict.reset();
-  out->rle_values.reset();
-  out->rle_starts.reset();
   const uint8_t* data = blob->data() + seg.offset_in_blob;
 
   if (allow_encoded && seg.codec == Codec::kPdict) {
@@ -427,14 +425,6 @@ Status TableFile::ReadStripeColumn(size_t stripe, uint32_t col,
     dict->keepalive = dict_vals;
     out->dict = dict;
     return Status::OK();
-  }
-  if (allow_encoded && seg.codec == Codec::kRle) {
-    out->repr = VectorRepr::kRle;
-    out->rle_values = std::make_shared<std::vector<uint8_t>>();
-    out->rle_starts = std::make_shared<std::vector<uint32_t>>();
-    return compression::DecodeRleRuns(t, seg.count, data, seg.size,
-                                      out->rle_values.get(),
-                                      out->rle_starts.get());
   }
 
   out->values = Buffer::Allocate(static_cast<size_t>(seg.count) * TypeWidth(t));

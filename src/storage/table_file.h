@@ -85,10 +85,9 @@ class TableWriter {
 
 // A decoded column of one stripe: `count` values plus the heap owning any
 // string bytes. Under compressed execution (ReadStripeColumn with
-// allow_encoded) the column may instead stay in its storage encoding:
-// `repr` then says which of the encoded members carry the data, `values`
-// remains unallocated, and the scan publishes chunk-local views straight
-// into the executor (DESIGN.md §12).
+// allow_encoded) a PDICT column may instead stay in its storage encoding:
+// `repr` is then kDict, `values` remains unallocated, and the scan publishes
+// chunk-local code views straight into the executor (DESIGN.md §12).
 struct DecodedColumn {
   TypeId type = TypeId::kI64;
   size_t count = 0;
@@ -99,10 +98,6 @@ struct DecodedColumn {
   // kDict: per-row codes plus the shared dictionary (values in dict->heap).
   std::shared_ptr<Buffer> dict_codes;  // uint32_t per row
   std::shared_ptr<const StringDict> dict;
-  // kRle: run values (TypeWidth(type) bytes each) and run start offsets
-  // (n_runs + 1 entries, last == count), both shared with chunk views.
-  std::shared_ptr<std::vector<uint8_t>> rle_values;
-  std::shared_ptr<std::vector<uint32_t>> rle_starts;
 
   template <typename T>
   const T* Data() const {
@@ -136,10 +131,9 @@ class TableFile {
   }
 
   // Decodes column `col` of stripe `stripe` (fetching its group blob through
-  // the buffer manager). With `allow_encoded`, PDICT and RLE segments are
-  // adopted in their storage encoding (codes/runs only — no per-row value
-  // materialization) instead of being decoded flat; other codecs still
-  // decode eagerly.
+  // the buffer manager). With `allow_encoded`, PDICT segments are adopted
+  // as dictionary codes (no per-row string materialization) instead of being
+  // decoded flat; every other codec, RLE included, decodes eagerly.
   Status ReadStripeColumn(size_t stripe, uint32_t col, DecodedColumn* out,
                           bool allow_encoded = false);
 

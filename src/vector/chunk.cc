@@ -61,29 +61,6 @@ Value DataChunk::GetValue(size_t col, size_t row, const DataType* type) const {
     VWISE_CHECK(d != nullptr && code < d->size);
     return Value::String(d->values[code].ToString());
   }
-  if (v.repr() == VectorRepr::kRle) {
-    const uint32_t* starts = v.rle_starts();
-    uint32_t run = 0;
-    while (run + 1 < v.rle_runs() && starts[run + 1] <= pos) run++;
-    switch (v.type()) {
-      case TypeId::kU8:
-        return Value::Int(v.rle_values<uint8_t>()[run]);
-      case TypeId::kI32: {
-        int32_t x = v.rle_values<int32_t>()[run];
-        if (type != nullptr && type->kind == LType::kDate) {
-          return Value::String(date::ToString(x));
-        }
-        return Value::Int(x);
-      }
-      case TypeId::kI64:
-        return Value::Int(v.rle_values<int64_t>()[run]);
-      case TypeId::kF64:
-        return Value::Double(v.rle_values<double>()[run]);
-      case TypeId::kStr:
-        break;  // unreachable: RLE is numeric-only
-    }
-    return Value::Null();
-  }
   switch (v.type()) {
     case TypeId::kU8:
       return Value::Int(v.Data<uint8_t>()[pos]);

@@ -12,14 +12,15 @@ namespace vwise {
 
 // Physical representation of the values inside a Vector, orthogonal to the
 // logical/physical value type. Compressed execution (DESIGN.md §12) lets the
-// scan hand storage encodings straight through to the executor; primitives
-// that declare a capability for a representation (the catalog's caps column)
-// consume it directly, everything else lands on Vector::Normalize(), which
-// decodes into the flat layout on demand.
+// scan hand PDICT string segments straight through to the executor as
+// dictionary codes; primitives that declare a capability for a
+// representation (the catalog's caps column) consume it directly, everything
+// else lands on Vector::Normalize(), which decodes into the flat layout on
+// demand. Every other storage codec (PFOR, PFOR-DELTA, RLE) decodes flat at
+// the scan.
 enum class VectorRepr : uint8_t {
-  kFlat = 0,  // plain array of values — the only representation before PR 9
+  kFlat = 0,  // plain array of values
   kDict = 1,  // per-row uint32 codes into a shared string dictionary (PDICT)
-  kRle = 2,   // run values + run start offsets (RLE); rows are implicit
 };
 
 const char* VectorReprToString(VectorRepr r);
@@ -27,10 +28,10 @@ const char* VectorReprToString(VectorRepr r);
 // Capability bitmask: which representations a primitive (or an operator
 // edge, in the plan verifier) accepts without normalization. These feed the
 // catalog's 5th column and PlanProperties::reprs; every mask must include
-// kReprFlat — Normalize() is always a legal landing.
+// kReprFlat — Normalize() is always a legal landing. Any other bit is
+// unknown (the plan verifier rejects it).
 inline constexpr uint8_t kReprFlat = 1u << 0;
 inline constexpr uint8_t kReprDict = 1u << 1;
-inline constexpr uint8_t kReprRle = 1u << 2;
 
 std::string ReprMaskToString(uint8_t mask);
 

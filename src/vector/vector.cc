@@ -12,8 +12,6 @@ const char* VectorReprToString(VectorRepr r) {
       return "flat";
     case VectorRepr::kDict:
       return "dict";
-    case VectorRepr::kRle:
-      return "rle";
   }
   return "?";
 }
@@ -26,24 +24,9 @@ std::string ReprMaskToString(uint8_t mask) {
   };
   if (mask & kReprFlat) add("flat");
   if (mask & kReprDict) add("dict");
-  if (mask & kReprRle) add("rle");
   if (out.empty()) out = "none";
   return out;
 }
-
-namespace {
-
-template <typename T>
-void ExpandRuns(const T* run_vals, const uint32_t* starts, uint32_t n_runs,
-                size_t n, T* out) {
-  for (uint32_t r = 0; r < n_runs; r++) {
-    T v = run_vals[r];
-    size_t end = starts[r + 1] < n ? starts[r + 1] : n;
-    for (size_t i = starts[r]; i < end; i++) out[i] = v;
-  }
-}
-
-}  // namespace
 
 void Vector::Normalize(size_t n) {
   switch (repr_) {
@@ -63,38 +46,10 @@ void Vector::Normalize(size_t n) {
       if (d->heap != nullptr) AddStringHeapRef(d->heap);
       break;
     }
-    case VectorRepr::kRle: {
-      VWISE_DCHECK(n <= capacity_);
-      VWISE_DCHECK(rle_values_ != nullptr && rle_starts_ != nullptr);
-      switch (type_) {
-        case TypeId::kU8:
-          ExpandRuns(rle_values<uint8_t>(), rle_starts_, rle_runs_, n,
-                     buffer_->As<uint8_t>());
-          break;
-        case TypeId::kI32:
-          ExpandRuns(rle_values<int32_t>(), rle_starts_, rle_runs_, n,
-                     buffer_->As<int32_t>());
-          break;
-        case TypeId::kI64:
-          ExpandRuns(rle_values<int64_t>(), rle_starts_, rle_runs_, n,
-                     buffer_->As<int64_t>());
-          break;
-        case TypeId::kF64:
-          ExpandRuns(rle_values<double>(), rle_starts_, rle_runs_, n,
-                     buffer_->As<double>());
-          break;
-        case TypeId::kStr:
-          VWISE_CHECK_MSG(false, "RLE representation on a string vector");
-      }
-      break;
-    }
   }
   repr_ = VectorRepr::kFlat;
   dict_codes_ = nullptr;
   dict_.reset();
-  rle_values_ = nullptr;
-  rle_starts_ = nullptr;
-  rle_runs_ = 0;
   enc_keepalive_.reset();
 }
 

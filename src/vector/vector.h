@@ -24,9 +24,9 @@ namespace vwise {
 //
 // A vector additionally carries a physical representation (VectorRepr).
 // kFlat is the classic layout above. Under compressed execution the scan
-// may instead publish kDict (per-row codes + shared dictionary) or kRle
-// (run values + run starts) views; the flat buffer stays allocated but
-// unfilled until Normalize(n) decodes into it on demand. Consumers either
+// may instead publish a kDict view (per-row codes + shared dictionary) of a
+// string column; the flat buffer stays allocated but unfilled until
+// Normalize(n) decodes into it on demand. Consumers either
 // declare a capability for the representation (catalog caps column) or call
 // Normalize() — reading Data<T>() of a non-flat vector is a bug, and the
 // contract checker rejects it.
@@ -76,9 +76,6 @@ class Vector {
     repr_ = other.repr_;
     dict_codes_ = other.dict_codes_;
     dict_ = other.dict_;
-    rle_values_ = other.rle_values_;
-    rle_starts_ = other.rle_starts_;
-    rle_runs_ = other.rle_runs_;
     enc_keepalive_ = other.enc_keepalive_;
   }
 
@@ -151,24 +148,6 @@ class Vector {
     dict_codes_ = codes;
     dict_ = std::move(dict);
     enc_keepalive_ = std::move(keepalive);
-    rle_values_ = nullptr;
-    rle_starts_ = nullptr;
-    rle_runs_ = 0;
-  }
-
-  // Publishes an RLE view: run r holds `values[r]` (physical type of this
-  // vector) for chunk positions [starts[r], starts[r+1]); starts[0] == 0 and
-  // starts[n_runs] covers the chunk count. `keepalive` owns both arrays.
-  void SetRle(const void* values, const uint32_t* starts, uint32_t n_runs,
-              std::shared_ptr<const void> keepalive) {
-    VWISE_DCHECK(type_ != TypeId::kStr);
-    repr_ = VectorRepr::kRle;
-    rle_values_ = values;
-    rle_starts_ = starts;
-    rle_runs_ = n_runs;
-    enc_keepalive_ = std::move(keepalive);
-    dict_codes_ = nullptr;
-    dict_.reset();
   }
 
   // Back to the flat representation without decoding (chunk reuse between
@@ -177,9 +156,6 @@ class Vector {
     repr_ = VectorRepr::kFlat;
     dict_codes_ = nullptr;
     dict_.reset();
-    rle_values_ = nullptr;
-    rle_starts_ = nullptr;
-    rle_runs_ = 0;
     enc_keepalive_.reset();
   }
 
@@ -190,12 +166,6 @@ class Vector {
   // a freed dictionary's address can otherwise be recycled by the next
   // stripe's (different) dictionary.
   const std::shared_ptr<const StringDict>& dict_ref() const { return dict_; }
-  template <typename T>
-  const T* rle_values() const {
-    return static_cast<const T*>(rle_values_);
-  }
-  const uint32_t* rle_starts() const { return rle_starts_; }
-  uint32_t rle_runs() const { return rle_runs_; }
 
   // Decode-on-demand boundary: materializes the first `n` rows into the flat
   // buffer and drops the encoded view. No-op on flat vectors. Aliases of
@@ -220,9 +190,6 @@ class Vector {
   VectorRepr repr_ = VectorRepr::kFlat;
   const uint32_t* dict_codes_ = nullptr;
   std::shared_ptr<const StringDict> dict_;
-  const void* rle_values_ = nullptr;
-  const uint32_t* rle_starts_ = nullptr;
-  uint32_t rle_runs_ = 0;
   std::shared_ptr<const void> enc_keepalive_;
 };
 

@@ -202,30 +202,6 @@ TEST(PdictTest, CodesOnlyAdoptionMatchesFlatDecode) {
   }
 }
 
-TEST(RleTest, RunsOnlyAdoptionMatchesFlatDecode) {
-  std::vector<int64_t> in;
-  for (int r = 0; r < 40; r++) {
-    for (int k = 0; k < 64; k++) in.push_back(r / 4);
-  }
-  auto seg = EncodeVec(Codec::kRle, TypeId::kI64, in);
-  ASSERT_TRUE(seg.ok());
-  std::vector<uint8_t> run_values;
-  std::vector<uint32_t> run_starts;
-  ASSERT_TRUE(compression::DecodeRleRuns(TypeId::kI64, seg->count,
-                                         seg->data.data(), seg->data.size(),
-                                         &run_values, &run_starts)
-                  .ok());
-  ASSERT_EQ(run_starts.size(), run_values.size() / 8 + 1);
-  EXPECT_EQ(run_starts.front(), 0u);
-  EXPECT_EQ(run_starts.back(), in.size());
-  const int64_t* vals = reinterpret_cast<const int64_t*>(run_values.data());
-  for (size_t r = 0; r + 1 < run_starts.size(); r++) {
-    for (uint32_t i = run_starts[r]; i < run_starts[r + 1]; i++) {
-      EXPECT_EQ(vals[r], in[i]);
-    }
-  }
-}
-
 TEST(PlainTest, RoundTripStrings) {
   std::vector<std::string> strs = {"", "a", "hello world", std::string(1000, 'x')};
   Vector in = ToStringVector(strs);

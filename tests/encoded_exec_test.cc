@@ -1,11 +1,16 @@
-// Compressed execution (DESIGN.md §12): encoded vectors flow from the scan
-// into the executor and the capability-declared kernels consume PDICT codes
-// and RLE runs directly. These tests assert the *mechanism*, not just the
-// results: the primitive profiler shows the encoded twins running and the
-// flat string kernels staying silent (no decode, no string-heap traffic),
-// and the PDT-delta fallback forcing the classic eager-decode path.
+// Compressed execution (DESIGN.md §12): dict-encoded vectors flow from the
+// scan into the executor and the capability-declared kernels consume PDICT
+// codes directly. These tests assert the *mechanism*, not just the results:
+// the primitive profiler shows the dict twins running and the flat string
+// kernels staying silent (no decode, no string-heap traffic), the
+// PDT-delta fallback forcing the classic eager-decode path, and RLE-stored
+// columns decoding flat so the knob cannot change a single bit.
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
+#include <iomanip>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,11 +27,13 @@
 namespace vwise {
 namespace {
 
-// events(id ascending, level in runs of 100, tag from a 3-value domain):
-// `tag` stores as PDICT, `level` as RLE, `id` as PFOR-delta (flat adoption).
-// `level` is a double because integer runs store as PFOR-delta (the run
-// boundary is one patch exception, 3 bytes cheaper than an RLE run entry);
-// for f64 the PFOR family does not apply and RLE wins outright.
+// events(id ascending, level and level2 in runs of 100, tag from a 3-value
+// domain): `tag` stores as PDICT, `level` and `level2` as RLE, `id` as
+// PFOR-delta. The levels are doubles because integer runs store as
+// PFOR-delta (the run boundary is one patch exception, 3 bytes cheaper than
+// an RLE run entry); for f64 the PFOR family does not apply and RLE wins
+// outright. `level` holds integral values, `level2` the non-integral
+// 0.1 * k, whose sums depend on the order of the additions.
 class EncodedExecTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -45,8 +52,9 @@ class EncodedExecTest : public ::testing::Test {
 
     TableSchema events("events", {ColumnDef("id", DataType::Int64()),
                                   ColumnDef("level", DataType::Double()),
-                                  ColumnDef("tag", DataType::Varchar())});
-    ASSERT_TRUE(mgr_->CreateTable(events, ColumnGroups::Dsm(3)).ok());
+                                  ColumnDef("tag", DataType::Varchar()),
+                                  ColumnDef("level2", DataType::Double())});
+    ASSERT_TRUE(mgr_->CreateTable(events, ColumnGroups::Dsm(4)).ok());
     static const char* kTags[] = {"alpha", "beta", "gamma"};
     ASSERT_TRUE(mgr_
                     ->BulkLoad("events",
@@ -55,12 +63,17 @@ class EncodedExecTest : public ::testing::Test {
                                    VWISE_RETURN_IF_ERROR(w->AppendRow(
                                        {Value::Int(i),
                                         Value::Double(static_cast<double>(i / 100)),
-                                        Value::String(kTags[i % 3])}));
+                                        Value::String(kTags[i % 3]),
+                                        Value::Double(Level2(i))}));
                                  }
                                  return Status::OK();
                                })
                     .ok());
   }
+  static double Level2(int64_t i) {
+    return 0.1 * static_cast<double>(1 + i / 100);
+  }
+
   void TearDown() override {
     mgr_.reset();
     std::filesystem::remove_all(dir_);
@@ -148,47 +161,6 @@ TEST_F(EncodedExecTest, DictSelHandlesConstantAbsentFromDictionary) {
   EXPECT_EQ(ne_snap[kPrim_sel_ne_str_col_str_val].calls, 0u);
 }
 
-// RLE comparison runs per run, not per row: the rle twin's counters advance
-// and the flat i64 kernel stays silent.
-TEST_F(EncodedExecTest, RleSelectRunsPerRun) {
-  QueryResult result;
-  auto snap = Profiled(
-      [&]() -> std::unique_ptr<Operator> {
-        auto scan = std::make_unique<ScanOperator>(
-            Snap(), std::vector<uint32_t>{1}, config_);
-        return std::make_unique<SelectOperator>(
-            std::move(scan), e::Lt(e::Col(0, DataType::Double()), e::F64(3.0)),
-            config_);
-      },
-      &result);
-  EXPECT_EQ(result.rows.size(), 300u);  // levels 0,1,2 cover i in [0,300)
-
-  const auto& rle = snap[kPrim_sel_lt_f64_rle_f64_val];
-  const auto& flat = snap[kPrim_sel_lt_f64_col_f64_val];
-  EXPECT_GT(rle.calls, 0u) << "rle kernel never ran";
-  EXPECT_EQ(flat.calls, 0u) << "flat f64 kernel ran — the column was decoded";
-}
-
-// Global aggregates fold whole runs (sum adds value * run_length); the
-// results must equal the row-at-a-time computation.
-TEST_F(EncodedExecTest, RleAggregationFoldsRuns) {
-  auto scan = std::make_unique<ScanOperator>(Snap(), std::vector<uint32_t>{1},
-                                             config_);
-  HashAggOperator agg(std::move(scan), {},
-                      {AggSpec::Sum(0), AggSpec::Min(0), AggSpec::Max(0),
-                       AggSpec::Avg(0), AggSpec::CountStar()},
-                      config_);
-  auto result = Run(&agg);
-  ASSERT_EQ(result.rows.size(), 1u);
-  double expect_sum = 0;
-  for (int64_t i = 0; i < 1000; i++) expect_sum += static_cast<double>(i / 100);
-  EXPECT_DOUBLE_EQ(result.rows[0][0].AsDouble(), expect_sum);
-  EXPECT_DOUBLE_EQ(result.rows[0][1].AsDouble(), 0.0);
-  EXPECT_DOUBLE_EQ(result.rows[0][2].AsDouble(), 9.0);
-  EXPECT_DOUBLE_EQ(result.rows[0][3].AsDouble(), expect_sum / 1000.0);
-  EXPECT_EQ(result.rows[0][4].AsInt(), 1000);
-}
-
 // A consumer with no encoded capability (LIKE walks string bytes) lands on
 // the Normalize() boundary: the query still answers correctly.
 TEST_F(EncodedExecTest, NonCapableConsumerNormalizesOnDemand) {
@@ -233,11 +205,82 @@ TEST_F(EncodedExecTest, PdtDeltasForceEagerDecode) {
   EXPECT_GT(snap[kPrim_sel_eq_str_col_str_val].calls, 0u);
 }
 
+uint64_t Bits(const Value& v) { return std::bit_cast<uint64_t>(v.AsDouble()); }
+
+std::string Exact(const Value& v) {
+  std::ostringstream os;
+  os << std::setprecision(17) << v.AsDouble();
+  return os.str();
+}
+
 // The config knob is the other gate: with enable_encoded_exec off the scan
-// decodes eagerly and results are bit-identical.
+// decodes eagerly and results are bit-identical. That covers the RLE-stored
+// doubles too: they decode flat at the scan either way, so a global
+// aggregate adds them once per row in row order — a per-run
+// `value * run_length` fold would round differently for 0.1 * k.
 TEST_F(EncodedExecTest, KnobOffMatchesKnobOnExactly) {
   Config off = config_;
   off.enable_encoded_exec = false;
+
+  const TableSnapshot snap = Snap();
+  for (uint32_t col : {1u, 3u}) {
+    for (size_t s = 0; s < snap.stable->stripe_count(); s++) {
+      ASSERT_EQ(snap.stable->stripe(s).segments[col].codec, Codec::kRle)
+          << "column " << col << " stripe " << s;
+    }
+  }
+
+  struct Expected {
+    uint32_t col;
+    double bound;  // `col < bound` keeps the first three runs
+    double sum, min, max;
+  };
+  double level2_sum = 0;
+  for (int64_t i = 0; i < 1000; i++) level2_sum += Level2(i);
+  const Expected cases[] = {{1, 3.0, 4500.0, 0.0, 9.0},
+                            {3, 0.35, level2_sum, Level2(0), Level2(999)}};
+  for (const Expected& x : cases) {
+    SCOPED_TRACE("column " + std::to_string(x.col));
+    auto agg = [&](const Config& cfg) {
+      auto scan = std::make_unique<ScanOperator>(
+          Snap(), std::vector<uint32_t>{x.col}, cfg);
+      HashAggOperator plan(std::move(scan), {},
+                           {AggSpec::Sum(0), AggSpec::Min(0), AggSpec::Max(0),
+                            AggSpec::Avg(0), AggSpec::CountStar()},
+                           cfg);
+      return Run(&plan);
+    };
+    QueryResult agg_on = agg(config_);
+    QueryResult agg_off = agg(off);
+    ASSERT_EQ(agg_on.rows.size(), 1u);
+    ASSERT_EQ(agg_off.rows.size(), 1u);
+    for (size_t c = 0; c < 4; c++) {
+      EXPECT_EQ(Bits(agg_on.rows[0][c]), Bits(agg_off.rows[0][c]))
+          << "aggregate " << c << ": " << Exact(agg_on.rows[0][c])
+          << " (knob on) vs " << Exact(agg_off.rows[0][c]) << " (off)";
+    }
+    EXPECT_EQ(Bits(agg_off.rows[0][0]), std::bit_cast<uint64_t>(x.sum));
+    EXPECT_EQ(Bits(agg_off.rows[0][1]), std::bit_cast<uint64_t>(x.min));
+    EXPECT_EQ(Bits(agg_off.rows[0][2]), std::bit_cast<uint64_t>(x.max));
+    EXPECT_EQ(Bits(agg_off.rows[0][3]), std::bit_cast<uint64_t>(x.sum / 1000));
+    EXPECT_EQ(agg_off.rows[0][4].AsInt(), 1000);
+
+    auto lt = [&](const Config& cfg) {
+      auto scan = std::make_unique<ScanOperator>(
+          Snap(), std::vector<uint32_t>{x.col}, cfg);
+      SelectOperator plan(
+          std::move(scan),
+          e::Lt(e::Col(0, DataType::Double()), e::F64(x.bound)), cfg);
+      return Run(&plan);
+    };
+    QueryResult lt_on = lt(config_);
+    QueryResult lt_off = lt(off);
+    ASSERT_EQ(lt_on.rows.size(), 300u);  // runs 0, 1, 2 cover i in [0, 300)
+    ASSERT_EQ(lt_off.rows.size(), 300u);
+    for (size_t i = 0; i < lt_on.rows.size(); i++) {
+      EXPECT_EQ(Bits(lt_on.rows[i][0]), Bits(lt_off.rows[i][0])) << "row " << i;
+    }
+  }
 
   auto on_plan = TagEq(mgr_.get(), config_, "beta", CmpOp::kEq);
   auto off_plan = TagEq(mgr_.get(), off, "beta", CmpOp::kEq);

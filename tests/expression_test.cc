@@ -342,9 +342,9 @@ class BindingCoverageTest : public ::testing::Test {
  protected:
   static constexpr size_t kRows = 100;
 
-  // One column per physical type; column `enc` (if any) is published as a
-  // dict (strings) or RLE (numbers) view instead of flat values.
-  void MakeChunk(DataChunk* c, int enc = -1) {
+  // One column per physical type; with `dict`, the string column is
+  // published as a dict view instead of flat values.
+  void MakeChunk(DataChunk* c, bool dict = false) {
     c->Init({TypeId::kU8, TypeId::kI32, TypeId::kI64, TypeId::kF64,
              TypeId::kStr},
             kCap);
@@ -358,11 +358,9 @@ class BindingCoverageTest : public ::testing::Test {
       c->column(4).Data<StringVal>()[i] = heap->Add(kWords[i % 3]);
     }
     c->SetCount(kRows);
-    if (enc == static_cast<int>(TypeId::kStr)) {
-      c->column(enc).SetDict(codes_.data(), dict_, nullptr);
-    } else if (enc >= 0) {
-      const void* runs[] = {u8_runs_, i32_runs_, i64_runs_, f64_runs_};
-      c->column(enc).SetRle(runs[enc], starts_, 2, nullptr);
+    if (dict) {
+      c->column(static_cast<size_t>(TypeId::kStr))
+          .SetDict(codes_.data(), dict_, nullptr);
     }
   }
 
@@ -418,11 +416,6 @@ class BindingCoverageTest : public ::testing::Test {
   std::vector<uint32_t> codes_;
   StringVal dict_values_[2];
   std::shared_ptr<const StringDict> dict_;
-  uint8_t u8_runs_[2] = {0, 1};
-  int32_t i32_runs_[2] = {0, 1};
-  int64_t i64_runs_[2] = {1, 2};
-  double f64_runs_[2] = {0.0, 1.5};
-  uint32_t starts_[3] = {0, 50, kRows};
 };
 
 TEST_F(BindingCoverageTest, EveryCatalogEntryIsBoundByItsNode) {
@@ -448,8 +441,8 @@ TEST_F(BindingCoverageTest, EveryCatalogEntryIsBoundByItsNode) {
     const CmpOp op = static_cast<CmpOp>(IndexOf(kCmpTokens, 6, tok[1]));
     DataChunk enc;
     DataChunk* in = &flat_;
-    if (tok[3] != "col") {  // dict / rle twin: the column arrives encoded
-      MakeChunk(&enc, static_cast<int>(ty));
+    if (tok[3] == "dict") {  // dict twin: the column arrives as codes
+      MakeChunk(&enc, true);
       in = &enc;
     }
     CmpFilter node(op, Operand(false, ty), Operand(rval, ty));

@@ -12,8 +12,8 @@ namespace {
 
 TEST(PrimitiveRegistryTest, CatalogSizeAndNaming) {
   // 4 ops x 2 types x 3 kinds = 24 maps; 6 cmps x 5 types x 2 kinds = 60
-  // sels; 2 dict + 6 cmps x 4 numeric types rle = 26 encoded twins.
-  EXPECT_EQ(kNumPrimitives, 24 + 60 + 26);
+  // sels; 2 dict twins (eq, ne over PDICT codes).
+  EXPECT_EQ(kNumPrimitives, 24 + 60 + 2);
   for (int i = 0; i < kNumPrimitives; i++) {
     const PrimitiveEntry& e = PrimitiveRegistry::Get(PrimitiveId(i));
     std::string name = e.name;
@@ -27,8 +27,7 @@ TEST(PrimitiveRegistryTest, CatalogSizeAndNaming) {
       continue;
     }
     ASSERT_EQ(name.rfind("sel_", 0), 0u) << name;
-    bool encoded = name.find("_dict_") != std::string::npos ||
-                   name.find("_rle_") != std::string::npos;
+    bool encoded = name.find("_dict_") != std::string::npos;
     EXPECT_EQ(e.kind, encoded ? PrimitiveKind::kEnc : PrimitiveKind::kSel)
         << name;
     EXPECT_EQ(e.map, nullptr) << name;
@@ -52,11 +51,9 @@ TEST(PrimitiveRegistryTest, LookupKnownAndUnknown) {
   const PrimitiveEntry* dict = PrimitiveRegistry::Find("sel_eq_str_dict_str_val");
   ASSERT_NE(dict, nullptr);
   EXPECT_EQ(dict->kind, PrimitiveKind::kEnc);
-  const PrimitiveEntry* rle = PrimitiveRegistry::Find("sel_ge_i64_rle_i64_val");
-  ASSERT_NE(rle, nullptr);
-  EXPECT_EQ(rle->kind, PrimitiveKind::kEnc);
   EXPECT_EQ(PrimitiveRegistry::Find("sel_lt_str_dict_str_val"), nullptr);
-  EXPECT_EQ(PrimitiveRegistry::Find("sel_eq_str_rle_str_val"), nullptr);
+  // RLE decodes flat at the scan: no run-level twins.
+  EXPECT_EQ(PrimitiveRegistry::Find("sel_ge_i64_rle_i64_val"), nullptr);
 }
 
 uint8_t CapsOf(const std::string& name) {
@@ -69,12 +66,11 @@ TEST(PrimitiveRegistryTest, CapsColumnMatchesEncodedTwins) {
   EXPECT_EQ(CapsOf("map_add_i64_col_i64_col"), kReprFlat);
   EXPECT_EQ(CapsOf("sel_eq_str_col_str_val"), kReprFlat | kReprDict);
   EXPECT_EQ(CapsOf("sel_eq_str_col_str_col"), kReprFlat);
-  EXPECT_EQ(CapsOf("sel_lt_i64_col_i64_val"), kReprFlat | kReprRle);
+  EXPECT_EQ(CapsOf("sel_lt_i64_col_i64_val"), kReprFlat);
   EXPECT_EQ(CapsOf("sel_lt_str_col_str_val"), kReprFlat);
   EXPECT_EQ(CapsOf("sel_eq_str_dict_str_val"), kReprDict);
-  EXPECT_EQ(CapsOf("sel_lt_f64_rle_f64_val"), kReprRle);
-  // Every granted dict/rle capability has its encoded twin registered under
-  // the name with the column's `col` token swapped for the representation.
+  // Every granted dict capability has its encoded twin registered under the
+  // name with the column's `col` token swapped for `dict`.
   for (int i = 0; i < kNumPrimitives; i++) {
     const PrimitiveEntry& e = PrimitiveRegistry::Get(PrimitiveId(i));
     if (e.kind == PrimitiveKind::kEnc) continue;
@@ -82,13 +78,6 @@ TEST(PrimitiveRegistryTest, CapsColumnMatchesEncodedTwins) {
     if (e.caps & kReprDict) {
       std::string twin = name;
       twin.replace(twin.find("_col_"), 5, "_dict_");
-      const PrimitiveEntry* t = PrimitiveRegistry::Find(twin);
-      ASSERT_NE(t, nullptr) << name;
-      EXPECT_EQ(t->kind, PrimitiveKind::kEnc) << name;
-    }
-    if (e.caps & kReprRle) {
-      std::string twin = name;
-      twin.replace(twin.find("_col_"), 5, "_rle_");
       const PrimitiveEntry* t = PrimitiveRegistry::Find(twin);
       ASSERT_NE(t, nullptr) << name;
       EXPECT_EQ(t->kind, PrimitiveKind::kEnc) << name;
@@ -118,25 +107,6 @@ TEST(PrimitiveRegistryTest, DictSelectComparesCodes) {
   EXPECT_EQ(out[0], 0u);
   EXPECT_EQ(out[1], 2u);
   EXPECT_EQ(out[2], 4u);
-}
-
-TEST(PrimitiveRegistryTest, RleSelectMatchesScalarReference) {
-  auto fn = FindSelect("sel_ge_i64_rle_i64_val");
-  ASSERT_NE(fn, nullptr);
-  // Runs: 4x10, 3x-5, 2x10, 1x99 -> 10 values.
-  std::vector<int64_t> run_vals = {10, -5, 10, 99};
-  std::vector<uint32_t> starts = {0, 4, 7, 9, 10};
-  RleColView view{run_vals.data(), starts.data(), 4};
-  int64_t pivot = 10;
-  std::vector<sel_t> out(10);
-  size_t n = fn(&view, &pivot, nullptr, 10, out.data());
-  std::vector<sel_t> got(out.begin(), out.begin() + n);
-  EXPECT_EQ(got, (std::vector<sel_t>{0, 1, 2, 3, 7, 8, 9}));
-  // Same predicate through an input selection vector.
-  sel_t sel[5] = {1, 4, 6, 8, 9};
-  n = fn(&view, &pivot, sel, 5, out.data());
-  got.assign(out.begin(), out.begin() + n);
-  EXPECT_EQ(got, (std::vector<sel_t>{1, 8, 9}));
 }
 
 TEST(PrimitiveRegistryTest, MapKernelComputesThroughErasedSignature) {
@@ -213,7 +183,7 @@ TEST(PrimitiveRegistryTest, IntegerDivisionByZeroIsZero) {
 }
 
 TEST(PrimitiveRegistryTest, EveryRegisteredMapRunsWithoutCrashing) {
-  // Smoke-drive all 110 primitives through the erased interface with benign
+  // Smoke-drive all 86 primitives through the erased interface with benign
   // operands.
   std::vector<int64_t> i64a(64, 6), i64b(64, 1), i64o(64);
   std::vector<double> f64a(64, 6.0), f64b(64, 1.0), f64o(64);
@@ -224,32 +194,11 @@ TEST(PrimitiveRegistryTest, EveryRegisteredMapRunsWithoutCrashing) {
   std::vector<sel_t> out_sel(64);
   std::vector<uint32_t> codes(64, 1);
   uint32_t code_val = 1;
-  std::vector<uint32_t> run_starts = {0, 32, 64};
   for (int i = 0; i < kNumPrimitives; i++) {
     const PrimitiveEntry& e = PrimitiveRegistry::Get(PrimitiveId(i));
     std::string name = e.name;
     if (name.find("_dict_") != std::string::npos) {
       size_t n = e.select(codes.data(), &code_val, nullptr, 64, out_sel.data());
-      EXPECT_LE(n, 64u) << name;
-      continue;
-    }
-    if (name.find("_rle_") != std::string::npos) {
-      RleColView view{nullptr, run_starts.data(), 2};
-      const void* b = nullptr;
-      if (name.find("_u8_") != std::string::npos) {
-        view.run_values = u8a.data();
-        b = u8b.data();
-      } else if (name.find("_i32_") != std::string::npos) {
-        view.run_values = i32a.data();
-        b = i32b.data();
-      } else if (name.find("_i64_") != std::string::npos) {
-        view.run_values = i64a.data();
-        b = i64b.data();
-      } else {
-        view.run_values = f64a.data();
-        b = f64b.data();
-      }
-      size_t n = e.select(&view, b, nullptr, 64, out_sel.data());
       EXPECT_LE(n, 64u) << name;
       continue;
     }

@@ -162,7 +162,7 @@ TEST_F(ProfilerTest, ExplainAnalyzeOutputParses) {
   // EXPLAIN ANALYZE must line up with EXPLAIN: same tree, annotations added.
   std::string plain = ExplainPlan(**plan);
   // Timing annotations plus the scan-level compressed-execution note
-  // (repr=dict:N/rle:N/flat:N) — both are EXPLAIN ANALYZE-only.
+  // (repr=dict:N/rle:0/flat:N) — both are EXPLAIN ANALYZE-only.
   std::regex ann(
       R"( \[rows=\d+ in=\d+ chunks=\d+ next_calls=\d+ open=\d+\.\d{3}ms next=\d+\.\d{3}ms\]| repr=dict:\d+/rle:\d+/flat:\d+)");
   EXPECT_EQ(std::regex_replace(text.substr(0, text.find("primitives:")), ann,

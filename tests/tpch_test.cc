@@ -171,8 +171,8 @@ TEST_P(TpchAllQueries, RunsAndHasPlausibleShape) {
 }
 
 // Compressed execution must be invisible: every query produces bit-identical
-// rows whether the scan hands PDICT/RLE segments through to the encoded
-// kernels or decodes eagerly. Exact equality on purpose — the dict kernels
+// rows whether the scan hands PDICT segments through to the dict kernels or
+// decodes eagerly. Exact equality on purpose — the dict kernels
 // compare integer codes and TPC-H decimals store as i64 cents, so there is
 // no floating-point slack to hide behind.
 TEST_P(TpchAllQueries, EncodedExecInvariance) {

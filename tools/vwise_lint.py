@@ -7,21 +7,19 @@ Checks
    * every entry obeys the naming grammar
        map_<op>_<ty>_{col_<ty>_{col,val} | val_<ty>_col}
        sel_<cmp>_<ty>_col_<ty>_{col,val}
-       sel_<cmp>_<ty>_{dict,rle}_<ty>_val        (VWISE_ENC_PRIMITIVE)
+       sel_<cmp>_str_dict_str_val                (VWISE_ENC_PRIMITIVE)
      with both type tokens equal and matching the entry's C++ type;
    * the operand-kind suffix matches the registered adapter kernel, and the
      op token matches the operator functor;
-   * the caps column is a '|' of kRepr* tokens that always includes
-     kReprFlat; kReprDict appears only on string sel col/val entries
-     (PDICT is a string encoding) and kReprRle only on non-string sel
-     col/val entries (string runs decode at the scan);
-   * caps and encoded twins are 1:1 — every kReprDict / kReprRle bit
-     promises a VWISE_ENC_PRIMITIVE entry whose name swaps the column's
-     'col' token for 'dict' / 'rle', and every encoded entry's flat base
-     must grant the matching bit;
-   * encoded entries use the matching EncSel* adapter, a uint32_t code
-     type for dict (codes, not strings), and declare exactly their own
-     representation bit;
+   * the caps column is a '|' of kReprFlat / kReprDict that always
+     includes kReprFlat; kReprDict appears only on string sel col/val
+     entries (PDICT is a string encoding). RLE has no token: it decodes
+     flat at the scan, so an RLE caps bit or an _rle_ twin is an error;
+   * caps and encoded twins are 1:1 — every kReprDict bit promises a
+     VWISE_ENC_PRIMITIVE entry whose name swaps the column's 'col' token
+     for 'dict', and every encoded entry's flat base must grant the bit;
+   * encoded entries use the EncSelDictVal adapter, a uint32_t code type
+     (codes, not strings), and declare exactly kReprDict;
    * no duplicate names; every (op x type) block is a complete kind grid;
    * 1:1 consistency with src/expr/primitives.h: each Op* functor declared
      there is used by the catalog and vice versa; every kernel the catalog
@@ -73,12 +71,13 @@ Checks
 
 --self-test seeds deliberate violations (misnamed primitive, catalog /
 primitives.h mismatch, caps bits without encoded twins and vice versa,
-dict caps on integer columns, raw assert, a constructor that stores its child
-without InterposeChild, a helper that drops one wrapper, a std::thread
-spawned outside src/service/, discarded Status returns on the WAL path and
-in a test, a raw std::mutex, an allow() escape with no rationale, a
-guarded member stripped of its VWISE_GUARDED_BY) into a scratch copy and
-verifies the lint reports the specific expected diagnostic for each.
+dict caps on integer columns, an RLE twin or caps bit, raw assert, a
+constructor that stores its child without InterposeChild, a helper that
+drops one wrapper, a std::thread spawned outside src/service/, discarded
+Status returns on the WAL path and in a test, a raw std::mutex, an allow()
+escape with no rationale, a guarded member stripped of its
+VWISE_GUARDED_BY) into a scratch copy and verifies the lint reports the
+specific expected diagnostic for each.
 """
 
 import argparse
@@ -112,13 +111,12 @@ ADAPTER_TO_KERNEL = {
     "SelColVal": "SelectColVal",
     "SelColCol": "SelectColCol",
     "EncSelDictVal": "SelectDictVal",
-    "EncSelRleVal": "SelectRleVal",
 }
 # representation-capability tokens (vector/representation.h)
-REPR_TOKENS = {"kReprFlat", "kReprDict", "kReprRle"}
+REPR_TOKENS = {"kReprFlat", "kReprDict"}
 # encoding token -> (required adapter, repr bit it implements)
-ENC_ADAPTERS = {"dict": "EncSelDictVal", "rle": "EncSelRleVal"}
-ENC_REPR = {"dict": "kReprDict", "rle": "kReprRle"}
+ENC_ADAPTERS = {"dict": "EncSelDictVal"}
+ENC_REPR = {"dict": "kReprDict"}
 
 ENTRY_RE = re.compile(
     r"^VWISE_(MAP|SEL|ENC)_PRIMITIVE\(\s*(\w+)\s*,\s*([\w:]+)\s*,"
@@ -130,7 +128,7 @@ SEL_NAME_RE = re.compile(
     r"^sel_(?P<op>[a-z]+)_(?P<ty1>[a-z0-9]+)_col_(?P<ty2>[a-z0-9]+)_"
     r"(?P<rhs>col|val)$")
 ENC_NAME_RE = re.compile(
-    r"^sel_(?P<op>[a-z]+)_(?P<ty1>[a-z0-9]+)_(?P<enc>dict|rle)_"
+    r"^sel_(?P<op>[a-z]+)_(?P<ty1>[a-z0-9]+)_(?P<enc>dict)_"
     r"(?P<ty2>[a-z0-9]+)_val$")
 
 
@@ -245,7 +243,7 @@ class Lint:
             for t in bad:
                 self.error(catalog_path, lineno,
                            f"'{name}': unknown caps token '{t}' (caps is a "
-                           "'|' of kReprFlat/kReprDict/kReprRle)")
+                           "'|' of kReprFlat/kReprDict)")
             if bad:
                 continue
             if "kReprFlat" not in bits:
@@ -263,13 +261,6 @@ class Lint:
                            "sel_*_str_col_str_val — PDICT covers strings "
                            "only, and only the col/val shape can translate "
                            "the constant to a code up front")
-            if "kReprRle" in bits and not (enc_ok and ty1 != "str"):
-                placed_ok = False
-                self.error(catalog_path, lineno,
-                           f"'{name}': kReprRle cap is only valid on "
-                           "non-string sel_*_col_*_val — string runs decode "
-                           "at the scan, and col/col operands break the "
-                           "per-run shortcut")
             if placed_ok:
                 flat_caps[name] = (lineno, set(bits))
 
@@ -287,9 +278,8 @@ class Lint:
                                f"'{name}' grants {bit} but the catalog has "
                                f"no encoded twin '{twin}'")
         for name, lineno in sorted(enc_entries.items()):
-            enc = "dict" if "_dict_" in name else "rle"
-            flat = name.replace(f"_{enc}_", "_col_", 1)
-            bit = ENC_REPR[enc]
+            flat = name.replace("_dict_", "_col_", 1)
+            bit = ENC_REPR["dict"]
             if flat not in flat_caps:
                 self.error(catalog_path, lineno,
                            f"encoded twin '{name}' has no flat base entry "
@@ -351,12 +341,12 @@ class Lint:
     def check_enc_entry(self, catalog_path, lineno, name, ctype, adapter,
                         functor, repr_arg, enc_entries):
         """One VWISE_ENC_PRIMITIVE line: an encoded twin that consumes the
-        column operand in its storage encoding (dict codes / RLE runs)."""
+        column operand as PDICT codes."""
         m = ENC_NAME_RE.match(name)
         if not m:
             self.error(catalog_path, lineno,
                        f"encoded primitive name '{name}' violates the "
-                       "naming grammar sel_<cmp>_<ty>_{dict,rle}_<ty>_val")
+                       "naming grammar sel_<cmp>_str_dict_str_val")
             return
         op, ty1, enc, ty2 = (m.group("op"), m.group("ty1"), m.group("enc"),
                              m.group("ty2"))
@@ -377,16 +367,11 @@ class Lint:
             self.error(catalog_path, lineno,
                        f"'{name}': dict encoding over '{ty1}' — PDICT "
                        "covers strings only")
-        if enc == "rle" and ty1 == "str":
-            self.error(catalog_path, lineno,
-                       f"'{name}': RLE encoding over strings — string runs "
-                       "decode at the scan")
         # Dict kernels compare uint32 codes, never the decoded strings.
-        expected_ctype = "uint32_t" if enc == "dict" else TYPE_TOKENS[ty1]
-        if ctype != expected_ctype:
+        if ctype != "uint32_t":
             self.error(catalog_path, lineno,
                        f"'{name}': C++ type {ctype} does not match the "
-                       f"{enc} encoding (expected {expected_ctype})")
+                       f"{enc} encoding (expected uint32_t)")
         if adapter != ENC_ADAPTERS[enc]:
             self.error(catalog_path, lineno,
                        f"'{name}': {enc} encoding requires adapter "
@@ -926,9 +911,9 @@ def self_test(repo):
         "unknown op token": (lambda tmp: patch_file(
             tmp, os.path.join("src", "expr", "primitive_catalog.inc"),
             "VWISE_SEL_PRIMITIVE(sel_eq_u8_col_u8_val, uint8_t, "
-            "SelColVal, OpEq, kReprFlat | kReprRle)",
+            "SelColVal, OpEq, kReprFlat)",
             "VWISE_SEL_PRIMITIVE(sel_equals_u8_col_u8_val, uint8_t, "
-            "SelColVal, OpEq, kReprFlat | kReprRle)"), "unknown op token"),
+            "SelColVal, OpEq, kReprFlat)"), "unknown op token"),
         # Caps granted with no encoded twin behind it: CmpFilter::Prepare
         # would fail to bind a kernel that does not exist.
         "caps bit without encoded twin": (lambda tmp: patch_file(
@@ -941,10 +926,27 @@ def self_test(repo):
         "dict cap on non-string": (lambda tmp: patch_file(
             tmp, os.path.join("src", "expr", "primitive_catalog.inc"),
             "VWISE_SEL_PRIMITIVE(sel_eq_i64_col_i64_val, int64_t, "
-            "SelColVal, OpEq, kReprFlat | kReprRle)",
+            "SelColVal, OpEq, kReprFlat)",
             "VWISE_SEL_PRIMITIVE(sel_eq_i64_col_i64_val, int64_t, "
             "SelColVal, OpEq, kReprFlat | kReprDict)"),
             "PDICT covers strings only"),
+        # RLE decodes flat at the scan: the grammar has no _rle_ twins.
+        "rle twin declared": (lambda tmp: patch_file(
+            tmp, os.path.join("src", "expr", "primitive_catalog.inc"),
+            "VWISE_ENC_PRIMITIVE(sel_ne_str_dict_str_val, uint32_t, "
+            "EncSelDictVal, OpNe, kReprDict)",
+            "VWISE_ENC_PRIMITIVE(sel_ne_str_dict_str_val, uint32_t, "
+            "EncSelDictVal, OpNe, kReprDict)\n"
+            "VWISE_ENC_PRIMITIVE(sel_lt_f64_rle_f64_val, double, "
+            "EncSelRleVal, OpLt, kReprRle)"), "naming grammar"),
+        # Nor an RLE caps token: no consumer takes runs.
+        "rle caps bit": (lambda tmp: patch_file(
+            tmp, os.path.join("src", "expr", "primitive_catalog.inc"),
+            "VWISE_SEL_PRIMITIVE(sel_lt_f64_col_f64_val, double, "
+            "SelColVal, OpLt, kReprFlat)",
+            "VWISE_SEL_PRIMITIVE(sel_lt_f64_col_f64_val, double, "
+            "SelColVal, OpLt, kReprFlat | kReprRle)"),
+            "unknown caps token 'kReprRle'"),
         # Encoded twin whose flat base dropped the cap: the twin becomes
         # dead code the expression layer can never bind.
         "encoded twin without caps bit": (lambda tmp: patch_file(
@@ -959,7 +961,7 @@ def self_test(repo):
             "VWISE_MAP_PRIMITIVE(map_sub_i64_col_i64_col, int64_t, "
             "MapColCol, OpSub, kReprFlat)",
             "VWISE_MAP_PRIMITIVE(map_sub_i64_col_i64_col, int64_t, "
-            "MapColCol, OpSub, kReprRle)"), "must include kReprFlat"),
+            "MapColCol, OpSub, kReprDict)"), "must include kReprFlat"),
         # Encoded twin registered with the string type instead of codes.
         "dict twin with string ctype": (lambda tmp: patch_file(
             tmp, os.path.join("src", "expr", "primitive_catalog.inc"),
