@@ -198,27 +198,5 @@ int main() {
               t_col / t_vec);
   VWISE_CHECK(std::abs(r_vec - r_tup) < 1e-6 * std::abs(r_vec) + 1e-6);
   VWISE_CHECK(std::abs(r_vec - r_col) < 1e-6 * std::abs(r_vec) + 1e-6);
-
-  BenchReport report("engine_comparison");
-  auto entry = [&](const char* engine, double secs, double result) {
-    Json e = Json::Object();
-    e.Set("engine", Json::Str(engine));
-    e.Set("sf", Json::Double(sf));
-    e.Set("wall_ms", Json::Double(secs * 1e3));
-    e.Set("rows", Json::Int(static_cast<int64_t>(data.qty.size())));
-    e.Set("mvalues_per_sec", Json::Double(n / secs / 1e6));
-    e.Set("result", Json::Double(result));
-    return e;
-  };
-  report.AddEntry(entry("vectorized", t_vec, r_vec));
-  report.AddEntry(entry("tuple_at_a_time", t_tup, r_tup));
-  {
-    Json e = entry("column_at_a_time", t_col, r_col);
-    e.Set("bytes_materialized", Json::Int(static_cast<int64_t>(col_bytes)));
-    report.AddEntry(std::move(e));
-  }
-  report.SetMetric("speedup_vs_tuple", Json::Double(t_tup / t_vec));
-  report.SetMetric("speedup_vs_column", Json::Double(t_col / t_vec));
-  report.Write();
   return 0;
 }

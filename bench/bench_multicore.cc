@@ -84,24 +84,14 @@ int main() {
   LoadTpch(db.get(), 0.05);
 
   std::printf("%8s %12s %10s %8s\n", "threads", "time(s)", "speedup", "groups");
-  BenchReport report("multicore");
   double base = 0;
   for (int threads : {1, 2, 4, 8}) {
     size_t groups = 0;
     double t = RunQ1Style(db.get(), threads, &groups);
     if (threads == 1) base = t;
     std::printf("%8d %12.4f %9.2fx %8zu\n", threads, t, base / t, groups);
-
-    Json entry = Json::Object();
-    entry.Set("threads", Json::Int(threads));
-    entry.Set("sf", Json::Double(0.05));
-    entry.Set("wall_ms", Json::Double(t * 1e3));
-    entry.Set("speedup", Json::Double(base / t));
-    entry.Set("rows", Json::Int(static_cast<int64_t>(groups)));
-    report.AddEntry(std::move(entry));
   }
   std::printf("# single-core host: timeshared workers, ~1x expected here; "
               "partitioned Xchg plans scale on real multi-core machines\n");
-  report.Write();
   return 0;
 }

@@ -8,11 +8,9 @@
 // Reported: per-query times, the geometric-mean Power@Size metric, and the
 // vectorized/tuple ratio (paper claim: >10x raw processing power).
 //
-// Besides the console table, the run appends every (query, sf) cell — with a
-// per-operator profile from an instrumented third run — to
-// BENCH_tpch_power.json (see BenchReport in bench_util.h). Scale factors
-// come from VWISE_BENCH_SF (comma-separated, default "0.01,0.05") so CI can
-// smoke-test at SF 0.01 only.
+// Every query's vector-size-1 rows must match its vector-size-1024 rows, so
+// a run doubles as an answer check. Scale factors come from VWISE_BENCH_SF
+// (comma-separated, default "0.01,0.05") so CI can smoke-test at SF 0.01.
 
 #include <cmath>
 #include <cstdlib>
@@ -22,10 +20,9 @@
 namespace vwise::bench {
 namespace {
 
-// Result comparison for the out-of-core rerun. Spilled aggregation merges
-// per-partition partial states, so double accumulations can differ from the
-// streaming in-memory order in the last bits; everything else must match
-// exactly.
+// Result comparison between the two vector sizes. Double accumulations may
+// differ in the last bits when the chunking changes the summation order;
+// everything else must match exactly.
 bool RowsEquivalent(const std::vector<std::vector<Value>>& a,
                     const std::vector<std::vector<Value>>& b) {
   if (a.size() != b.size()) return false;
@@ -55,18 +52,7 @@ double PowerMetric(const std::vector<double>& secs, double sf) {
   return 3600.0 * sf / geomean;
 }
 
-// Instrumented rerun of query `q`: profiled plan, per-operator counters.
-Json ProfiledOperators(Database* db, int q, const Config& base) {
-  Config cfg = base;
-  cfg.profile = true;
-  auto plan = tpch::BuildQuery(q, db->Internals().tm, cfg);
-  VWISE_CHECK_MSG(plan.ok(), plan.status().ToString().c_str());
-  auto r = CollectRows(plan->get(), cfg.vector_size);
-  VWISE_CHECK_MSG(r.ok(), r.status().ToString().c_str());
-  return OperatorsJson(CollectPlanProfile(**plan));
-}
-
-void RunPower(double sf, BenchReport* report) {
+void RunPower(double sf) {
   TempDb db("tpch_power");
   LoadTpch(db.get(), sf);
 
@@ -80,29 +66,22 @@ void RunPower(double sf, BenchReport* report) {
   auto session = db->Connect();
   std::vector<double> vec_times, tup_times;
   for (int q = 1; q <= 22; q++) {
-    size_t rows = 0;
+    QueryResult vec, tup;
     double tv = TimeSec([&] {
       auto r = tpch::RunQuery(q, session.get(), db->Internals().tm, vectorized);
       VWISE_CHECK_MSG(r.ok(), r.status().ToString().c_str());
-      rows = r->rows.size();
+      vec = std::move(*r);
     });
     double tt = TimeSec([&] {
       auto r = tpch::RunQuery(q, session.get(), db->Internals().tm, tuple_cfg);
       VWISE_CHECK_MSG(r.ok(), r.status().ToString().c_str());
+      tup = std::move(*r);
     });
+    VWISE_CHECK_MSG(RowsEquivalent(tup.rows, vec.rows),
+                    "vector size 1 diverged from vector size 1024");
     vec_times.push_back(tv);
     tup_times.push_back(tt);
     std::printf("%5d %14.4f %14.4f %7.1fx\n", q, tv, tt, tt / tv);
-
-    Json entry = Json::Object();
-    entry.Set("query", Json::Int(q));
-    entry.Set("sf", Json::Double(sf));
-    entry.Set("wall_ms_vectorized", Json::Double(tv * 1e3));
-    entry.Set("wall_ms_tuple", Json::Double(tt * 1e3));
-    entry.Set("rows", Json::Int(static_cast<int64_t>(rows)));
-    entry.Set("config", ConfigJson(vectorized));
-    entry.Set("operators", ProfiledOperators(db.get(), q, vectorized));
-    report->AddEntry(std::move(entry));
   }
   double pv = PowerMetric(vec_times, sf);
   double pt = PowerMetric(tup_times, sf);
@@ -110,105 +89,6 @@ void RunPower(double sf, BenchReport* report) {
   std::printf("Power@SF%-6.3g tuple-at-a-time: %6.1f\n", sf, pt);
   std::printf("overall speedup (paper: Vectorwise ~3.4x SQLServer, >10x raw): %.1fx\n",
               pv / pt);
-
-  char key[64];
-  std::snprintf(key, sizeof(key), "power_sf%.3g_vectorized", sf);
-  report->SetMetric(key, Json::Double(pv));
-  std::snprintf(key, sizeof(key), "power_sf%.3g_tuple", sf);
-  report->SetMetric(key, Json::Double(pt));
-
-  // Out-of-core rerun: representative breaker shapes (Q1 aggregation, Q3
-  // join+agg+sort, Q6 selection+scalar agg) under a per-query memory budget
-  // of a quarter of their unbudgeted reservation peak. Breakers whose state
-  // exceeds the budget degrade to spilling; results must stay bit-identical.
-  std::printf("%5s %15s %11s %12s\n", "query", "out-of-core(s)", "budget(KB)",
-              "spilled(KB)");
-  uint64_t total_spilled = 0;
-  for (int q : {1, 3, 6}) {
-    auto prepared =
-        tpch::PrepareQuery(q, session.get(), db->Internals().tm, vectorized);
-    VWISE_CHECK_MSG(prepared.ok(), prepared.status().ToString().c_str());
-    auto base = (*prepared)->Run();
-    VWISE_CHECK_MSG(base.ok(), base.status().ToString().c_str());
-    size_t budget =
-        std::max<size_t>(base->peak_reserved_bytes / 4, size_t{96} << 10);
-    QueryOptions opt;
-    opt.memory_budget_bytes = budget;
-    uint64_t spilled = 0, read_back = 0;
-    size_t rows = 0, peak = 0;
-    double t = TimeSec([&] {
-      auto r = (*prepared)->Run(opt);
-      VWISE_CHECK_MSG(r.ok(), r.status().ToString().c_str());
-      spilled = r->spill_bytes_written;
-      read_back = r->spill_bytes_read;
-      rows = r->rows.size();
-      peak = r->peak_reserved_bytes;
-      VWISE_CHECK_MSG(RowsEquivalent(r->rows, base->rows),
-                      "out-of-core result diverged from the in-memory run");
-    });
-    // If the unbudgeted peak exceeded the budget, some breaker must have
-    // degraded to disk rather than thrashing or failing.
-    VWISE_CHECK_MSG(spilled > 0 || base->peak_reserved_bytes <= budget,
-                    "budget below the in-memory peak yet nothing spilled");
-    total_spilled += spilled;
-    std::printf("%5d %15.4f %11zu %12.1f\n", q, t, budget >> 10,
-                static_cast<double>(spilled) / 1024.0);
-
-    Json entry = Json::Object();
-    entry.Set("query", Json::Int(q));
-    entry.Set("sf", Json::Double(sf));
-    entry.Set("mode", Json::Str("out_of_core"));
-    entry.Set("wall_ms_out_of_core", Json::Double(t * 1e3));
-    entry.Set("rows", Json::Int(static_cast<int64_t>(rows)));
-    entry.Set("memory_budget_bytes", Json::Int(static_cast<int64_t>(budget)));
-    entry.Set("peak_reserved_bytes", Json::Int(static_cast<int64_t>(peak)));
-    entry.Set("spill_bytes_written", Json::Int(static_cast<int64_t>(spilled)));
-    entry.Set("spill_bytes_read", Json::Int(static_cast<int64_t>(read_back)));
-    entry.Set("config", ConfigJson(vectorized));
-    report->AddEntry(std::move(entry));
-  }
-  std::snprintf(key, sizeof(key), "outofcore_sf%.3g_spill_mb", sf);
-  report->SetMetric(key,
-                    Json::Double(static_cast<double>(total_spilled) / 1048576.0));
-
-  // Compressed-execution rerun: Q1 (dict group keys through aggregation) and
-  // Q6 (selection-heavy) with the scan handing PDICT segments straight to
-  // the dict kernels vs eager decode.
-  // Results must match exactly — the dict kernels compare integer codes and
-  // TPC-H decimals are i64 cents, so there is no floating-point slack.
-  std::printf("%5s %12s %12s %8s\n", "query", "encoded(s)", "decoded(s)",
-              "ratio");
-  for (int q : {1, 6}) {
-    Config enc_on = vectorized;
-    enc_on.enable_encoded_exec = true;
-    Config enc_off = vectorized;
-    enc_off.enable_encoded_exec = false;
-    size_t rows = 0;
-    QueryResult on_rows;
-    double te = TimeSec([&] {
-      auto r = tpch::RunQuery(q, session.get(), db->Internals().tm, enc_on);
-      VWISE_CHECK_MSG(r.ok(), r.status().ToString().c_str());
-      rows = r->rows.size();
-      on_rows = std::move(*r);
-    });
-    double td = TimeSec([&] {
-      auto r = tpch::RunQuery(q, session.get(), db->Internals().tm, enc_off);
-      VWISE_CHECK_MSG(r.ok(), r.status().ToString().c_str());
-      VWISE_CHECK_MSG(r->rows == on_rows.rows,
-                      "encoded execution diverged from eager decode");
-    });
-    std::printf("%5d %12.4f %12.4f %7.2fx\n", q, te, td, td / te);
-
-    Json entry = Json::Object();
-    entry.Set("query", Json::Int(q));
-    entry.Set("sf", Json::Double(sf));
-    entry.Set("mode", Json::Str("encoded_exec"));
-    entry.Set("wall_ms_encoded", Json::Double(te * 1e3));
-    entry.Set("wall_ms_decoded", Json::Double(td * 1e3));
-    entry.Set("rows", Json::Int(static_cast<int64_t>(rows)));
-    entry.Set("config", ConfigJson(enc_on));
-    report->AddEntry(std::move(entry));
-  }
 }
 
 std::vector<double> ScaleFactors() {
@@ -235,10 +115,8 @@ std::vector<double> ScaleFactors() {
 }  // namespace vwise::bench
 
 int main() {
-  vwise::bench::BenchReport report("tpch_power");
   for (double sf : vwise::bench::ScaleFactors()) {
-    vwise::bench::RunPower(sf, &report);
+    vwise::bench::RunPower(sf);
   }
-  report.Write();
   return 0;
 }

@@ -5,16 +5,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <ctime>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "api/database.h"
-#include "common/json.h"
-#include "planner/plan_verifier.h"
 #include "tpch/generator.h"
 #include "tpch/queries.h"
 
@@ -76,107 +72,6 @@ inline void LoadTpch(Database* db, double sf) {
   std::printf("# loaded TPC-H SF %.3g in %.2fs (%lld orders)\n", sf, secs,
               static_cast<long long>(gen.num_orders()));
 }
-
-// ---------------------------------------------------------------------------
-// Machine-readable benchmark reports (BENCH_<name>.json)
-// ---------------------------------------------------------------------------
-
-// Schema version of the emitted reports; bump on incompatible layout changes
-// and update tools/check_bench_json.py in the same commit.
-inline constexpr int kBenchReportSchemaVersion = 1;
-
-// The engine knobs that shape a bench result, for report entries.
-inline Json ConfigJson(const Config& config) {
-  Json j = Json::Object();
-  j.Set("vector_size", Json::Int(static_cast<int64_t>(config.vector_size)));
-  j.Set("num_threads", Json::Int(config.num_threads));
-  j.Set("stripe_rows", Json::Int(static_cast<int64_t>(config.stripe_rows)));
-  j.Set("buffer_pool_bytes",
-        Json::Int(static_cast<int64_t>(config.buffer_pool_bytes)));
-  j.Set("enable_compression", Json::Bool(config.enable_compression));
-  j.Set("enable_minmax_skipping", Json::Bool(config.enable_minmax_skipping));
-  return j;
-}
-
-// Per-operator breakdown of a profiled plan (EXPLAIN ANALYZE counters).
-inline Json OperatorsJson(const std::vector<PlanNodeProfile>& nodes) {
-  Json arr = Json::Array();
-  for (const PlanNodeProfile& n : nodes) {
-    Json o = Json::Object();
-    o.Set("op", Json::Str(n.op));
-    o.Set("depth", Json::Int(static_cast<int64_t>(n.depth)));
-    o.Set("profiled", Json::Bool(n.profiled));
-    if (n.profiled) {
-      o.Set("rows_out", Json::Int(static_cast<int64_t>(n.rows_out)));
-      o.Set("rows_in", Json::Int(static_cast<int64_t>(n.rows_in)));
-      o.Set("chunks_out", Json::Int(static_cast<int64_t>(n.chunks_out)));
-      o.Set("next_calls", Json::Int(static_cast<int64_t>(n.next_calls)));
-      o.Set("open_ms", Json::Double(n.open_ms));
-      o.Set("next_ms", Json::Double(n.next_ms));
-    }
-    arr.Append(std::move(o));
-  }
-  return arr;
-}
-
-// Accumulates one bench binary's results and writes BENCH_<name>.json into
-// $VWISE_BENCH_JSON_DIR (default: the working directory). The schema is the
-// benchmark-trajectory contract validated by tools/check_bench_json.py:
-//   { schema_version, bench, build: {compiler, build_type, timestamp_unix},
-//     entries: [...], metrics: {...} }
-class BenchReport {
- public:
-  explicit BenchReport(std::string name)
-      : name_(std::move(name)),
-        entries_(Json::Array()),
-        metrics_(Json::Object()) {}
-
-  void AddEntry(Json entry) { entries_.Append(std::move(entry)); }
-  void SetMetric(const std::string& key, Json value) {
-    metrics_.Set(key, std::move(value));
-  }
-
-  // Writes the report; returns the path it wrote. VWISE_CHECKs on I/O
-  // failure — a bench whose trajectory silently vanished did not run.
-  std::filesystem::path Write() const {
-    Json root = Json::Object();
-    root.Set("schema_version", Json::Int(kBenchReportSchemaVersion));
-    root.Set("bench", Json::Str(name_));
-    Json build = Json::Object();
-#if defined(__VERSION__)
-    build.Set("compiler", Json::Str(__VERSION__));
-#else
-    build.Set("compiler", Json::Str("unknown"));
-#endif
-#if defined(NDEBUG)
-    build.Set("build_type", Json::Str("release"));
-#else
-    build.Set("build_type", Json::Str("debug"));
-#endif
-    build.Set("timestamp_unix",
-              Json::Int(static_cast<int64_t>(std::time(nullptr))));
-    root.Set("build", std::move(build));
-    root.Set("entries", entries_);
-    root.Set("metrics", metrics_);
-
-    const char* dir = std::getenv("VWISE_BENCH_JSON_DIR");
-    std::filesystem::path path =
-        (dir != nullptr && dir[0] != '\0') ? std::filesystem::path(dir)
-                                           : std::filesystem::current_path();
-    path /= "BENCH_" + name_ + ".json";
-    std::ofstream out(path);
-    out << root.ToString(2) << "\n";
-    out.close();
-    VWISE_CHECK_MSG(out.good(), "failed to write the bench JSON report");
-    std::printf("# wrote %s\n", path.string().c_str());
-    return path;
-  }
-
- private:
-  std::string name_;
-  Json entries_;
-  Json metrics_;
-};
 
 }  // namespace vwise::bench
 

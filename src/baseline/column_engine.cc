@@ -150,7 +150,7 @@ Value ArithOne(MatArith op, const Value& a, const Value& b) {
 std::string KeyAt(const std::vector<const MatColumn*>& cols, size_t row) {
   std::string key;
   for (const MatColumn* c : cols) {
-    key += (*c)[row].ToString();
+    key += KeyText((*c)[row]);
     key += '\x1f';
   }
   return key;

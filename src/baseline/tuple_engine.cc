@@ -1,25 +1,9 @@
 #include "baseline/tuple_engine.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <string>
 
 namespace vwise::baseline {
-
-namespace {
-
-// Hash-key text of a value: keys must compare as SQL values (Value's ==),
-// so doubles print losslessly and -0.0 folds into +0.0.
-std::string KeyText(const Value& v) {
-  if (v.kind() != Value::Kind::kDouble) return v.ToString();
-  double d = v.AsDouble();
-  if (d == 0.0) d = 0.0;
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  return buf;
-}
-
-}  // namespace
 
 namespace rex {
 

@@ -9,11 +9,11 @@
 
 namespace vwise {
 
-// Minimal JSON document builder/serializer for the machine-readable benchmark
-// reports (BENCH_*.json). Write-oriented: the benches build a tree and call
-// ToString(); there is deliberately no parser (tools/check_bench_json.py
-// validates the emitted files with a real one). Object keys keep insertion
-// order so reports diff cleanly across runs.
+// Minimal JSON document builder/serializer for the repo benchmark's result
+// line (perfbench/). Write-oriented: the caller builds a tree and calls
+// ToString(); there is deliberately no parser (whoever reads the line, e.g.
+// perfbench/tests/selftest.py, uses a real one). Object keys keep insertion
+// order so results diff cleanly across runs.
 class Json {
  public:
   enum class Kind { kNull, kBool, kInt, kDouble, kStr, kArray, kObject };

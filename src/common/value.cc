@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 namespace vwise {
 
@@ -26,9 +27,11 @@ namespace {
 
 int KindRank(Value::Kind k) { return static_cast<int>(k); }
 
-// Sign-adjusted bit pattern: orders all doubles (incl. -0.0, NaN) totally,
-// consistent with numeric order where one exists.
+// -0.0 folded into +0.0 and every NaN into one positive quiet NaN, then the
+// sign-adjusted bit pattern: numeric order, with NaN after +inf.
 uint64_t DoubleOrderKey(double d) {
+  if (d == 0.0) d = 0.0;
+  if (d != d) d = std::numeric_limits<double>::quiet_NaN();
   uint64_t bits;
   std::memcpy(&bits, &d, sizeof(bits));
   return (bits & (uint64_t{1} << 63)) != 0 ? ~bits
@@ -55,6 +58,16 @@ int Compare(const Value& a, const Value& b) {
       return a.AsString().compare(b.AsString());
   }
   return 0;
+}
+
+std::string KeyText(const Value& v) {
+  if (v.kind() != Value::Kind::kDouble) return v.ToString();
+  double d = v.AsDouble();
+  if (d != d) return "nan";  // glibc prints a sign-bit NaN as "-nan"
+  if (d == 0.0) d = 0.0;
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", d);
+  return buf;
 }
 
 }  // namespace vwise

@@ -77,11 +77,16 @@ class Value {
 };
 
 // Total order over values: kind rank first (null < int < double < string),
-// then the value itself; doubles tie-break on the sign-adjusted bit pattern
-// so -0.0 and NaN order deterministically. Used by the baseline engines and
-// the differential oracle for canonical row ordering — never on the hot
-// execution path.
+// then the value itself. Doubles follow the engine's f64 key rule: -0.0
+// equals +0.0, every NaN equals every other NaN and sorts after every
+// number. Used by the baseline engines and the tests for canonical row
+// ordering — never on the hot execution path.
 int Compare(const Value& a, const Value& b);
+
+// Hash-key text of a value for the baseline engines: two values get the
+// same text iff they are equal keys under Compare (doubles print
+// losslessly, -0.0 folds into +0.0 and every NaN prints alike).
+std::string KeyText(const Value& v);
 
 }  // namespace vwise
 

@@ -107,9 +107,9 @@ Status HashAggOperator::OpenImpl() {
   emit_cursor_ = 0;
   BuildStateSchema();
   spill_.Init(ctx(), &config_, {{state_types_, identity_cols_, "agg_part"}});
-  hash_scratch_ = ctx()->scratch()->AcquireArray<uint64_t>(config_.vector_size);
-  group_idx_ = ctx()->scratch()->AcquireArray<uint32_t>(config_.vector_size);
-  emit_idx_ = ctx()->scratch()->AcquireArray<uint32_t>(config_.vector_size);
+  hash_scratch_.resize(config_.vector_size);
+  group_idx_.resize(config_.vector_size);
+  emit_idx_.resize(config_.vector_size);
   return Status::OK();
 }
 
@@ -176,7 +176,7 @@ uint32_t HashAggOperator::FindOrCreateGroup(const DataChunk& chunk, sel_t pos,
 }
 
 // VWISE_HOT: the per-chunk aggregation core — hashed, resolved and updated
-// without leaving the arena-leased scratch (group creation is the annotated
+// without leaving the OpenImpl-sized scratch (group creation is the annotated
 // warm-up tail in FindOrCreateGroup).
 VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
   size_t n = chunk.ActiveCount();
@@ -201,8 +201,8 @@ VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
       agg_in.Normalize(chunk.count());
     }
   }
-  uint64_t* hashes = hash_scratch_.data<uint64_t>();
-  uint32_t* groups = group_idx_.data<uint32_t>();
+  uint64_t* hashes = hash_scratch_.data();
+  uint32_t* groups = group_idx_.data();
   // 1. Hash the group keys, a column at a time.
   std::fill(hashes, hashes + n, 0);
   for (size_t k = 0; k < group_cols_.size(); k++) {
@@ -450,7 +450,7 @@ Status HashAggOperator::SpillGroups() {
 
 Status HashAggOperator::ProcessStateChunk(const DataChunk& chunk) {
   size_t n = chunk.count();  // state chunks are dense
-  uint32_t* groups = group_idx_.data<uint32_t>();
+  uint32_t* groups = group_idx_.data();
   for (size_t i = 0; i < n; i++) {
     sel_t pos = static_cast<sel_t>(i);
     uint64_t hash = HashKeys(chunk, pos, identity_cols_);
@@ -577,7 +577,7 @@ Status HashAggOperator::Next(DataChunk* out) {
     out->SetCount(0);
     return Status::OK();
   }
-  uint32_t* idx = emit_idx_.data<uint32_t>();
+  uint32_t* idx = emit_idx_.data();
   for (size_t i = 0; i < batch; i++) idx[i] = static_cast<uint32_t>(emit_cursor_ + i);
   for (size_t k = 0; k < group_cols_.size(); k++) {
     key_stores_[k].Gather(idx, batch, &out->column(k));
@@ -630,9 +630,6 @@ void HashAggOperator::Close() {
   states_.clear();
   slots_.clear();
   spill_.Drop();
-  hash_scratch_.Release();
-  group_idx_.Release();
-  emit_idx_.Release();
   mem_.ReleaseAll();
   reserved_groups_ = 0;
 }

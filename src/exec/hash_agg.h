@@ -109,12 +109,11 @@ class HashAggOperator final : public Operator {
   };
   std::vector<AggState> states_;
 
-  // Scratch, leased from the query's VectorScratch arena in OpenImpl and
-  // held for the operator's lifetime — Next()/ProcessChunk touch no
-  // allocator.
-  ScratchHandle hash_scratch_;  // uint64_t[vector_size]
-  ScratchHandle group_idx_;     // uint32_t[vector_size]
-  ScratchHandle emit_idx_;      // uint32_t[vector_size], emit-phase gather
+  // Scratch, sized in OpenImpl and held for the operator's lifetime —
+  // Next()/ProcessChunk touch no allocator.
+  std::vector<uint64_t> hash_scratch_;  // [vector_size]
+  std::vector<uint32_t> group_idx_;     // [vector_size]
+  std::vector<uint32_t> emit_idx_;      // [vector_size], emit-phase gather
   bool consumed_ = false;
   size_t emit_cursor_ = 0;
 

@@ -112,10 +112,9 @@ Status HashJoinOperator::OpenImpl() {
   input_exhausted_ = false;
   pair_cursor_ = 0;
   pairs_.clear();
-  probe_pos_ = ctx()->scratch()->AcquireArray<sel_t>(config_.vector_size);
-  build_row_idx_ =
-      ctx()->scratch()->AcquireArray<uint32_t>(config_.vector_size);
-  residual_sel_ = ctx()->scratch()->AcquireArray<sel_t>(config_.vector_size);
+  probe_pos_.resize(config_.vector_size);
+  build_row_idx_.resize(config_.vector_size);
+  residual_sel_.resize(config_.vector_size);
   if (spec_.residual) {
     VWISE_RETURN_IF_ERROR(spec_.residual->Prepare(config_.vector_size));
     // The residual sees [probe columns..., build payload...].
@@ -368,9 +367,9 @@ Status HashJoinOperator::ProcessProbeChunk() {
   // 2. Residual predicate over the combined pair rows, in vector batches.
   if (spec_.residual && !candidates_.empty()) {
     size_t n_probe_cols = input_.num_columns();
-    sel_t* probe_pos = probe_pos_.data<sel_t>();
-    uint32_t* build_rows = build_row_idx_.data<uint32_t>();
-    sel_t* out_sel = residual_sel_.data<sel_t>();
+    sel_t* probe_pos = probe_pos_.data();
+    uint32_t* build_rows = build_row_idx_.data();
+    sel_t* out_sel = residual_sel_.data();
     for (size_t base = 0; base < candidates_.size(); base += config_.vector_size) {
       size_t batch = std::min(config_.vector_size, candidates_.size() - base);
       for (size_t i = 0; i < batch; i++) {
@@ -424,11 +423,11 @@ Status HashJoinOperator::ProcessProbeChunk() {
 
 void HashJoinOperator::EmitPairs(DataChunk* out) {
   size_t batch = std::min(out->capacity(), pairs_.size() - pair_cursor_);
-  // The gather runs through the arena-leased index arrays, so cap the batch
+  // The gather runs through the vector-sized index arrays, so cap the batch
   // at one vector (out may be larger).
   batch = std::min(batch, config_.vector_size);
-  sel_t* probe_pos = probe_pos_.data<sel_t>();
-  uint32_t* build_rows = build_row_idx_.data<uint32_t>();
+  sel_t* probe_pos = probe_pos_.data();
+  uint32_t* build_rows = build_row_idx_.data();
   for (size_t i = 0; i < batch; i++) {
     probe_pos[i] = pairs_[pair_cursor_ + i].probe_pos;
     build_rows[i] = pairs_[pair_cursor_ + i].build_row;
@@ -542,9 +541,6 @@ void HashJoinOperator::Close() {
   spill_.Drop();
   probe_partitioned_ = false;
   build_bytes_ = 0;
-  probe_pos_.Release();
-  build_row_idx_.Release();
-  residual_sel_.Release();
   mem_.ReleaseAll();
 }
 

@@ -122,11 +122,11 @@ class HashJoinOperator final : public Operator {
   size_t pair_cursor_ = 0;
   std::vector<uint8_t> probe_match_;  // per probe position: any match
   DataChunk residual_scratch_;
-  // Emit/residual gather arrays, leased from the query's VectorScratch arena
-  // in OpenImpl — the per-chunk emit and residual loops allocate nothing.
-  ScratchHandle probe_pos_;      // sel_t[vector_size]
-  ScratchHandle build_row_idx_;  // uint32_t[vector_size]
-  ScratchHandle residual_sel_;   // sel_t[vector_size]
+  // Emit/residual gather arrays, sized in OpenImpl — the per-chunk emit and
+  // residual loops allocate nothing.
+  std::vector<sel_t> probe_pos_;         // [vector_size]
+  std::vector<uint32_t> build_row_idx_;  // [vector_size]
+  std::vector<sel_t> residual_sel_;      // [vector_size]
 
   // Per-query memory budget accounting for the owned build side + table.
   // build_bytes_ tracks the reservation held for the currently resident

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <type_traits>
 #include <vector>
 
@@ -17,11 +18,25 @@ namespace vwise {
 // in-memory table, in a level-0 radix flush, and when its spill file is
 // re-partitioned, or equal keys end up in different partitions.
 
+// f64 key semantics, the same in every engine: two keys are equal iff
+// a == b or both are NaN (so -0.0 equals +0.0), and in ascending order NaN
+// sorts after every number.
+inline bool F64KeyEquals(double a, double b) {
+  return a == b || (a != a && b != b);
+}
+inline int CompareF64(double a, double b) {
+  if (a < b) return -1;
+  if (a > b) return 1;
+  if (a == b) return 0;
+  return (a != a) - (b != b);  // at least one NaN: NaN last
+}
+
 // f64 keys hash their bit pattern (a value cast to an integer is undefined
-// for negative or out-of-range doubles). -0.0 == +0.0, so it is folded
-// first: equal keys must hash equal.
+// for negative or out-of-range doubles). Equal keys must hash equal, so
+// -0.0 folds into +0.0 and every NaN into one quiet NaN first.
 inline uint64_t HashF64(double v) {
   if (v == 0.0) v = 0.0;
+  if (v != v) v = std::numeric_limits<double>::quiet_NaN();
   uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
   return HashInt(bits);
@@ -70,7 +85,7 @@ inline bool KeyEquals(const Vector& vec, sel_t pos, const ColumnStore& col,
     case TypeId::kI64:
       return vec.Data<int64_t>()[pos] == col.Get<int64_t>(row);
     case TypeId::kF64:
-      return vec.Data<double>()[pos] == col.Get<double>(row);
+      return F64KeyEquals(vec.Data<double>()[pos], col.Get<double>(row));
     case TypeId::kStr:
       return vec.Data<StringVal>()[pos] == col.Strs()[row];
   }

@@ -79,8 +79,8 @@ struct QueryResult {
   std::vector<DataType> column_types;
   std::vector<std::vector<Value>> rows;
   // EXPLAIN ANALYZE text (per-operator runtime annotations plus the
-  // per-primitive counter section). Filled by Database::Run when
-  // Config::profile is set; empty otherwise.
+  // per-primitive counter section). Filled by RunPlan (service/session.cc)
+  // when Config::profile is set; empty otherwise.
   std::string profile;
   // Memory-budget telemetry of the execution (filled by the query service's
   // RunPlan; zero for embedded CollectRows callers). peak_reserved_bytes is

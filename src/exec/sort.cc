@@ -4,6 +4,7 @@
 #include <cstring>
 #include <numeric>
 
+#include "exec/key_hash.h"
 #include "exec/profile.h"
 #include "exec/radix_spill.h"
 #include "storage/spill_file.h"
@@ -77,8 +78,7 @@ bool SortOperator::RowLess(uint32_t a, uint32_t b) const {
         break;
       }
       case TypeId::kF64: {
-        auto va = col.Get<double>(a), vb = col.Get<double>(b);
-        cmp = va < vb ? -1 : va > vb ? 1 : 0;
+        cmp = CompareF64(col.Get<double>(a), col.Get<double>(b));
         break;
       }
       case TypeId::kStr: {
@@ -234,8 +234,7 @@ int SortOperator::CompareRunRows(const SortRun& a, const SortRun& b) const {
         break;
       }
       case TypeId::kF64: {
-        auto x = va.Data<double>()[a.pos], y = vb.Data<double>()[b.pos];
-        cmp = x < y ? -1 : x > y ? 1 : 0;
+        cmp = CompareF64(va.Data<double>()[a.pos], vb.Data<double>()[b.pos]);
         break;
       }
       case TypeId::kStr: {

@@ -12,7 +12,6 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "service/memory_governor.h"
-#include "vector/vector_scratch.h"
 
 namespace vwise {
 
@@ -142,13 +141,6 @@ class QueryContext {
     if (governor_ != nullptr) governor_->NotePressureSpill();
   }
 
-  // --- scratch memory -------------------------------------------------------
-  // The query's scratch arena: operators lease their per-vector working
-  // arrays here in OpenImpl (ScratchHandle members) so steady-state Next()
-  // performs no allocations, and re-execution of a prepared query reuses the
-  // same buffers. Thread-safe (fragments open on pool threads).
-  VectorScratch* scratch() { return &scratch_; }
-
   // --- spilling -------------------------------------------------------------
   // Base directory for this query's spill files; configuration, set before
   // Open() (PreparedQuery::Execute points it at the database's swept spill
@@ -185,7 +177,6 @@ class QueryContext {
   uint64_t query_id_ = 0;
   std::atomic<int64_t> reserved_{0};
   std::atomic<int64_t> peak_reserved_{0};
-  VectorScratch scratch_;
 
   std::string spill_base_;  // configuration, written before Open()
   Mutex spill_mu_;

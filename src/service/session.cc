@@ -17,10 +17,9 @@ void FillBudgetStats(QueryContext* ctx, QueryResult* result) {
 }
 
 // The one place a query's operator tree actually runs (on a service runner
-// thread, under the job's context). Owns the profiled-run choreography that
-// used to live in Database::Run: enable the per-primitive counters for the
-// duration of the pipeline, then render EXPLAIN ANALYZE plus the primitive
-// counter delta.
+// thread, under the job's context). Owns the profiled-run choreography:
+// enable the per-primitive counters for the duration of the pipeline, then
+// render EXPLAIN ANALYZE plus the primitive counter delta.
 Result<QueryResult> RunPlan(Operator* root, QueryContext* ctx,
                             const Config& config,
                             const std::vector<std::string>& names) {

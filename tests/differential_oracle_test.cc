@@ -12,6 +12,8 @@
 // ./vwise-failure-artifacts, uploaded by CI). Override the campaign with
 // VWISE_ORACLE_SEED / VWISE_ORACLE_ITERS.
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -732,18 +734,27 @@ class DifferentialOracleTest : public ::testing::Test {
 
   // -- comparison & artifacts -------------------------------------------------
 
+  // Compare, with doubles that it treats as equal (-0.0 and +0.0, NaNs)
+  // tie-broken on their bit pattern, so the check below stays bit-exact.
+  static int ExactCompare(const Value& a, const Value& b) {
+    const int c = Compare(a, b);
+    if (c != 0 || a.kind() != Value::Kind::kDouble) return c;
+    const uint64_t x = std::bit_cast<uint64_t>(a.AsDouble());
+    const uint64_t y = std::bit_cast<uint64_t>(b.AsDouble());
+    return x < y ? -1 : x > y ? 1 : 0;
+  }
+
   static void Canonicalize(std::vector<Row>* rows) {
     std::sort(rows->begin(), rows->end(), [](const Row& a, const Row& b) {
       for (size_t i = 0; i < a.size() && i < b.size(); i++) {
-        const int c = Compare(a[i], b[i]);
+        const int c = ExactCompare(a[i], b[i]);
         if (c != 0) return c < 0;
       }
       return a.size() < b.size();
     });
   }
 
-  // Bit-identity: same row count, same kinds, Compare == 0 everywhere
-  // (doubles compare by bit pattern, so this is exact).
+  // Bit-identity: same row count, same kinds, ExactCompare == 0 everywhere.
   static bool Identical(const std::vector<Row>& a, const std::vector<Row>& b,
                         std::string* why) {
     if (a.size() != b.size()) {
@@ -758,7 +769,7 @@ class DifferentialOracleTest : public ::testing::Test {
       }
       for (size_t c = 0; c < a[r].size(); c++) {
         if (a[r][c].kind() != b[r][c].kind() ||
-            Compare(a[r][c], b[r][c]) != 0) {
+            ExactCompare(a[r][c], b[r][c]) != 0) {
           *why = "row " + std::to_string(r) + " col " + std::to_string(c) +
                  ": " + a[r][c].ToString() + " vs " + b[r][c].ToString();
           return false;
