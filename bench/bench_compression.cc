@@ -2,8 +2,12 @@
 // the fast engine I/O-balanced, so what matters is the compression ratio
 // and, critically, *decompression bandwidth* (super-scalar decompression is
 // the point of PFOR). Reported per real TPC-H lineitem column and per
-// synthetic distribution: chosen codec, ratio, decode GB/s.
+// synthetic distribution: chosen codec, ratio, decode bandwidth. Columns
+// are encoded in stripe-sized segments, as the table writer stores them, and
+// decoded the way the scan reads them: through a SegmentCursor, one vector
+// at a time, into a cache-resident output vector.
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -15,27 +19,50 @@
 namespace vwise::bench {
 namespace {
 
+constexpr size_t kSegmentRows = 16384;  // Config::stripe_rows default
+constexpr size_t kVectorSize = 1024;    // Config::vector_size default
+
 void Report(const char* name, TypeId type, const void* data, size_t n) {
-  size_t raw = n * TypeWidth(type);
-  Vector values(type, n);
-  std::memcpy(values.raw(), data, raw);
-  auto best = compression::EncodeBest(values, n);
-  VWISE_CHECK(best.ok());
-  const CompressedSegment& seg = *best;
+  const size_t w = TypeWidth(type);
+  const size_t raw = n * w;
+  std::vector<CompressedSegment> segs;
+  size_t stored = 0;
+  bool mixed = false;
+  for (size_t at = 0; at < n; at += kSegmentRows) {
+    size_t m = std::min(kSegmentRows, n - at);
+    Vector values(type, m);
+    std::memcpy(values.raw(), static_cast<const uint8_t*>(data) + at * w, m * w);
+    auto seg = compression::EncodeBest(values, m);
+    VWISE_CHECK(seg.ok());
+    stored += seg->byte_size();
+    mixed |= !segs.empty() && seg->codec != segs.front().codec;
+    segs.push_back(std::move(*seg));
+  }
   // Decode repeatedly for a stable bandwidth number.
-  Vector out(type, n);
-  int reps = 10;
+  Vector out(type, kVectorSize);
+  compression::SegmentCursor cursor;
+  int reps = 20;
   double secs = TimeSec([&] {
     for (int i = 0; i < reps; i++) {
-      Status s = compression::DecodeInto(seg, &out);
-      VWISE_CHECK(s.ok());
+      for (const CompressedSegment& seg : segs) {
+        VWISE_CHECK(cursor
+                        .Open(seg.codec, seg.type, seg.count, seg.data.data(),
+                              seg.data.size())
+                        .ok());
+        for (size_t at = 0; at < seg.count; at += kVectorSize) {
+          size_t m = std::min<size_t>(kVectorSize, seg.count - at);
+          VWISE_CHECK(cursor.Decode(m, out.raw()).ok());
+        }
+      }
     }
   });
-  double ratio = static_cast<double>(raw) / static_cast<double>(seg.byte_size());
+  double ratio = static_cast<double>(raw) / static_cast<double>(stored);
   double gbps = raw * reps / secs / 1e9;
-  std::printf("%-22s %-10s %10.2fx %10.2f GB/s  (%zu values, %zu -> %zu bytes)\n",
-              name, CodecToString(seg.codec), ratio, gbps, n, raw,
-              seg.byte_size());
+  double ns_per_value = secs * 1e9 / (static_cast<double>(n) * reps);
+  std::printf("%-22s %-10s %1s %9.2fx %8.2f GB/s %7.2f ns/value  (%zu values, "
+              "%zu -> %zu bytes)\n",
+              name, CodecToString(segs.front().codec), mixed ? "+" : "",
+              ratio, gbps, ns_per_value, n, raw, stored);
 }
 
 }  // namespace
@@ -47,7 +74,9 @@ int main() {
   using namespace vwise::tpch::col;
 
   std::printf("# TPC-H lineitem columns (SF 0.02)\n");
-  std::printf("%-22s %-10s %11s %15s\n", "column", "codec", "ratio", "decode bw");
+  std::printf("# codec: of the first segment; '+' when segments differ\n");
+  std::printf("%-22s %-12s %10s %13s %16s\n", "column", "codec", "ratio",
+              "decode bw", "decode time");
   struct ColData {
     std::vector<int64_t> orderkey, qty, ext, disc;
     std::vector<int32_t> shipdate;

@@ -31,8 +31,22 @@ inline uint64_t NextPowerOfTwo(uint64_t v) {
 // 8-byte words. Values must fit in `width` bits.
 void PackBits(const uint64_t* in, size_t n, int width, uint8_t* out);
 
-// Reverse of PackBits.
-void UnpackBits(const uint8_t* in, size_t n, int width, uint64_t* out);
+// Unpack kernel for one (bit width, output type) pair: writes
+// out[i] = T(base + slot[first + i]) for i in [0, n), where slot[k] is the
+// k-th `width`-bit value of a PackBits run. The add wraps modulo 2^64 and the
+// store truncates to T, so a frame-of-reference base works for every integer
+// width. Each run of 64 slots fills exactly `width` words; the kernel
+// decodes such blocks fully unrolled, with a scalar head and tail for
+// windows that do not start or end on a 64-slot boundary.
+template <typename T>
+using UnpackFn = void (*)(const uint8_t* in, size_t first, size_t n,
+                          uint64_t base, T* out);
+
+// The kernel for `width` in [0, 64]. Instantiated for T = uint8_t, int32_t,
+// int64_t, uint32_t and uint64_t. Pick it once per packed run, then call it
+// once per window.
+template <typename T>
+UnpackFn<T> UnpackKernel(int width);
 
 // Byte size of a packed run of `n` values at `width` bits, word-aligned.
 inline size_t PackedSize(size_t n, int width) {

@@ -44,8 +44,8 @@ inline bool EnvProfile() {
 }
 
 // Default for Config::enable_encoded_exec. Unlike the debug knobs above this
-// one defaults ON; VWISE_ENCODED_EXEC=0 forces the pre-PR-9 eager-decode
-// behavior (the differential oracle runs every plan both ways).
+// one defaults ON; VWISE_ENCODED_EXEC=0 decodes every column flat at the
+// scan (the differential oracle runs every plan both ways).
 inline bool EnvEncodedExec() {
   static const bool enabled = [] {
     const char* v = std::getenv("VWISE_ENCODED_EXEC");

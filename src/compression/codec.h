@@ -67,24 +67,108 @@ Result<CompressedSegment> Encode(Codec codec, const Vector& values, size_t n);
 // silently shipping a kPlain segment that failed to encode).
 Result<CompressedSegment> EncodeBest(const Vector& values, size_t n);
 
-// Decodes a whole segment into a flat Vector (capacity >= seg.count). String
-// bytes land in the vector's own heap, registered as a heap ref.
+// Decodes a whole segment into a flat Vector (capacity >= seg.count), through
+// a SegmentCursor. String bytes are copied into the vector's own heap,
+// registered as a heap ref, so the result does not borrow `seg`.
 Status DecodeInto(const CompressedSegment& seg, Vector* out);
 
-// Decodes straight from a storage blob without copying it into a
-// CompressedSegment first (used by the table reader on pinned buffers).
-// String bytes are copied into `heap`, which must outlive the StringVals.
-Status DecodeRaw(Codec codec, TypeId type, uint32_t count, const uint8_t* data,
-                 size_t size, void* out, StringHeap* heap);
-
-// Compressed-execution adoption (DESIGN.md §12): surface the encoded form
-// without materializing per-row values.
+// Decodes one segment a vector at a time, straight into the caller's output
+// array (paper ref [2]: decompress into the CPU cache, right where the
+// operator reads the values). This is the one decode path: the scan, the
+// checkpoint (which writes through the scan) and DecodeInto all use it.
 //
-// PDICT: per-row codes into `dict_vals` (the distinct strings, bytes in
-// `heap`). `codes` must hold `count` entries.
-Status DecodeDictRaw(TypeId type, uint32_t count, const uint8_t* data,
-                     size_t size, uint32_t* codes,
-                     std::vector<StringVal>* dict_vals, StringHeap* heap);
+// Open() parses and validates the segment header once — the PFOR base,
+// width and exception list, the PDICT offsets, the PLAIN string lengths'
+// extent, the RLE run total — and picks the unpack kernel for (bit width,
+// output type). Decode() then fills the next `n` values: PFOR patches its
+// exceptions as it passes their positions, PFOR-DELTA carries its running
+// sum from call to call, PLAIN and PDICT strings become StringVals pointing
+// into the segment. Skip() moves past values without storing them (a
+// PFOR-DELTA skip still adds up the deltas it passes over). Reads are
+// sequential; a cursor is reused across segments by calling Open() again.
+//
+// Corrupt data surfaces as Status::Corruption at Open() or at the first
+// Decode() that touches it. The cursor never copies the segment: `data` must
+// stay valid while it is read, and decoded strings point into it (the scan
+// keeps the storage blob pinned; see storage/table_file.h).
+class SegmentCursor {
+ public:
+  Status Open(Codec codec, TypeId type, uint32_t count, const uint8_t* data,
+              size_t size);
+
+  // Decodes values [position(), position() + n) into `out`, an array of `n`
+  // values of the segment's type.
+  Status Decode(size_t n, void* out);
+  Status Skip(size_t n);
+
+  // PDICT only: the dictionary codes of the next `n` values (compressed
+  // execution adopts them instead of decoding strings), and the dictionary
+  // itself — StringVals into the segment, in storage order.
+  Status DecodeCodes(size_t n, uint32_t* codes);
+  const std::vector<StringVal>& dict() const { return dict_; }
+
+  size_t position() const { return pos_; }
+
+ private:
+  using DecodeFn = Status (*)(SegmentCursor*, size_t, void*);
+  // A bit::UnpackFn<T> of the decode's output type, stored type-erased.
+  using AnyKernel = void (*)();
+  // An RLE run: u64 value, u32 length.
+  static constexpr size_t kRleRunBytes = sizeof(uint64_t) + sizeof(uint32_t);
+
+  uint32_t ExceptionPos(uint32_t i) const;
+  uint64_t ExceptionVal(uint32_t i) const;
+  template <typename T>
+  void PatchExceptions(size_t first, size_t n, uint64_t base, T* out);
+  static Status DecodePlain(SegmentCursor* c, size_t n, void* out);
+  template <bool kStore>
+  static Status DecodePlainStr(SegmentCursor* c, size_t n, void* out);
+  template <typename T>
+  static Status DecodePfor(SegmentCursor* c, size_t n, void* out);
+  template <typename T, bool kStore>
+  static Status DecodeDelta(SegmentCursor* c, size_t n, void* out);
+  template <typename T, bool kStore>
+  static Status DecodeRle(SegmentCursor* c, size_t n, void* out);
+  static Status DecodePdict(SegmentCursor* c, size_t n, void* out);
+
+  Codec codec_ = Codec::kPlain;
+  TypeId type_ = TypeId::kI64;
+  uint32_t count_ = 0;
+  size_t pos_ = 0;
+  DecodeFn decode_ = nullptr;
+  DecodeFn skip_ = nullptr;  // nullptr: skipping only advances pos_
+
+  // PLAIN: fixed-width values, or the string length array and bytes.
+  const uint8_t* values_ = nullptr;
+  const uint8_t* str_lens_ = nullptr;
+  const char* str_bytes_ = nullptr;
+  uint32_t str_total_ = 0;
+  uint32_t str_offset_ = 0;  // bytes of the strings already passed
+
+  // PFOR core (PFOR values, PFOR-DELTA deltas, PDICT codes): packed slots
+  // at `width_` bits, decoded by `kernel_`, then `n_exc_` ascending
+  // exception positions and values.
+  const uint8_t* packed_ = nullptr;
+  int width_ = 0;
+  AnyKernel kernel_ = nullptr;
+  const uint8_t* exc_pos_ = nullptr;
+  const uint8_t* exc_val_ = nullptr;
+  uint32_t n_exc_ = 0;
+  uint32_t next_exc_ = 0;  // first exception at or past the cursor
+  uint64_t base_ = 0;      // PFOR frame of reference; PFOR-DELTA first value
+  uint64_t sum_ = 0;       // PFOR-DELTA running sum: the value at pos_ - 1
+
+  // RLE: (u64 value, u32 length) runs.
+  const uint8_t* runs_ = nullptr;
+  uint32_t next_run_ = 0;
+  uint64_t run_value_ = 0;
+  uint64_t run_left_ = 0;
+
+  // PDICT: the dictionary; codes need a range check unless every `width_`
+  // bit pattern is a valid code.
+  std::vector<StringVal> dict_;
+  bool check_codes_ = false;
+};
 
 }  // namespace compression
 

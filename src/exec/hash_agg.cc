@@ -570,8 +570,8 @@ Status HashAggOperator::Next(DataChunk* out) {
     }
   }
   size_t batch = std::min(out->capacity(), n_groups_ - emit_cursor_);
-  // The emit gather runs through the arena-leased index array, so cap the
-  // batch at its size (out may be larger than one vector).
+  // The emit gather runs through emit_idx_, sized to one vector at Open, so
+  // cap the batch at its size (out may be larger than one vector).
   batch = std::min(batch, config_.vector_size);
   if (batch == 0) {
     out->SetCount(0);

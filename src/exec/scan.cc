@@ -1,7 +1,6 @@
 #include "exec/scan.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "service/query_context.h"
 
@@ -36,13 +35,16 @@ void StoreValue(Vector* vec, size_t pos, const Value& v, StringHeap* heap) {
   }
 }
 
-// Copies `count` values starting at decoded position `src_off` into `vec`
-// at `dst_off`.
-void CopyRun(const DecodedColumn& col, size_t src_off, Vector* vec,
-             size_t dst_off, size_t count) {
-  size_t w = TypeWidth(col.type);
-  std::memcpy(static_cast<uint8_t*>(vec->raw()) + dst_off * w,
-              col.values->data() + src_off * w, count * w);
+// Decodes stripe rows [row, row + n) of `col` into `vec` at `dst_off`. Rows
+// arrive in ascending order (the PDT merge walks the stripe forward), so the
+// cursor only ever moves forward: rows between its position and `row` —
+// deleted rows — are skipped.
+Status DecodeRows(StripeColumn* col, size_t row, size_t n, Vector* vec,
+                  size_t dst_off) {
+  VWISE_DCHECK(row >= col->cursor.position());
+  VWISE_RETURN_IF_ERROR(col->cursor.Skip(row - col->cursor.position()));
+  return col->cursor.Decode(
+      n, static_cast<uint8_t*>(vec->raw()) + dst_off * TypeWidth(col->type));
 }
 
 }  // namespace
@@ -94,11 +96,11 @@ Status ScanOperator::OpenImpl() {
   tail_done_ = false;
   in_stripe_ = false;
   stripes_read_ = 0;
-  decoded_.resize(columns_.size());
+  cols_.resize(columns_.size());
   insert_heap_ = std::make_shared<StringHeap>();
   // Encoded adoption is only sound when every emitted row comes verbatim
   // from a stable stripe: delta merging (updates/inserts) writes through the
-  // flat buffers, so any pending deltas force the eager-decode path.
+  // flat vectors, so any pending deltas force the flat decode path.
   encoded_ok_ = config_.enable_encoded_exec && pdt_->empty();
   repr_stats_ = ReprStats();
   return Status::OK();
@@ -130,8 +132,8 @@ Status ScanOperator::AdvanceStripe(bool* done) {
     return Status::OK();
   }
   for (size_t i = 0; i < columns_.size(); i++) {
-    VWISE_RETURN_IF_ERROR(snap_.stable->ReadStripeColumn(
-        stripe, columns_[i], &decoded_[i], encoded_ok_));
+    VWISE_RETURN_IF_ERROR(snap_.stable->OpenStripeColumn(
+        stripe, columns_[i], &cols_[i], encoded_ok_));
   }
   stripes_read_++;
   uint64_t first = snap_.stable->stripe_first_row(stripe);
@@ -176,8 +178,8 @@ Status ScanOperator::Next(DataChunk* out) {
     // Attach the heaps backing any strings this chunk may reference.
     for (size_t i = 0; i < columns_.size(); i++) {
       if (out_types_[i] != TypeId::kStr) continue;
-      if (stripe_has_columns_ && decoded_[i].heap) {
-        out->column(i).AddStringHeapRef(decoded_[i].heap);
+      if (stripe_has_columns_ && cols_[i].heap) {
+        out->column(i).AddStringHeapRef(cols_[i].heap);
       }
       out->column(i).AddStringHeapRef(insert_heap_);
     }
@@ -188,10 +190,11 @@ Status ScanOperator::Next(DataChunk* out) {
           size_t local = static_cast<size_t>(ev.sid - stripe_first_row_);
           if (chunk_begin == SIZE_MAX) chunk_begin = local;
           for (size_t i = 0; i < columns_.size(); i++) {
-            // Encoded columns are published as views after the merge loop
-            // instead of being copied per row.
-            if (decoded_[i].repr == VectorRepr::kFlat) {
-              CopyRun(decoded_[i], local, &out->column(i), filled, ev.count);
+            // Encoded columns are published as views after the merge loop;
+            // flat ones decode straight into place.
+            if (cols_[i].repr == VectorRepr::kFlat) {
+              VWISE_RETURN_IF_ERROR(DecodeRows(&cols_[i], local, ev.count,
+                                               &out->column(i), filled));
             }
           }
           filled += ev.count;
@@ -200,7 +203,8 @@ Status ScanOperator::Next(DataChunk* out) {
         case Pdt::MergeEvent::kModifiedRow: {
           size_t local = static_cast<size_t>(ev.sid - stripe_first_row_);
           for (size_t i = 0; i < columns_.size(); i++) {
-            CopyRun(decoded_[i], local, &out->column(i), filled, 1);
+            VWISE_RETURN_IF_ERROR(
+                DecodeRows(&cols_[i], local, 1, &out->column(i), filled));
             auto it = ev.rec->mods.find(columns_[i]);
             if (it != ev.rec->mods.end()) {
               StoreValue(&out->column(i), filled, it->second, insert_heap_.get());
@@ -210,7 +214,7 @@ Status ScanOperator::Next(DataChunk* out) {
           break;
         }
         case Pdt::MergeEvent::kDeletedRow:
-          break;
+          break;  // the next DecodeRows skips it
         case Pdt::MergeEvent::kInsertedRow: {
           for (size_t i = 0; i < columns_.size(); i++) {
             StoreValue(&out->column(i), filled, ev.rec->row[columns_[i]],
@@ -226,7 +230,7 @@ Status ScanOperator::Next(DataChunk* out) {
   }
   if (filled > 0) {
     for (size_t i = 0; i < columns_.size(); i++) {
-      const DecodedColumn& col = decoded_[i];
+      const StripeColumn& col = cols_[i];
       if (!stripe_has_columns_ || col.repr == VectorRepr::kFlat) {
         repr_stats_.flat_cols++;
         continue;
@@ -248,7 +252,7 @@ void ScanOperator::Close() {
     sched_handle_.reset();
   }
   merge_.reset();
-  decoded_.clear();
+  cols_.clear();
 }
 
 }  // namespace vwise

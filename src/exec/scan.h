@@ -20,9 +20,12 @@ struct ScanRange {
   int64_t hi;
 };
 
-// Vectorized table scan: decodes column stripes (through the buffer manager
-// and, optionally, a cooperative-scan scheduler) and merges in PDT deltas by
-// position. Emits dense chunks; a chunk never spans stripes.
+// Vectorized table scan: opens column stripes (through the buffer manager
+// and, optionally, a cooperative-scan scheduler), decodes them a vector at a
+// time straight into the output chunk, and merges in PDT deltas by position:
+// stable runs decode in place, a modified row decodes one value and then
+// takes its new values, a deleted row is skipped. String columns point into
+// the pinned storage blobs. Emits dense chunks; a chunk never spans stripes.
 class ScanOperator final : public Operator {
  public:
   struct Options {
@@ -79,7 +82,7 @@ class ScanOperator final : public Operator {
   bool tail_done_ = false;       // trailing inserts handled (or not owned)
   bool virtual_tail_pending_ = false;
 
-  std::vector<DecodedColumn> decoded_;
+  std::vector<StripeColumn> cols_;  // the current stripe, one per column
   std::unique_ptr<Pdt::MergeScanner> merge_;
   uint64_t stripe_first_row_ = 0;
   bool in_stripe_ = false;

@@ -118,8 +118,11 @@ Result<std::string> QueryContext::NewSpillPath(const char* tag) {
     // q<pid>-<address> is unique per live context: two queries in one process
     // have distinct contexts, two processes have distinct pids, and a crashed
     // process's leftovers are swept by SweepSpillDir at the next Open.
-    fs::path dir = base / ("q" + std::to_string(::getpid()) + "-" +
-                           std::to_string(reinterpret_cast<uintptr_t>(this)));
+    std::string name = "q";
+    name += std::to_string(::getpid());
+    name += '-';
+    name += std::to_string(reinterpret_cast<uintptr_t>(this));
+    fs::path dir = base / name;
     std::error_code ec;
     fs::create_directories(dir, ec);
     if (ec) {

@@ -19,15 +19,15 @@ constexpr uint32_t kBlockMagic = 0x4C50'5356;  // "VSPL"
 // on `vector_size * widest row` is a corrupt length field, not real data.
 constexpr uint64_t kMaxBlockPayload = 1ull << 30;
 
-void PutU32(std::vector<uint8_t>* buf, uint32_t v) {
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(&v);
-  buf->insert(buf->end(), p, p + sizeof(v));
+template <typename T>
+void PutRaw(std::vector<uint8_t>* buf, T v) {
+  size_t off = buf->size();
+  buf->resize(off + sizeof(v));
+  std::memcpy(buf->data() + off, &v, sizeof(v));
 }
 
-void PutU64(std::vector<uint8_t>* buf, uint64_t v) {
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(&v);
-  buf->insert(buf->end(), p, p + sizeof(v));
-}
+void PutU32(std::vector<uint8_t>* buf, uint32_t v) { PutRaw(buf, v); }
+void PutU64(std::vector<uint8_t>* buf, uint64_t v) { PutRaw(buf, v); }
 
 uint32_t GetU32(const uint8_t* p) {
   uint32_t v;

@@ -386,51 +386,53 @@ TableFile::~TableFile() {
   }
 }
 
-Status TableFile::ReadStripeColumn(size_t stripe, uint32_t col,
-                                   DecodedColumn* out, bool allow_encoded) {
+Status TableFile::OpenStripeColumn(size_t stripe, uint32_t col,
+                                   StripeColumn* out, bool allow_encoded) {
   if (stripe >= stripes_.size() || col >= schema_.num_columns()) {
     return Status::InvalidArgument("stripe/column out of range");
   }
   const StripeInfo& si = stripes_[stripe];
   const SegmentInfo& seg = si.segments[col];
   uint32_t g = col_to_group_[col];
+  // Drop the previous stripe's pins first, so the fetch below may evict that
+  // blob like any other unpinned one.
+  out->blob.reset();
+  out->heap.reset();
+  out->dict.reset();
+  out->repr = VectorRepr::kFlat;
   VWISE_ASSIGN_OR_RETURN(
-      auto blob, buffers_->Fetch(file_.get(), si.group_offset[g],
+      out->blob, buffers_->Fetch(file_.get(), si.group_offset[g],
                                  si.group_size[g], &si.group_crc[g]));
-  if (seg.offset_in_blob + static_cast<uint64_t>(seg.size) > blob->capacity()) {
+  if (seg.offset_in_blob + static_cast<uint64_t>(seg.size) >
+      out->blob->capacity()) {
     return Status::Corruption("segment exceeds blob");
   }
   TypeId t = schema_.column(col).type.physical();
   out->type = t;
   out->count = seg.count;
-  out->values.reset();
-  out->heap.reset();
-  out->repr = VectorRepr::kFlat;
-  out->dict_codes.reset();
-  out->dict.reset();
-  const uint8_t* data = blob->data() + seg.offset_in_blob;
+  if (t == TypeId::kStr) out->heap = std::make_shared<StringHeap>(out->blob);
+  VWISE_RETURN_IF_ERROR(out->cursor.Open(seg.codec, t, seg.count,
+                                         out->blob->data() + seg.offset_in_blob,
+                                         seg.size));
+  if (!allow_encoded || seg.codec != Codec::kPdict) return Status::OK();
 
-  if (allow_encoded && seg.codec == Codec::kPdict) {
-    out->repr = VectorRepr::kDict;
-    out->dict_codes = Buffer::Allocate(static_cast<size_t>(seg.count) * 4);
-    out->heap = std::make_shared<StringHeap>();
-    auto dict_vals = std::make_shared<std::vector<StringVal>>();
-    VWISE_RETURN_IF_ERROR(compression::DecodeDictRaw(
-        t, seg.count, data, seg.size, out->dict_codes->As<uint32_t>(),
-        dict_vals.get(), out->heap.get()));
-    auto dict = std::make_shared<StringDict>();
-    dict->values = dict_vals->data();
-    dict->size = static_cast<uint32_t>(dict_vals->size());
-    dict->heap = out->heap;
-    dict->keepalive = dict_vals;
-    out->dict = dict;
-    return Status::OK();
+  out->repr = VectorRepr::kDict;
+  size_t code_bytes = static_cast<size_t>(seg.count) * sizeof(uint32_t);
+  if (out->dict_codes == nullptr || out->dict_codes.use_count() > 1 ||
+      out->dict_codes->capacity() < code_bytes) {
+    out->dict_codes = Buffer::Allocate(code_bytes);
   }
-
-  out->values = Buffer::Allocate(static_cast<size_t>(seg.count) * TypeWidth(t));
-  out->heap = t == TypeId::kStr ? std::make_shared<StringHeap>() : nullptr;
-  return compression::DecodeRaw(seg.codec, t, seg.count, data, seg.size,
-                                out->values->data(), out->heap.get());
+  VWISE_RETURN_IF_ERROR(
+      out->cursor.DecodeCodes(seg.count, out->dict_codes->As<uint32_t>()));
+  auto dict_vals =
+      std::make_shared<std::vector<StringVal>>(out->cursor.dict());
+  auto dict = std::make_shared<StringDict>();
+  dict->values = dict_vals->data();
+  dict->size = static_cast<uint32_t>(dict_vals->size());
+  dict->heap = out->heap;
+  dict->keepalive = std::move(dict_vals);
+  out->dict = std::move(dict);
+  return Status::OK();
 }
 
 bool TableFile::StripeOverlapsRange(size_t stripe, uint32_t col, int64_t lo,

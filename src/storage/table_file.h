@@ -22,7 +22,8 @@ namespace vwise {
 // Rows are split into fixed-size *stripes*; within a stripe each column
 // group (PAX/DSM assignment, see ColumnGroups) is one contiguous *blob* —
 // the I/O and buffer-management unit, and the "chunk" of Cooperative Scans.
-// Inside a blob, each column is one compressed segment (PFOR family). The
+// Inside a blob, each column is one compressed segment (PFOR family), which
+// the scan decodes a vector at a time straight out of the pinned blob. The
 // footer carries per-segment codecs/offsets and per-column min-max values
 // used for stripe skipping.
 
@@ -83,26 +84,27 @@ class TableWriter {
   bool finished_ = false;
 };
 
-// A decoded column of one stripe: `count` values plus the heap owning any
-// string bytes. Under compressed execution (ReadStripeColumn with
-// allow_encoded) a PDICT column may instead stay in its storage encoding:
-// `repr` is then kDict, `values` remains unallocated, and the scan publishes
-// chunk-local code views straight into the executor (DESIGN.md §12).
-struct DecodedColumn {
+// One column of one stripe, opened for decoding a vector at a time. `blob`
+// pins the group blob the cursor reads from; nothing is decoded ahead of the
+// reader. Strings decode to StringVals that point into the blob, and `heap`
+// — a StringHeap that holds the same pin — is the heap ref string vectors
+// register for them.
+//
+// Under compressed execution (OpenStripeColumn with allow_encoded) a PDICT
+// column is adopted instead: `repr` is kDict, the stripe's codes are decoded
+// once into `dict_codes`, and the scan publishes chunk-local views of them
+// (DESIGN.md §12).
+struct StripeColumn {
   TypeId type = TypeId::kI64;
   size_t count = 0;
-  std::shared_ptr<Buffer> values;
-  std::shared_ptr<StringHeap> heap;
+  std::shared_ptr<Buffer> blob;
+  std::shared_ptr<StringHeap> heap;  // string columns only
+  compression::SegmentCursor cursor;
 
   VectorRepr repr = VectorRepr::kFlat;
-  // kDict: per-row codes plus the shared dictionary (values in dict->heap).
+  // kDict: per-row codes plus the shared dictionary (values in the blob).
   std::shared_ptr<Buffer> dict_codes;  // uint32_t per row
   std::shared_ptr<const StringDict> dict;
-
-  template <typename T>
-  const T* Data() const {
-    return values->As<T>();
-  }
 };
 
 // Read-side view of one table version file.
@@ -130,11 +132,13 @@ class TableFile {
     return stripes_[stripe].group_offset[group];
   }
 
-  // Decodes column `col` of stripe `stripe` (fetching its group blob through
-  // the buffer manager). With `allow_encoded`, PDICT segments are adopted
-  // as dictionary codes (no per-row string materialization) instead of being
-  // decoded flat; every other codec, RLE included, decodes eagerly.
-  Status ReadStripeColumn(size_t stripe, uint32_t col, DecodedColumn* out,
+  // Opens column `col` of stripe `stripe` for decoding (fetching its group
+  // blob through the buffer manager; the segment header is validated here).
+  // With `allow_encoded`, a PDICT segment is adopted as dictionary codes
+  // (no per-row strings) instead; every other codec, RLE included, decodes
+  // flat through out->cursor. `out` is reused across stripes: its code
+  // buffer is refilled in place when nothing else still holds it.
+  Status OpenStripeColumn(size_t stripe, uint32_t col, StripeColumn* out,
                           bool allow_encoded = false);
 
   // True if the stripe might contain values of `col` within [lo, hi]

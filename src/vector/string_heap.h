@@ -26,6 +26,12 @@ class StringHeap {
   static constexpr size_t kChunkSize = 64 * 1024;
 
   StringHeap() = default;
+  // A heap whose strings live in someone else's buffer: it owns no arena
+  // bytes until asked for some, but keeps `pin` alive. The scan hands out
+  // StringVals that point into a pinned storage blob and registers such a
+  // heap as their heap ref, so every consumer that carries heap refs (joins,
+  // Xchg, the contract checker) keeps the blob alive as well.
+  explicit StringHeap(std::shared_ptr<const void> pin) : pin_(std::move(pin)) {}
   StringHeap(const StringHeap&) = delete;
   StringHeap& operator=(const StringHeap&) = delete;
 
@@ -103,6 +109,7 @@ class StringHeap {
   std::vector<std::shared_ptr<Buffer>> chunks_;
   size_t used_ = 0;
   size_t cap_ = 0;
+  std::shared_ptr<const void> pin_;
 };
 
 }  // namespace vwise

@@ -216,5 +216,95 @@ TEST_F(AllocRegressionTest, Q3EmitPhaseSteadyState) {
   ExpectSteadyStateClean(t, /*warmup=*/1, "Q3");
 }
 
+// Multi-stripe variant of StreamingScanSelectProjectSteadyState: stripes of
+// 4 096 rows, so the scan crosses stripe boundaries mid-run. A boundary
+// Next() opens one stripe column per scanned column (a buffer-pool hit, a
+// segment header parse, a pin-carrying heap ref for the string column, the
+// dictionary of an adopted PDICT column) but decodes nothing ahead of the
+// reader: it must allocate less than one stripe of 4-byte values. Every
+// other Next() after warm-up allocates nothing.
+class AllocRegressionMultiStripeTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kStripeRows = 4096;
+
+  static void SetUpTestSuite() {
+    dir_ = new std::string(::testing::TempDir() + "/vwise_alloc_multi_stripe");
+    std::filesystem::remove_all(*dir_);
+    config_ = new Config();
+    config_->stripe_rows = kStripeRows;
+    device_ = new IoDevice(*config_);
+    buffers_ = new BufferManager(config_->buffer_pool_bytes);
+    auto mgr = TransactionManager::Open(*dir_, *config_, device_, buffers_);
+    ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
+    mgr_ = mgr->release();
+    tpch::Generator gen(kSf);
+    ASSERT_TRUE(gen.LoadAll(mgr_).ok());
+  }
+  static void TearDownTestSuite() {
+    delete mgr_;
+    std::filesystem::remove_all(*dir_);
+    delete buffers_;
+    delete device_;
+    delete config_;
+    delete dir_;
+  }
+
+  static std::string* dir_;
+  static Config* config_;
+  static IoDevice* device_;
+  static BufferManager* buffers_;
+  static TransactionManager* mgr_;
+};
+
+std::string* AllocRegressionMultiStripeTest::dir_ = nullptr;
+Config* AllocRegressionMultiStripeTest::config_ = nullptr;
+IoDevice* AllocRegressionMultiStripeTest::device_ = nullptr;
+BufferManager* AllocRegressionMultiStripeTest::buffers_ = nullptr;
+TransactionManager* AllocRegressionMultiStripeTest::mgr_ = nullptr;
+
+TEST_F(AllocRegressionMultiStripeTest,
+       StreamingScanSelectProjectStripeBoundaries) {
+  Config cfg = *config_;
+  cfg.vector_size = 1024;
+  auto build = [&]() -> Result<OperatorPtr> {
+    PlanBuilder q(mgr_, cfg);
+    VWISE_RETURN_IF_ERROR(q.Scan(
+        "lineitem",
+        {l::kShipdate, l::kDiscount, l::kExtendedprice, l::kReturnflag}));
+    q.Select(e::And(Fs(e::Ge(q.Col(0), e::DateLit("1994-01-01")),
+                       e::Lt(q.Col(0), e::DateLit("1995-01-01")))));
+    q.Project(Es(e::Mul(q.F(2), q.F(1)), q.Col(3)),
+              {DataType::Double(), DataType::Varchar()});
+    return q.Build();
+  };
+  auto snap = mgr_->GetSnapshot("lineitem");
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  const size_t stripes = snap->stable->stripe_count();
+  ASSERT_GE(stripes, 6u);
+
+  // The first run faults every blob into the buffer pool, so the measured
+  // run sees only the decode path, not buffer-pool misses.
+  auto warm = build();
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_TRUE(Drive(std::move(*warm), cfg.vector_size).status.ok());
+  auto plan = build();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  DriveTrace t = Drive(std::move(*plan), cfg.vector_size);
+  ASSERT_TRUE(t.status.ok()) << t.status.ToString();
+  EXPECT_GT(t.rows, 0u);
+
+  const size_t warmup = 4;
+  ASSERT_GT(t.allocs.size(), warmup + stripes);
+  size_t allocating = 0;
+  for (size_t i = warmup; i < t.allocs.size(); i++) {
+    if (t.allocs[i] > 0) allocating++;
+    EXPECT_LT(t.bytes[i], kStripeRows * 4)
+        << "Next() call #" << i << " performed " << t.allocs[i]
+        << " allocations (" << t.bytes[i] << " bytes) after warm-up";
+  }
+  // Only stripe boundaries may allocate at all.
+  EXPECT_LE(allocating, stripes);
+}
+
 }  // namespace
 }  // namespace vwise

@@ -104,7 +104,7 @@ TEST(BitUtilTest, PackUnpackAllWidths) {
     for (size_t i = 0; i < n; i++) in[i] = rng.Next() & mask;
     std::vector<uint8_t> packed(bit::PackedSize(n, width));
     bit::PackBits(in.data(), n, width, packed.data());
-    bit::UnpackBits(packed.data(), n, width, out.data());
+    bit::UnpackKernel<uint64_t>(width)(packed.data(), 0, n, 0, out.data());
     EXPECT_EQ(in, out) << "width=" << width;
   }
 }

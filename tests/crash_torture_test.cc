@@ -20,6 +20,7 @@
 #include "service/session.h"
 #include "storage/buffer_manager.h"
 #include "txn/transaction_manager.h"
+#include "stripe_decode.h"
 
 namespace vwise {
 namespace {
@@ -72,9 +73,9 @@ Status MaterializeSnapshot(const TableSnapshot& snap, Rows* out) {
   Rows stable;
   stable.reserve(tf->row_count());
   for (size_t s = 0; s < tf->stripe_count(); s++) {
-    DecodedColumn id_col, val_col;
-    Status st = tf->ReadStripeColumn(s, 0, &id_col);
-    if (st.ok()) st = tf->ReadStripeColumn(s, 1, &val_col);
+    Vector id_col, val_col;
+    Status st = test::DecodeStripeColumn(tf, s, 0, &id_col);
+    if (st.ok()) st = test::DecodeStripeColumn(tf, s, 1, &val_col);
     if (!st.ok()) return st;
     for (uint32_t i = 0; i < tf->stripe(s).rows; i++) {
       stable.emplace_back(id_col.Data<int64_t>()[i],

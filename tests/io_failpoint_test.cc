@@ -8,6 +8,7 @@
 #include "storage/buffer_manager.h"
 #include "storage/io_file.h"
 #include "storage/table_file.h"
+#include "stripe_decode.h"
 
 namespace vwise {
 namespace {
@@ -195,42 +196,42 @@ class BufferRetryTest : public FailpointTest {
 
 TEST_F(BufferRetryTest, TransientCorruptionHealsViaRetry) {
   ASSERT_TRUE(failpoint::Arm("table.read=corrupt,count:1").ok());
-  DecodedColumn col;
-  ASSERT_TRUE(table_->ReadStripeColumn(0, 0, &col).ok());
-  EXPECT_EQ(col.count, 100u);
+  Vector col;
+  ASSERT_TRUE(test::DecodeStripeColumn(table_.get(), 0, 0, &col).ok());
+  EXPECT_EQ(col.capacity(), 100u);
   for (int i = 0; i < 100; i++) EXPECT_EQ(col.Data<int64_t>()[i], i);
   EXPECT_GE(buffers_->stats().read_retries, 1u);
 }
 
 TEST_F(BufferRetryTest, TransientIoErrorHealsViaRetry) {
   ASSERT_TRUE(failpoint::Arm("table.read=err:EIO,count:2").ok());
-  DecodedColumn col;
-  ASSERT_TRUE(table_->ReadStripeColumn(0, 0, &col).ok());
-  EXPECT_EQ(col.count, 100u);
+  Vector col;
+  ASSERT_TRUE(test::DecodeStripeColumn(table_.get(), 0, 0, &col).ok());
+  EXPECT_EQ(col.capacity(), 100u);
   EXPECT_GE(buffers_->stats().read_retries, 2u);
 }
 
 TEST_F(BufferRetryTest, PersistentCorruptionSurfacesAsCorruption) {
   ASSERT_TRUE(failpoint::Arm("table.read=corrupt").ok());
-  DecodedColumn col;
-  Status s = table_->ReadStripeColumn(0, 0, &col);
+  Vector col;
+  Status s = test::DecodeStripeColumn(table_.get(), 0, 0, &col);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   // The bad blob never entered the cache; a clean retry succeeds.
   failpoint::DisarmAll();
-  ASSERT_TRUE(table_->ReadStripeColumn(0, 0, &col).ok());
-  EXPECT_EQ(col.count, 100u);
+  ASSERT_TRUE(test::DecodeStripeColumn(table_.get(), 0, 0, &col).ok());
+  EXPECT_EQ(col.capacity(), 100u);
 }
 
 TEST_F(BufferRetryTest, LoadFailpointBypassesRetryDeterministically) {
   // bufmgr.load is evaluated once per miss, outside the retry loop, so
   // count:1 fails exactly one load — the retry policy cannot heal it.
   ASSERT_TRUE(failpoint::Arm("bufmgr.load=err:EIO,count:1").ok());
-  DecodedColumn col;
-  Status s = table_->ReadStripeColumn(0, 0, &col);
+  Vector col;
+  Status s = test::DecodeStripeColumn(table_.get(), 0, 0, &col);
   EXPECT_EQ(s.code(), StatusCode::kIOError);
   EXPECT_EQ(buffers_->stats().read_retries, 0u);
-  ASSERT_TRUE(table_->ReadStripeColumn(0, 0, &col).ok());  // next load clean
-  EXPECT_EQ(col.count, 100u);
+  ASSERT_TRUE(test::DecodeStripeColumn(table_.get(), 0, 0, &col).ok());  // next load clean
+  EXPECT_EQ(col.capacity(), 100u);
 }
 
 }  // namespace

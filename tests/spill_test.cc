@@ -74,8 +74,10 @@ class SpillTest : public ::testing::Test {
     ASSERT_TRUE(db_->CreateTable(l).ok());
     ASSERT_TRUE(db_->BulkLoad("l", [](TableWriter* w) -> Status {
       for (int64_t i = 0; i < kLRows; i++) {
+        std::string grp = "g";
+        grp += std::to_string(i % 7);
         VWISE_RETURN_IF_ERROR(w->AppendRow(
-            {Value::Int(i), Value::String("g" + std::to_string(i % 7)),
+            {Value::Int(i), Value::String(grp),
              Value::Int(i % 50),
              Value::Double(static_cast<double>(i % 97) * 1.5)}));
       }

@@ -8,6 +8,7 @@
 #include "gtest/gtest.h"
 #include "storage/buffer_manager.h"
 #include "storage/table_file.h"
+#include "stripe_decode.h"
 
 namespace vwise {
 namespace {
@@ -65,11 +66,11 @@ TEST_F(StorageTest, RoundTripDsm) {
   EXPECT_EQ((*tf)->stripe_count(), 5u);  // 4 full + 1 tail of 50
   EXPECT_EQ((*tf)->stripe(4).rows, 50u);
 
-  DecodedColumn id, price, tag;
-  ASSERT_TRUE((*tf)->ReadStripeColumn(2, 0, &id).ok());
-  ASSERT_TRUE((*tf)->ReadStripeColumn(2, 1, &price).ok());
-  ASSERT_TRUE((*tf)->ReadStripeColumn(2, 3, &tag).ok());
-  EXPECT_EQ(id.count, 100u);
+  Vector id, price, tag;
+  ASSERT_TRUE(test::DecodeStripeColumn(tf->get(), 2, 0, &id).ok());
+  ASSERT_TRUE(test::DecodeStripeColumn(tf->get(), 2, 1, &price).ok());
+  ASSERT_TRUE(test::DecodeStripeColumn(tf->get(), 2, 3, &tag).ok());
+  EXPECT_EQ(id.capacity(), 100u);
   EXPECT_EQ(id.Data<int64_t>()[0], 200);
   EXPECT_EQ(id.Data<int64_t>()[99], 299);
   EXPECT_DOUBLE_EQ(price.Data<double>()[50], 250 * 0.25);
@@ -86,9 +87,9 @@ TEST_F(StorageTest, RoundTripPax) {
   // costs one I/O.
   device_->stats().Reset();
   buffers_->ResetStats();
-  DecodedColumn a, b;
-  ASSERT_TRUE((*tf)->ReadStripeColumn(0, 0, &a).ok());
-  ASSERT_TRUE((*tf)->ReadStripeColumn(0, 2, &b).ok());
+  Vector a, b;
+  ASSERT_TRUE(test::DecodeStripeColumn(tf->get(), 0, 0, &a).ok());
+  ASSERT_TRUE(test::DecodeStripeColumn(tf->get(), 0, 2, &b).ok());
   EXPECT_EQ(device_->stats().reads.load(), 1u);
   EXPECT_EQ(a.Data<int64_t>()[5], 5);
   EXPECT_EQ(b.Data<int32_t>()[5], 1000);
@@ -101,9 +102,9 @@ TEST_F(StorageTest, DsmSeparatesColumnIo) {
   auto tf = TableFile::Open(path, schema, device_.get(), buffers_.get());
   ASSERT_TRUE(tf.ok());
   device_->stats().Reset();
-  DecodedColumn a, b;
-  ASSERT_TRUE((*tf)->ReadStripeColumn(0, 0, &a).ok());
-  ASSERT_TRUE((*tf)->ReadStripeColumn(0, 2, &b).ok());
+  Vector a, b;
+  ASSERT_TRUE(test::DecodeStripeColumn(tf->get(), 0, 0, &a).ok());
+  ASSERT_TRUE(test::DecodeStripeColumn(tf->get(), 0, 2, &b).ok());
   EXPECT_EQ(device_->stats().reads.load(), 2u);  // one blob per column
 }
 
@@ -190,10 +191,10 @@ TEST_F(StorageTest, BufferManagerCachesBlobs) {
   auto tf = TableFile::Open(path, schema, device_.get(), buffers_.get());
   ASSERT_TRUE(tf.ok());
   buffers_->ResetStats();
-  DecodedColumn col;
-  ASSERT_TRUE((*tf)->ReadStripeColumn(1, 0, &col).ok());
-  ASSERT_TRUE((*tf)->ReadStripeColumn(1, 0, &col).ok());
-  ASSERT_TRUE((*tf)->ReadStripeColumn(1, 0, &col).ok());
+  Vector col;
+  ASSERT_TRUE(test::DecodeStripeColumn(tf->get(), 1, 0, &col).ok());
+  ASSERT_TRUE(test::DecodeStripeColumn(tf->get(), 1, 0, &col).ok());
+  ASSERT_TRUE(test::DecodeStripeColumn(tf->get(), 1, 0, &col).ok());
   auto stats = buffers_->stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 2u);
@@ -214,17 +215,17 @@ TEST_F(StorageTest, BufferManagerEvictsLru) {
   ASSERT_TRUE(w.Finish().ok());
   auto tf = TableFile::Open(path, schema, device_.get(), &small);
   ASSERT_TRUE(tf.ok());
-  DecodedColumn col;
+  Vector col;
   for (size_t s = 0; s < 10; s++) {
-    ASSERT_TRUE((*tf)->ReadStripeColumn(s, 0, &col).ok());
+    ASSERT_TRUE(test::DecodeStripeColumn(tf->get(), s, 0, &col).ok());
   }
   EXPECT_LE(small.bytes_cached(), 1000u);
   EXPECT_GT(small.stats().evictions, 0u);
   // Recently used stripes hit; old ones were evicted.
   small.ResetStats();
-  ASSERT_TRUE((*tf)->ReadStripeColumn(9, 0, &col).ok());
+  ASSERT_TRUE(test::DecodeStripeColumn(tf->get(), 9, 0, &col).ok());
   EXPECT_EQ(small.stats().hits, 1u);
-  ASSERT_TRUE((*tf)->ReadStripeColumn(0, 0, &col).ok());
+  ASSERT_TRUE(test::DecodeStripeColumn(tf->get(), 0, 0, &col).ok());
   EXPECT_EQ(small.stats().misses, 1u);
 }
 
@@ -235,8 +236,8 @@ TEST_F(StorageTest, NoCompressionConfigRoundTrips) {
   auto path = WriteTable(schema, ColumnGroups::Dsm(4), 300);
   auto tf = TableFile::Open(path, schema, device_.get(), buffers_.get());
   ASSERT_TRUE(tf.ok());
-  DecodedColumn id;
-  ASSERT_TRUE((*tf)->ReadStripeColumn(3, 0, &id).ok());
+  Vector id;
+  ASSERT_TRUE(test::DecodeStripeColumn(tf->get(), 3, 0, &id).ok());
   EXPECT_EQ(id.Data<int64_t>()[0], 3 * 77);
 }
 

@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "gtest/gtest.h"
 #include "txn/transaction_manager.h"
+#include "stripe_decode.h"
 
 namespace vwise {
 namespace {
@@ -69,7 +70,7 @@ class TxnTest : public ::testing::Test {
     const Pdt* pdt = snap.deltas ? snap.deltas.get() : &empty;
     Pdt::MergeScanner scanner(*pdt, snap.stable->row_count());
     Pdt::MergeEvent ev;
-    std::vector<DecodedColumn> cols(n_cols);
+    std::vector<Vector> cols(n_cols);
     size_t cur_stripe = SIZE_MAX;
     auto stable_row = [&](uint64_t sid) {
       size_t stripe = 0;
@@ -79,8 +80,8 @@ class TxnTest : public ::testing::Test {
       }
       if (stripe != cur_stripe) {
         for (size_t c = 0; c < n_cols; c++) {
-          EXPECT_TRUE(snap.stable
-                          ->ReadStripeColumn(stripe, static_cast<uint32_t>(c), &cols[c])
+          EXPECT_TRUE(test::DecodeStripeColumn(snap.stable.get(), stripe,
+                                               static_cast<uint32_t>(c), &cols[c])
                           .ok());
         }
         cur_stripe = stripe;
@@ -88,7 +89,7 @@ class TxnTest : public ::testing::Test {
       size_t local = sid - snap.stable->stripe_first_row(stripe);
       Row row;
       for (size_t c = 0; c < n_cols; c++) {
-        switch (cols[c].type) {
+        switch (cols[c].type()) {
           case TypeId::kI64:
             row.push_back(Value::Int(cols[c].Data<int64_t>()[local]));
             break;
