@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/macros.h"
@@ -50,6 +51,16 @@ class Value {
   const std::string& AsString() const {
     VWISE_CHECK(kind_ == Kind::kString);
     return s_;
+  }
+  // The number as a fixed-width physical type: AsDouble for double,
+  // otherwise AsInt narrowed to T.
+  template <typename T>
+  T AsNumber() const {
+    if constexpr (std::is_same_v<T, double>) {
+      return AsDouble();
+    } else {
+      return static_cast<T>(AsInt());
+    }
   }
 
   std::string ToString() const;

@@ -60,24 +60,18 @@ size_t FixedWidth(TypeId t) { return TypeWidth(t); }
 // Loads value i of a fixed-width column as uint64 bits (sign-extended for
 // signed ints so frame-of-reference arithmetic behaves).
 uint64_t LoadInt(TypeId t, const void* values, size_t i) {
-  switch (t) {
-    case TypeId::kU8:
-      return static_cast<const uint8_t*>(values)[i];
-    case TypeId::kI32:
-      return static_cast<uint64_t>(
-          static_cast<int64_t>(static_cast<const int32_t*>(values)[i]));
-    case TypeId::kI64:
-      return static_cast<uint64_t>(static_cast<const int64_t*>(values)[i]);
-    case TypeId::kF64: {
-      uint64_t bits;
+  VWISE_CHECK_MSG(t != TypeId::kStr, "LoadInt on string");
+  return DispatchType(t, [&](auto tag) -> uint64_t {
+    using T = typename decltype(tag)::type;
+    uint64_t bits = 0;
+    if constexpr (std::is_same_v<T, double>) {
       std::memcpy(&bits, static_cast<const double*>(values) + i, 8);
-      return bits;
+    } else if constexpr (!std::is_same_v<T, StringVal>) {
+      bits = static_cast<uint64_t>(
+          static_cast<int64_t>(static_cast<const T*>(values)[i]));
     }
-    case TypeId::kStr:
-      break;
-  }
-  VWISE_CHECK_MSG(false, "LoadInt on string");
-  return 0;
+    return bits;
+  });
 }
 
 bool IsIntType(TypeId t) { return t == TypeId::kU8 || t == TypeId::kI32 || t == TypeId::kI64; }

@@ -10,6 +10,10 @@
 
 namespace vwise {
 
+// A row index that names no row: the end of a hash chain, the build side of
+// an unmatched outer-join row.
+constexpr uint32_t kNoRow = 0xffffffffu;
+
 // Append-only, owned columnar storage used by buffering operators (join
 // build sides, aggregation keys, sort runs). String bytes are copied into an
 // owned heap, so stored rows outlive the producing chunks.
@@ -42,54 +46,30 @@ class ColumnStore {
     }
   }
 
-  // Appends one value from `vec` at position `pos`.
-  void AppendOne(const Vector& vec, sel_t pos) {
-    sel_t sel[1] = {pos};
-    AppendFrom(vec, sel, 1);
-  }
-
-  template <typename T>
-  const T* Data() const {
-    return reinterpret_cast<const T*>(fixed_.data());
-  }
-  const StringVal* Strs() const { return strs_.data(); }
-
-  template <typename T>
-  T Get(size_t i) const {
-    return Data<T>()[i];
+  // Values of the rows, typed by type(): StringVal for strings.
+  const void* raw() const {
+    return type_ == TypeId::kStr ? static_cast<const void*>(strs_.data())
+                                 : fixed_.data();
   }
 
   // Gathers rows `idx[0..n)` into `out` (capacity >= n), attaching the owned
-  // heap for strings.
-  void Gather(const uint32_t* idx, size_t n, Vector* out) const {
-    switch (type_) {
-      case TypeId::kU8: {
-        uint8_t* d = out->Data<uint8_t>();
-        for (size_t i = 0; i < n; i++) d[i] = Data<uint8_t>()[idx[i]];
-        break;
+  // heap for strings. With `pad`, an index of kNoRow writes a zero or empty
+  // value instead (the unmatched rows of an outer join).
+  void Gather(const uint32_t* idx, size_t n, Vector* out,
+              bool pad = false) const {
+    DispatchType(type_, [&](auto tag) {
+      using T = typename decltype(tag)::type;
+      const T* src = static_cast<const T*>(raw());
+      T* dst = out->Data<T>();
+      if (pad) {
+        for (size_t i = 0; i < n; i++) {
+          dst[i] = idx[i] == kNoRow ? T() : src[idx[i]];
+        }
+      } else {
+        for (size_t i = 0; i < n; i++) dst[i] = src[idx[i]];
       }
-      case TypeId::kI32: {
-        int32_t* d = out->Data<int32_t>();
-        for (size_t i = 0; i < n; i++) d[i] = Data<int32_t>()[idx[i]];
-        break;
-      }
-      case TypeId::kI64: {
-        int64_t* d = out->Data<int64_t>();
-        for (size_t i = 0; i < n; i++) d[i] = Data<int64_t>()[idx[i]];
-        break;
-      }
-      case TypeId::kF64: {
-        double* d = out->Data<double>();
-        for (size_t i = 0; i < n; i++) d[i] = Data<double>()[idx[i]];
-        break;
-      }
-      case TypeId::kStr: {
-        StringVal* d = out->Data<StringVal>();
-        for (size_t i = 0; i < n; i++) d[i] = strs_[idx[i]];
-        if (heap_) out->AddStringHeapRef(heap_);
-        break;
-      }
-    }
+    });
+    if (heap_) out->AddStringHeapRef(heap_);
   }
 
   const std::shared_ptr<StringHeap>& heap() const { return heap_; }

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
-#include "common/bitutil.h"
-#include "exec/key_hash.h"
 #include "exec/profile.h"
 #include "storage/spill_file.h"
 
@@ -13,24 +12,17 @@ namespace vwise {
 
 namespace {
 
-constexpr uint32_t kEmptySlot = 0xffffffffu;
-
 // Numeric value of column `vec` at `pos` widened to T (double / int64).
 template <typename T>
 T NumberAt(const Vector& vec, sel_t pos) {
-  switch (vec.type()) {
-    case TypeId::kU8:
-      return static_cast<T>(vec.Data<uint8_t>()[pos]);
-    case TypeId::kI32:
-      return static_cast<T>(vec.Data<int32_t>()[pos]);
-    case TypeId::kI64:
-      return static_cast<T>(vec.Data<int64_t>()[pos]);
-    case TypeId::kF64:
-      return static_cast<T>(vec.Data<double>()[pos]);
-    case TypeId::kStr:
-      break;
-  }
-  return 0;
+  return DispatchType(vec.type(), [&](auto tag) -> T {
+    using V = typename decltype(tag)::type;
+    if constexpr (std::is_same_v<V, StringVal>) {
+      return 0;
+    } else {
+      return static_cast<T>(vec.Data<V>()[pos]);
+    }
+  });
 }
 
 bool IntFamily(TypeId t) {
@@ -77,17 +69,18 @@ HashAggOperator::~HashAggOperator() = default;
 Status HashAggOperator::OpenImpl() {
   VWISE_RETURN_IF_ERROR(child_->Open(ctx()));
   const auto& in_types = child_->OutputTypes();
-  key_stores_.clear();
-  for (size_t c : group_cols_) key_stores_.emplace_back(in_types[c]);
+  std::vector<TypeId> key_types;
+  for (size_t c : group_cols_) key_types.push_back(in_types[c]);
+  table_.Init(key_types, config_.vector_size);
+  n_groups_ = 0;
   // Budget accounting: estimated footprint of one group row — owned key
   // copies plus per-aggregate state (i64/f64/count lanes) plus the stored
-  // hash and its open-addressing slot.
+  // hash and its link. The buckets are reserved as they grow.
   mem_.Bind(ctx(), "hash aggregation");
-  reserved_groups_ = 0;
-  per_group_bytes_ = 16;  // group_hashes_ entry + table slot
-  for (size_t c : group_cols_) {
-    per_group_bytes_ +=
-        in_types[c] == TypeId::kStr ? 32 : TypeWidth(in_types[c]);
+  table_bytes_ = 0;
+  per_group_bytes_ = KeyTable::kRowBytes;
+  for (TypeId t : key_types) {
+    per_group_bytes_ += t == TypeId::kStr ? 32 : TypeWidth(t);
   }
   per_group_bytes_ += aggs_.size() * 24;
   states_.assign(aggs_.size(), AggState{});
@@ -95,14 +88,6 @@ Status HashAggOperator::OpenImpl() {
     states_[i].in_type =
         aggs_[i].fn == AggSpec::Fn::kCountStar ? TypeId::kI64 : in_types[aggs_[i].col];
   }
-  // Reset the group count and hashes from a previous execution of a prepared
-  // plan BEFORE rebuilding the slot table: ResizeTable re-inserts the first
-  // n_groups_ entries of group_hashes_, so stale values would repopulate the
-  // fresh table with dangling group indices (and loop forever once the stale
-  // count exceeds the bucket count).
-  n_groups_ = 0;
-  group_hashes_.clear();
-  ResizeTable(1024);
   consumed_ = false;
   emit_cursor_ = 0;
   BuildStateSchema();
@@ -113,71 +98,52 @@ Status HashAggOperator::OpenImpl() {
   return Status::OK();
 }
 
-void HashAggOperator::ResizeTable(size_t buckets) {
-  slots_.assign(buckets, kEmptySlot);
-  slot_mask_ = buckets - 1;
-  for (uint32_t g = 0; g < n_groups_; g++) {
-    uint64_t s = group_hashes_[g] & slot_mask_;
-    while (slots_[s] != kEmptySlot) s = (s + 1) & slot_mask_;
-    slots_[s] = g;
+Status HashAggOperator::ReserveGroups(size_t rows) {
+  size_t bytes =
+      rows * per_group_bytes_ + table_.BucketGrowth(n_groups_ + rows);
+  VWISE_RETURN_IF_ERROR(mem_.Grow(bytes));
+  table_bytes_ += bytes;
+  return Status::OK();
+}
+
+void HashAggOperator::TrimReservation() {
+  size_t held = n_groups_ * per_group_bytes_ + table_.bucket_bytes();
+  VWISE_DCHECK(held <= table_bytes_);
+  mem_.Shrink(table_bytes_ - held);
+  table_bytes_ = held;
+}
+
+void HashAggOperator::ResolveGroups(const DataChunk& chunk,
+                                    const std::vector<size_t>& key_cols,
+                                    const sel_t* sel, size_t n) {
+  uint64_t* hashes = hash_scratch_.data();
+  KeyTable::Hash(chunk, key_cols, sel, n, hashes);
+  table_.FindOrInsert(chunk, key_cols, sel, n, hashes, group_idx_.data());
+  if (table_.size() > n_groups_) {
+    // vwise-hotpath: allow(cold-call): per-new-group state growth, warm-up
+    // only; a stabilized group set never reaches it
+    AddGroups();
   }
 }
 
-uint32_t HashAggOperator::FindOrCreateGroup(const DataChunk& chunk, sel_t pos,
-                                            uint64_t hash,
-                                            const size_t* key_cols) {
-  uint64_t s = hash & slot_mask_;
-  while (true) {
-    uint32_t g = slots_[s];
-    if (g == kEmptySlot) break;
-    if (group_hashes_[g] == hash) {
-      bool equal = true;
-      for (size_t k = 0; k < group_cols_.size(); k++) {
-        if (!KeyEquals(chunk.column(key_cols[k]), pos, key_stores_[k], g)) {
-          equal = false;
-          break;
-        }
-      }
-      if (equal) return g;
-    }
-    s = (s + 1) & slot_mask_;
-  }
-  // New group.
-  uint32_t g = static_cast<uint32_t>(n_groups_++);
-  slots_[s] = g;
-  // vwise-hotpath: allow(alloc): group-state growth happens once per new
-  // group (warm-up); a stabilized group set never re-enters this tail
-  group_hashes_.push_back(hash);
-  for (size_t k = 0; k < group_cols_.size(); k++) {
-    // vwise-hotpath: allow(cold-call): per-new-group key copy, warm-up only
-    key_stores_[k].AppendOne(chunk.column(key_cols[k]), pos);
-  }
-  // One value lane per aggregate plus a count lane for min/max (first-touch
-  // marker) and avg, as laid out by BuildStateSchema.
-  for (size_t i = 0; i < aggs_.size(); i++) {
-    AggState& st = states_[i];
-    if (lanes_[i].is_i64) {
-      // vwise-hotpath: allow(alloc): per-new-group state, warm-up only
-      st.i64.push_back(0);
+void HashAggOperator::AddGroups() {
+  // One zeroed value lane per aggregate plus a count lane for min/max
+  // (first-touch marker) and avg, as laid out by BuildStateSchema.
+  n_groups_ = table_.size();
+  for (size_t a = 0; a < aggs_.size(); a++) {
+    AggState& st = states_[a];
+    if (lanes_[a].is_i64) {
+      st.i64.resize(n_groups_);
     } else {
-      // vwise-hotpath: allow(alloc): per-new-group state, warm-up only
-      st.f64.push_back(0);
+      st.f64.resize(n_groups_);
     }
-    if (lanes_[i].count_col != SIZE_MAX) {
-      // vwise-hotpath: allow(alloc): per-new-group state, warm-up only
-      st.count.push_back(0);
-    }
+    if (lanes_[a].count_col != SIZE_MAX) st.count.resize(n_groups_);
   }
-  if (n_groups_ * 10 > slots_.size() * 7) {
-    // vwise-hotpath: allow(cold-call): table doubling, amortized O(1)
-    ResizeTable(slots_.size() * 2);
-  }
-  return g;
 }
 
 // VWISE_HOT: the per-chunk aggregation core — hashed, resolved and updated
 // without leaving the OpenImpl-sized scratch (group creation is the annotated
-// warm-up tail in FindOrCreateGroup).
+// warm-up tail of ResolveGroups).
 VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
   size_t n = chunk.ActiveCount();
   const sel_t* sel = chunk.sel();
@@ -201,23 +167,10 @@ VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
       agg_in.Normalize(chunk.count());
     }
   }
-  uint64_t* hashes = hash_scratch_.data();
-  uint32_t* groups = group_idx_.data();
-  // 1. Hash the group keys, a column at a time.
-  std::fill(hashes, hashes + n, 0);
-  for (size_t k = 0; k < group_cols_.size(); k++) {
-    const Vector& key = chunk.column(group_cols_[k]);
-    for (size_t i = 0; i < n; i++) {
-      sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
-      hashes[i] = HashCombine(hashes[i], HashValue(key, pos));
-    }
-  }
-  // 2. Resolve group indices.
-  for (size_t i = 0; i < n; i++) {
-    sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
-    groups[i] = FindOrCreateGroup(chunk, pos, hashes[i], group_cols_.data());
-  }
-  // 3. Per-aggregate update loops.
+  // 1. Resolve the group indices.
+  ResolveGroups(chunk, group_cols_, sel, n);
+  const uint32_t* groups = group_idx_.data();
+  // 2. Per-aggregate update loops.
   for (size_t a = 0; a < aggs_.size(); a++) {
     AggState& st = states_[a];
     const AggSpec& spec = aggs_[a];
@@ -289,16 +242,17 @@ Status HashAggOperator::ConsumeInput() {
     size_t n = chunk.ActiveCount();
     if (n == 0) break;
     // Budget-accounting fix: reserve a worst-case bound (every incoming row
-    // a fresh group) BEFORE ProcessChunk inserts anything, then trim the
-    // reservation to the groups actually created. The old reserve-after-
-    // insert let a single chunk of fresh groups overshoot the budget — and
-    // the spill trigger below must fire before allocation to help at all.
+    // a fresh group, and the buckets for them) BEFORE ProcessChunk inserts
+    // anything, then trim the reservation to the groups actually created.
+    // The old reserve-after-insert let a single chunk of fresh groups
+    // overshoot the budget — and the spill trigger below must fire before
+    // allocation to help at all.
     size_t done = 0;
     bool sliced = false;
     while (done < n) {
       size_t slice = n - done;
       while (true) {
-        Status grown = mem_.Grow(slice * per_group_bytes_);
+        Status grown = ReserveGroups(slice);
         if (grown.ok()) break;
         VWISE_RETURN_IF_ERROR(
             ShouldSpill(ctx(), config_, grown, mem_.bytes()).status());
@@ -332,10 +286,8 @@ Status HashAggOperator::ConsumeInput() {
                     slice * sizeof(sel_t));
         chunk.SetSelection(slice);
       }
-      size_t before = n_groups_;
       VWISE_RETURN_IF_ERROR(ProcessChunk(chunk));
-      mem_.Shrink((slice - (n_groups_ - before)) * per_group_bytes_);
-      reserved_groups_ = n_groups_;
+      TrimReservation();
       done += slice;
     }
     bool spill = false;
@@ -353,11 +305,9 @@ Status HashAggOperator::ConsumeInput() {
   }
   // An ungrouped aggregate always emits one row, even on empty input.
   if (group_cols_.empty() && n_groups_ == 0) {
-    DataChunk empty;
-    empty.Init(child_->OutputTypes(), 1);
-    // Materialize the single global group with zero-initialized states by
-    // touching the table with a synthetic hash (no key columns to compare).
-    FindOrCreateGroup(empty, 0, 0, group_cols_.data());
+    // Materialize the single global group with zeroed states: one row
+    // without key columns.
+    ResolveGroups(DataChunk(), group_cols_, nullptr, 1);
   }
   return Status::OK();
 }
@@ -404,28 +354,24 @@ void HashAggOperator::BuildStateSchema() {
 }
 
 void HashAggOperator::ClearTable() {
+  mem_.Shrink(table_bytes_);
+  table_bytes_ = 0;
+  table_.Clear();
   n_groups_ = 0;
-  group_hashes_.clear();
-  const auto& in_types = child_->OutputTypes();
-  key_stores_.clear();
-  for (size_t c : group_cols_) key_stores_.emplace_back(in_types[c]);
   for (AggState& st : states_) {
     st.i64.clear();
     st.f64.clear();
     st.count.clear();
   }
-  ResizeTable(1024);
-  mem_.Shrink(reserved_groups_ * per_group_bytes_);
-  reserved_groups_ = 0;
 }
 
 Status HashAggOperator::SpillGroups() {
   if (n_groups_ == 0) return Status::OK();
   VWISE_RETURN_IF_ERROR(spill_.Flush(
-      0, n_groups_, [this](uint32_t g) { return group_hashes_[g]; },
+      0, n_groups_, [this](uint32_t g) { return table_.hash(g); },
       [this](const uint32_t* ids, size_t n, DataChunk* out) {
         for (size_t k = 0; k < group_cols_.size(); k++) {
-          key_stores_[k].Gather(ids, n, &out->column(k));
+          table_.key(k).Gather(ids, n, &out->column(k));
         }
         for (size_t a = 0; a < aggs_.size(); a++) {
           const AggState& st = states_[a];
@@ -450,12 +396,8 @@ Status HashAggOperator::SpillGroups() {
 
 Status HashAggOperator::ProcessStateChunk(const DataChunk& chunk) {
   size_t n = chunk.count();  // state chunks are dense
-  uint32_t* groups = group_idx_.data();
-  for (size_t i = 0; i < n; i++) {
-    sel_t pos = static_cast<sel_t>(i);
-    uint64_t hash = HashKeys(chunk, pos, identity_cols_);
-    groups[i] = FindOrCreateGroup(chunk, pos, hash, identity_cols_.data());
-  }
+  ResolveGroups(chunk, identity_cols_, nullptr, n);
+  const uint32_t* groups = group_idx_.data();
   // Merge the partial states: sums/counts add, min/max compare (their count
   // lane is the first-touch marker), avg adds both lanes.
   for (size_t a = 0; a < aggs_.size(); a++) {
@@ -527,15 +469,13 @@ Status HashAggOperator::LoadPartition() {
     // budget; the caller splits it onto a fresh radix level
     // (RadixSpill::Split) instead of failing the query, so the partially
     // merged groups go first.
-    Status grown = mem_.Grow(n * per_group_bytes_);
+    Status grown = ReserveGroups(n);
     if (!grown.ok()) {
       ClearTable();
       return grown;
     }
-    size_t before = n_groups_;
     VWISE_RETURN_IF_ERROR(ProcessStateChunk(chunk));
-    mem_.Shrink((n - (n_groups_ - before)) * per_group_bytes_);
-    reserved_groups_ = n_groups_;
+    TrimReservation();
   }
   return Status::OK();
 }
@@ -580,39 +520,24 @@ Status HashAggOperator::Next(DataChunk* out) {
   uint32_t* idx = emit_idx_.data();
   for (size_t i = 0; i < batch; i++) idx[i] = static_cast<uint32_t>(emit_cursor_ + i);
   for (size_t k = 0; k < group_cols_.size(); k++) {
-    key_stores_[k].Gather(idx, batch, &out->column(k));
+    table_.key(k).Gather(idx, batch, &out->column(k));
   }
   for (size_t a = 0; a < aggs_.size(); a++) {
     Vector& dst = out->column(group_cols_.size() + a);
     const AggState& st = states_[a];
+    // The output type follows the state lane (see the constructor): f64
+    // lanes emit f64, i64 lanes i64, narrowed for an i32 min/max.
     for (size_t i = 0; i < batch; i++) {
       size_t g = emit_cursor_ + i;
-      switch (aggs_[a].fn) {
-        case AggSpec::Fn::kSum:
-          if (IntFamily(st.in_type)) {
-            dst.Data<int64_t>()[i] = st.i64[g];
-          } else {
-            dst.Data<double>()[i] = st.f64[g];
-          }
-          break;
-        case AggSpec::Fn::kMin:
-        case AggSpec::Fn::kMax:
-          if (st.in_type == TypeId::kF64) {
-            dst.Data<double>()[i] = st.f64[g];
-          } else if (dst.type() == TypeId::kI32) {
-            dst.Data<int32_t>()[i] = static_cast<int32_t>(st.i64[g]);
-          } else {
-            dst.Data<int64_t>()[i] = st.i64[g];
-          }
-          break;
-        case AggSpec::Fn::kCount:
-        case AggSpec::Fn::kCountStar:
-          dst.Data<int64_t>()[i] = st.i64[g];
-          break;
-        case AggSpec::Fn::kAvg:
-          dst.Data<double>()[i] =
-              st.count[g] == 0 ? 0.0 : st.f64[g] / static_cast<double>(st.count[g]);
-          break;
+      if (aggs_[a].fn == AggSpec::Fn::kAvg) {
+        dst.Data<double>()[i] =
+            st.count[g] == 0 ? 0.0 : st.f64[g] / static_cast<double>(st.count[g]);
+      } else if (dst.type() == TypeId::kF64) {
+        dst.Data<double>()[i] = st.f64[g];
+      } else if (dst.type() == TypeId::kI32) {
+        dst.Data<int32_t>()[i] = static_cast<int32_t>(st.i64[g]);
+      } else {
+        dst.Data<int64_t>()[i] = st.i64[g];
       }
     }
   }
@@ -626,12 +551,11 @@ void HashAggOperator::Close() {
   // here (idempotent) so an error/cancel unwind that skipped the consume
   // still reaches Xchg fragments running below on pool threads.
   child_->Close();
-  key_stores_.clear();
+  table_.Clear();
   states_.clear();
-  slots_.clear();
   spill_.Drop();
   mem_.ReleaseAll();
-  reserved_groups_ = 0;
+  table_bytes_ = 0;
 }
 
 }  // namespace vwise

@@ -4,7 +4,7 @@
 #include <memory>
 #include <vector>
 
-#include "exec/column_store.h"
+#include "exec/key_table.h"
 #include "exec/operator.h"
 #include "exec/radix_spill.h"
 #include "service/query_context.h"
@@ -26,9 +26,11 @@ struct AggSpec {
 };
 
 // Vectorized hash aggregation (grouped or, with no group columns, a single
-// global group). Hashes are computed a vector at a time; group resolution
-// fills a per-chunk group-index array that the per-aggregate update loops
-// then consume — no per-row function dispatch.
+// global group). The groups are the rows of a KeyTable: keys are hashed a
+// column at a time and resolved to group indices a vector at a time, and
+// the per-aggregate update loops then consume that group-index array — no
+// per-row function dispatch. Groups are numbered, and emitted, in order of
+// first appearance.
 //
 // Output: group columns, then one column per aggregate (sum keeps the input
 // physical type for i64, widens to f64 otherwise; count is i64; avg is f64;
@@ -70,9 +72,16 @@ class HashAggOperator final : public Operator {
   // Mutable chunk: encoded group-key and aggregate-input columns are
   // normalized in place.
   Status ProcessChunk(DataChunk& chunk);
-  void ResizeTable(size_t buckets);
-  uint32_t FindOrCreateGroup(const DataChunk& chunk, sel_t pos, uint64_t hash,
-                             const size_t* key_cols);
+  // Resolves rows sel[0..n) of `chunk` (group keys `key_cols`) into
+  // group_idx_, creating the groups not seen yet.
+  void ResolveGroups(const DataChunk& chunk, const std::vector<size_t>& key_cols,
+                     const sel_t* sel, size_t n);
+  void AddGroups();  // zeroed states for the groups the table just created
+  // Reserves the worst case for `rows` more rows: every one a new group,
+  // growing the buckets. TrimReservation then gives back what the table
+  // does not hold.
+  Status ReserveGroups(size_t rows);
+  void TrimReservation();
   // Lays out the aggregate state lanes — of the in-memory states and of the
   // spill "state row" schema alike: key columns first, then one value lane
   // per aggregate (i64 or f64) plus a count lane for min/max/avg.
@@ -93,11 +102,8 @@ class HashAggOperator final : public Operator {
   Config config_;
   std::vector<TypeId> out_types_;
 
-  // Group keys (owned copies) + open-addressing table of group indices.
-  std::vector<ColumnStore> key_stores_;
-  std::vector<uint64_t> group_hashes_;
-  std::vector<uint32_t> slots_;
-  uint64_t slot_mask_ = 0;
+  // The groups: one key-table row each. n_groups_ survives Close().
+  KeyTable table_;
   size_t n_groups_ = 0;
 
   // Aggregate states, one entry per group.
@@ -118,11 +124,12 @@ class HashAggOperator final : public Operator {
   size_t emit_cursor_ = 0;
 
   // Per-query memory budget accounting: a worst-case bound (every row of the
-  // incoming slice a fresh group) is reserved BEFORE insertion and trimmed to
-  // the groups actually created afterwards, released in Close().
+  // incoming slice a fresh group, plus the buckets for them) is reserved
+  // BEFORE insertion and trimmed to the groups and buckets the table holds
+  // afterwards (table_bytes_), released in Close().
   MemoryReservation mem_;
   size_t per_group_bytes_ = 0;
-  size_t reserved_groups_ = 0;
+  size_t table_bytes_ = 0;
 
   // Radix-spill state: one stream of mergeable state rows.
   struct StateLane {

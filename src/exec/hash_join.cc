@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "common/bitutil.h"
-#include "exec/key_hash.h"
 #include "exec/profile.h"
 #include "expr/primitives.h"
 #include "storage/spill_file.h"
@@ -12,57 +10,8 @@ namespace vwise {
 
 namespace {
 
-constexpr uint32_t kNoRow = 0xffffffffu;  // unmatched-probe sentinel
 constexpr size_t kBuildStream = 0;  // RadixSpill streams of a partition
 constexpr size_t kProbeStream = 1;
-
-// Gathers probe-side column values at pair positions into `out`.
-void GatherProbe(const Vector& src, const sel_t* positions, size_t n,
-                 Vector* out) {
-  switch (src.type()) {
-    case TypeId::kU8:
-      prim::Gather<uint8_t>(src.Data<uint8_t>(), positions, n,
-                            out->Data<uint8_t>());
-      break;
-    case TypeId::kI32:
-      prim::Gather<int32_t>(src.Data<int32_t>(), positions, n,
-                            out->Data<int32_t>());
-      break;
-    case TypeId::kI64:
-      prim::Gather<int64_t>(src.Data<int64_t>(), positions, n,
-                            out->Data<int64_t>());
-      break;
-    case TypeId::kF64:
-      prim::Gather<double>(src.Data<double>(), positions, n,
-                           out->Data<double>());
-      break;
-    case TypeId::kStr:
-      prim::Gather<StringVal>(src.Data<StringVal>(), positions, n,
-                              out->Data<StringVal>());
-      out->AddHeapsFrom(src);
-      break;
-  }
-}
-
-void ZeroFill(Vector* out, size_t i) {
-  switch (out->type()) {
-    case TypeId::kU8:
-      out->Data<uint8_t>()[i] = 0;
-      break;
-    case TypeId::kI32:
-      out->Data<int32_t>()[i] = 0;
-      break;
-    case TypeId::kI64:
-      out->Data<int64_t>()[i] = 0;
-      break;
-    case TypeId::kF64:
-      out->Data<double>()[i] = 0;
-      break;
-    case TypeId::kStr:
-      out->Data<StringVal>()[i] = StringVal();
-      break;
-  }
-}
 
 }  // namespace
 
@@ -87,25 +36,27 @@ Status HashJoinOperator::OpenImpl() {
   VWISE_RETURN_IF_ERROR(probe_->Open(ctx()));
   VWISE_RETURN_IF_ERROR(build_->Open(ctx()));
   mem_.Bind(ctx(), "hash join build side");
-  // Reset pipeline-breaker state from a previous execution of a prepared
-  // plan: build_rows_ in particular survives Close(), and a stale count
-  // would make BuildTable() index past the freshly rebuilt stores.
-  build_bytes_ = 0;
-  ReleaseBuildSide();
-  probe_partitioned_ = false;
   // Spill rows keep only the columns the join retains: keys then payload.
+  // The resident build side has the same layout: the key table holds the
+  // keys, build_payload_cols_ the rest.
   spill_types_.clear();
-  std::vector<size_t> spill_keys;
+  spill_keys_.clear();
   for (size_t c : spec_.build_keys) {
-    spill_keys.push_back(spill_types_.size());
+    spill_keys_.push_back(spill_types_.size());
     spill_types_.push_back(build_->OutputTypes()[c]);
   }
+  table_.Init(spill_types_, config_.vector_size);
   for (size_t c : spec_.build_payload) {
     spill_types_.push_back(build_->OutputTypes()[c]);
   }
+  // Reset pipeline-breaker state from a previous execution of a prepared
+  // plan.
+  build_bytes_ = 0;
+  ReleaseBuildSide();
+  probe_partitioned_ = false;
   build_view_.Init(spill_types_, 1);
   spill_.Init(ctx(), &config_,
-              {{spill_types_, std::move(spill_keys), "join_build"},
+              {{spill_types_, spill_keys_, "join_build"},
                {probe_->OutputTypes(), spec_.probe_keys, "join_probe"}});
   VWISE_RETURN_IF_ERROR(ConsumeBuildSide());
   input_.Init(probe_->OutputTypes(), config_.vector_size);
@@ -154,7 +105,7 @@ Status HashJoinOperator::ConsumeBuildSide() {
           spill_.Scatter(kBuildStream, build_view_, chunk.sel(), n));
       continue;
     }
-    size_t grow = EstimateChunkBytes(chunk);
+    size_t grow = EstimateChunkBytes(chunk) + n * KeyTable::kRowBytes;
     Status grown = mem_.Grow(grow);
     if (grown.ok()) {
       build_bytes_ += grow;
@@ -172,40 +123,37 @@ Status HashJoinOperator::ConsumeBuildSide() {
     }
   }
   build_->Close();
-  if (spill_.spilled()) {
-    // Close the partition files; tables are built per partition at probe
-    // time (LoadBuildPartition).
-    spill_.CloseStream(kBuildStream);
-    return Status::OK();
+  if (!spill_.spilled()) {
+    Status built = BuildTable();
+    if (built.ok()) return Status::OK();
+    // The buckets do not fit beside the rows: degrade to the grace join,
+    // as a failed Grow mid-build does.
+    VWISE_RETURN_IF_ERROR(
+        ShouldSpill(ctx(), config_, built, mem_.bytes()).status());
+    VWISE_RETURN_IF_ERROR(SpillBuildRows());
   }
-  return BuildTable();
+  // Close the partition files; tables are built per partition at probe
+  // time (LoadBuildPartition).
+  spill_.CloseStream(kBuildStream);
+  return Status::OK();
 }
 
 Status HashJoinOperator::BuildTable() {
-  // Chained hash table over the stored rows.
-  size_t buckets = bit::NextPowerOfTwo(build_rows_ * 2 + 1);
-  size_t table_bytes = buckets * sizeof(uint32_t) + build_rows_ * sizeof(uint32_t);
-  VWISE_RETURN_IF_ERROR(mem_.Grow(table_bytes));
-  build_bytes_ += table_bytes;
-  bucket_heads_.assign(buckets, kNoRow);
-  bucket_mask_ = buckets - 1;
-  chain_next_.assign(build_rows_, kNoRow);
-  for (size_t row = 0; row < build_rows_; row++) {
-    uint64_t h = HashBuildRow(row) & bucket_mask_;
-    chain_next_[row] = bucket_heads_[h];
-    bucket_heads_[h] = static_cast<uint32_t>(row);
-  }
+  size_t bytes = table_.BucketGrowth(table_.size());
+  VWISE_RETURN_IF_ERROR(mem_.Grow(bytes));
+  build_bytes_ += bytes;
+  table_.Link();
   return Status::OK();
 }
 
 Status HashJoinOperator::SpillBuildRows() {
   size_t n_keys = spec_.build_keys.size();
   VWISE_RETURN_IF_ERROR(spill_.Flush(
-      kBuildStream, build_rows_,
-      [this](uint32_t row) { return HashBuildRow(row); },
+      kBuildStream, table_.size(),
+      [this](uint32_t row) { return table_.hash(row); },
       [this, n_keys](const uint32_t* ids, size_t n, DataChunk* out) {
         for (size_t k = 0; k < n_keys; k++) {
-          build_key_cols_[k].Gather(ids, n, &out->column(k));
+          table_.key(k).Gather(ids, n, &out->column(k));
         }
         for (size_t k = 0; k < build_payload_cols_.size(); k++) {
           build_payload_cols_[k].Gather(ids, n, &out->column(n_keys + k));
@@ -217,14 +165,11 @@ Status HashJoinOperator::SpillBuildRows() {
 
 void HashJoinOperator::AppendBuildRows(const DataChunk& rows,
                                        const sel_t* sel, size_t n) {
-  size_t n_keys = build_key_cols_.size();
-  for (size_t k = 0; k < n_keys; k++) {
-    build_key_cols_[k].AppendFrom(rows.column(k), sel, n);
-  }
+  table_.Append(rows, spill_keys_, sel, n);
   for (size_t k = 0; k < build_payload_cols_.size(); k++) {
-    build_payload_cols_[k].AppendFrom(rows.column(n_keys + k), sel, n);
+    build_payload_cols_[k].AppendFrom(rows.column(spill_keys_.size() + k),
+                                      sel, n);
   }
-  build_rows_ += n;
 }
 
 Status HashJoinOperator::PartitionProbeSide() {
@@ -248,17 +193,11 @@ void HashJoinOperator::ReleaseBuildSide() {
   // Swap out the resident rows + table and their reservation.
   mem_.Shrink(build_bytes_);
   build_bytes_ = 0;
-  build_key_cols_.clear();
+  table_.Clear();
   build_payload_cols_.clear();
-  for (size_t c : spec_.build_keys) {
-    build_key_cols_.emplace_back(build_->OutputTypes()[c]);
-  }
   for (size_t c : spec_.build_payload) {
     build_payload_cols_.emplace_back(build_->OutputTypes()[c]);
   }
-  build_rows_ = 0;
-  bucket_heads_.clear();
-  chain_next_.clear();
 }
 
 Status HashJoinOperator::LoadBuildPartition() {
@@ -276,7 +215,7 @@ Status HashJoinOperator::LoadBuildPartition() {
     // ResourceExhausted here means this partition alone exceeds the budget;
     // the caller splits it onto a fresh radix level (RadixSpill::Split)
     // instead of failing the query.
-    size_t grow = EstimateChunkBytes(chunk);
+    size_t grow = EstimateChunkBytes(chunk) + n * KeyTable::kRowBytes;
     VWISE_RETURN_IF_ERROR(mem_.Grow(grow));
     build_bytes_ += grow;
     AppendBuildRows(chunk, nullptr, n);
@@ -320,25 +259,6 @@ Status HashJoinOperator::FetchProbeChunk() {
   }
 }
 
-uint64_t HashJoinOperator::HashBuildRow(size_t row) const {
-  uint64_t h = 0;
-  for (const ColumnStore& col : build_key_cols_) {
-    h = HashCombine(h, HashValue(col, row));
-  }
-  return h;
-}
-
-bool HashJoinOperator::KeysEqual(const DataChunk& chunk, sel_t pos,
-                                 size_t build_row) const {
-  for (size_t k = 0; k < spec_.probe_keys.size(); k++) {
-    if (!KeyEquals(chunk.column(spec_.probe_keys[k]), pos,
-                   build_key_cols_[k], build_row)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 Status HashJoinOperator::ProcessProbeChunk() {
   pairs_.clear();
   pair_cursor_ = 0;
@@ -351,41 +271,15 @@ Status HashJoinOperator::ProcessProbeChunk() {
   // 1. Candidate pairs by hash + key equality. candidates_ keeps its
   // capacity across chunks, so growth stops once the noisiest chunk has
   // been seen.
-  candidates_.clear();
-  for (size_t i = 0; i < n; i++) {
-    sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
-    if (build_rows_ > 0) {
-      uint64_t h = HashKeys(input_, pos, spec_.probe_keys) & bucket_mask_;
-      for (uint32_t row = bucket_heads_[h]; row != kNoRow; row = chain_next_[row]) {
-        // vwise-hotpath: allow(alloc): amortized growth, capacity persists
-        // across probe chunks
-        if (KeysEqual(input_, pos, row)) candidates_.push_back(Pair{pos, row});
-      }
-    }
-  }
+  table_.Probe(input_, spec_.probe_keys, sel, n, &candidates_);
 
   // 2. Residual predicate over the combined pair rows, in vector batches.
   if (spec_.residual && !candidates_.empty()) {
-    size_t n_probe_cols = input_.num_columns();
-    sel_t* probe_pos = probe_pos_.data();
-    uint32_t* build_rows = build_row_idx_.data();
     sel_t* out_sel = residual_sel_.data();
     for (size_t base = 0; base < candidates_.size(); base += config_.vector_size) {
       size_t batch = std::min(config_.vector_size, candidates_.size() - base);
-      for (size_t i = 0; i < batch; i++) {
-        probe_pos[i] = candidates_[base + i].probe_pos;
-        build_rows[i] = candidates_[base + i].build_row;
-      }
       residual_scratch_.Reset();
-      for (size_t c = 0; c < n_probe_cols; c++) {
-        GatherProbe(input_.column(c), probe_pos, batch,
-                    &residual_scratch_.column(c));
-      }
-      for (size_t k = 0; k < build_payload_cols_.size(); k++) {
-        build_payload_cols_[k].Gather(build_rows, batch,
-                                      &residual_scratch_.column(n_probe_cols + k));
-      }
-      residual_scratch_.SetCount(batch);
+      GatherPairs(candidates_.data() + base, batch, &residual_scratch_);
       size_t kept = 0;
       // vwise-hotpath: allow(virtual-in-loop): loop is over candidate
       // batches of vector_size — one Select dispatch per batch
@@ -400,7 +294,7 @@ Status HashJoinOperator::ProcessProbeChunk() {
     std::swap(pairs_, candidates_);
   }
 
-  for (const Pair& p : pairs_) probe_match_[p.probe_pos] = 1;
+  for (const Pair& p : pairs_) probe_match_[p.pos] = 1;
 
   // Semi/anti joins consume only the match flags; leaving the pairs around
   // would make the emit loop treat them as inner-join output.
@@ -421,63 +315,45 @@ Status HashJoinOperator::ProcessProbeChunk() {
   return Status::OK();
 }
 
+void HashJoinOperator::GatherPairs(const Pair* pairs, size_t n,
+                                   DataChunk* out) {
+  sel_t* probe_pos = probe_pos_.data();
+  uint32_t* build_rows = build_row_idx_.data();
+  for (size_t i = 0; i < n; i++) {
+    probe_pos[i] = pairs[i].pos;
+    build_rows[i] = pairs[i].row;
+  }
+  size_t n_probe_cols = input_.num_columns();
+  for (size_t c = 0; c < n_probe_cols; c++) {
+    const Vector& src = input_.column(c);
+    Vector& dst = out->column(c);
+    DispatchType(src.type(), [&](auto tag) {
+      using T = typename decltype(tag)::type;
+      prim::Gather<T>(src.Data<T>(), probe_pos, n, dst.Data<T>());
+    });
+    if (src.type() == TypeId::kStr) dst.AddHeapsFrom(src);
+  }
+  // Sentinel rows (unmatched outer) get zero/empty payload values.
+  bool pad = spec_.type == JoinType::kLeftOuter;
+  for (size_t k = 0; k < build_payload_cols_.size(); k++) {
+    build_payload_cols_[k].Gather(build_rows, n,
+                                  &out->column(n_probe_cols + k), pad);
+  }
+  out->SetCount(n);
+}
+
 void HashJoinOperator::EmitPairs(DataChunk* out) {
   size_t batch = std::min(out->capacity(), pairs_.size() - pair_cursor_);
   // The gather runs through the vector-sized index arrays, so cap the batch
   // at one vector (out may be larger).
   batch = std::min(batch, config_.vector_size);
-  sel_t* probe_pos = probe_pos_.data();
-  uint32_t* build_rows = build_row_idx_.data();
-  for (size_t i = 0; i < batch; i++) {
-    probe_pos[i] = pairs_[pair_cursor_ + i].probe_pos;
-    build_rows[i] = pairs_[pair_cursor_ + i].build_row;
-  }
+  const Pair* pairs = pairs_.data() + pair_cursor_;
   pair_cursor_ += batch;
-  size_t n_probe_cols = input_.num_columns();
-  for (size_t c = 0; c < n_probe_cols; c++) {
-    GatherProbe(input_.column(c), probe_pos, batch, &out->column(c));
-  }
-  // Payload: sentinel rows (unmatched outer) get zero/empty values.
-  bool has_sentinel = false;
-  for (size_t i = 0; i < batch; i++) has_sentinel |= (build_rows[i] == kNoRow);
-  for (size_t k = 0; k < build_payload_cols_.size(); k++) {
-    Vector& dst = out->column(n_probe_cols + k);
-    if (!has_sentinel) {
-      build_payload_cols_[k].Gather(build_rows, batch, &dst);
-    } else {
-      const ColumnStore& store = build_payload_cols_[k];
-      for (size_t i = 0; i < batch; i++) {
-        if (build_rows[i] == kNoRow) {
-          ZeroFill(&dst, i);
-          continue;
-        }
-        size_t row = build_rows[i];
-        switch (dst.type()) {
-          case TypeId::kU8:
-            dst.Data<uint8_t>()[i] = store.Get<uint8_t>(row);
-            break;
-          case TypeId::kI32:
-            dst.Data<int32_t>()[i] = store.Get<int32_t>(row);
-            break;
-          case TypeId::kI64:
-            dst.Data<int64_t>()[i] = store.Get<int64_t>(row);
-            break;
-          case TypeId::kF64:
-            dst.Data<double>()[i] = store.Get<double>(row);
-            break;
-          case TypeId::kStr:
-            dst.Data<StringVal>()[i] = store.Strs()[row];
-            break;
-        }
-      }
-      if (store.heap()) dst.AddStringHeapRef(store.heap());
-    }
-  }
+  GatherPairs(pairs, batch, out);
   if (spec_.type == JoinType::kLeftOuter) {
     uint8_t* flag = out->column(out_types_.size() - 1).Data<uint8_t>();
-    for (size_t i = 0; i < batch; i++) flag[i] = build_rows[i] != kNoRow;
+    for (size_t i = 0; i < batch; i++) flag[i] = pairs[i].row != kNoRow;
   }
-  out->SetCount(batch);
 }
 
 Status HashJoinOperator::EmitSemiAnti(DataChunk* out) {
@@ -533,10 +409,8 @@ void HashJoinOperator::Close() {
   // Normally closed at the end of ConsumeBuildSide; close again (idempotent)
   // so an error/cancel unwind still reaches fragments below.
   build_->Close();
-  build_key_cols_.clear();
+  table_.Clear();
   build_payload_cols_.clear();
-  bucket_heads_.clear();
-  chain_next_.clear();
   probe_reader_.reset();
   spill_.Drop();
   probe_partitioned_ = false;

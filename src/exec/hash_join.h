@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "exec/column_store.h"
+#include "exec/key_table.h"
 #include "exec/operator.h"
 #include "exec/radix_spill.h"
 #include "expr/expression.h"
@@ -19,10 +20,11 @@ enum class JoinType : uint8_t {
   kLeftOuter = 3,  // inner matches plus unmatched probe rows
 };
 
-// Vectorized hash join. The build child is consumed fully at Open() into an
-// owned columnar build side with a chained hash table; probing computes
-// hashes a vector at a time, gathers candidate (probe, build) pairs, applies
-// the optional residual predicate, and emits gathered output chunks.
+// Vectorized hash join. The build child is consumed fully at Open() into a
+// KeyTable (build keys, stored hashes, chained buckets) plus owned payload
+// columns; probing hashes a vector at a time, collects the matching (probe,
+// build) pairs, applies the optional residual predicate, and emits gathered
+// output chunks.
 //
 // Output layout: all probe columns, then `build_payload` columns; kLeftOuter
 // additionally appends a u8 "matched" flag column (1 for joined rows, 0 for
@@ -56,8 +58,6 @@ class HashJoinOperator final : public Operator {
   Status Next(DataChunk* out) override;
   void Close() override;
 
-  size_t build_rows() const { return build_rows_; }
-
   // Static-analysis surface (plan verifier).
   const Operator& probe() const { return *probe_; }
   const Operator& build() const { return *build_; }
@@ -69,10 +69,17 @@ class HashJoinOperator final : public Operator {
   size_t spill_repartition_depth() const { return spill_.stats().depth; }
 
  private:
+  using Pair = KeyTable::Match;  // (probe position, build row)
+
   Status OpenImpl() override;
   Status ConsumeBuildSide();
-  Status BuildTable();  // chained hash table over the stored build rows
+  // Links the resident build rows into the key table's chains; a budget
+  // that cannot hold the buckets degrades to the grace join.
+  Status BuildTable();
   Status ProcessProbeChunk();  // fills pairs_ / probe_match_ for input_
+  // Gathers the probe columns, then the build payload, of pairs[0..n)
+  // (n <= vector_size) into `out`.
+  void GatherPairs(const Pair* pairs, size_t n, DataChunk* out);
   void EmitPairs(DataChunk* out);
   Status EmitSemiAnti(DataChunk* out);
 
@@ -93,30 +100,19 @@ class HashJoinOperator final : public Operator {
   // Resets the resident build rows/table and returns their reservation.
   void ReleaseBuildSide();
 
-  uint64_t HashBuildRow(size_t row) const;
-  bool KeysEqual(const DataChunk& chunk, sel_t pos, size_t build_row) const;
-
   OperatorPtr probe_;
   OperatorPtr build_;
   Spec spec_;
   Config config_;
   std::vector<TypeId> out_types_;
 
-  // Build side.
-  std::vector<ColumnStore> build_key_cols_;
+  // Build side: keys in the table, payload beside it, row for row.
+  KeyTable table_;
   std::vector<ColumnStore> build_payload_cols_;
-  std::vector<uint32_t> bucket_heads_;
-  std::vector<uint32_t> chain_next_;
-  size_t build_rows_ = 0;
-  uint64_t bucket_mask_ = 0;
 
   // Probe state.
   DataChunk input_;
   bool input_exhausted_ = false;
-  struct Pair {
-    sel_t probe_pos;
-    uint32_t build_row;
-  };
   std::vector<Pair> pairs_;        // surviving pairs for current input chunk
   std::vector<Pair> candidates_;   // pre-residual pairs (capacity persists)
   size_t pair_cursor_ = 0;
@@ -139,6 +135,7 @@ class HashJoinOperator final : public Operator {
   RadixSpill spill_;
   bool probe_partitioned_ = false;
   std::vector<TypeId> spill_types_;
+  std::vector<size_t> spill_keys_;  // key columns of a spill row: 0..n_keys
   std::unique_ptr<SpillReader> probe_reader_;  // current partition's probe
   DataChunk build_view_;  // spill-schema view over a streamed build chunk
 };

@@ -4,19 +4,15 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <type_traits>
-#include <vector>
 
 #include "common/hash.h"
-#include "exec/column_store.h"
-#include "vector/chunk.h"
+#include "vector/types.h"
 
 namespace vwise {
 
-// Key hashing and equality shared by the hash join, the hash aggregation and
-// RadixSpill. One definition matters: a key must hash the same in an
-// in-memory table, in a level-0 radix flush, and when its spill file is
-// re-partitioned, or equal keys end up in different partitions.
+// Per-value key semantics shared by every engine and operator. The key
+// table (exec/key_table.h) hashes and checks keys a column at a time with
+// these; sort compares with them.
 
 // f64 key semantics, the same in every engine: two keys are equal iff
 // a == b or both are NaN (so -0.0 equals +0.0), and in ascending order NaN
@@ -42,62 +38,33 @@ inline uint64_t HashF64(double v) {
   return HashInt(bits);
 }
 
-// Typed values of a key column: a flat Vector or a ColumnStore.
+// Hash of one key value; signed integers hash their sign-extended 64 bits.
+inline uint64_t HashKey(uint8_t v) { return HashInt(v); }
+inline uint64_t HashKey(int32_t v) { return HashInt(static_cast<uint64_t>(v)); }
+inline uint64_t HashKey(int64_t v) { return HashInt(static_cast<uint64_t>(v)); }
+inline uint64_t HashKey(double v) { return HashF64(v); }
+inline uint64_t HashKey(const StringVal& v) { return HashBytes(v.ptr, v.len); }
+
+// Key equality and three-way key order of two values of one type.
 template <typename T>
-const T* KeyData(const Vector& vec) {
-  return vec.Data<T>();
+bool KeyEq(const T& a, const T& b) {
+  return a == b;
 }
+inline bool KeyEq(double a, double b) { return F64KeyEquals(a, b); }
 template <typename T>
-const T* KeyData(const ColumnStore& col) {
-  if constexpr (std::is_same_v<T, StringVal>) {
-    return col.Strs();
-  } else {
-    return col.Data<T>();
-  }
+int KeyCompare(const T& a, const T& b) {
+  return a < b ? -1 : b < a ? 1 : 0;
 }
+inline int KeyCompare(double a, double b) { return CompareF64(a, b); }
 
-template <typename Column>
-inline uint64_t HashValue(const Column& col, size_t i) {
-  switch (col.type()) {
-    case TypeId::kU8:
-      return HashInt(KeyData<uint8_t>(col)[i]);
-    case TypeId::kI32:
-      return HashInt(static_cast<uint64_t>(KeyData<int32_t>(col)[i]));
-    case TypeId::kI64:
-      return HashInt(static_cast<uint64_t>(KeyData<int64_t>(col)[i]));
-    case TypeId::kF64:
-      return HashF64(KeyData<double>(col)[i]);
-    case TypeId::kStr: {
-      const StringVal& s = KeyData<StringVal>(col)[i];
-      return HashBytes(s.ptr, s.len);
-    }
-  }
-  return 0;
-}
-
-inline bool KeyEquals(const Vector& vec, sel_t pos, const ColumnStore& col,
-                      size_t row) {
-  switch (vec.type()) {
-    case TypeId::kU8:
-      return vec.Data<uint8_t>()[pos] == col.Get<uint8_t>(row);
-    case TypeId::kI32:
-      return vec.Data<int32_t>()[pos] == col.Get<int32_t>(row);
-    case TypeId::kI64:
-      return vec.Data<int64_t>()[pos] == col.Get<int64_t>(row);
-    case TypeId::kF64:
-      return F64KeyEquals(vec.Data<double>()[pos], col.Get<double>(row));
-    case TypeId::kStr:
-      return vec.Data<StringVal>()[pos] == col.Strs()[row];
-  }
-  return false;
-}
-
-// Combined hash of the listed key columns at one chunk position.
-inline uint64_t HashKeys(const DataChunk& chunk, sel_t pos,
-                         const std::vector<size_t>& keys) {
-  uint64_t h = 0;
-  for (size_t c : keys) h = HashCombine(h, HashValue(chunk.column(c), pos));
-  return h;
+// Three-way key order of a[i] and b[j], both arrays of physical type `type`
+// (a Vector's or a ColumnStore's raw values): the comparator of every sort.
+inline int CompareRows(TypeId type, const void* a, size_t i, const void* b,
+                       size_t j) {
+  return DispatchType(type, [&](auto tag) {
+    using T = typename decltype(tag)::type;
+    return KeyCompare(static_cast<const T*>(a)[i], static_cast<const T*>(b)[j]);
+  });
 }
 
 }  // namespace vwise

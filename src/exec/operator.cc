@@ -1,6 +1,7 @@
 #include "exec/operator.h"
 
 #include <sstream>
+#include <type_traits>
 
 #include "common/macros.h"
 #include "service/query_context.h"
@@ -23,39 +24,17 @@ void DeepCopyChunk(const DataChunk& src, DataChunk* dst) {
     // for flat vectors.
     VWISE_DCHECK(!in.IsEncoded());
     Vector& out = dst->column(c);
-    switch (in.type()) {
-      case TypeId::kU8: {
-        const uint8_t* s = in.Data<uint8_t>();
-        uint8_t* d = out.Data<uint8_t>();
-        for (size_t i = 0; i < n; i++) d[i] = s[sel ? sel[i] : i];
-        break;
-      }
-      case TypeId::kI32: {
-        const int32_t* s = in.Data<int32_t>();
-        int32_t* d = out.Data<int32_t>();
-        for (size_t i = 0; i < n; i++) d[i] = s[sel ? sel[i] : i];
-        break;
-      }
-      case TypeId::kI64: {
-        const int64_t* s = in.Data<int64_t>();
-        int64_t* d = out.Data<int64_t>();
-        for (size_t i = 0; i < n; i++) d[i] = s[sel ? sel[i] : i];
-        break;
-      }
-      case TypeId::kF64: {
-        const double* s = in.Data<double>();
-        double* d = out.Data<double>();
-        for (size_t i = 0; i < n; i++) d[i] = s[sel ? sel[i] : i];
-        break;
-      }
-      case TypeId::kStr: {
-        const StringVal* s = in.Data<StringVal>();
-        StringVal* d = out.Data<StringVal>();
+    DispatchType(in.type(), [&](auto tag) {
+      using T = typename decltype(tag)::type;
+      const T* s = in.Data<T>();
+      T* d = out.Data<T>();
+      if constexpr (std::is_same_v<T, StringVal>) {
         StringHeap* heap = out.GetStringHeap();
         for (size_t i = 0; i < n; i++) d[i] = heap->Add(s[sel ? sel[i] : i].view());
-        break;
+      } else {
+        for (size_t i = 0; i < n; i++) d[i] = s[sel ? sel[i] : i];
       }
-    }
+    });
   }
   dst->SetCount(n);
   dst->ClearSelection();

@@ -5,7 +5,7 @@
 #include <system_error>
 
 #include "common/failpoint.h"
-#include "exec/key_hash.h"
+#include "exec/key_table.h"
 #include "storage/spill_file.h"
 
 namespace vwise {
@@ -129,11 +129,11 @@ Status RadixSpill::Route(size_t stream, const DataChunk& chunk,
                          std::vector<std::unique_ptr<SpillWriter>>* writers) {
   buckets_.resize(fanout);
   for (auto& rows : buckets_) rows.clear();
-  const std::vector<size_t>& keys = streams_[stream].keys;
+  hashes_.resize(n);
+  KeyTable::Hash(chunk, streams_[stream].keys, sel, n, hashes_.data());
   for (size_t i = 0; i < n; i++) {
     sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
-    buckets_[(HashKeys(chunk, pos, keys) >> shift) & (fanout - 1)].push_back(
-        pos);
+    buckets_[(hashes_[i] >> shift) & (fanout - 1)].push_back(pos);
   }
   for (size_t f = 0; f < fanout; f++) {
     VWISE_RETURN_IF_ERROR((*writers)[f]->AppendRows(chunk, buckets_[f].data(),
@@ -247,6 +247,7 @@ void RadixSpill::Drop() {
   pending_.clear();
   RemoveFiles(&current_);
   buckets_.clear();
+  hashes_.clear();
   fanout_ = 0;
   spilled_ = false;
 }

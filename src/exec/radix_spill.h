@@ -37,7 +37,7 @@ Result<bool> ShouldSpill(QueryContext* ctx, const Config& config,
 void RemoveSpillFile(const std::string& path);
 
 // Grace partitioning for the hash-based pipeline breakers. A spilled input
-// is split into radix partitions by the high byte of its key hash; a
+// is split into radix partitions by the high byte of its KeyTable key hash; a
 // partition carries one file per *stream* — one (state rows) for hash
 // aggregation, two (build rows, probe rows) for hash join. Each stream
 // declares its row types and key columns, so every stream is re-hashed the
@@ -136,6 +136,7 @@ class RadixSpill {
   std::deque<Partition> pending_;       // sealed, awaiting reload
   Partition current_;                   // the partition being reloaded
   std::vector<std::vector<sel_t>> buckets_;  // per-partition row lists
+  std::vector<uint64_t> hashes_;             // Route's key hashes
   bool spilled_ = false;
   Stats stats_;
 };

@@ -1,6 +1,7 @@
 #include "exec/scan.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "service/query_context.h"
 
@@ -16,23 +17,15 @@ const Pdt& EmptyPdt() {
 // Writes a boundary Value into position `pos` of `vec`; string bytes go to
 // `heap` (the scan's delta-row heap, already attached to the vector).
 void StoreValue(Vector* vec, size_t pos, const Value& v, StringHeap* heap) {
-  switch (vec->type()) {
-    case TypeId::kU8:
-      vec->Data<uint8_t>()[pos] = static_cast<uint8_t>(v.AsInt());
-      break;
-    case TypeId::kI32:
-      vec->Data<int32_t>()[pos] = static_cast<int32_t>(v.AsInt());
-      break;
-    case TypeId::kI64:
-      vec->Data<int64_t>()[pos] = v.AsInt();
-      break;
-    case TypeId::kF64:
-      vec->Data<double>()[pos] = v.AsDouble();
-      break;
-    case TypeId::kStr:
-      vec->Data<StringVal>()[pos] = heap->Add(v.AsString());
-      break;
-  }
+  DispatchType(vec->type(), [&](auto tag) {
+    using T = typename decltype(tag)::type;
+    T* dst = vec->Data<T>() + pos;
+    if constexpr (std::is_same_v<T, StringVal>) {
+      *dst = heap->Add(v.AsString());
+    } else {
+      *dst = v.AsNumber<T>();
+    }
+  });
 }
 
 // Decodes stripe rows [row, row + n) of `col` into `vec` at `dst_off`. Rows

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <type_traits>
 
 #include "exec/key_hash.h"
 #include "exec/profile.h"
@@ -19,6 +20,13 @@ namespace {
 size_t SatAdd(size_t a, size_t b) {
   size_t sum = a + b;
   return sum < a ? SIZE_MAX : sum;
+}
+
+// Fixed bytes of one row of `types` (a string counts its StringVal).
+size_t RowFixedBytes(const std::vector<TypeId>& types) {
+  size_t bytes = 0;
+  for (TypeId t : types) bytes += TypeWidth(t);
+  return bytes;
 }
 
 }  // namespace
@@ -51,8 +59,13 @@ Status SortOperator::OpenImpl() {
   cursor_ = 0;
   sorted_ = false;
   DropRuns();
-  merge_skipped_ = 0;
-  merge_emitted_ = 0;
+  // Spill runs are written, and merged, in blocks of one vector, or of
+  // fewer rows when the budget is small: a merge holds a block of each run.
+  size_t budget = ctx()->memory_budget();
+  size_t row_bytes = std::max<size_t>(1, RowFixedBytes(child_->OutputTypes()));
+  run_block_rows_ = budget == 0 ? config_.vector_size
+                                : std::clamp<size_t>(budget / (8 * row_bytes),
+                                                     1, config_.vector_size);
   spill_runs_stat_ = 0;
   return Status::OK();
 }
@@ -60,34 +73,7 @@ Status SortOperator::OpenImpl() {
 bool SortOperator::RowLess(uint32_t a, uint32_t b) const {
   for (const SortKey& key : keys_) {
     const ColumnStore& col = data_[key.col];
-    int cmp = 0;
-    switch (col.type()) {
-      case TypeId::kU8: {
-        auto va = col.Get<uint8_t>(a), vb = col.Get<uint8_t>(b);
-        cmp = va < vb ? -1 : va > vb ? 1 : 0;
-        break;
-      }
-      case TypeId::kI32: {
-        auto va = col.Get<int32_t>(a), vb = col.Get<int32_t>(b);
-        cmp = va < vb ? -1 : va > vb ? 1 : 0;
-        break;
-      }
-      case TypeId::kI64: {
-        auto va = col.Get<int64_t>(a), vb = col.Get<int64_t>(b);
-        cmp = va < vb ? -1 : va > vb ? 1 : 0;
-        break;
-      }
-      case TypeId::kF64: {
-        cmp = CompareF64(col.Get<double>(a), col.Get<double>(b));
-        break;
-      }
-      case TypeId::kStr: {
-        const StringVal& va = col.Strs()[a];
-        const StringVal& vb = col.Strs()[b];
-        cmp = va < vb ? -1 : vb < va ? 1 : 0;
-        break;
-      }
-    }
+    int cmp = CompareRows(col.type(), col.raw(), a, col.raw(), b);
     if (cmp != 0) return key.ascending ? cmp < 0 : cmp > 0;
   }
   return a < b;  // stable tie-break on input order
@@ -113,19 +99,22 @@ Status SortOperator::ConsumeAndSort() {
       VWISE_RETURN_IF_ERROR(
           ShouldSpill(ctx(), config_, grown, mem_.bytes()).status());
       // Budget full: turn the buffered rows into a spill run, then retry.
-      // A second failure means even one chunk exceeds the budget — spilling
-      // cannot make progress, so surface the original error.
       VWISE_RETURN_IF_ERROR(SpillRun());
-      VWISE_RETURN_IF_ERROR(mem_.Grow(grow));
+      grown = mem_.Grow(grow);
     }
-    buffered_bytes_ += grow;
+    if (grown.ok()) buffered_bytes_ += grow;
     const sel_t* sel = chunk.sel();
     for (size_t c = 0; c < chunk.num_columns(); c++) {
       data_[c].AppendFrom(chunk.column(c), sel, n);
     }
-    bool spill = false;
-    VWISE_ASSIGN_OR_RETURN(
-        spill, ShouldSpill(ctx(), config_, Status::OK(), mem_.bytes()));
+    // A chunk the budget cannot hold even with the buffer flushed becomes a
+    // run of its own, unreserved: it is resident as the pipeline's vector
+    // anyway.
+    bool spill = !grown.ok();
+    if (!spill) {
+      VWISE_ASSIGN_OR_RETURN(
+          spill, ShouldSpill(ctx(), config_, Status::OK(), mem_.bytes()));
+    }
     if (spill) VWISE_RETURN_IF_ERROR(SpillRun());
   }
   child_->Close();
@@ -170,7 +159,7 @@ Status SortOperator::SpillRun() {
                          SpillWriter::Create(path, child_->OutputTypes(),
                                              &ctx()->spill_counters()));
   DataChunk scratch;
-  scratch.Init(child_->OutputTypes(), config_.vector_size);
+  scratch.Init(child_->OutputTypes(), run_block_rows_);
   for (size_t i = 0; i < order_.size(); i += scratch.capacity()) {
     VWISE_RETURN_IF_ERROR(ctx()->Check());
     size_t batch = std::min(scratch.capacity(), order_.size() - i);
@@ -190,60 +179,66 @@ Status SortOperator::SpillRun() {
 }
 
 Status SortOperator::OpenMerge() {
-  // The merge working set is one resident block per run; reserve it so a
-  // budget too small to even merge fails loudly instead of oversubscribing.
-  size_t row_fixed = 0;
-  for (TypeId t : child_->OutputTypes()) row_fixed += TypeWidth(t);
-  VWISE_RETURN_IF_ERROR(
-      mem_.Grow(run_paths_.size() * config_.vector_size * row_fixed));
-  for (const std::string& path : run_paths_) {
-    auto run = std::make_unique<SortRun>();
-    run->chunk.Init(child_->OutputTypes(), config_.vector_size);
-    VWISE_ASSIGN_OR_RETURN(run->reader,
-                           SpillReader::Open(path, child_->OutputTypes(),
-                                             &ctx()->spill_counters()));
-    bool more = false;
-    VWISE_ASSIGN_OR_RETURN(more, run->reader->Next(&run->chunk));
-    run->done = !more;
-    runs_.push_back(std::move(run));
+  // The merge working set is one resident block per run, reserved so that a
+  // budget too small for it is never oversubscribed. While it does not fit,
+  // a merge pass folds the first runs that do (at least two) into one run
+  // in their place: it holds the earliest input, so ties still resolve in
+  // input order.
+  const std::vector<TypeId>& types = child_->OutputTypes();
+  size_t block_bytes = run_block_rows_ * RowFixedBytes(types);
+  while (true) {
+    size_t fan_in = run_paths_.size();
+    Status grown = mem_.Grow(fan_in * block_bytes);
+    while (!grown.ok() && fan_in > 2) {
+      fan_in = std::max<size_t>(2, fan_in / 2);
+      grown = mem_.Grow(fan_in * block_bytes);
+    }
+    VWISE_RETURN_IF_ERROR(grown);
+    for (size_t r = 0; r < fan_in; r++) {
+      auto run = std::make_unique<SortRun>();
+      run->chunk.Init(types, config_.vector_size);
+      VWISE_ASSIGN_OR_RETURN(run->reader,
+                             SpillReader::Open(run_paths_[r], types,
+                                               &ctx()->spill_counters()));
+      bool more = false;
+      VWISE_ASSIGN_OR_RETURN(more, run->reader->Next(&run->chunk));
+      run->done = !more;
+      runs_.push_back(std::move(run));
+    }
+    merge_skip_ = offset_;
+    merge_left_ = limit_;
+    if (fan_in == run_paths_.size()) return Status::OK();
+    // Merge pass: registered before writing so Close removes even a
+    // half-written file.
+    std::string path;
+    VWISE_ASSIGN_OR_RETURN(path, ctx()->NewSpillPath("sort_run"));
+    run_paths_.insert(run_paths_.begin() + fan_in, path);
+    std::unique_ptr<SpillWriter> writer;
+    VWISE_ASSIGN_OR_RETURN(
+        writer, SpillWriter::Create(path, types, &ctx()->spill_counters()));
+    DataChunk scratch;
+    scratch.Init(types, run_block_rows_);
+    size_t skip = 0;
+    size_t left = SIZE_MAX;
+    while (true) {
+      VWISE_RETURN_IF_ERROR(ctx()->Check());
+      scratch.Reset();
+      VWISE_RETURN_IF_ERROR(Merge(&scratch, &skip, &left));
+      if (scratch.count() == 0) break;
+      VWISE_RETURN_IF_ERROR(writer->Append(scratch));
+    }
+    runs_.clear();
+    for (size_t r = 0; r < fan_in; r++) RemoveSpillFile(run_paths_[r]);
+    run_paths_.erase(run_paths_.begin(), run_paths_.begin() + fan_in);
+    mem_.Shrink(fan_in * block_bytes);
   }
-  merge_skipped_ = 0;
-  merge_emitted_ = 0;
-  return Status::OK();
 }
 
 int SortOperator::CompareRunRows(const SortRun& a, const SortRun& b) const {
   for (const SortKey& key : keys_) {
     const Vector& va = a.chunk.column(key.col);
     const Vector& vb = b.chunk.column(key.col);
-    int cmp = 0;
-    switch (va.type()) {
-      case TypeId::kU8: {
-        auto x = va.Data<uint8_t>()[a.pos], y = vb.Data<uint8_t>()[b.pos];
-        cmp = x < y ? -1 : x > y ? 1 : 0;
-        break;
-      }
-      case TypeId::kI32: {
-        auto x = va.Data<int32_t>()[a.pos], y = vb.Data<int32_t>()[b.pos];
-        cmp = x < y ? -1 : x > y ? 1 : 0;
-        break;
-      }
-      case TypeId::kI64: {
-        auto x = va.Data<int64_t>()[a.pos], y = vb.Data<int64_t>()[b.pos];
-        cmp = x < y ? -1 : x > y ? 1 : 0;
-        break;
-      }
-      case TypeId::kF64: {
-        cmp = CompareF64(va.Data<double>()[a.pos], vb.Data<double>()[b.pos]);
-        break;
-      }
-      case TypeId::kStr: {
-        const StringVal& x = va.Data<StringVal>()[a.pos];
-        const StringVal& y = vb.Data<StringVal>()[b.pos];
-        cmp = x < y ? -1 : y < x ? 1 : 0;
-        break;
-      }
-    }
+    int cmp = CompareRows(va.type(), va.raw(), a.pos, vb.raw(), b.pos);
     if (cmp != 0) return key.ascending ? cmp : -cmp;
   }
   return 0;
@@ -259,12 +254,9 @@ Status SortOperator::AdvanceRun(SortRun* run) {
   return Status::OK();
 }
 
-Status SortOperator::MergeNext(DataChunk* out) {
-  VWISE_RETURN_IF_ERROR(ctx()->Check());
-  size_t cap = out->capacity();
+Status SortOperator::Merge(DataChunk* out, size_t* skip, size_t* left) {
   size_t n = 0;
-  while (n < cap) {
-    if (limit_ != SIZE_MAX && merge_emitted_ >= limit_) break;
+  while (n < out->capacity() && *left > 0) {
     // Lowest-index run wins ties: runs are written in input order and each
     // run is internally input-order-stable, so this reproduces the total
     // order of the in-memory comparator (keys, then input position).
@@ -274,38 +266,27 @@ Status SortOperator::MergeNext(DataChunk* out) {
       if (best == nullptr || CompareRunRows(*run, *best) < 0) best = run.get();
     }
     if (best == nullptr) break;
-    if (merge_skipped_ < offset_) {
-      merge_skipped_++;
+    if (*skip > 0) {
+      (*skip)--;
       VWISE_RETURN_IF_ERROR(AdvanceRun(best));
       continue;
     }
     for (size_t c = 0; c < out->num_columns(); c++) {
       const Vector& src = best->chunk.column(c);
       Vector& dst = out->column(c);
-      switch (src.type()) {
-        case TypeId::kU8:
-          dst.Data<uint8_t>()[n] = src.Data<uint8_t>()[best->pos];
-          break;
-        case TypeId::kI32:
-          dst.Data<int32_t>()[n] = src.Data<int32_t>()[best->pos];
-          break;
-        case TypeId::kI64:
-          dst.Data<int64_t>()[n] = src.Data<int64_t>()[best->pos];
-          break;
-        case TypeId::kF64:
-          dst.Data<double>()[n] = src.Data<double>()[best->pos];
-          break;
-        case TypeId::kStr: {
+      DispatchType(src.type(), [&](auto tag) {
+        using T = typename decltype(tag)::type;
+        T v = src.Data<T>()[best->pos];
+        if constexpr (std::is_same_v<T, StringVal>) {
           // Deep copy: the source block is replaced mid-fill when a run's
           // chunk drains, so emitted strings must own their bytes.
-          const StringVal& sv = src.Data<StringVal>()[best->pos];
-          dst.Data<StringVal>()[n] = dst.GetStringHeap()->Add(sv.view());
-          break;
+          v = dst.GetStringHeap()->Add(v.view());
         }
-      }
+        dst.Data<T>()[n] = v;
+      });
     }
     n++;
-    merge_emitted_++;
+    (*left)--;
     VWISE_RETURN_IF_ERROR(AdvanceRun(best));
   }
   out->SetCount(n);
@@ -317,9 +298,10 @@ Status SortOperator::Next(DataChunk* out) {
   // query before the first emitted vector
   if (!sorted_) VWISE_RETURN_IF_ERROR(ConsumeAndSort());
   if (!runs_.empty()) {
+    VWISE_RETURN_IF_ERROR(ctx()->Check());
     // vwise-hotpath: allow(cold-call): external-merge emission runs only
     // after the sort degraded to disk under a memory budget
-    return MergeNext(out);
+    return Merge(out, &merge_skip_, &merge_left_);
   }
   size_t end = std::min(order_.size(), SatAdd(offset_, limit_));
   size_t batch = cursor_ < end ? std::min(out->capacity(), end - cursor_) : 0;

@@ -25,9 +25,11 @@ struct SortKey {
 // the rows buffered so far are sorted and written to a spill run (pruned to
 // the top offset+limit when a limit is set — rows past a run's own top-K can
 // never reach the global top-K), the buffer is released, and consumption
-// continues. Emission then k-way-merges the runs. The comparator is a total
-// order (input-position tie-break), so external and in-memory executions
-// produce bit-identical output.
+// continues; a chunk the budget cannot hold at all becomes a run by itself.
+// Emission then k-way-merges the runs, after merge passes on disk while the
+// budget cannot hold a block of every run. The comparator is a total order
+// (input-position tie-break), so external and in-memory executions produce
+// bit-identical output.
 class SortOperator final : public Operator {
  public:
   SortOperator(OperatorPtr child, std::vector<SortKey> keys,
@@ -62,9 +64,12 @@ class SortOperator final : public Operator {
   // Sorts and writes the buffered rows as one spill run, then resets the
   // buffer and gives its reservation back.
   Status SpillRun();
-  // Opens every run for reading and primes the merge cursors.
+  // Opens the runs for reading and primes the merge cursors, first merging
+  // runs on disk while a block of every run does not fit the budget.
   Status OpenMerge();
-  Status MergeNext(DataChunk* out);
+  // Fills `out` with the next merged rows after dropping *skip of them, at
+  // most *left in all; both count down.
+  Status Merge(DataChunk* out, size_t* skip, size_t* left);
   // keys_-compare of run a's current row vs run b's (no tie-break; the
   // caller's lowest-run-index-wins scan supplies it).
   int CompareRunRows(const SortRun& a, const SortRun& b) const;
@@ -87,8 +92,9 @@ class SortOperator final : public Operator {
   std::vector<std::string> run_paths_;
   std::vector<std::unique_ptr<SortRun>> runs_;
   size_t buffered_bytes_ = 0;   // reservation attributable to data_/order_
-  size_t merge_skipped_ = 0;    // rows dropped toward offset_
-  size_t merge_emitted_ = 0;    // rows emitted toward limit_
+  size_t run_block_rows_ = 0;   // rows per spill-run block
+  size_t merge_skip_ = 0;       // rows still to drop toward offset_
+  size_t merge_left_ = 0;       // rows still to emit toward limit_
   size_t spill_runs_stat_ = 0;  // telemetry; outlives Close()
 
   // Per-query memory budget accounting for the materialized input + index.

@@ -1,7 +1,9 @@
 #include "expr/expression.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string_view>
+#include <type_traits>
 
 #include "common/date.h"
 #include "expr/primitive_profiler.h"
@@ -62,40 +64,20 @@ Status ColRefExpr::Eval(DataChunk& in, const sel_t* sel, size_t n,
 
 Status ConstExpr::Prepare(size_t capacity) {
   VWISE_RETURN_IF_ERROR(Expr::Prepare(capacity));
-  switch (physical()) {
-    case TypeId::kU8: {
-      uint8_t v = static_cast<uint8_t>(value_.AsInt());
-      std::memset(scratch_.Data<uint8_t>(), v, capacity);
-      break;
-    }
-    case TypeId::kI32: {
-      int32_t v = static_cast<int32_t>(value_.AsInt());
-      int32_t* d = scratch_.Data<int32_t>();
-      for (size_t i = 0; i < capacity; i++) d[i] = v;
-      break;
-    }
-    case TypeId::kI64: {
-      int64_t v = value_.AsInt();
-      int64_t* d = scratch_.Data<int64_t>();
-      for (size_t i = 0; i < capacity; i++) d[i] = v;
-      break;
-    }
-    case TypeId::kF64: {
-      double v = value_.AsDouble();
-      double* d = scratch_.Data<double>();
-      for (size_t i = 0; i < capacity; i++) d[i] = v;
-      break;
-    }
-    case TypeId::kStr: {
+  DispatchType(physical(), [&](auto tag) {
+    using T = typename decltype(tag)::type;
+    T v;
+    if constexpr (std::is_same_v<T, StringVal>) {
       // Copy the bytes into the scratch vector's own heap so the emitted
       // vector upholds the string-liveness contract (a chunk referencing
       // this column carries the heap, not a pointer into this node).
       str_ = scratch_.GetStringHeap()->Add(value_.AsString());
-      StringVal* d = scratch_.Data<StringVal>();
-      for (size_t i = 0; i < capacity; i++) d[i] = str_;
-      break;
+      v = str_;
+    } else {
+      v = value_.AsNumber<T>();
     }
-  }
+    std::fill_n(scratch_.Data<T>(), capacity, v);
+  });
   return Status::OK();
 }
 
@@ -389,23 +371,10 @@ void CopyAtPositions(const Vector& src, Vector* dst, const sel_t* sel, size_t n)
 
 void CopyAtPositionsDispatch(const Vector& src, Vector* dst, const sel_t* sel,
                              size_t n) {
-  switch (src.type()) {
-    case TypeId::kU8:
-      CopyAtPositions<uint8_t>(src, dst, sel, n);
-      break;
-    case TypeId::kI32:
-      CopyAtPositions<int32_t>(src, dst, sel, n);
-      break;
-    case TypeId::kI64:
-      CopyAtPositions<int64_t>(src, dst, sel, n);
-      break;
-    case TypeId::kF64:
-      CopyAtPositions<double>(src, dst, sel, n);
-      break;
-    case TypeId::kStr:
-      CopyAtPositions<StringVal>(src, dst, sel, n);
-      break;
-  }
+  DispatchType(src.type(), [&](auto tag) {
+    using T = typename decltype(tag)::type;
+    CopyAtPositions<T>(src, dst, sel, n);
+  });
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "common/crc32.h"
 #include "common/macros.h"
@@ -102,32 +103,15 @@ Status TableWriter::AppendRow(const std::vector<Value>& row) {
   }
   VWISE_RETURN_IF_ERROR(EnsureOpen());
   for (size_t c = 0; c < row.size(); c++) {
-    TypeId t = schema_.column(c).type.physical();
-    switch (t) {
-      case TypeId::kU8: {
-        uint8_t v = static_cast<uint8_t>(row[c].AsInt());
-        stage_[c].fixed.push_back(v);
-        break;
-      }
-      case TypeId::kI32: {
-        int32_t v = static_cast<int32_t>(row[c].AsInt());
-        PutBytes(&stage_[c].fixed, &v, 4);
-        break;
-      }
-      case TypeId::kI64: {
-        int64_t v = row[c].AsInt();
-        PutBytes(&stage_[c].fixed, &v, 8);
-        break;
-      }
-      case TypeId::kF64: {
-        double v = row[c].AsDouble();
-        PutBytes(&stage_[c].fixed, &v, 8);
-        break;
-      }
-      case TypeId::kStr:
+    DispatchType(schema_.column(c).type.physical(), [&](auto tag) {
+      using T = typename decltype(tag)::type;
+      if constexpr (std::is_same_v<T, StringVal>) {
         stage_[c].strings.push_back(row[c].AsString());
-        break;
-    }
+      } else {
+        T v = row[c].AsNumber<T>();
+        PutBytes(&stage_[c].fixed, &v, sizeof(T));
+      }
+    });
   }
   stage_rows_++;
   if (stage_rows_ == config_.stripe_rows) return FlushStripe();

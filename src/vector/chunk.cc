@@ -28,23 +28,10 @@ void DataChunk::Flatten() {
   if (!has_sel_) return;
   const sel_t* s = sel();
   for (Vector& col : columns_) {
-    switch (col.type()) {
-      case TypeId::kU8:
-        CompactColumn<uint8_t>(&col, s, sel_count_, capacity_);
-        break;
-      case TypeId::kI32:
-        CompactColumn<int32_t>(&col, s, sel_count_, capacity_);
-        break;
-      case TypeId::kI64:
-        CompactColumn<int64_t>(&col, s, sel_count_, capacity_);
-        break;
-      case TypeId::kF64:
-        CompactColumn<double>(&col, s, sel_count_, capacity_);
-        break;
-      case TypeId::kStr:
-        CompactColumn<StringVal>(&col, s, sel_count_, capacity_);
-        break;
-    }
+    DispatchType(col.type(), [&](auto tag) {
+      using T = typename decltype(tag)::type;
+      CompactColumn<T>(&col, s, sel_count_, capacity_);
+    });
   }
   count_ = sel_count_;
   ClearSelection();

@@ -73,6 +73,30 @@ inline size_t TypeWidth(TypeId t) {
 
 const char* TypeIdToString(TypeId t);
 
+// Resolves a physical type once for a typed loop: calls f(TypeTag<T>{})
+// with T the C++ value type of `t` (uint8_t, int32_t, int64_t, double,
+// StringVal).
+template <typename T>
+struct TypeTag {
+  using type = T;
+};
+template <typename F>
+decltype(auto) DispatchType(TypeId t, F&& f) {
+  switch (t) {
+    case TypeId::kU8:
+      return f(TypeTag<uint8_t>{});
+    case TypeId::kI32:
+      return f(TypeTag<int32_t>{});
+    case TypeId::kI64:
+      return f(TypeTag<int64_t>{});
+    case TypeId::kF64:
+      return f(TypeTag<double>{});
+    case TypeId::kStr:
+      break;
+  }
+  return f(TypeTag<StringVal>{});
+}
+
 // Logical (SQL-facing) type. Decimals are fixed-point scaled int64; dates are
 // day numbers. NULLability is a column property (catalog), not a type
 // property: per the paper, NULLable columns are physically (value, indicator)

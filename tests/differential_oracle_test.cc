@@ -5,10 +5,12 @@
 // a bug in one of them. Results must be BIT-identical after a canonical
 // sort — the plan space is restricted to operations that are exact on all
 // engines (integer-family arithmetic and order-independent aggregates; see
-// GenPlan), so no epsilon is needed.
+// GenPlan), so no epsilon is needed. Each plan also draws a memory budget
+// for its vectorized run (unlimited, 64 KiB or 16 KiB), so the spilled
+// join, aggregation and sort meet random plans too.
 //
-// Reproduction: every failure prints its seed and writes a plan dump +
-// result diff under $VWISE_FAIL_ARTIFACT_DIR (default
+// Reproduction: every failure prints its seed and budget and writes a plan
+// dump + result diff under $VWISE_FAIL_ARTIFACT_DIR (default
 // ./vwise-failure-artifacts, uploaded by CI). Override the campaign with
 // VWISE_ORACLE_SEED / VWISE_ORACLE_ITERS.
 
@@ -26,6 +28,7 @@
 #include "gtest/gtest.h"
 #include "planner/plan_builder.h"
 #include "planner/plan_verifier.h"
+#include "service/query_context.h"
 #include "tpch/generator.h"
 #include "tpch/schema.h"
 
@@ -87,6 +90,9 @@ struct PlanSpec {
   bool has_sort = false;
   std::vector<SortKey> sort_keys;
   size_t vector_size = 1024;
+  // Per-query memory budget of the vectorized run (0 = unlimited): the
+  // small ones push the join, aggregation and sort onto their spill paths.
+  size_t budget = 0;
 };
 
 // --- base tables -------------------------------------------------------------
@@ -401,6 +407,8 @@ class DifferentialOracleTest : public ::testing::Test {
         s.sort_keys.push_back({rng.Index(layout.size()), rng.Chance(50)});
       }
     }
+    // Drawn last, so the plan a seed describes does not depend on it.
+    s.budget = std::vector<size_t>{0, 64 << 10, 16 << 10}[rng.Index(3)];
     return s;
   }
 
@@ -415,9 +423,12 @@ class DifferentialOracleTest : public ::testing::Test {
     return e::Cmp(f.op, b.Col(f.pos), ConstOfType(b.TypeOf(f.pos), f));
   }
 
+  // Runs the plan under s.budget; *spilled tells whether it wrote spill
+  // files.
   static Result<std::vector<Row>> RunVectorized(const PlanSpec& s,
                                                 std::string* explain,
-                                                bool encoded_exec) {
+                                                bool encoded_exec,
+                                                bool* spilled) {
     Config cfg = *config_;
     cfg.verify_plans = true;
     cfg.vector_size = s.vector_size;
@@ -486,8 +497,12 @@ class DifferentialOracleTest : public ::testing::Test {
     if (s.has_sort) b.Sort(s.sort_keys);
     VWISE_ASSIGN_OR_RETURN(OperatorPtr root, b.Build());
     *explain = ExplainPlan(*root);
+    QueryContext ctx;
+    ctx.set_memory_budget(s.budget);
+    ctx.set_spill_dir(*dir_ + "/spill");
     VWISE_ASSIGN_OR_RETURN(QueryResult res,
-                           CollectRows(root.get(), cfg.vector_size));
+                           CollectRows(root.get(), &ctx, cfg.vector_size));
+    *spilled = ctx.spill_counters().bytes_written > 0;
     return std::move(res.rows);
   }
 
@@ -837,28 +852,34 @@ TEST_F(DifferentialOracleTest, RandomPlansAgreeAcrossThreeEngines) {
                            ? std::strtoull(iters_env, nullptr, 10)
                            : 240;
   size_t nonempty = 0;
+  size_t spilled_plans = 0;
   for (size_t i = 0; i < iters; i++) {
     const uint64_t seed = base_seed + i;
     const PlanSpec spec = GenPlan(seed);
+    const std::string config = "seed=" + std::to_string(seed) +
+                               " budget=" + std::to_string(spec.budget);
     std::string explain;
-    auto vec = RunVectorized(spec, &explain, /*encoded_exec=*/true);
-    ASSERT_TRUE(vec.ok()) << "seed=" << seed << "\n"
-                          << vec.status().ToString();
+    bool spilled = false;
+    auto vec = RunVectorized(spec, &explain, /*encoded_exec=*/true, &spilled);
+    ASSERT_TRUE(vec.ok()) << config << "\n" << vec.status().ToString();
+    spilled_plans += spilled;
     // Compressed execution must be invisible: the same plan with encoded
     // adoption off yields row-for-row identical output (pre-canonicalization
     // — even the emission order may not change).
     std::string explain_off;
-    auto vec_off = RunVectorized(spec, &explain_off, /*encoded_exec=*/false);
-    ASSERT_TRUE(vec_off.ok()) << "seed=" << seed << "\n"
+    bool spilled_off = false;
+    auto vec_off =
+        RunVectorized(spec, &explain_off, /*encoded_exec=*/false, &spilled_off);
+    ASSERT_TRUE(vec_off.ok()) << config << "\n"
                               << vec_off.status().ToString();
     std::string why_enc;
     if (!Identical(*vec, *vec_off, &why_enc)) {
       const std::string path = WriteArtifact(
-          seed, "encoded/flat divergence\nseed=" + std::to_string(seed) +
-                    "\n" + why_enc + "\nplan:\n" + explain +
-                    "\nencoded result:\n" + DumpRows(*vec, 50) +
-                    "\nflat result:\n" + DumpRows(*vec_off, 50));
-      FAIL() << "encoded execution diverges from flat; seed=" << seed
+          seed, "encoded/flat divergence\n" + config + "\n" + why_enc +
+                    "\nplan:\n" + explain + "\nencoded result:\n" +
+                    DumpRows(*vec, 50) + "\nflat result:\n" +
+                    DumpRows(*vec_off, 50));
+      FAIL() << "encoded execution diverges from flat; " << config
              << "\nartifact: " << path << "\n"
              << why_enc << "\nplan:\n" << explain;
     }
@@ -872,8 +893,7 @@ TEST_F(DifferentialOracleTest, RandomPlansAgreeAcrossThreeEngines) {
     const bool tup_ok = Identical(*vec, tup, &why_tup);
     const bool col_ok = Identical(*vec, col, &why_col);
     if (!tup_ok || !col_ok) {
-      std::string body = "differential oracle failure\nseed=" +
-                         std::to_string(seed) + "\n";
+      std::string body = "differential oracle failure\n" + config + "\n";
       if (!tup_ok) body += "vectorized vs tuple engine: " + why_tup + "\n";
       if (!col_ok) body += "vectorized vs column engine: " + why_col + "\n";
       body += "\nvectorized plan:\n" + explain;
@@ -881,7 +901,7 @@ TEST_F(DifferentialOracleTest, RandomPlansAgreeAcrossThreeEngines) {
       body += "\ntuple result (canonical):\n" + DumpRows(tup, 50);
       body += "\ncolumn result (canonical):\n" + DumpRows(col, 50);
       const std::string path = WriteArtifact(seed, body);
-      FAIL() << "engines disagree; seed=" << seed
+      FAIL() << "engines disagree; " << config
              << " (re-run with VWISE_ORACLE_SEED=" << seed
              << " VWISE_ORACLE_ITERS=1)\nartifact: " << path << "\n"
              << (tup_ok ? "" : "tuple: " + why_tup + "\n")
@@ -893,6 +913,9 @@ TEST_F(DifferentialOracleTest, RandomPlansAgreeAcrossThreeEngines) {
   // The campaign must exercise real data, not degenerate empty streams.
   EXPECT_GT(nonempty, iters / 3) << "plan generator is producing mostly "
                                     "empty results; tighten the constants";
+  // The budget dimension must reach the spill paths, not just sit beside
+  // plans that never buffer enough to spill.
+  EXPECT_GT(spilled_plans, 0u) << "no plan of the campaign spilled";
 }
 
 }  // namespace

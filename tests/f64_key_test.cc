@@ -5,9 +5,11 @@
 // values run on the vectorized engine (in memory, and again under a query
 // budget small enough that the grace join/aggregation and the external sort
 // spill), the tuple-at-a-time engine and the column-at-a-time engine. All of
-// them must return the same rows.
+// them must return the same rows. KeyHashTest pins the key table's
+// column-at-a-time hash to its row-fold definition, NaNs and zeros included.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -18,6 +20,9 @@
 #include "api/database.h"
 #include "baseline/column_engine.h"
 #include "baseline/tuple_engine.h"
+#include "common/hash.h"
+#include "exec/key_hash.h"
+#include "exec/key_table.h"
 #include "gtest/gtest.h"
 #include "service/session.h"
 
@@ -245,6 +250,90 @@ TEST_F(F64KeyTest, OrderByAgreesAcrossEngines) {
   for (const std::vector<Row>& vec : RunVectorized(&q)) {
     ExpectKeyOrder(vec, "vectorized");
     ExpectSameRows(vec, tup, "vectorized vs tuple");
+  }
+}
+
+// The key table hashes a column at a time; the definition is the row fold
+// HashCombine(...HashCombine(0, h(k0))..., h(kn)) of HashInt over the
+// (sign-extended) integer, HashF64 and HashBytes. In-memory tables, level-0
+// routing and repartitioning all depend on the two agreeing, for every key
+// type, key count and selection.
+TEST(KeyHashTest, ColumnHashEqualsRowFold) {
+  constexpr size_t kN = 48;
+  const std::vector<TypeId> types = {TypeId::kU8, TypeId::kI32, TypeId::kI64,
+                                     TypeId::kF64, TypeId::kStr};
+  const double nan_payloads[] = {
+      std::bit_cast<double>(uint64_t{0x7ff8000000000000}),  // quiet NaN
+      std::bit_cast<double>(uint64_t{0xfff8000000000000}),  // -NaN
+      std::bit_cast<double>(uint64_t{0x7ff8000000000001}),
+      std::bit_cast<double>(uint64_t{0x7ff000000000dead}),  // signaling
+  };
+  const double f64_keys[] = {0.0, -0.0, 1.5, -2.25, 1e300,
+                             std::numeric_limits<double>::infinity()};
+  std::vector<std::string> strs;
+  for (size_t i = 0; i < kN; i++) strs.push_back(std::string(i % 5, 'a' + i % 3));
+  DataChunk chunk;
+  chunk.Init(types, kN);
+  for (size_t i = 0; i < kN; i++) {
+    chunk.column(0).Data<uint8_t>()[i] = static_cast<uint8_t>(i * 37);
+    chunk.column(1).Data<int32_t>()[i] = (static_cast<int32_t>(i) - 20) * 1000003;
+    chunk.column(2).Data<int64_t>()[i] = (static_cast<int64_t>(i) - 24) << 40;
+    chunk.column(3).Data<double>()[i] =
+        i % 2 == 0 ? nan_payloads[(i / 2) % 4] : f64_keys[(i / 2) % 6];
+    chunk.column(4).Data<StringVal>()[i] = StringVal(strs[i]);
+  }
+  chunk.SetCount(kN);
+  auto value_hash = [&](size_t c, size_t row) -> uint64_t {
+    const Vector& v = chunk.column(c);
+    switch (types[c]) {
+      case TypeId::kU8:
+        return HashInt(v.Data<uint8_t>()[row]);
+      case TypeId::kI32:
+        return HashInt(static_cast<uint64_t>(
+            static_cast<int64_t>(v.Data<int32_t>()[row])));
+      case TypeId::kI64:
+        return HashInt(static_cast<uint64_t>(v.Data<int64_t>()[row]));
+      case TypeId::kF64:
+        return HashF64(v.Data<double>()[row]);
+      case TypeId::kStr: {
+        const StringVal& s = v.Data<StringVal>()[row];
+        return HashBytes(s.ptr, s.len);
+      }
+    }
+    return 0;
+  };
+  // Every NaN is one key, and so are both zeros.
+  EXPECT_EQ(HashKey(nan_payloads[1]), HashKey(nan_payloads[0]));
+  EXPECT_EQ(HashKey(nan_payloads[2]), HashKey(nan_payloads[0]));
+  EXPECT_EQ(HashKey(nan_payloads[3]), HashKey(nan_payloads[0]));
+  EXPECT_EQ(HashKey(-0.0), HashKey(0.0));
+
+  std::vector<sel_t> every_third;
+  for (size_t i = 1; i < kN; i += 3) every_third.push_back(static_cast<sel_t>(i));
+  std::vector<uint64_t> hashes(kN);
+  // Every key list of one to three columns, repeats included.
+  std::vector<std::vector<size_t>> key_lists;
+  for (size_t a = 0; a < types.size(); a++) {
+    key_lists.push_back({a});
+    for (size_t b = 0; b < types.size(); b++) {
+      key_lists.push_back({a, b});
+      for (size_t c = 0; c < types.size(); c++) key_lists.push_back({a, b, c});
+    }
+  }
+  for (const std::vector<size_t>& keys : key_lists) {
+    for (const sel_t* sel : {static_cast<const sel_t*>(nullptr),
+                             static_cast<const sel_t*>(every_third.data())}) {
+      const size_t n = sel != nullptr ? every_third.size() : kN;
+      KeyTable::Hash(chunk, keys, sel, n, hashes.data());
+      for (size_t i = 0; i < n; i++) {
+        const size_t row = sel != nullptr ? sel[i] : i;
+        uint64_t expect = 0;
+        for (size_t c : keys) expect = HashCombine(expect, value_hash(c, row));
+        ASSERT_EQ(hashes[i], expect)
+            << "keys " << keys.size() << " first " << keys[0] << " row " << row
+            << (sel != nullptr ? " (selection)" : "");
+      }
+    }
   }
 }
 

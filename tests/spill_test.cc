@@ -39,13 +39,20 @@ void AbandonAfterSimulatedCrash(void* p) {
 }
 
 // Counts regular files under `base`, recursively. 0 for a missing dir.
-size_t CountSpillFiles(const std::string& base) {
+// Other test binaries create and remove entries under the same directory
+// concurrently, so nothing here throws: an entry or a subdirectory that
+// vanishes mid-walk is skipped.
+size_t CountSpillFiles(const fs::path& base) {
   std::error_code ec;
   size_t n = 0;
-  fs::recursive_directory_iterator it(base, ec), end;
-  if (ec) return 0;
-  for (; it != end; ++it) {
-    if (it->is_regular_file()) n++;
+  for (fs::directory_iterator it(base, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    std::error_code type_ec;
+    if (it->is_directory(type_ec)) {
+      n += CountSpillFiles(it->path());
+    } else if (it->is_regular_file(type_ec)) {
+      n++;
+    }
   }
   return n;
 }
@@ -417,6 +424,17 @@ TEST_F(SpillTest, ExternalSortBitIdentical) {
   RunAndCompare(&q, session.get(), /*budget=*/24 << 10);
 }
 
+// A budget below one chunk of input (64 rows of about 40 bytes): every chunk
+// becomes a run of its own, and the runs, far too many to merge at once,
+// are merged on disk first. Ties must still resolve in input order.
+TEST_F(SpillTest, ExternalSortMergesOnDiskUnderTinyBudget) {
+  auto session = db_->Connect();
+  PlanBuilder q = session->NewPlan();
+  ASSERT_TRUE(q.Scan("l", {2, 1, 0}).ok());
+  q.Sort({SortKey{0, false}, SortKey{1, true}});
+  RunAndCompare(&q, session.get(), /*budget=*/2 << 10);
+}
+
 TEST_F(SpillTest, ExternalSortHonorsLimitAndOffset) {
   auto session = db_->Connect();
   PlanBuilder q = session->NewPlan();
@@ -482,6 +500,73 @@ void SortRowsByFirstCol(std::vector<std::vector<Value>>* rows) {
             [](const std::vector<Value>& a, const std::vector<Value>& b) {
               return a[0].AsInt() < b[0].AsInt();
             });
+}
+
+// A build side within half the budget whose buckets did not fit in the other
+// half used to fail the query with ResourceExhausted instead of spilling, so
+// success was not monotone in the budget. Every budget of the sweep must
+// answer, with the unlimited run's rows.
+TEST_F(SpillTest, JoinBudgetSweepSpillsWhenTheTableDoesNotFit) {
+  auto session = db_->Connect();
+  PlanBuilder q = session->NewPlan();
+  ASSERT_TRUE(q.Scan("o", {0, 1}).ok());
+  PlanBuilder build = session->NewPlan();
+  ASSERT_TRUE(build.Scan("l", {0}).ok());
+  q.Join(std::move(build), JoinType::kLeftSemi, {0}, {0});
+  auto prepared = session->Prepare(&q);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  Result<QueryResult> base = (*prepared)->Run();
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  ASSERT_EQ(base->rows.size(), 800u);
+  std::vector<std::vector<Value>> expect = base->rows;
+  SortRowsByFirstCol(&expect);
+  for (size_t budget = 16 << 10; budget <= 128 << 10; budget += 4 << 10) {
+    QueryOptions opt;
+    opt.memory_budget_bytes = budget;
+    Result<QueryResult> r = (*prepared)->Run(opt);
+    ASSERT_TRUE(r.ok()) << "budget " << budget << ": " << r.status().ToString();
+    SortRowsByFirstCol(&r->rows);
+    EXPECT_EQ(r->rows, expect) << "budget " << budget;
+    EXPECT_EQ(CountSpillFiles(SpillBase()), 0u) << "budget " << budget;
+  }
+}
+
+// The buckets can outgrow the rows they link: 1 025 one-byte keys hold 13
+// bytes a row (key, stored hash, link) but need 16 KiB of buckets. Budgets
+// of at least twice the rows, yet below rows plus buckets, keep the rows in
+// memory and then cannot reserve the buckets; the join must degrade to the
+// grace join there. Spilling stops once the budget holds both.
+TEST_F(SpillTest, JoinSpillsWhenOnlyTheBucketsDoNotFit) {
+  TableSchema b("b", {ColumnDef("flag", DataType::Bool())});
+  ASSERT_TRUE(db_->CreateTable(b).ok());
+  ASSERT_TRUE(db_->BulkLoad("b", [](TableWriter* w) -> Status {
+    for (int64_t i = 0; i < 1025; i++) {
+      VWISE_RETURN_IF_ERROR(w->AppendRow({Value::Int(i % 2)}));
+    }
+    return Status::OK();
+  }).ok());
+  auto session = db_->Connect();
+  PlanBuilder q = session->NewPlan();
+  ASSERT_TRUE(q.Scan("b", {0}).ok());
+  PlanBuilder build = session->NewPlan();
+  ASSERT_TRUE(build.Scan("b", {0}).ok());
+  q.Join(std::move(build), JoinType::kLeftSemi, {0}, {0});
+  auto prepared = session->Prepare(&q);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  bool in_memory = false;
+  for (size_t budget = 20 << 10; budget <= 36 << 10; budget += 1 << 10) {
+    QueryOptions opt;
+    opt.memory_budget_bytes = budget;
+    Result<QueryResult> r = (*prepared)->Run(opt);
+    ASSERT_TRUE(r.ok()) << "budget " << budget << ": " << r.status().ToString();
+    EXPECT_EQ(r->rows.size(), 1025u) << "budget " << budget;
+    EXPECT_LE(r->peak_reserved_bytes, budget);
+    bool spilled = r->spill_bytes_written > 0;
+    EXPECT_FALSE(in_memory && spilled) << "budget " << budget;
+    in_memory |= !spilled;
+  }
+  EXPECT_TRUE(in_memory);
+  EXPECT_EQ(CountSpillFiles(SpillBase()), 0u);
 }
 
 // A budget small enough that a level-0 partition's build side alone overruns
@@ -714,7 +799,9 @@ TEST_F(SpillTest, BudgetExhaustionSweepFailsCleanWithoutSpill) {
 // unwind clean, deleting whatever scratch it had created.
 TEST_F(SpillTest, ImpossiblyTightBudgetFailsCleanEvenWithSpill) {
   QueryContext ctx;
-  ctx.set_memory_budget(256);  // below one chunk of sort input
+  // Below two one-row blocks of sort input (24 bytes a row): the runs are
+  // written, but no merge, not even of two runs, fits.
+  ctx.set_memory_budget(32);
   ctx.set_spill_dir(SpillBase());
   auto snap = db_->Internals().tm->GetSnapshot("l");
   ASSERT_TRUE(snap.ok());
