@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <type_traits>
 
 #include "exec/profile.h"
@@ -12,21 +11,88 @@ namespace vwise {
 
 namespace {
 
-// Numeric value of column `vec` at `pos` widened to T (double / int64).
-template <typename T>
-T NumberAt(const Vector& vec, sel_t pos) {
-  return DispatchType(vec.type(), [&](auto tag) -> T {
-    using V = typename decltype(tag)::type;
-    if constexpr (std::is_same_v<V, StringVal>) {
-      return 0;
-    } else {
-      return static_cast<T>(vec.Data<V>()[pos]);
+// The aggregate typing rules, stated once: `fn` over an input of physical
+// type `in` keeps its state in a value lane of type `value` (i64 or f64),
+// plus an i64 count lane when `counted`, and emits `out`. The plan verifier
+// checks the output types against its own copy of these rules.
+struct AggTypes {
+  TypeId value;
+  bool counted;
+  TypeId out;
+};
+
+AggTypes TypeAggregate(AggSpec::Fn fn, TypeId in) {
+  bool int_family =
+      in == TypeId::kU8 || in == TypeId::kI32 || in == TypeId::kI64;
+  switch (fn) {
+    case AggSpec::Fn::kSum:
+      return int_family ? AggTypes{TypeId::kI64, false, TypeId::kI64}
+                        : AggTypes{TypeId::kF64, false, TypeId::kF64};
+    case AggSpec::Fn::kMin:
+    case AggSpec::Fn::kMax: {
+      TypeId value = in == TypeId::kF64 ? TypeId::kF64 : TypeId::kI64;
+      return {value, true, in == TypeId::kI32 ? TypeId::kI32 : value};
     }
-  });
+    case AggSpec::Fn::kCount:
+    case AggSpec::Fn::kCountStar:
+      break;
+    case AggSpec::Fn::kAvg:
+      return {TypeId::kF64, true, TypeId::kF64};
+  }
+  return {TypeId::kI64, false, TypeId::kI64};
 }
 
-bool IntFamily(TypeId t) {
-  return t == TypeId::kU8 || t == TypeId::kI32 || t == TypeId::kI64;
+// Gathers lane rows idx[0..n) into `out`, a vector of the lane's type.
+template <typename T>
+void GatherLane(const std::vector<T>& lane, const uint32_t* idx, size_t n,
+                Vector* out) {
+  T* dst = out->Data<T>();
+  for (size_t i = 0; i < n; i++) dst[i] = lane[idx[i]];
+}
+
+// The one aggregate update: merges n source rows into the lanes (value,
+// and count for min/max/avg) of groups[0..n). Source row i is value
+// src[sel[i]] (src[i] without a selection) standing for counts[i] input
+// rows (1 each without counts); a null src is a count, worth 1 a row.
+// Sums and counts add; min/max compare with IEEE `<`/`>`, take the first
+// value a group sees (count 0 is the first-touch marker) and skip count-0
+// partials; avg adds both lanes.
+template <typename V, typename S>
+void MergeLane(AggSpec::Fn fn, const S* src, const sel_t* sel,
+               const int64_t* counts, const uint32_t* groups, size_t n,
+               V* value, int64_t* count) {
+  switch (fn) {
+    case AggSpec::Fn::kSum:
+    case AggSpec::Fn::kCount:
+    case AggSpec::Fn::kCountStar:
+      if (src == nullptr) {
+        for (size_t i = 0; i < n; i++) value[groups[i]] += 1;
+        break;
+      }
+      for (size_t i = 0; i < n; i++) {
+        value[groups[i]] += static_cast<V>(src[sel ? sel[i] : i]);
+      }
+      break;
+    case AggSpec::Fn::kMin:
+    case AggSpec::Fn::kMax: {
+      bool is_min = fn == AggSpec::Fn::kMin;
+      for (size_t i = 0; i < n; i++) {
+        if (counts != nullptr && counts[i] == 0) continue;  // no-data partial
+        uint32_t g = groups[i];
+        V v = static_cast<V>(src[sel ? sel[i] : i]);
+        if (!count[g] || (is_min ? v < value[g] : v > value[g])) value[g] = v;
+        count[g] = 1;
+      }
+      break;
+    }
+    case AggSpec::Fn::kAvg:
+      for (size_t i = 0; i < n; i++) {
+        uint32_t g = groups[i];
+        value[g] += static_cast<V>(src[sel ? sel[i] : i]);
+        count[g] += counts != nullptr ? counts[i] : 1;
+      }
+      break;
+  }
 }
 
 }  // namespace
@@ -40,27 +106,22 @@ HashAggOperator::HashAggOperator(OperatorPtr child,
       aggs_(std::move(aggs)),
       config_(config) {
   const auto& in_types = child_->OutputTypes();
-  for (size_t c : group_cols_) out_types_.push_back(in_types[c]);
+  for (size_t c : group_cols_) {
+    identity_cols_.push_back(state_types_.size());
+    state_types_.push_back(in_types[c]);
+    out_types_.push_back(in_types[c]);
+  }
   for (const AggSpec& a : aggs_) {
-    switch (a.fn) {
-      case AggSpec::Fn::kSum:
-        out_types_.push_back(IntFamily(in_types[a.col]) ? TypeId::kI64
-                                                        : TypeId::kF64);
-        break;
-      case AggSpec::Fn::kMin:
-      case AggSpec::Fn::kMax:
-        out_types_.push_back(in_types[a.col] == TypeId::kF64 ? TypeId::kF64
-                             : in_types[a.col] == TypeId::kI32 ? TypeId::kI32
-                                                               : TypeId::kI64);
-        break;
-      case AggSpec::Fn::kCount:
-      case AggSpec::Fn::kCountStar:
-        out_types_.push_back(TypeId::kI64);
-        break;
-      case AggSpec::Fn::kAvg:
-        out_types_.push_back(TypeId::kF64);
-        break;
+    AggTypes t = TypeAggregate(
+        a.fn, a.fn == AggSpec::Fn::kCountStar ? TypeId::kI64 : in_types[a.col]);
+    AggLanes lanes{state_types_.size() - group_cols_.size(), SIZE_MAX};
+    state_types_.push_back(t.value);
+    if (t.counted) {
+      lanes.count = lanes.value + 1;
+      state_types_.push_back(TypeId::kI64);
     }
+    agg_lanes_.push_back(lanes);
+    out_types_.push_back(t.out);
   }
 }
 
@@ -74,7 +135,7 @@ Status HashAggOperator::OpenImpl() {
   table_.Init(key_types, config_.vector_size);
   n_groups_ = 0;
   // Budget accounting: estimated footprint of one group row — owned key
-  // copies plus per-aggregate state (i64/f64/count lanes) plus the stored
+  // copies plus per-aggregate state (value and count lanes) plus the stored
   // hash and its link. The buckets are reserved as they grow.
   mem_.Bind(ctx(), "hash aggregation");
   table_bytes_ = 0;
@@ -83,14 +144,16 @@ Status HashAggOperator::OpenImpl() {
     per_group_bytes_ += t == TypeId::kStr ? 32 : TypeWidth(t);
   }
   per_group_bytes_ += aggs_.size() * 24;
-  states_.assign(aggs_.size(), AggState{});
-  for (size_t i = 0; i < aggs_.size(); i++) {
-    states_[i].in_type =
-        aggs_[i].fn == AggSpec::Fn::kCountStar ? TypeId::kI64 : in_types[aggs_[i].col];
+  lanes_.clear();
+  for (size_t c = group_cols_.size(); c < state_types_.size(); c++) {
+    if (state_types_[c] == TypeId::kF64) {
+      lanes_.emplace_back(std::vector<double>());
+    } else {
+      lanes_.emplace_back(std::vector<int64_t>());
+    }
   }
   consumed_ = false;
   emit_cursor_ = 0;
-  BuildStateSchema();
   spill_.Init(ctx(), &config_, {{state_types_, identity_cols_, "agg_part"}});
   hash_scratch_.resize(config_.vector_size);
   group_idx_.resize(config_.vector_size);
@@ -127,17 +190,46 @@ void HashAggOperator::ResolveGroups(const DataChunk& chunk,
 }
 
 void HashAggOperator::AddGroups() {
-  // One zeroed value lane per aggregate plus a count lane for min/max
-  // (first-touch marker) and avg, as laid out by BuildStateSchema.
   n_groups_ = table_.size();
+  for (Lane& lane : lanes_) {
+    std::visit([this](auto& v) { v.resize(n_groups_); }, lane);
+  }
+}
+
+void HashAggOperator::UpdateLanes(const DataChunk& chunk, const sel_t* sel,
+                                  size_t n, bool state_rows) {
+  const size_t n_keys = group_cols_.size();
   for (size_t a = 0; a < aggs_.size(); a++) {
-    AggState& st = states_[a];
-    if (lanes_[a].is_i64) {
-      st.i64.resize(n_groups_);
-    } else {
-      st.f64.resize(n_groups_);
+    const AggSpec& spec = aggs_[a];
+    const AggLanes& l = agg_lanes_[a];
+    int64_t* count =
+        l.count == SIZE_MAX
+            ? nullptr
+            : std::get<std::vector<int64_t>>(lanes_[l.count]).data();
+    const int64_t* counts =
+        state_rows && count != nullptr
+            ? chunk.column(n_keys + l.count).Data<int64_t>()
+            : nullptr;
+    auto merge = [&](const auto* src) {
+      std::visit(
+          [&](auto& value) {
+            MergeLane(spec.fn, src, sel, counts, group_idx_.data(), n,
+                      value.data(), count);
+          },
+          lanes_[l.value]);
+    };
+    bool count_rows =
+        spec.fn == AggSpec::Fn::kCount || spec.fn == AggSpec::Fn::kCountStar;
+    if (count_rows && !state_rows) {
+      merge(static_cast<const int64_t*>(nullptr));  // reads no input values
+      continue;
     }
-    if (lanes_[a].count_col != SIZE_MAX) st.count.resize(n_groups_);
+    const Vector& src = chunk.column(state_rows ? n_keys + l.value : spec.col);
+    DispatchType(src.type(), [&](auto tag) {
+      using S = typename decltype(tag)::type;
+      // Strings have no lane (the plan verifier rejects such aggregates).
+      if constexpr (!std::is_same_v<S, StringVal>) merge(src.Data<S>());
+    });
   }
 }
 
@@ -167,67 +259,8 @@ VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
       agg_in.Normalize(chunk.count());
     }
   }
-  // 1. Resolve the group indices.
   ResolveGroups(chunk, group_cols_, sel, n);
-  const uint32_t* groups = group_idx_.data();
-  // 2. Per-aggregate update loops.
-  for (size_t a = 0; a < aggs_.size(); a++) {
-    AggState& st = states_[a];
-    const AggSpec& spec = aggs_[a];
-    switch (spec.fn) {
-      case AggSpec::Fn::kSum: {
-        const Vector& in = chunk.column(spec.col);
-        if (IntFamily(st.in_type)) {
-          for (size_t i = 0; i < n; i++) {
-            sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
-            st.i64[groups[i]] += NumberAt<int64_t>(in, pos);
-          }
-        } else {
-          for (size_t i = 0; i < n; i++) {
-            sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
-            st.f64[groups[i]] += NumberAt<double>(in, pos);
-          }
-        }
-        break;
-      }
-      case AggSpec::Fn::kMin:
-      case AggSpec::Fn::kMax: {
-        const Vector& in = chunk.column(spec.col);
-        bool is_min = spec.fn == AggSpec::Fn::kMin;
-        for (size_t i = 0; i < n; i++) {
-          sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
-          uint32_t g = groups[i];
-          if (st.in_type == TypeId::kF64) {
-            double v = NumberAt<double>(in, pos);
-            if (!st.count[g] || (is_min ? v < st.f64[g] : v > st.f64[g])) {
-              st.f64[g] = v;
-            }
-          } else {
-            int64_t v = NumberAt<int64_t>(in, pos);
-            if (!st.count[g] || (is_min ? v < st.i64[g] : v > st.i64[g])) {
-              st.i64[g] = v;
-            }
-          }
-          st.count[g] = 1;
-        }
-        break;
-      }
-      case AggSpec::Fn::kCount:
-      case AggSpec::Fn::kCountStar:
-        for (size_t i = 0; i < n; i++) st.i64[groups[i]]++;
-        break;
-      case AggSpec::Fn::kAvg: {
-        const Vector& in = chunk.column(spec.col);
-        for (size_t i = 0; i < n; i++) {
-          sel_t pos = sel ? sel[i] : static_cast<sel_t>(i);
-          uint32_t g = groups[i];
-          st.f64[g] += NumberAt<double>(in, pos);
-          st.count[g]++;
-        }
-        break;
-      }
-    }
-  }
+  UpdateLanes(chunk, sel, n, /*state_rows=*/false);
   return Status::OK();
 }
 
@@ -312,56 +345,13 @@ Status HashAggOperator::ConsumeInput() {
   return Status::OK();
 }
 
-void HashAggOperator::BuildStateSchema() {
-  const auto& in_types = child_->OutputTypes();
-  state_types_.clear();
-  lanes_.clear();
-  identity_cols_.clear();
-  for (size_t k = 0; k < group_cols_.size(); k++) {
-    state_types_.push_back(in_types[group_cols_[k]]);
-    identity_cols_.push_back(k);
-  }
-  for (size_t a = 0; a < aggs_.size(); a++) {
-    const AggState& st = states_[a];
-    bool is_i64 = false;
-    bool has_count = false;
-    switch (aggs_[a].fn) {
-      case AggSpec::Fn::kSum:
-        is_i64 = IntFamily(st.in_type);
-        break;
-      case AggSpec::Fn::kMin:
-      case AggSpec::Fn::kMax:
-        is_i64 = st.in_type != TypeId::kF64;
-        has_count = true;
-        break;
-      case AggSpec::Fn::kCount:
-      case AggSpec::Fn::kCountStar:
-        is_i64 = true;
-        break;
-      case AggSpec::Fn::kAvg:
-        is_i64 = false;
-        has_count = true;
-        break;
-    }
-    StateLane lane{state_types_.size(), SIZE_MAX, is_i64};
-    state_types_.push_back(is_i64 ? TypeId::kI64 : TypeId::kF64);
-    if (has_count) {
-      lane.count_col = state_types_.size();
-      state_types_.push_back(TypeId::kI64);
-    }
-    lanes_.push_back(lane);
-  }
-}
-
 void HashAggOperator::ClearTable() {
   mem_.Shrink(table_bytes_);
   table_bytes_ = 0;
   table_.Clear();
   n_groups_ = 0;
-  for (AggState& st : states_) {
-    st.i64.clear();
-    st.f64.clear();
-    st.count.clear();
+  for (Lane& lane : lanes_) {
+    std::visit([](auto& v) { v.clear(); }, lane);
   }
 }
 
@@ -373,82 +363,13 @@ Status HashAggOperator::SpillGroups() {
         for (size_t k = 0; k < group_cols_.size(); k++) {
           table_.key(k).Gather(ids, n, &out->column(k));
         }
-        for (size_t a = 0; a < aggs_.size(); a++) {
-          const AggState& st = states_[a];
-          const StateLane& lane = lanes_[a];
-          Vector& value = out->column(lane.value_col);
-          for (size_t j = 0; j < n; j++) {
-            uint32_t g = ids[j];
-            if (lane.is_i64) {
-              value.Data<int64_t>()[j] = st.i64[g];
-            } else {
-              value.Data<double>()[j] = st.f64[g];
-            }
-            if (lane.count_col != SIZE_MAX) {
-              out->column(lane.count_col).Data<int64_t>()[j] = st.count[g];
-            }
-          }
+        for (size_t c = 0; c < lanes_.size(); c++) {
+          Vector* dst = &out->column(group_cols_.size() + c);
+          std::visit([&](const auto& v) { GatherLane(v, ids, n, dst); },
+                     lanes_[c]);
         }
       }));
   ClearTable();
-  return Status::OK();
-}
-
-Status HashAggOperator::ProcessStateChunk(const DataChunk& chunk) {
-  size_t n = chunk.count();  // state chunks are dense
-  ResolveGroups(chunk, identity_cols_, nullptr, n);
-  const uint32_t* groups = group_idx_.data();
-  // Merge the partial states: sums/counts add, min/max compare (their count
-  // lane is the first-touch marker), avg adds both lanes.
-  for (size_t a = 0; a < aggs_.size(); a++) {
-    AggState& st = states_[a];
-    const StateLane& lane = lanes_[a];
-    const Vector& value = chunk.column(lane.value_col);
-    switch (aggs_[a].fn) {
-      case AggSpec::Fn::kSum:
-      case AggSpec::Fn::kCount:
-      case AggSpec::Fn::kCountStar:
-        for (size_t i = 0; i < n; i++) {
-          if (lane.is_i64) {
-            st.i64[groups[i]] += value.Data<int64_t>()[i];
-          } else {
-            st.f64[groups[i]] += value.Data<double>()[i];
-          }
-        }
-        break;
-      case AggSpec::Fn::kMin:
-      case AggSpec::Fn::kMax: {
-        const Vector& cnt = chunk.column(lane.count_col);
-        bool is_min = aggs_[a].fn == AggSpec::Fn::kMin;
-        for (size_t i = 0; i < n; i++) {
-          if (cnt.Data<int64_t>()[i] == 0) continue;  // no-data partial
-          uint32_t g = groups[i];
-          if (lane.is_i64) {
-            int64_t v = value.Data<int64_t>()[i];
-            if (!st.count[g] || (is_min ? v < st.i64[g] : v > st.i64[g])) {
-              st.i64[g] = v;
-            }
-          } else {
-            double v = value.Data<double>()[i];
-            if (!st.count[g] || (is_min ? v < st.f64[g] : v > st.f64[g])) {
-              st.f64[g] = v;
-            }
-          }
-          st.count[g] = 1;
-        }
-        break;
-      }
-      case AggSpec::Fn::kAvg: {
-        const Vector& cnt = chunk.column(lane.count_col);
-        for (size_t i = 0; i < n; i++) {
-          uint32_t g = groups[i];
-          st.f64[g] += value.Data<double>()[i];
-          st.count[g] += cnt.Data<int64_t>()[i];
-        }
-        break;
-      }
-    }
-  }
   return Status::OK();
 }
 
@@ -474,7 +395,8 @@ Status HashAggOperator::LoadPartition() {
       ClearTable();
       return grown;
     }
-    VWISE_RETURN_IF_ERROR(ProcessStateChunk(chunk));
+    ResolveGroups(chunk, identity_cols_, nullptr, n);  // state chunks are dense
+    UpdateLanes(chunk, nullptr, n, /*state_rows=*/true);
     TrimReservation();
   }
   return Status::OK();
@@ -524,21 +446,26 @@ Status HashAggOperator::Next(DataChunk* out) {
   }
   for (size_t a = 0; a < aggs_.size(); a++) {
     Vector& dst = out->column(group_cols_.size() + a);
-    const AggState& st = states_[a];
-    // The output type follows the state lane (see the constructor): f64
-    // lanes emit f64, i64 lanes i64, narrowed for an i32 min/max.
-    for (size_t i = 0; i < batch; i++) {
-      size_t g = emit_cursor_ + i;
-      if (aggs_[a].fn == AggSpec::Fn::kAvg) {
-        dst.Data<double>()[i] =
-            st.count[g] == 0 ? 0.0 : st.f64[g] / static_cast<double>(st.count[g]);
-      } else if (dst.type() == TypeId::kF64) {
-        dst.Data<double>()[i] = st.f64[g];
-      } else if (dst.type() == TypeId::kI32) {
-        dst.Data<int32_t>()[i] = static_cast<int32_t>(st.i64[g]);
-      } else {
-        dst.Data<int64_t>()[i] = st.i64[g];
+    const Lane& value = lanes_[agg_lanes_[a].value];
+    if (aggs_[a].fn == AggSpec::Fn::kAvg) {
+      const auto& sum = std::get<std::vector<double>>(value);
+      const auto& count =
+          std::get<std::vector<int64_t>>(lanes_[agg_lanes_[a].count]);
+      double* avg = dst.Data<double>();
+      for (size_t i = 0; i < batch; i++) {
+        avg[i] = count[idx[i]] == 0
+                     ? 0.0
+                     : sum[idx[i]] / static_cast<double>(count[idx[i]]);
       }
+    } else if (dst.type() == TypeId::kI32) {  // an i32 min/max narrows
+      const auto& v = std::get<std::vector<int64_t>>(value);
+      int32_t* narrow = dst.Data<int32_t>();
+      for (size_t i = 0; i < batch; i++) {
+        narrow[i] = static_cast<int32_t>(v[idx[i]]);
+      }
+    } else {
+      std::visit([&](const auto& v) { GatherLane(v, idx, batch, &dst); },
+                 value);
     }
   }
   out->SetCount(batch);
@@ -552,7 +479,7 @@ void HashAggOperator::Close() {
   // still reaches Xchg fragments running below on pool threads.
   child_->Close();
   table_.Clear();
-  states_.clear();
+  lanes_.clear();
   spill_.Drop();
   mem_.ReleaseAll();
   table_bytes_ = 0;

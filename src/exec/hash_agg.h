@@ -2,6 +2,7 @@
 #define VWISE_EXEC_HASH_AGG_H_
 
 #include <memory>
+#include <variant>
 #include <vector>
 
 #include "exec/key_table.h"
@@ -27,10 +28,15 @@ struct AggSpec {
 
 // Vectorized hash aggregation (grouped or, with no group columns, a single
 // global group). The groups are the rows of a KeyTable: keys are hashed a
-// column at a time and resolved to group indices a vector at a time, and
-// the per-aggregate update loops then consume that group-index array — no
-// per-row function dispatch. Groups are numbered, and emitted, in order of
-// first appearance.
+// column at a time and resolved to group indices a vector at a time. Each
+// aggregate then runs one update loop over that group-index array, with the
+// input and state types resolved once per aggregate and chunk, not per
+// value. Groups are numbered, and emitted, in order of first appearance.
+//
+// State: per aggregate a value lane (i64 or f64) and, for min/max/avg, a
+// count lane (a first-touch marker for min/max), each one typed array
+// indexed by group. The lanes are the spilled "state row" columns too, so
+// input chunks and spilled partial states merge through the same update.
 //
 // Output: group columns, then one column per aggregate (sum keeps the input
 // physical type for i64, widens to f64 otherwise; count is i64; avg is f64;
@@ -38,12 +44,12 @@ struct AggSpec {
 //
 // When the group table overruns the query's memory budget (and
 // Config::enable_spill is on), the operator degrades to radix-partitioned
-// spilling: the table is flushed to disk as mergeable "state rows" (keys +
-// per-aggregate state lanes), partitioned by the high bits of the group
-// hash, and cleared; at emit time the partitions are reloaded one at a time
-// and merge-aggregated, so every partition needs only its own share of the
-// budget. Spilling changes the group output order (partition-major instead
-// of first-appearance) but not the set of rows.
+// spilling: the table is flushed to disk as mergeable state rows (keys +
+// lanes), partitioned by the high bits of the group hash, and cleared; at
+// emit time the partitions are reloaded one at a time and merge-aggregated,
+// so every partition needs only its own share of the budget. Spilling
+// changes the group output order (partition-major instead of
+// first-appearance) but not the set of rows.
 class HashAggOperator final : public Operator {
  public:
   HashAggOperator(OperatorPtr child, std::vector<size_t> group_cols,
@@ -76,23 +82,23 @@ class HashAggOperator final : public Operator {
   // group_idx_, creating the groups not seen yet.
   void ResolveGroups(const DataChunk& chunk, const std::vector<size_t>& key_cols,
                      const sel_t* sel, size_t n);
-  void AddGroups();  // zeroed states for the groups the table just created
+  void AddGroups();  // zeroed lanes for the groups the table just created
+  // Merges a source into every aggregate's lanes for the groups
+  // group_idx_[0..n): rows sel[0..n) of an input chunk (value = the input
+  // column, count 1 a row), or with `state_rows` the dense rows of a spilled
+  // state chunk (value and count lanes as stored).
+  void UpdateLanes(const DataChunk& chunk, const sel_t* sel, size_t n,
+                   bool state_rows);
   // Reserves the worst case for `rows` more rows: every one a new group,
   // growing the buckets. TrimReservation then gives back what the table
   // does not hold.
   Status ReserveGroups(size_t rows);
   void TrimReservation();
-  // Lays out the aggregate state lanes — of the in-memory states and of the
-  // spill "state row" schema alike: key columns first, then one value lane
-  // per aggregate (i64 or f64) plus a count lane for min/max/avg.
-  void BuildStateSchema();
   // Flushes the whole group table to the radix partitions and clears it,
   // giving its reservation back.
   Status SpillGroups();
   // Re-aggregates the current spilled partition into the (empty) table.
   Status LoadPartition();
-  // Merge-aggregates a chunk of state rows (the spill-side ProcessChunk).
-  Status ProcessStateChunk(const DataChunk& chunk);
   // Resets the group table and returns its budget reservation.
   void ClearTable();
 
@@ -106,14 +112,19 @@ class HashAggOperator final : public Operator {
   KeyTable table_;
   size_t n_groups_ = 0;
 
-  // Aggregate states, one entry per group.
-  struct AggState {
-    TypeId in_type;      // physical type of the input column
-    std::vector<int64_t> i64;
-    std::vector<double> f64;
-    std::vector<int64_t> count;  // avg / first-touch tracking for min/max
+  // One column of aggregate state, indexed by group: i64 or f64 values.
+  using Lane = std::variant<std::vector<int64_t>, std::vector<double>>;
+  // Aggregate a's lanes: lanes_[agg_lanes_[a].value], and for min/max/avg
+  // the count lane lanes_[agg_lanes_[a].count]. A spilled state row is the
+  // key columns followed by the lanes: state_types_.
+  struct AggLanes {
+    size_t value;
+    size_t count;  // SIZE_MAX: none
   };
-  std::vector<AggState> states_;
+  std::vector<Lane> lanes_;
+  std::vector<AggLanes> agg_lanes_;
+  std::vector<TypeId> state_types_;
+  std::vector<size_t> identity_cols_;  // 0..n_keys-1: key cols of a state row
 
   // Scratch, sized in OpenImpl and held for the operator's lifetime —
   // Next()/ProcessChunk touch no allocator.
@@ -131,16 +142,7 @@ class HashAggOperator final : public Operator {
   size_t per_group_bytes_ = 0;
   size_t table_bytes_ = 0;
 
-  // Radix-spill state: one stream of mergeable state rows.
-  struct StateLane {
-    size_t value_col;  // state-row column of the value lane
-    size_t count_col;  // count lane (min/max/avg), SIZE_MAX otherwise
-    bool is_i64;       // physical type of the value lane
-  };
-  std::vector<TypeId> state_types_;
-  std::vector<StateLane> lanes_;
-  std::vector<size_t> identity_cols_;  // 0..n_keys-1: key cols of a state row
-  RadixSpill spill_;
+  RadixSpill spill_;  // one stream of state rows
 };
 
 }  // namespace vwise

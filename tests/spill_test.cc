@@ -1,8 +1,10 @@
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -664,6 +666,267 @@ TEST_F(SpillTest, AggRepartitionsOversizedPartitionBeyondDepth2) {
   }
   op->Close();
   EXPECT_EQ(ctx.reserved_bytes(), 0u);
+  EXPECT_EQ(CountSpillFiles(SpillBase()), 0u);
+}
+
+// --- aggregate lanes ---------------------------------------------------------
+
+// One generated row of LaneSource: two group keys and one aggregate input
+// per numeric physical type. f64 inputs are multiples of 0.25 below 2^20 and
+// integer sums stay below 2^53, so every sum and average is exact in any
+// accumulation order and spilled runs must match bit for bit. No NaN: MIN/MAX
+// over NaN is unspecified.
+struct LaneRow {
+  int64_t g1;
+  int32_t g2;
+  uint8_t u8;
+  int32_t i32;
+  int64_t i64;
+  double f64;
+};
+
+LaneRow MakeLaneRow(int64_t i) {
+  // Groups 0-4 take two rows in three, so they gather several rows between
+  // two spills and their spilled partials carry counts above 1.
+  return {i % 3 == 0 ? i % 97 : i % 5,
+          static_cast<int32_t>((i / 7) % 5 - 2),
+          static_cast<uint8_t>((i * 7) % 251),
+          static_cast<int32_t>((i * 7919) % 20011 - 10000),
+          ((i * 1000003) % 2000003 - 1000000) * 100003,
+          static_cast<double>((i * 7877) % 4000001 - 2000000) * 0.25};
+}
+
+// LaneSource's column types: g1, g2, then the aggregate inputs.
+const std::vector<TypeId>& LaneTypes() {
+  static const std::vector<TypeId> types = {TypeId::kI64, TypeId::kI32,
+                                            TypeId::kU8,  TypeId::kI32,
+                                            TypeId::kI64, TypeId::kF64};
+  return types;
+}
+
+// Emits LaneRows [0, rows) as LaneTypes() chunks of `vector_size` rows;
+// every third chunk selects all but each fourth row.
+class LaneSource final : public Operator {
+ public:
+  LaneSource(int64_t rows, size_t vector_size)
+      : rows_(rows), vector_size_(vector_size) {}
+
+  // Whether row i reaches the consumer (is not dropped by a selection).
+  static bool Active(int64_t i, size_t vector_size) {
+    return (i / static_cast<int64_t>(vector_size)) % 3 != 1 || i % 4 != 3;
+  }
+
+  const std::vector<TypeId>& OutputTypes() const override {
+    return LaneTypes();
+  }
+
+  Status Next(DataChunk* out) override {
+    size_t n = static_cast<size_t>(
+        std::min<int64_t>(static_cast<int64_t>(vector_size_), rows_ - next_));
+    size_t active = 0;
+    for (size_t i = 0; i < n; i++) {
+      int64_t row = next_ + static_cast<int64_t>(i);
+      LaneRow r = MakeLaneRow(row);
+      out->column(0).Data<int64_t>()[i] = r.g1;
+      out->column(1).Data<int32_t>()[i] = r.g2;
+      out->column(2).Data<uint8_t>()[i] = r.u8;
+      out->column(3).Data<int32_t>()[i] = r.i32;
+      out->column(4).Data<int64_t>()[i] = r.i64;
+      out->column(5).Data<double>()[i] = r.f64;
+      if (Active(row, vector_size_)) {
+        out->MutableSel()[active++] = static_cast<sel_t>(i);
+      }
+    }
+    out->SetCount(n);
+    if (active < n) out->SetSelection(active);
+    next_ += static_cast<int64_t>(n);
+    return Status::OK();
+  }
+  void Close() override {}
+
+ private:
+  Status OpenImpl() override {
+    next_ = 0;
+    return Status::OK();
+  }
+
+  int64_t rows_;
+  size_t vector_size_;
+  int64_t next_ = 0;
+};
+
+// Expected aggregate columns of HashAgg over `rows` (one group's active
+// LaneRows; empty for the global group of an empty input), computed a row at
+// a time: SUM/COUNT/MIN/MAX/AVG by the typing rules.
+std::vector<Value> ReferenceAggs(const std::vector<AggSpec>& aggs,
+                                 const std::vector<LaneRow>& rows) {
+  std::vector<Value> out;
+  for (const AggSpec& a : aggs) {
+    int64_t n = static_cast<int64_t>(rows.size());
+    if (a.fn == AggSpec::Fn::kCount || a.fn == AggSpec::Fn::kCountStar) {
+      out.push_back(Value::Int(n));
+      continue;
+    }
+    auto input = [&](const LaneRow& r) -> double {
+      switch (a.col) {
+        case 2: return r.u8;
+        case 3: return r.i32;
+        case 4: return static_cast<double>(r.i64);
+        default: return r.f64;
+      }
+    };
+    bool is_f64 = a.col == 5;
+    int64_t isum = 0;
+    double fsum = 0;
+    double lo = 0, hi = 0;
+    for (size_t i = 0; i < rows.size(); i++) {
+      double v = input(rows[i]);
+      if (!is_f64) {
+        isum += a.col == 4 ? rows[i].i64 : static_cast<int64_t>(v);
+      }
+      fsum += v;
+      lo = i == 0 ? v : std::min(lo, v);
+      hi = i == 0 ? v : std::max(hi, v);
+    }
+    auto number = [&](double v) {
+      return is_f64 ? Value::Double(v) : Value::Int(static_cast<int64_t>(v));
+    };
+    switch (a.fn) {
+      case AggSpec::Fn::kSum:
+        out.push_back(is_f64 ? Value::Double(fsum) : Value::Int(isum));
+        break;
+      case AggSpec::Fn::kMin:
+        out.push_back(number(lo));
+        break;
+      case AggSpec::Fn::kMax:
+        out.push_back(number(hi));
+        break;
+      case AggSpec::Fn::kAvg: {
+        double sum = is_f64 ? fsum : static_cast<double>(isum);
+        double avg = n == 0 ? 0.0 : sum / static_cast<double>(n);
+        out.push_back(Value::Double(avg));
+        break;
+      }
+      default:
+        break;
+    }
+  }
+  return out;
+}
+
+// Rows equal value for value, doubles bit for bit.
+void ExpectSameRows(const std::vector<std::vector<Value>>& expected,
+                    const std::vector<std::vector<Value>>& got,
+                    const std::string& label) {
+  ASSERT_EQ(expected.size(), got.size()) << label;
+  for (size_t r = 0; r < expected.size(); r++) {
+    ASSERT_EQ(expected[r].size(), got[r].size()) << label;
+    for (size_t c = 0; c < expected[r].size(); c++) {
+      const Value& e = expected[r][c];
+      const Value& g = got[r][c];
+      ASSERT_EQ(e.kind(), g.kind()) << label << " row " << r << " col " << c;
+      if (e.kind() == Value::Kind::kDouble) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(e.AsDouble()),
+                  std::bit_cast<uint64_t>(g.AsDouble()))
+            << label << " row " << r << " col " << c << ": " << e.AsDouble()
+            << " vs " << g.AsDouble();
+      } else {
+        EXPECT_EQ(e, g) << label << " row " << r << " col " << c;
+      }
+    }
+  }
+}
+
+// Every aggregate function over u8, i32, i64 and f64 inputs, grouped by 0, 1
+// and 2 columns, over 3000 rows and over none: in memory, under a budget
+// that spills, and under one that also repartitions. Each run must equal a
+// row-at-a-time reference, and the output types must follow the typing rules.
+TEST_F(SpillTest, AggLanesMatchReferenceForEveryFunctionAndInputType) {
+  constexpr size_t kVec = 16;
+  std::vector<AggSpec> aggs = {AggSpec::CountStar()};
+  std::vector<TypeId> agg_types = {TypeId::kI64};
+  for (size_t col : {2, 3, 4, 5}) {
+    TypeId in = LaneTypes()[col];
+    TypeId sum = in == TypeId::kF64 ? TypeId::kF64 : TypeId::kI64;
+    TypeId minmax = in == TypeId::kU8 ? TypeId::kI64 : in;
+    for (AggSpec a : {AggSpec::Sum(col), AggSpec::Min(col), AggSpec::Max(col),
+                      AggSpec::Count(col), AggSpec::Avg(col)}) {
+      aggs.push_back(a);
+    }
+    for (TypeId t : {sum, minmax, minmax, TypeId::kI64, TypeId::kF64}) {
+      agg_types.push_back(t);
+    }
+  }
+  struct Budget {
+    const char* name;
+    size_t bytes;  // 0: unlimited
+    size_t partitions;
+  };
+  const Budget budgets[] = {
+      {"in memory", 0, 8},
+      {"spill", 16 << 10, 8},
+      {"repartition", 12 << 10, 2}};
+  for (int64_t rows : {int64_t{3000}, int64_t{0}}) {
+    for (const std::vector<size_t>& group_cols :
+         {std::vector<size_t>{}, std::vector<size_t>{0},
+          std::vector<size_t>{0, 1}}) {
+      // The reference: active rows by key, in key order.
+      std::map<std::vector<int64_t>, std::vector<LaneRow>> groups;
+      for (int64_t i = 0; i < rows; i++) {
+        if (!LaneSource::Active(i, kVec)) continue;
+        LaneRow r = MakeLaneRow(i);
+        std::vector<int64_t> key;
+        for (size_t g : group_cols) key.push_back(g == 0 ? r.g1 : r.g2);
+        groups[key].push_back(r);
+      }
+      if (group_cols.empty() && groups.empty()) groups[{}];  // global group
+      std::vector<std::vector<Value>> expected;
+      for (const auto& [key, members] : groups) {
+        std::vector<Value> row;
+        for (int64_t k : key) row.push_back(Value::Int(k));
+        for (Value& v : ReferenceAggs(aggs, members)) row.push_back(v);
+        expected.push_back(std::move(row));
+      }
+      for (const Budget& b : budgets) {
+        std::string label = std::to_string(rows) + " rows, " +
+                            std::to_string(group_cols.size()) +
+                            " group cols, " + b.name;
+        Config cfg = config_;
+        cfg.vector_size = kVec;
+        cfg.spill_partitions = b.partitions;
+        cfg.spill_max_repartition_depth = 8;
+        HashAggOperator agg(std::make_unique<LaneSource>(rows, kVec),
+                            group_cols, aggs, cfg);
+        std::vector<TypeId> types;
+        for (size_t g : group_cols) types.push_back(LaneTypes()[g]);
+        types.insert(types.end(), agg_types.begin(), agg_types.end());
+        EXPECT_EQ(agg.OutputTypes(), types) << label;
+        QueryContext ctx;
+        if (b.bytes != 0) ctx.set_memory_budget(b.bytes);
+        ctx.set_spill_dir(SpillBase());
+        Result<QueryResult> r = CollectRows(&agg, &ctx, kVec);
+        ASSERT_TRUE(r.ok()) << label << ": " << r.status().ToString();
+        auto key_less = [&](const std::vector<Value>& x,
+                            const std::vector<Value>& y) {
+          for (size_t k = 0; k < group_cols.size(); k++) {
+            int64_t lhs = x[k].AsInt(), rhs = y[k].AsInt();
+            if (lhs != rhs) return lhs < rhs;
+          }
+          return false;
+        };
+        std::sort(r->rows.begin(), r->rows.end(), key_less);
+        ExpectSameRows(expected, r->rows, label);
+        if (rows > 0 && !group_cols.empty() && b.bytes != 0) {
+          EXPECT_GT(agg.spill_stats().partitions, 0u) << label;
+          if (b.partitions == 2) {
+            EXPECT_GT(agg.spill_repartitions(), 0u) << label;
+          }
+        }
+        agg.Close();
+        EXPECT_EQ(ctx.reserved_bytes(), 0u) << label;
+      }
+    }
+  }
   EXPECT_EQ(CountSpillFiles(SpillBase()), 0u);
 }
 

@@ -55,16 +55,12 @@ a call site, it stops the closure from descending into the callee (stripe
 advances, once-per-query consume phases, amortized table doublings). Every
 pruned subtree must genuinely be off the per-vector path.
 
-Backends
+Frontend
 --------
-  syntactic   self-contained lexical frontend (default; runs anywhere).
-              Comments/strings are stripped, function definitions and call
-              sites are recovered by brace matching; resolution is by name,
-              an over-approximation that errs toward flagging.
-  libclang    AST-accurate frontend over compile_commands.json, used when
-              `import clang.cindex` succeeds. `--backend auto` (default)
-              falls back to syntactic when libclang is unavailable, so CI
-              and developer machines agree on the gate.
+A self-contained lexical frontend that runs anywhere: it walks src/, strips
+comments and strings, and recovers function definitions and call sites by
+brace matching. Resolution is by name, an over-approximation that errs
+toward flagging.
 
 Negative checks: tests/compile_fail/hotpath_*.cc carry seeded violations
 behind #ifdef VWISE_COMPILE_FAIL; tools/check_compile_fail.py runs this tool
@@ -752,61 +748,6 @@ class Analyzer:
         return self.errors
 
 
-def try_libclang_frontend(repo, compile_commands):
-    """Best-effort AST frontend. Returns a loaded frontend-compatible object
-    or None when clang.cindex is unavailable or the database is unreadable."""
-    try:
-        from clang import cindex
-    except ImportError:
-        return None
-    try:
-        db_dir = os.path.dirname(os.path.abspath(compile_commands))
-        db = cindex.CompilationDatabase.fromDirectory(db_dir)
-        index = cindex.Index.create()
-    except Exception:
-        return None
-
-    fe = SyntacticFrontend(repo)
-    # Reuse the syntactic file loader for line content + virtual-decl scan,
-    # then REPLACE the call edges of any function the AST can see — the AST
-    # resolves overloads and templates the lexical pass can only approximate.
-    fe.load()
-    ast_calls = {}
-    for cmd in db.getAllCompileCommands():
-        src = cmd.filename
-        if "/src/" not in src.replace(os.sep, "/"):
-            continue
-        args = [a for a in cmd.arguments][1:-1]
-        try:
-            tu = index.parse(src, args=args)
-        except Exception:
-            continue
-
-        def walk(node, current):
-            kind = node.kind.name
-            if kind in ("FUNCTION_DECL", "CXX_METHOD", "CONSTRUCTOR",
-                        "FUNCTION_TEMPLATE") and node.is_definition():
-                current = node.spelling
-                ast_calls.setdefault(current, set())
-            elif kind == "CALL_EXPR" and current is not None:
-                ref = node.referenced
-                if ref is not None:
-                    ast_calls[current].add(ref.spelling)
-            for child in node.get_children():
-                walk(child, current)
-
-        walk(tu.cursor, None)
-    # Merge: add AST-discovered edges (by base name) into matching functions.
-    for fn in fe.functions:
-        extra = ast_calls.get(fn.name)
-        if extra:
-            have = {c[0] for c in fn.calls}
-            for callee in extra:
-                if callee and callee not in have:
-                    fn.calls.append((callee, fn.start_line, False))
-    return fe
-
-
 # ---------------------------------------------------------------------------
 # Self-test: seed violations into a copy of the tree; each must be caught
 # with the expected diagnostic, and the pristine tree must pass.
@@ -944,11 +885,6 @@ def main():
     ap = argparse.ArgumentParser(
         description="static hot-path purity analyzer (see module docstring)")
     ap.add_argument("--repo", default=".", help="repository root")
-    ap.add_argument("--compile-commands", default=None,
-                    help="compile_commands.json (file list for the syntactic "
-                    "backend; parse args for libclang)")
-    ap.add_argument("--backend", choices=("auto", "syntactic", "libclang"),
-                    default="auto")
     ap.add_argument("--src", default=None,
                     help="analyze a single file (compile_fail snippets)")
     ap.add_argument("--define", action="append", default=[],
@@ -977,20 +913,7 @@ def main():
             print(f"vwise_hotpath: OK — {os.path.basename(src)} is pure")
         return 1 if errors else 0
 
-    fe = None
-    if args.backend in ("auto", "libclang"):
-        cc = args.compile_commands or os.path.join(repo, "build",
-                                                   "compile_commands.json")
-        if os.path.exists(cc):
-            fe = try_libclang_frontend(repo, cc)
-        if fe is None and args.backend == "libclang":
-            print("vwise_hotpath: libclang backend requested but "
-                  "clang.cindex (or the compilation database) is "
-                  "unavailable", file=sys.stderr)
-            return 2
-    if fe is None:
-        fe = SyntacticFrontend(repo).load()
-
+    fe = SyntacticFrontend(repo).load()
     roots = find_roots(fe, repo)
     if args.list_roots:
         for fn in sorted(roots, key=lambda f: (f.path, f.start_line)):
