@@ -43,18 +43,6 @@ inline bool EnvProfile() {
   return enabled;
 }
 
-// Default for Config::enable_encoded_exec. Unlike the debug knobs above this
-// one defaults ON; VWISE_ENCODED_EXEC=0 decodes every column flat at the
-// scan (the differential oracle runs every plan both ways).
-inline bool EnvEncodedExec() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("VWISE_ENCODED_EXEC");
-    if (v == nullptr || v[0] == '\0') return true;
-    return v[0] != '0';
-  }();
-  return enabled;
-}
-
 // Default for Config::total_memory_budget_bytes: VWISE_TOTAL_MEMORY_BUDGET
 // sizes the process-wide governor budget every query's reservations draw
 // from. Accepts plain bytes or a k/m/g suffix ("256m"). Empty/0 = unlimited
@@ -184,14 +172,8 @@ struct Config {
   bool enable_compression = true;
   // Use min-max sparse indexes to skip stripes during scans.
   bool enable_minmax_skipping = true;
-  // Compressed execution (DESIGN.md §12): the scan adopts PDICT segments as
-  // dictionary codes and publishes dict-encoded vectors; primitives with a
-  // matching capability (catalog caps column) run directly on the codes,
-  // everything else decodes on demand at the Normalize() boundary. Every
-  // other codec (PFOR, PFOR-DELTA, RLE) decodes flat at the scan. Only
-  // applies to stripes without pending deltas; VWISE_ENCODED_EXEC=0 turns it
-  // off process-wide.
-  bool enable_encoded_exec = detail::EnvEncodedExec();
+  // Inert: only perfbench/ assigns it; the next benchmark change deletes it.
+  bool enable_encoded_exec = false;
 
   // --- Simulated I/O device -------------------------------------------------
   // When >0, block reads sleep to model a device with this bandwidth, making

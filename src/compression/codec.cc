@@ -276,13 +276,11 @@ Result<CompressedSegment> EncodeValues(Codec codec, TypeId type,
 }  // namespace
 
 Result<CompressedSegment> Encode(Codec codec, const Vector& values, size_t n) {
-  VWISE_CHECK_MSG(!values.IsEncoded(), "Encode requires a flat vector");
   VWISE_CHECK(n <= values.capacity());
   return EncodeValues(codec, values.type(), values.raw(), n);
 }
 
 Result<CompressedSegment> EncodeBest(const Vector& values, size_t n) {
-  VWISE_CHECK_MSG(!values.IsEncoded(), "EncodeBest requires a flat vector");
   VWISE_CHECK(n <= values.capacity());
   TypeId type = values.type();
   const void* raw = values.raw();
@@ -705,7 +703,6 @@ Status DecodeInto(const CompressedSegment& seg, Vector* out) {
     return Status::InvalidArgument("DecodeInto type mismatch");
   }
   VWISE_CHECK(out->capacity() >= seg.count);
-  out->ResetEncoding();
   out->ClearHeapRefs();  // reuse the owned heap when nothing references it
   SegmentCursor cursor;
   VWISE_RETURN_IF_ERROR(cursor.Open(seg.codec, seg.type, seg.count,

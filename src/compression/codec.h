@@ -101,9 +101,9 @@ class SegmentCursor {
   Status Decode(size_t n, void* out);
   Status Skip(size_t n);
 
-  // PDICT only: the dictionary codes of the next `n` values (compressed
-  // execution adopts them instead of decoding strings), and the dictionary
-  // itself — StringVals into the segment, in storage order.
+  // PDICT only: the dictionary codes of the next `n` values (Decode looks
+  // them up in the dictionary), and the dictionary itself — StringVals into
+  // the segment, in storage order.
   Status DecodeCodes(size_t n, uint32_t* codes);
   const std::vector<StringVal>& dict() const { return dict_; }
 

@@ -72,36 +72,6 @@ Status ChunkValidator::Validate(const DataChunk& chunk,
          << " smaller than chunk count " << chunk.count();
       return Violation(context, os.str());
     }
-    if (col.repr() == VectorRepr::kDict) {
-      // Encoded contract: a dict vector is string-typed, carries its
-      // dictionary, and every active code indexes into it.
-      if (col.type() != TypeId::kStr) {
-        std::ostringstream os;
-        os << "column " << c << " is dict-encoded but has type "
-           << TypeIdToString(col.type()) << " (PDICT covers strings only)";
-        return Violation(context, os.str());
-      }
-      const StringDict* d = col.dict();
-      const uint32_t* codes = col.dict_codes();
-      if (d == nullptr || codes == nullptr) {
-        std::ostringstream os;
-        os << "dict column " << c << " lacks "
-           << (d == nullptr ? "a dictionary" : "a code array");
-        return Violation(context, os.str());
-      }
-      const sel_t* sel = chunk.sel();
-      size_t n = chunk.ActiveCount();
-      for (size_t i = 0; i < n; i++) {
-        uint32_t code = codes[sel ? sel[i] : i];
-        if (code >= d->size) {
-          std::ostringstream os;
-          os << "dict column " << c << " row " << i << " holds code " << code
-             << ", dictionary has " << d->size << " entries";
-          return Violation(context, os.str());
-        }
-      }
-      continue;  // the flat value array is not live while encoded
-    }
     if (col.type() == TypeId::kStr) {
       const StringVal* vals = col.Data<StringVal>();
       const sel_t* sel = chunk.sel();
@@ -145,13 +115,6 @@ Status ChunkValidator::ValidateReset(const DataChunk& chunk,
       std::ostringstream os;
       os << "chunk passed to Next() with stale heap refs on column " << c
          << " (Reset() clears keepalives between refills)";
-      return Violation(context, os.str());
-    }
-    if (chunk.column(c).IsEncoded()) {
-      std::ostringstream os;
-      os << "chunk passed to Next() with column " << c << " still "
-         << VectorReprToString(chunk.column(c).repr())
-         << "-encoded (Reset() restores the flat representation)";
       return Violation(context, os.str());
     }
   }

@@ -236,29 +236,9 @@ void HashAggOperator::UpdateLanes(const DataChunk& chunk, const sel_t* sel,
 // VWISE_HOT: the per-chunk aggregation core — hashed, resolved and updated
 // without leaving the OpenImpl-sized scratch (group creation is the annotated
 // warm-up tail of ResolveGroups).
-VWISE_HOT Status HashAggOperator::ProcessChunk(DataChunk& chunk) {
+VWISE_HOT Status HashAggOperator::ProcessChunk(const DataChunk& chunk) {
   size_t n = chunk.ActiveCount();
   const sel_t* sel = chunk.sel();
-  // Compressed execution: group keys and aggregate inputs are read
-  // value-at-a-time below, so encoded columns decode first.
-  for (size_t k = 0; k < group_cols_.size(); k++) {
-    Vector& key = chunk.column(group_cols_[k]);
-    if (key.IsEncoded()) {
-      // vwise-hotpath: allow(cold-call): per-chunk decode boundary
-      key.Normalize(chunk.count());
-    }
-  }
-  for (size_t a = 0; a < aggs_.size(); a++) {
-    const AggSpec& spec = aggs_[a];
-    if (spec.fn == AggSpec::Fn::kCount || spec.fn == AggSpec::Fn::kCountStar) {
-      continue;  // counting never reads the input values
-    }
-    Vector& agg_in = chunk.column(spec.col);
-    if (agg_in.IsEncoded()) {
-      // vwise-hotpath: allow(cold-call): per-chunk decode boundary
-      agg_in.Normalize(chunk.count());
-    }
-  }
   ResolveGroups(chunk, group_cols_, sel, n);
   UpdateLanes(chunk, sel, n, /*state_rows=*/false);
   return Status::OK();

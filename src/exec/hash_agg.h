@@ -75,9 +75,7 @@ class HashAggOperator final : public Operator {
  private:
   Status OpenImpl() override;
   Status ConsumeInput();
-  // Mutable chunk: encoded group-key and aggregate-input columns are
-  // normalized in place.
-  Status ProcessChunk(DataChunk& chunk);
+  Status ProcessChunk(const DataChunk& chunk);
   // Resolves rows sel[0..n) of `chunk` (group keys `key_cols`) into
   // group_idx_, creating the groups not seen yet.
   void ResolveGroups(const DataChunk& chunk, const std::vector<size_t>& key_cols,

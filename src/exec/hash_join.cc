@@ -85,9 +85,6 @@ Status HashJoinOperator::ConsumeBuildSide() {
     VWISE_RETURN_IF_ERROR(build_->Next(&chunk));
     size_t n = chunk.ActiveCount();
     if (n == 0) break;
-    // Key hashing, the column-store copies, and the spill writers all read
-    // values positionally; decode any encoded columns first.
-    chunk.NormalizeColumns();
     // View the chunk through the spill schema (keys then payload), the
     // layout of the resident stores and the partition files alike;
     // Reference shares the buffers.
@@ -180,7 +177,6 @@ Status HashJoinOperator::PartitionProbeSide() {
     VWISE_RETURN_IF_ERROR(probe_->Next(&input_));
     size_t n = input_.ActiveCount();
     if (n == 0) break;
-    input_.NormalizeColumns();
     VWISE_RETURN_IF_ERROR(
         spill_.Scatter(kProbeStream, input_, input_.sel(), n));
   }
@@ -392,9 +388,6 @@ Status HashJoinOperator::Next(DataChunk* out) {
       input_exhausted_ = true;
       continue;
     }
-    // Probe hashing, residual gathers, and pair emission read the probe
-    // columns positionally; decode any encoded columns first.
-    input_.NormalizeColumns();
     VWISE_RETURN_IF_ERROR(ProcessProbeChunk());
     if (spec_.type == JoinType::kLeftSemi || spec_.type == JoinType::kLeftAnti) {
       VWISE_RETURN_IF_ERROR(EmitSemiAnti(out));

@@ -20,9 +20,6 @@ void DeepCopyChunk(const DataChunk& src, DataChunk* dst) {
   const sel_t* sel = src.sel();
   for (size_t c = 0; c < src.num_columns(); c++) {
     const Vector& in = src.column(c);
-    // Callers normalize before copying: the value arrays below are live only
-    // for flat vectors.
-    VWISE_DCHECK(!in.IsEncoded());
     Vector& out = dst->column(c);
     DispatchType(in.type(), [&](auto tag) {
       using T = typename decltype(tag)::type;
@@ -48,20 +45,9 @@ size_t EstimateChunkBytes(const DataChunk& chunk) {
     const Vector& col = chunk.column(c);
     if (col.type() == TypeId::kStr) {
       bytes += n * sizeof(StringVal);
-      if (col.repr() == VectorRepr::kDict) {
-        // Estimate the decoded footprint through the dictionary — whoever
-        // buffers this chunk normalizes it first, and the flat value array
-        // is not live while the vector is encoded.
-        const uint32_t* codes = col.dict_codes();
-        const StringDict* d = col.dict();
-        for (size_t i = 0; i < n; i++) {
-          bytes += d->values[codes[sel ? sel[i] : i]].view().size();
-        }
-      } else {
-        const StringVal* s = col.Data<StringVal>();
-        for (size_t i = 0; i < n; i++) {
-          bytes += s[sel ? sel[i] : i].view().size();
-        }
+      const StringVal* s = col.Data<StringVal>();
+      for (size_t i = 0; i < n; i++) {
+        bytes += s[sel ? sel[i] : i].view().size();
       }
     } else {
       bytes += n * TypeWidth(col.type());

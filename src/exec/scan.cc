@@ -91,11 +91,6 @@ Status ScanOperator::OpenImpl() {
   stripes_read_ = 0;
   cols_.resize(columns_.size());
   insert_heap_ = std::make_shared<StringHeap>();
-  // Encoded adoption is only sound when every emitted row comes verbatim
-  // from a stable stripe: delta merging (updates/inserts) writes through the
-  // flat vectors, so any pending deltas force the flat decode path.
-  encoded_ok_ = config_.enable_encoded_exec && pdt_->empty();
-  repr_stats_ = ReprStats();
   return Status::OK();
 }
 
@@ -125,8 +120,8 @@ Status ScanOperator::AdvanceStripe(bool* done) {
     return Status::OK();
   }
   for (size_t i = 0; i < columns_.size(); i++) {
-    VWISE_RETURN_IF_ERROR(snap_.stable->OpenStripeColumn(
-        stripe, columns_[i], &cols_[i], encoded_ok_));
+    VWISE_RETURN_IF_ERROR(
+        snap_.stable->OpenStripeColumn(stripe, columns_[i], &cols_[i]));
   }
   stripes_read_++;
   uint64_t first = snap_.stable->stripe_first_row(stripe);
@@ -155,10 +150,6 @@ Status ScanOperator::Next(DataChunk* out) {
   if (insert_heap_.use_count() == 1) insert_heap_->Reset();
   size_t cap = out->capacity();
   size_t filled = 0;
-  // Stripe-local offset of the chunk's first stable row; anchors the
-  // dict-code views published after the merge loop. With
-  // encoded_ok_ the PDT is empty, so a chunk is one contiguous stable range.
-  size_t chunk_begin = SIZE_MAX;
   while (true) {
     if (!in_stripe_) {
       if (filled > 0) break;  // never mix stripes in one chunk
@@ -181,14 +172,9 @@ Status ScanOperator::Next(DataChunk* out) {
       switch (ev.kind) {
         case Pdt::MergeEvent::kStableRun: {
           size_t local = static_cast<size_t>(ev.sid - stripe_first_row_);
-          if (chunk_begin == SIZE_MAX) chunk_begin = local;
           for (size_t i = 0; i < columns_.size(); i++) {
-            // Encoded columns are published as views after the merge loop;
-            // flat ones decode straight into place.
-            if (cols_[i].repr == VectorRepr::kFlat) {
-              VWISE_RETURN_IF_ERROR(DecodeRows(&cols_[i], local, ev.count,
-                                               &out->column(i), filled));
-            }
+            VWISE_RETURN_IF_ERROR(DecodeRows(&cols_[i], local, ev.count,
+                                             &out->column(i), filled));
           }
           filled += ev.count;
           break;
@@ -220,20 +206,6 @@ Status ScanOperator::Next(DataChunk* out) {
     }
     if (filled >= cap) break;
     in_stripe_ = false;  // merge exhausted for this stripe
-  }
-  if (filled > 0) {
-    for (size_t i = 0; i < columns_.size(); i++) {
-      const StripeColumn& col = cols_[i];
-      if (!stripe_has_columns_ || col.repr == VectorRepr::kFlat) {
-        repr_stats_.flat_cols++;
-        continue;
-      }
-      VWISE_DCHECK(chunk_begin != SIZE_MAX);
-      VWISE_DCHECK(chunk_begin + filled <= col.count);
-      out->column(i).SetDict(col.dict_codes->As<uint32_t>() + chunk_begin,
-                             col.dict, col.dict_codes);
-      repr_stats_.dict_cols++;
-    }
   }
   out->SetCount(filled);
   return Status::OK();

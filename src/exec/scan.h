@@ -50,15 +50,6 @@ class ScanOperator final : public Operator {
   // Stripes actually decoded (tests: min-max skipping, coop scans).
   size_t stripes_read() const { return stripes_read_; }
 
-  // Columns published per representation across all emitted chunks
-  // (compressed-execution observability; EXPLAIN ANALYZE renders these as
-  // `repr=dict:N/rle:0/flat:N`).
-  struct ReprStats {
-    uint64_t dict_cols = 0;
-    uint64_t flat_cols = 0;
-  };
-  const ReprStats& repr_stats() const { return repr_stats_; }
-
   // Static-analysis surface (plan verifier).
   const TableSnapshot& snapshot() const { return snap_; }
   const std::vector<uint32_t>& columns() const { return columns_; }
@@ -90,12 +81,6 @@ class ScanOperator final : public Operator {
   const Pdt* pdt_ = nullptr;  // snapshot deltas or the shared empty PDT
   std::shared_ptr<StringHeap> insert_heap_;  // bytes of delta-row strings
   size_t stripes_read_ = 0;
-  // Compressed execution: true when this scan may adopt PDICT segments as
-  // dictionary codes without decoding — the knob is on and the snapshot
-  // carries no deltas (delta merging writes through flat buffers). Every
-  // other codec decodes flat.
-  bool encoded_ok_ = false;
-  ReprStats repr_stats_;
 };
 
 }  // namespace vwise

@@ -26,10 +26,6 @@ Status SelectOperator::Next(DataChunk* out) {
       out->SetCount(0);
       return Status::OK();
     }
-    // Run the filter first, then reference the child's columns: a filter
-    // without an encoded kernel normalizes its input column in place, and
-    // referencing afterwards hands the (possibly decoded) final form
-    // downstream instead of a stale encoded view that would decode twice.
     size_t k = 0;
     VWISE_RETURN_IF_ERROR(
         filter_->Select(input_, input_.sel(), n, out->MutableSel(), &k));

@@ -88,9 +88,6 @@ Status SortOperator::ConsumeAndSort() {
     VWISE_RETURN_IF_ERROR(child_->Next(&chunk));
     size_t n = chunk.ActiveCount();
     if (n == 0) break;
-    // The row comparator and the column-store copies below read values
-    // positionally; decode any encoded columns first.
-    chunk.NormalizeColumns();
     // The chunk's share of the budget covers both the copied rows and their
     // slots in the sort index.
     size_t grow = EstimateChunkBytes(chunk) + n * sizeof(uint32_t);
@@ -355,8 +352,7 @@ Status LimitOperator::Next(DataChunk* out) {
       for (size_t i = 0; i < take; i++) sel[i] = static_cast<sel_t>(skip + i);
       out->SetSelection(take);
     } else {
-      // Dense prefix: simply shrink the count (dict views are per-row and
-      // survive the shrink).
+      // Dense prefix: simply shrink the count.
       out->SetCount(take);
     }
     emitted_ += take;

@@ -86,9 +86,6 @@ void XchgOperator::ProducerLoop(int worker) {
       chunk.Reset();
       status = op->Next(&chunk);
       if (!status.ok() || chunk.ActiveCount() == 0) break;
-      // Decode before crossing the thread boundary: the consumer must not
-      // chase dict views into fragment-owned storage buffers.
-      chunk.NormalizeColumns();
       // Deep copy: the producer's chunk aliases fragment-internal buffers
       // that are invalid once the fragment advances or closes.
       DataChunk owned;

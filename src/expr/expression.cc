@@ -9,7 +9,6 @@
 #include "expr/primitive_profiler.h"
 #include "expr/primitive_registry.h"
 #include "expr/primitives.h"
-#include "vector/representation.h"
 
 namespace vwise {
 
@@ -42,17 +41,6 @@ Status ColRefExpr::Eval(DataChunk& in, const sel_t* sel, size_t n,
   Vector& col = in.column(index_);
   if (col.type() != physical()) {
     return Status::Internal("column reference type mismatch");
-  }
-  // Decode-on-demand boundary (DESIGN.md §12): a consumer reaching a column
-  // through a plain reference expects flat data. Encoding-aware consumers
-  // (CmpFilter's dict fast path) inspect the representation *before*
-  // Eval, so an encoded vector that survives to this point has no encoded
-  // kernel and is normalized in place — the chunk's other readers then see
-  // the flat form too.
-  if (col.IsEncoded()) {
-    // vwise-hotpath: allow(cold-call): decode runs once per chunk, only when
-    // no encoded kernel claimed the column — never per tuple
-    col.Normalize(in.count());
   }
   *out = &col;
   return Status::OK();
@@ -465,56 +453,13 @@ Status CmpFilter::Prepare(size_t capacity) {
   }
   const char* op_token = kCmpOpTokens[static_cast<int>(op)];
   val_ = r_->IsConstant() ? ValOperand(*r_) : nullptr;
-  dict_twin_ = nullptr;
-  VWISE_RETURN_IF_ERROR(BindPrimitive("sel", op_token, l_->physical(), "col",
-                                      r_->physical(), val_ ? "val" : "col",
-                                      &bound_));
-  // Compressed execution: a direct column reference compared with a
-  // constant also binds the dict twin the flat entry's caps grant — the
-  // ColRefExpr Eval would otherwise normalize the vector (the
-  // decode-on-demand boundary).
-  colref_ = val_ ? dynamic_cast<const ColRefExpr*>(l_) : nullptr;
-  if (colref_ != nullptr && (bound_->caps & kReprDict) != 0) {
-    VWISE_RETURN_IF_ERROR(BindPrimitive("sel", op_token, l_->physical(),
-                                        "dict", r_->physical(), "val",
-                                        &dict_twin_));
-  }
-  cached_dict_.reset();
-  return Status::OK();
+  return BindPrimitive("sel", op_token, l_->physical(), "col", r_->physical(),
+                       val_ ? "val" : "col", &bound_);
 }
 
 Status CmpFilter::Select(DataChunk& in, const sel_t* sel, size_t n,
                          sel_t* out_sel, size_t* out_n) {
   const void* b = val_;
-  if (dict_twin_ != nullptr && colref_->index() < in.num_columns()) {
-    const Vector& col = in.column(colref_->index());
-    if (col.repr() == VectorRepr::kDict && col.type() == l_->physical()) {
-      // sel_<eq|ne>_str_dict_str_val: integer compare over the code array —
-      // no string bytes touched on the hot path.
-      const StringDict* d = col.dict();
-      if (d != cached_dict_.get()) {
-        // vwise-hotpath: allow(cold-call): constant→code translation runs
-        // once per dictionary (i.e. per storage segment), not per chunk or
-        // tuple. Holding the shared_ptr pins the dictionary: without it a
-        // freed dictionary's address can be recycled by the next stripe's
-        // dictionary and the identity check would keep a stale code.
-        cached_dict_ = col.dict_ref();
-        cached_code_ = kDictCodeNotFound;
-        std::string_view needle =
-            static_cast<const ConstExpr*>(r_)->value().AsString();
-        for (uint32_t c = 0; c < d->size; c++) {
-          if (d->values[c].view() == needle) {
-            cached_code_ = c;
-            break;
-          }
-        }
-      }
-      PrimProfileScope prof(dict_twin_->id, n);
-      *out_n = dict_twin_->select(col.dict_codes(), &cached_code_, sel, n,
-                                  out_sel);
-      return Status::OK();
-    }
-  }
   Vector* lv = nullptr;
   VWISE_RETURN_IF_ERROR(l_->Eval(in, sel, n, &lv));
   if (b == nullptr) {

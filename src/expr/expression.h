@@ -215,18 +215,7 @@ class CmpFilter final : public Filter {
   Expr* l_ = nullptr;
   Expr* r_ = nullptr;
   const void* val_ = nullptr;  // r_'s value when r_ is a constant
-  // Bound primitives: the flat entry, and (compressed execution) the dict
-  // twin its caps grant when l_ is a direct column reference compared with a
-  // constant. Select compares PDICT codes without normalizing when the
-  // column arrives dict-encoded. The constant is translated to a code once
-  // per dictionary and cached here; the cache holds the dictionary itself
-  // (not a raw pointer) so the identity check cannot alias a recycled
-  // allocation.
   const PrimitiveEntry* bound_ = nullptr;
-  const PrimitiveEntry* dict_twin_ = nullptr;
-  const ColRefExpr* colref_ = nullptr;
-  std::shared_ptr<const StringDict> cached_dict_;
-  uint32_t cached_code_ = 0;
 };
 
 // Conjunction: filters applied in order, each narrowing the selection.

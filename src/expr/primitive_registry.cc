@@ -1,9 +1,6 @@
 #include "expr/primitive_registry.h"
 
-#include <type_traits>
-
 #include "expr/primitives.h"
-#include "vector/representation.h"
 
 namespace vwise {
 
@@ -51,35 +48,20 @@ size_t SelColCol(const void* a, const void* b, const sel_t* sel, size_t n,
                                       out_sel);
 }
 
-// Encoded twins. The dict select's column operand is the uint32 code array
-// (T is pinned to uint32_t by the catalog).
-template <typename T, typename OP>
-size_t EncSelDictVal(const void* a, const void* b, const sel_t* sel, size_t n,
-                     sel_t* out_sel) {
-  static_assert(std::is_same_v<T, uint32_t>, "dict codes are uint32");
-  return prim::SelectDictVal<OP>(static_cast<const uint32_t*>(a),
-                                 *static_cast<const uint32_t*>(b), sel, n,
-                                 out_sel);
-}
-
 // The catalog is a flat, explicit list — one line per primitive — so the
 // lint pass (tools/vwise_lint.py) can statically cross-check every entry
 // against the kernels and functors in expr/primitives.h. Expanded here once,
 // in PrimitiveId order.
 constexpr PrimitiveEntry kCatalog[] = {
-#define VWISE_MAP_PRIMITIVE(name, ctype, adapter, functor, caps)          \
-  {kPrim_##name, #name, PrimitiveKind::kMap, static_cast<uint8_t>(caps), \
+#define VWISE_MAP_PRIMITIVE(name, ctype, adapter, functor) \
+  {kPrim_##name, #name, PrimitiveKind::kMap,              \
    &adapter<ctype, prim::functor>, nullptr},
-#define VWISE_SEL_PRIMITIVE(name, ctype, adapter, functor, caps)          \
-  {kPrim_##name, #name, PrimitiveKind::kSel, static_cast<uint8_t>(caps), \
-   nullptr, &adapter<ctype, prim::functor>},
-#define VWISE_ENC_PRIMITIVE(name, ctype, adapter, functor, repr)          \
-  {kPrim_##name, #name, PrimitiveKind::kEnc, static_cast<uint8_t>(repr), \
-   nullptr, &adapter<ctype, prim::functor>},
+#define VWISE_SEL_PRIMITIVE(name, ctype, adapter, functor) \
+  {kPrim_##name, #name, PrimitiveKind::kSel, nullptr,     \
+   &adapter<ctype, prim::functor>},
 #include "expr/primitive_catalog.inc"
 #undef VWISE_MAP_PRIMITIVE
 #undef VWISE_SEL_PRIMITIVE
-#undef VWISE_ENC_PRIMITIVE
 };
 static_assert(sizeof(kCatalog) / sizeof(kCatalog[0]) == kNumPrimitives,
               "catalog table out of sync with the PrimitiveId enum");

@@ -21,44 +21,33 @@ namespace vwise {
 // Signatures are type-erased: operands are raw column pointers (or a
 // pointer to a single value for `val` kinds), results are written at the
 // active positions, following the engine-wide selection-vector discipline.
-//
-// Compressed execution adds *encoded twins* (sel_<cmp>_str_dict_str_val)
-// whose column operand arrives as PDICT codes; the catalog's caps column
-// records which representations each logical primitive accepts.
 
 // One enumerator per catalog entry, in catalog order; indexes the registry
 // table and the profiler's counters.
 enum PrimitiveId : uint16_t {
-#define VWISE_MAP_PRIMITIVE(name, ctype, adapter, functor, caps) kPrim_##name,
-#define VWISE_SEL_PRIMITIVE(name, ctype, adapter, functor, caps) kPrim_##name,
-#define VWISE_ENC_PRIMITIVE(name, ctype, adapter, functor, repr) kPrim_##name,
+#define VWISE_MAP_PRIMITIVE(name, ctype, adapter, functor) kPrim_##name,
+#define VWISE_SEL_PRIMITIVE(name, ctype, adapter, functor) kPrim_##name,
 #include "expr/primitive_catalog.inc"
 #undef VWISE_MAP_PRIMITIVE
 #undef VWISE_SEL_PRIMITIVE
-#undef VWISE_ENC_PRIMITIVE
   kNumPrimitives,
 };
 
 // out[p] = op(a[p], b[p])  /  op(a[p], *b)  /  op(*a, b[p])
 using MapBinaryFn = void (*)(const void* a, const void* b, void* out,
                              const sel_t* sel, size_t n);
-// Writes qualifying positions to out_sel, returns how many. Dict twins take
-// the uint32 code array as `a` and a pointer to the translated code as `b`.
+// Writes qualifying positions to out_sel, returns how many.
 using SelectFn = size_t (*)(const void* a, const void* b, const sel_t* sel,
                             size_t n, sel_t* out_sel);
 
-enum class PrimitiveKind : uint8_t { kMap, kSel, kEnc };
+enum class PrimitiveKind : uint8_t { kMap, kSel };
 
 struct PrimitiveEntry {
   PrimitiveId id;
   const char* name;
   PrimitiveKind kind;
-  // Representation-capability mask (kRepr* bits, vector/representation.h):
-  // the representations of the column operand the flat entry accepts, or an
-  // encoded twin's own representation.
-  uint8_t caps;
   MapBinaryFn map;  // kMap entries
-  SelectFn select;  // kSel and kEnc entries
+  SelectFn select;  // kSel entries
 };
 
 class PrimitiveRegistry {

@@ -111,21 +111,6 @@ inline size_t SelectColCol(const A* a, const B* b, const sel_t* sel, size_t n,
   return k;
 }
 
-// ---- Encoded-representation selects (compressed execution) -----------------
-// These run on a vector's *encoded* form — PDICT codes — so a string
-// predicate costs one integer compare per tuple with no string-heap traffic
-// at all. See DESIGN.md "Compressed execution".
-
-// sel_<cmp>_str_dict_str_val: the string constant has been translated to its
-// dictionary code once per vector (kDictCodeNotFound when absent — matching
-// no code, which is exactly right for both eq and ne); rows then qualify by
-// integer compare against the per-row codes.
-template <typename OP>
-inline size_t SelectDictVal(const uint32_t* codes, uint32_t code,
-                            const sel_t* sel, size_t n, sel_t* out_sel) {
-  return SelectColVal<uint32_t, uint32_t, OP>(codes, code, sel, n, out_sel);
-}
-
 // ---- Gather / scatter ------------------------------------------------------
 
 template <typename T>

@@ -198,7 +198,7 @@ class PlanBuilder {
     }
     OperatorPtr root = InterposeChild(std::move(op_), config_, "plan.root");
     if (config_.verify_plans) {
-      PlanVerifier verifier(config_);
+      PlanVerifier verifier;
       PlanProperties props;
       VWISE_RETURN_IF_ERROR(verifier.Verify(*root, &props));
       if (props.types.size() != types_.size()) {

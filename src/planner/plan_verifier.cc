@@ -363,7 +363,6 @@ size_t WalkNode(const Operator& op, size_t depth, const ProfiledOperator* prof,
   }
   std::string line;
   std::string spill_note;  // EXPLAIN ANALYZE-only spill telemetry
-  std::string repr_note;   // EXPLAIN ANALYZE-only representation telemetry
   const Operator* child0 = nullptr;
   const Operator* child1 = nullptr;
   if (auto* s = dynamic_cast<const ScanOperator*>(&op)) {
@@ -382,14 +381,6 @@ size_t WalkNode(const Operator& op, size_t depth, const ProfiledOperator* prof,
       line += ", ";
       line += std::to_string(s->options().stripe_end);
       line += ")";
-    }
-    const ScanOperator::ReprStats& rs = s->repr_stats();
-    if (rs.dict_cols + rs.flat_cols > 0) {
-      // Three fields, `rle` always 0 (RLE segments decode flat at the scan):
-      // perfbench's AccumulateProfile reads the note with a three-field
-      // sscanf and profiler_test matches the same shape.
-      repr_note = " repr=dict:" + std::to_string(rs.dict_cols) +
-                  "/rle:0/flat:" + std::to_string(rs.flat_cols);
     }
   } else if (auto* sel = dynamic_cast<const SelectOperator*>(&op)) {
     line += "Select ";
@@ -513,7 +504,6 @@ size_t WalkNode(const Operator& op, size_t depth, const ProfiledOperator* prof,
   e.op = std::move(line);
   e.depth = depth;
   e.spill = std::move(spill_note);
-  e.repr = std::move(repr_note);
   if (prof != nullptr) {
     const OperatorStats& st = prof->stats();
     e.profiled = true;
@@ -571,7 +561,6 @@ std::string ExplainAnalyzePlan(const Operator& root) {
       out += ann;
     }
     out += n.spill;
-    out += n.repr;
     out += "\n";
   }
   return out;
@@ -907,46 +896,6 @@ Status VerifyNullRewritePair(const Expr& value, const Expr& indicator,
 }
 
 // ---------------------------------------------------------------------------
-// Representation propagation (compressed execution)
-// ---------------------------------------------------------------------------
-
-Status VerifyReprPropagation(const std::vector<TypeId>& types,
-                             const std::vector<uint8_t>& reprs) {
-  if (types.size() != reprs.size()) {
-    std::string msg = "representation mask count ";
-    msg += std::to_string(reprs.size());
-    msg += " does not match column count ";
-    msg += std::to_string(types.size());
-    return NodeErr("repr", std::move(msg));
-  }
-  constexpr uint8_t kKnown = kReprFlat | kReprDict;
-  for (size_t c = 0; c < types.size(); c++) {
-    const uint8_t m = reprs[c];
-    if ((m & ~kKnown) != 0) {
-      std::string msg = ColName(c);
-      msg += " carries unknown representation bits in mask ";
-      msg += std::to_string(m);
-      return NodeErr("repr", std::move(msg));
-    }
-    if ((m & kReprFlat) == 0) {
-      std::string msg = ColName(c);
-      msg += " mask ";
-      msg += ReprMaskToString(m);
-      msg += " excludes flat; Normalize() must always be a legal landing";
-      return NodeErr("repr", std::move(msg));
-    }
-    if ((m & kReprDict) != 0 && types[c] != TypeId::kStr) {
-      std::string msg = ColName(c);
-      msg += ":";
-      msg += TypeIdToString(types[c]);
-      msg += " claims a dict representation (PDICT covers strings only)";
-      return NodeErr("repr", std::move(msg));
-    }
-  }
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
 // Plan verification
 // ---------------------------------------------------------------------------
 
@@ -1018,31 +967,7 @@ Status PlanVerifier::VerifyScan(const ScanOperator& op,
   }
   out->ordering.clear();
   out->partitions = 1;
-  // Representation masks: which encodings this scan may hand through. The
-  // scan adopts PDICT codes only when the knob is on and the snapshot
-  // carries no deltas (scan.cc mirrors this as encoded_ok_ — delta merging
-  // writes through flat buffers); the per-column possibilities come from the
-  // stored segment codecs across the scanned stripes.
-  out->reprs.assign(out->types.size(), kReprFlat);
-  const bool deltas_empty =
-      op.snapshot().deltas == nullptr || op.snapshot().deltas->empty();
-  if (config_.enable_encoded_exec && deltas_empty &&
-      op.snapshot().stable != nullptr) {
-    const TableFile& tf = *op.snapshot().stable;
-    const size_t stripe_lo = opts.stripe_begin;
-    const size_t stripe_hi = std::min(opts.stripe_end, tf.stripe_count());
-    for (size_t i = 0; i < op.columns().size(); i++) {
-      const uint32_t col = op.columns()[i];
-      for (size_t s = stripe_lo; s < stripe_hi; s++) {
-        if (col >= tf.stripe(s).segments.size()) continue;
-        const Codec codec = tf.stripe(s).segments[col].codec;
-        if (codec == Codec::kPdict && out->types[i] == TypeId::kStr) {
-          out->reprs[i] |= kReprDict;
-        }
-      }
-    }
-  }
-  return VerifyReprPropagation(out->types, out->reprs);
+  return Status::OK();
 }
 
 Status PlanVerifier::VerifyXchg(const XchgOperator& op,
@@ -1149,9 +1074,6 @@ Status PlanVerifier::VerifyXchg(const XchgOperator& op,
   out->types = declared;
   out->ordering.clear();  // nondeterministic interleave of worker streams
   out->partitions = n;
-  // Producers normalize before the cross-thread deep copy (the consumer
-  // must not chase dict views into fragment-owned storage buffers).
-  out->reprs.assign(out->types.size(), kReprFlat);
   return Status::OK();
 }
 
@@ -1175,10 +1097,7 @@ Status PlanVerifier::VerifyNode(const Operator& op, PlanProperties* out) const {
     // without an indicator guard would let NULL rows qualify.
     VWISE_RETURN_IF_ERROR(
         VerifyFilterTree(sel->filter(), out->types, &out->nullable));
-    // Types/nullability/ordering/partitions unchanged — and so are the
-    // representation masks: encoded filter kernels keep the encoding
-    // (selection only narrows), and a filter without one normalizes in
-    // place, which shrinks what downstream may see but never widens it.
+    // Types/nullability/ordering/partitions unchanged.
     return Status::OK();
   }
 
@@ -1211,9 +1130,6 @@ Status PlanVerifier::VerifyNode(const Operator& op, PlanProperties* out) const {
       out->types.push_back(t);
       out->nullable.push_back(AnyNullable(ex, in.nullable));
     }
-    // Expression evaluation normalizes encoded inputs (ColRefExpr::Eval is
-    // the decode-on-demand boundary), so projected columns are flat.
-    out->reprs.assign(out->types.size(), kReprFlat);
     // Ordering survives only through pass-through columns (remapped).
     out->ordering.clear();
     for (const SortKey& k : in.ordering) {
@@ -1320,9 +1236,6 @@ Status PlanVerifier::VerifyNode(const Operator& op, PlanProperties* out) const {
     out->nullable.assign(out->types.size(), false);
     out->ordering.clear();  // hash table iteration order
     out->partitions = 1;    // blocking operator re-serializes
-    // Aggregation materializes fresh output vectors (inputs normalize at the
-    // ProcessChunk boundary).
-    out->reprs.assign(out->types.size(), kReprFlat);
     return Status::OK();
   }
 
@@ -1409,8 +1322,6 @@ Status PlanVerifier::VerifyNode(const Operator& op, PlanProperties* out) const {
     out->nullable = std::move(expected_null);
     out->ordering = probe.ordering;  // pairs are emitted in probe order
     out->partitions = probe.partitions;
-    // Both sides normalize before build/probe positional copies.
-    out->reprs.assign(out->types.size(), kReprFlat);
     return Status::OK();
   }
 
@@ -1434,8 +1345,6 @@ Status PlanVerifier::VerifyNode(const Operator& op, PlanProperties* out) const {
     }
     out->ordering = so->keys();
     out->partitions = 1;  // full materialization re-serializes
-    // Sort normalizes every consumed chunk before row-wise materialization.
-    out->reprs.assign(out->types.size(), kReprFlat);
     return Status::OK();
   }
 
@@ -1448,7 +1357,6 @@ Status PlanVerifier::VerifyNode(const Operator& op, PlanProperties* out) const {
   out->nullable.assign(out->types.size(), false);
   out->ordering.clear();
   out->partitions = 1;
-  out->reprs.assign(out->types.size(), kReprFlat);
   return Status::OK();
 }
 

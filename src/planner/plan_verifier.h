@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/config.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "exec/operator.h"
@@ -35,11 +34,6 @@ namespace vwise {
 //   * partitioning — how many interleaved producer streams feed the
 //     operator (1 below an Xchg, num_workers above it until a blocking
 //     operator re-serializes).
-//   * representation — per column, the set of physical representations
-//     (VectorRepr masks) chunks on this edge may carry under compressed
-//     execution. Scans derive the set from the stored segment codecs;
-//     Select and Limit pass encoded columns through; every other operator
-//     normalizes at its input boundary, so its output resets to flat.
 //
 // The verifier sees through CheckedOperator/ProfiledOperator wrappers, and
 // descends into
@@ -57,16 +51,10 @@ struct PlanProperties {
   std::vector<SortKey> ordering;
   // Number of interleaved producer partitions feeding downstream.
   int partitions = 1;
-  // Per column: bitmask of representations (kReprFlat | kReprDict) chunks
-  // on this edge may carry. Always includes kReprFlat; empty means
-  // the node predates representation tracking (treated as all-flat).
-  std::vector<uint8_t> reprs;
 };
 
 class PlanVerifier {
  public:
-  explicit PlanVerifier(const Config& config) : config_(config) {}
-
   // Verifies the plan tree rooted at `root`. On success, fills *props (when
   // non-null) with the root's inferred stream properties. On failure the
   // Status message carries the offending node's diagnosis plus an
@@ -77,8 +65,6 @@ class PlanVerifier {
   Status VerifyNode(const Operator& op, PlanProperties* out) const;
   Status VerifyScan(const class ScanOperator& op, PlanProperties* out) const;
   Status VerifyXchg(const class XchgOperator& op, PlanProperties* out) const;
-
-  Config config_;
 };
 
 // ---------------------------------------------------------------------------
@@ -97,14 +83,6 @@ Result<TypeId> InferExprType(const Expr& e, const std::vector<TypeId>& input,
 // check itself).
 Status VerifyFilterTree(const Filter& f, const std::vector<TypeId>& input,
                         const std::vector<bool>* nullable = nullptr);
-
-// Checks a column layout's representation masks (PlanProperties::reprs) for
-// internal consistency: one mask per column, every mask includes kReprFlat
-// (Normalize() is always a legal landing), no bit outside kReprFlat |
-// kReprDict, and kReprDict only on string columns (PDICT covers strings).
-// Used by the verifier after deriving scan masks and exposed for tests.
-Status VerifyReprPropagation(const std::vector<TypeId>& types,
-                             const std::vector<uint8_t>& reprs);
 
 // ---------------------------------------------------------------------------
 // Rewriter-rule postconditions
@@ -159,10 +137,7 @@ struct PlanNodeProfile {
   // only — plain ExplainPlan stays byte-identical whether or not the plan
   // has run.
   std::string spill;
-  // Compressed-execution telemetry (" repr=dict:N/rle:0/flat:N"), filled for
-  // scans that have emitted chunks: how many column instances were published
-  // per representation (`rle` is always 0: RLE decodes flat at the scan).
-  // Rendered by ExplainAnalyzePlan only.
+  // Inert (empty): perfbench/ reads it; the next benchmark change deletes it.
   std::string repr;
 };
 

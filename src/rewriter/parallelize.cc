@@ -43,7 +43,7 @@ Result<OperatorPtr> ParallelizeScanAgg(ParallelAggSpec spec,
     // No rewrite: plain serial pipeline.
     VWISE_ASSIGN_OR_RETURN(OperatorPtr serial, BuildSerial(shared, cfg));
     if (cfg.verify_plans) {
-      Status st = PlanVerifier(cfg).Verify(*serial);
+      Status st = PlanVerifier().Verify(*serial);
       if (!st.ok()) return WrapRuleError("serial", st);
     }
     return serial;
@@ -71,7 +71,7 @@ Result<OperatorPtr> ParallelizeScanAgg(ParallelAggSpec spec,
     // form — which descends into every worker fragment and cross-checks the
     // stripe partitioning for overlap/coverage — and require both to agree
     // on the output layout.
-    PlanVerifier verifier(cfg);
+    PlanVerifier verifier;
     VWISE_ASSIGN_OR_RETURN(OperatorPtr serial, BuildSerial(shared, cfg));
     PlanProperties before;
     PlanProperties after;

@@ -69,10 +69,6 @@ Status TableWriter::EnsureOpen() {
 
 Status TableWriter::Append(const DataChunk& chunk) {
   VWISE_CHECK_MSG(!chunk.has_selection(), "TableWriter needs dense chunks");
-  for (size_t c = 0; c < chunk.num_columns(); c++) {
-    VWISE_CHECK_MSG(!chunk.column(c).IsEncoded(),
-                    "TableWriter needs flat chunks: NormalizeColumns first");
-  }
   if (chunk.num_columns() != schema_.num_columns()) {
     return Status::InvalidArgument("chunk arity mismatch");
   }
@@ -371,7 +367,7 @@ TableFile::~TableFile() {
 }
 
 Status TableFile::OpenStripeColumn(size_t stripe, uint32_t col,
-                                   StripeColumn* out, bool allow_encoded) {
+                                   StripeColumn* out) {
   if (stripe >= stripes_.size() || col >= schema_.num_columns()) {
     return Status::InvalidArgument("stripe/column out of range");
   }
@@ -382,8 +378,6 @@ Status TableFile::OpenStripeColumn(size_t stripe, uint32_t col,
   // blob like any other unpinned one.
   out->blob.reset();
   out->heap.reset();
-  out->dict.reset();
-  out->repr = VectorRepr::kFlat;
   VWISE_ASSIGN_OR_RETURN(
       out->blob, buffers_->Fetch(file_.get(), si.group_offset[g],
                                  si.group_size[g], &si.group_crc[g]));
@@ -395,28 +389,8 @@ Status TableFile::OpenStripeColumn(size_t stripe, uint32_t col,
   out->type = t;
   out->count = seg.count;
   if (t == TypeId::kStr) out->heap = std::make_shared<StringHeap>(out->blob);
-  VWISE_RETURN_IF_ERROR(out->cursor.Open(seg.codec, t, seg.count,
-                                         out->blob->data() + seg.offset_in_blob,
-                                         seg.size));
-  if (!allow_encoded || seg.codec != Codec::kPdict) return Status::OK();
-
-  out->repr = VectorRepr::kDict;
-  size_t code_bytes = static_cast<size_t>(seg.count) * sizeof(uint32_t);
-  if (out->dict_codes == nullptr || out->dict_codes.use_count() > 1 ||
-      out->dict_codes->capacity() < code_bytes) {
-    out->dict_codes = Buffer::Allocate(code_bytes);
-  }
-  VWISE_RETURN_IF_ERROR(
-      out->cursor.DecodeCodes(seg.count, out->dict_codes->As<uint32_t>()));
-  auto dict_vals =
-      std::make_shared<std::vector<StringVal>>(out->cursor.dict());
-  auto dict = std::make_shared<StringDict>();
-  dict->values = dict_vals->data();
-  dict->size = static_cast<uint32_t>(dict_vals->size());
-  dict->heap = out->heap;
-  dict->keepalive = std::move(dict_vals);
-  out->dict = std::move(dict);
-  return Status::OK();
+  return out->cursor.Open(seg.codec, t, seg.count,
+                          out->blob->data() + seg.offset_in_blob, seg.size);
 }
 
 bool TableFile::StripeOverlapsRange(size_t stripe, uint32_t col, int64_t lo,

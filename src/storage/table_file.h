@@ -89,22 +89,12 @@ class TableWriter {
 // reader. Strings decode to StringVals that point into the blob, and `heap`
 // — a StringHeap that holds the same pin — is the heap ref string vectors
 // register for them.
-//
-// Under compressed execution (OpenStripeColumn with allow_encoded) a PDICT
-// column is adopted instead: `repr` is kDict, the stripe's codes are decoded
-// once into `dict_codes`, and the scan publishes chunk-local views of them
-// (DESIGN.md §12).
 struct StripeColumn {
   TypeId type = TypeId::kI64;
   size_t count = 0;
   std::shared_ptr<Buffer> blob;
   std::shared_ptr<StringHeap> heap;  // string columns only
   compression::SegmentCursor cursor;
-
-  VectorRepr repr = VectorRepr::kFlat;
-  // kDict: per-row codes plus the shared dictionary (values in the blob).
-  std::shared_ptr<Buffer> dict_codes;  // uint32_t per row
-  std::shared_ptr<const StringDict> dict;
 };
 
 // Read-side view of one table version file.
@@ -134,12 +124,9 @@ class TableFile {
 
   // Opens column `col` of stripe `stripe` for decoding (fetching its group
   // blob through the buffer manager; the segment header is validated here).
-  // With `allow_encoded`, a PDICT segment is adopted as dictionary codes
-  // (no per-row strings) instead; every other codec, RLE included, decodes
-  // flat through out->cursor. `out` is reused across stripes: its code
-  // buffer is refilled in place when nothing else still holds it.
-  Status OpenStripeColumn(size_t stripe, uint32_t col, StripeColumn* out,
-                          bool allow_encoded = false);
+  // Every codec decodes flat through out->cursor. `out` is reused across
+  // stripes.
+  Status OpenStripeColumn(size_t stripe, uint32_t col, StripeColumn* out);
 
   // True if the stripe might contain values of `col` within [lo, hi]
   // (integer-family columns only; returns true when unknown).

@@ -21,9 +21,8 @@ namespace {
 constexpr uint32_t kCatalogMagic = 0x56574354;  // "VWCT"
 
 // Streams the visible rows of `snap` into `writer` through the scan's
-// vectorized positional merge of stable image and deltas. The deltas must be
-// non-empty: that keeps the scan off its encoded path, so every chunk is the
-// flat, dense kind TableWriter::Append takes.
+// vectorized positional merge of stable image and deltas. The scan emits
+// dense chunks, the kind TableWriter::Append takes.
 Status WriteSnapshot(const TableSnapshot& snap, const Config& config,
                      TableWriter* writer) {
   std::vector<uint32_t> columns(snap.schema->num_columns());

@@ -24,7 +24,6 @@ void CompactColumn(Vector* col, const sel_t* sel, size_t n, size_t capacity) {
 }  // namespace
 
 void DataChunk::Flatten() {
-  NormalizeColumns();
   if (!has_sel_) return;
   const sel_t* s = sel();
   for (Vector& col : columns_) {
@@ -41,13 +40,6 @@ Value DataChunk::GetValue(size_t col, size_t row, const DataType* type) const {
   VWISE_CHECK(col < columns_.size() && row < ActiveCount());
   size_t pos = has_sel_ ? sel()[row] : row;
   const Vector& v = columns_[col];
-  // Encoded views are readable without mutating the (const) chunk.
-  if (v.repr() == VectorRepr::kDict) {
-    const StringDict* d = v.dict();
-    uint32_t code = v.dict_codes()[pos];
-    VWISE_CHECK(d != nullptr && code < d->size);
-    return Value::String(d->values[code].ToString());
-  }
   switch (v.type()) {
     case TypeId::kU8:
       return Value::Int(v.Data<uint8_t>()[pos]);

@@ -70,23 +70,11 @@ class DataChunk {
     count_ = 0;
     has_sel_ = false;
     sel_count_ = 0;
-    for (Vector& col : columns_) {
-      col.ClearHeapRefs();
-      col.ResetEncoding();
-    }
-  }
-
-  // Decode-on-demand boundary for whole chunks: materializes every encoded
-  // column into its flat buffer (see Vector::Normalize). Operators without
-  // encoded paths call this once per input chunk before touching Data<T>().
-  void NormalizeColumns() {
-    for (Vector& col : columns_) {
-      if (col.IsEncoded()) col.Normalize(count_);
-    }
+    for (Vector& col : columns_) col.ClearHeapRefs();
   }
 
   // Compacts all columns so active rows occupy positions [0, ActiveCount())
-  // and drops the selection. Normalizes encoded columns first.
+  // and drops the selection.
   void Flatten();
 
   // Value of active row `row` in column `col` (slow; API/test use only).

@@ -7,7 +7,6 @@
 
 #include "common/buffer.h"
 #include "common/macros.h"
-#include "vector/representation.h"
 #include "vector/string_heap.h"
 #include "vector/types.h"
 
@@ -21,15 +20,6 @@ namespace vwise {
 // Vectors do not track their own length or selection: length and the
 // optional selection vector live on the enclosing DataChunk, because all
 // columns of a chunk are position-aligned (X100 semantics).
-//
-// A vector additionally carries a physical representation (VectorRepr).
-// kFlat is the classic layout above. Under compressed execution the scan
-// may instead publish a kDict view (per-row codes + shared dictionary) of a
-// string column; the flat buffer stays allocated but unfilled until
-// Normalize(n) decodes into it on demand. Consumers either
-// declare a capability for the representation (catalog caps column) or call
-// Normalize() — reading Data<T>() of a non-flat vector is a bug, and the
-// contract checker rejects it.
 class Vector {
  public:
   Vector() = default;
@@ -46,7 +36,6 @@ class Vector {
     buffer_ = Buffer::Allocate(capacity * TypeWidth(type));
     keepalive_.reset();
     heaps_.clear();
-    ResetEncoding();
   }
 
   TypeId type() const { return type_; }
@@ -65,18 +54,13 @@ class Vector {
   void* raw() { return buffer_ ? buffer_->data() : nullptr; }
   const void* raw() const { return buffer_ ? buffer_->data() : nullptr; }
 
-  // Makes this vector an alias of `other` (zero-copy projection). Carries
-  // the representation along: an alias of an encoded vector is encoded.
+  // Makes this vector an alias of `other` (zero-copy projection).
   void Reference(const Vector& other) {
     type_ = other.type_;
     capacity_ = other.capacity_;
     buffer_ = other.buffer_;
     keepalive_ = other.keepalive_;
     heaps_ = other.heaps_;
-    repr_ = other.repr_;
-    dict_codes_ = other.dict_codes_;
-    dict_ = other.dict_;
-    enc_keepalive_ = other.enc_keepalive_;
   }
 
   // Returns a lazily-created heap for computed string values; the heap is
@@ -133,47 +117,6 @@ class Vector {
   }
   const std::vector<std::shared_ptr<StringHeap>>& heaps() const { return heaps_; }
 
-  // --- Physical representation (compressed execution) ----------------------
-
-  VectorRepr repr() const { return repr_; }
-  bool IsEncoded() const { return repr_ != VectorRepr::kFlat; }
-
-  // Publishes a PDICT view: `codes[i]` indexes `dict->values` for the rows
-  // of the enclosing chunk. `keepalive` owns the code storage. Only valid on
-  // kStr vectors.
-  void SetDict(const uint32_t* codes, std::shared_ptr<const StringDict> dict,
-               std::shared_ptr<const void> keepalive) {
-    VWISE_DCHECK(type_ == TypeId::kStr);
-    repr_ = VectorRepr::kDict;
-    dict_codes_ = codes;
-    dict_ = std::move(dict);
-    enc_keepalive_ = std::move(keepalive);
-  }
-
-  // Back to the flat representation without decoding (chunk reuse between
-  // fills — the flat buffer is about to be overwritten anyway).
-  void ResetEncoding() {
-    repr_ = VectorRepr::kFlat;
-    dict_codes_ = nullptr;
-    dict_.reset();
-    enc_keepalive_.reset();
-  }
-
-  const uint32_t* dict_codes() const { return dict_codes_; }
-  const StringDict* dict() const { return dict_.get(); }
-  // For consumers caching per-dictionary state (constant→code translations):
-  // holding the shared_ptr pins the object so pointer identity stays sound —
-  // a freed dictionary's address can otherwise be recycled by the next
-  // stripe's (different) dictionary.
-  const std::shared_ptr<const StringDict>& dict_ref() const { return dict_; }
-
-  // Decode-on-demand boundary: materializes the first `n` rows into the flat
-  // buffer and drops the encoded view. No-op on flat vectors. Aliases of
-  // this vector keep their encoded view; since both views describe the same
-  // logical content and the flat buffer is shared, a later Normalize() of an
-  // alias rewrites identical values (idempotent).
-  void Normalize(size_t n);
-
  private:
   TypeId type_ = TypeId::kI64;
   size_t capacity_ = 0;
@@ -183,14 +126,6 @@ class Vector {
   // Cached owned heap, reused across ClearHeapRefs() cycles once downstream
   // references drain (see GetStringHeap).
   std::shared_ptr<StringHeap> own_heap_;
-
-  // Encoded-view state (meaningful when repr_ != kFlat). The raw pointers
-  // point into storage owned by dict_/enc_keepalive_, so aliasing vectors
-  // stay valid past the producer's next fill.
-  VectorRepr repr_ = VectorRepr::kFlat;
-  const uint32_t* dict_codes_ = nullptr;
-  std::shared_ptr<const StringDict> dict_;
-  std::shared_ptr<const void> enc_keepalive_;
 };
 
 }  // namespace vwise

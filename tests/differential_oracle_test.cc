@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "baseline/column_engine.h"
 #include "baseline/tuple_engine.h"
 #include "gtest/gtest.h"
@@ -126,7 +128,10 @@ class DifferentialOracleTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     using namespace tpch::col;
-    dir_ = new std::string(::testing::TempDir() + "/vwise_diff_oracle");
+    // One database per process: opening it sweeps its spill directory, so
+    // two oracle processes sharing a path would delete each other's files.
+    dir_ = new std::string(::testing::TempDir() + "/vwise_diff_oracle_" +
+                           std::to_string(getpid()));
     std::filesystem::remove_all(*dir_);
     config_ = new Config();
     config_->verify_plans = true;
@@ -427,12 +432,10 @@ class DifferentialOracleTest : public ::testing::Test {
   // files.
   static Result<std::vector<Row>> RunVectorized(const PlanSpec& s,
                                                 std::string* explain,
-                                                bool encoded_exec,
                                                 bool* spilled) {
     Config cfg = *config_;
     cfg.verify_plans = true;
     cfg.vector_size = s.vector_size;
-    cfg.enable_encoded_exec = encoded_exec;
     const OracleTable& pt = (*tables_)[s.table];
     PlanBuilder b(mgr_, cfg);
     std::vector<uint32_t> cat;
@@ -860,29 +863,9 @@ TEST_F(DifferentialOracleTest, RandomPlansAgreeAcrossThreeEngines) {
                                " budget=" + std::to_string(spec.budget);
     std::string explain;
     bool spilled = false;
-    auto vec = RunVectorized(spec, &explain, /*encoded_exec=*/true, &spilled);
+    auto vec = RunVectorized(spec, &explain, &spilled);
     ASSERT_TRUE(vec.ok()) << config << "\n" << vec.status().ToString();
     spilled_plans += spilled;
-    // Compressed execution must be invisible: the same plan with encoded
-    // adoption off yields row-for-row identical output (pre-canonicalization
-    // — even the emission order may not change).
-    std::string explain_off;
-    bool spilled_off = false;
-    auto vec_off =
-        RunVectorized(spec, &explain_off, /*encoded_exec=*/false, &spilled_off);
-    ASSERT_TRUE(vec_off.ok()) << config << "\n"
-                              << vec_off.status().ToString();
-    std::string why_enc;
-    if (!Identical(*vec, *vec_off, &why_enc)) {
-      const std::string path = WriteArtifact(
-          seed, "encoded/flat divergence\n" + config + "\n" + why_enc +
-                    "\nplan:\n" + explain + "\nencoded result:\n" +
-                    DumpRows(*vec, 50) + "\nflat result:\n" +
-                    DumpRows(*vec_off, 50));
-      FAIL() << "encoded execution diverges from flat; " << config
-             << "\nartifact: " << path << "\n"
-             << why_enc << "\nplan:\n" << explain;
-    }
     std::vector<Row> tup = RunTuple(spec);
     std::vector<Row> col = RunColumn(spec);
     Canonicalize(&*vec);

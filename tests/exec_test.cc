@@ -1,3 +1,4 @@
+#include <bit>
 #include <filesystem>
 #include <numeric>
 #include <string>
@@ -11,6 +12,7 @@
 #include "exec/select.h"
 #include "exec/sort.h"
 #include "exec/xchg.h"
+#include "expr/primitive_profiler.h"
 #include "gtest/gtest.h"
 #include "txn/transaction_manager.h"
 
@@ -384,6 +386,207 @@ TEST_F(ExecTest, XchgParallelPartialAggregation) {
   int64_t count = 0;
   for (const auto& row : result.rows) count += row[1].AsInt();
   EXPECT_EQ(count, 1000);
+}
+
+// Every storage codec decodes flat at the scan (DESIGN.md §12). events(id
+// ascending, level and level2 in runs of 100, tag from a 3-value domain):
+// `tag` stores as PDICT, `level` and `level2` as RLE. The levels are doubles
+// because integer runs store as PFOR-delta (the run boundary is one patch
+// exception, 3 bytes cheaper than an RLE run entry); for f64 the PFOR family
+// does not apply and RLE wins outright. `level` holds integral values,
+// `level2` the non-integral 0.1 * k, whose sums depend on the order of the
+// additions.
+class StoredCodecTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "/vwise_codec_" +
+           std::to_string(reinterpret_cast<uintptr_t>(this));
+    std::filesystem::remove_all(dir_);
+    config_.stripe_rows = 256;
+    config_.vector_size = 64;
+    device_ = std::make_unique<IoDevice>(config_);
+    buffers_ = std::make_unique<BufferManager>(config_.buffer_pool_bytes);
+    auto mgr =
+        TransactionManager::Open(dir_, config_, device_.get(), buffers_.get());
+    ASSERT_TRUE(mgr.ok());
+    mgr_ = std::move(*mgr);
+
+    TableSchema events("events", {ColumnDef("id", DataType::Int64()),
+                                  ColumnDef("level", DataType::Double()),
+                                  ColumnDef("tag", DataType::Varchar()),
+                                  ColumnDef("level2", DataType::Double())});
+    ASSERT_TRUE(mgr_->CreateTable(events, ColumnGroups::Dsm(4)).ok());
+    static const char* kTags[] = {"alpha", "beta", "gamma"};
+    ASSERT_TRUE(mgr_
+                    ->BulkLoad("events",
+                               [&](TableWriter* w) -> Status {
+                                 for (int64_t i = 0; i < 1000; i++) {
+                                   VWISE_RETURN_IF_ERROR(w->AppendRow(
+                                       {Value::Int(i),
+                                        Value::Double(static_cast<double>(i / 100)),
+                                        Value::String(kTags[i % 3]),
+                                        Value::Double(Level2(i))}));
+                                 }
+                                 return Status::OK();
+                               })
+                    .ok());
+  }
+  static double Level2(int64_t i) {
+    return 0.1 * static_cast<double>(1 + i / 100);
+  }
+
+  void TearDown() override {
+    mgr_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  TableSnapshot Snap() {
+    auto s = mgr_->GetSnapshot("events");
+    EXPECT_TRUE(s.ok());
+    return *s;
+  }
+
+  void ExpectCodec(uint32_t col, Codec codec) {
+    const TableSnapshot snap = Snap();
+    for (size_t s = 0; s < snap.stable->stripe_count(); s++) {
+      ASSERT_EQ(snap.stable->stripe(s).segments[col].codec, codec)
+          << "column " << col << " stripe " << s;
+    }
+  }
+
+  QueryResult Run(Operator* root) {
+    auto r = CollectRows(root, config_.vector_size);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return std::move(*r);
+  }
+
+  // Rows of `tag <op> needle` over a scan of (id, tag).
+  QueryResult TagCmp(CmpOp op, const std::string& needle) {
+    auto scan = std::make_unique<ScanOperator>(
+        Snap(), std::vector<uint32_t>{0, 2}, config_);
+    SelectOperator select(
+        std::move(scan),
+        e::Cmp(op, e::Col(1, DataType::Varchar()), e::Str(needle)), config_);
+    return Run(&select);
+  }
+
+  Config config_;
+  std::string dir_;
+  std::unique_ptr<IoDevice> device_;
+  std::unique_ptr<BufferManager> buffers_;
+  std::unique_ptr<TransactionManager> mgr_;
+};
+
+// `=` and `<>` against a PDICT column run the flat string kernels over the
+// decoded vector, with the constant present in and absent from the
+// dictionary; every tuple is accounted to the flat kernel.
+TEST_F(StoredCodecTest, PdictEqNeAgainstConstantInAndOutOfDictionary) {
+  ExpectCodec(2, Codec::kPdict);
+  struct Case {
+    CmpOp op;
+    const char* needle;
+    size_t rows;
+    PrimitiveId kernel;
+  };
+  const Case cases[] = {
+      {CmpOp::kEq, "gamma", 333, kPrim_sel_eq_str_col_str_val},
+      {CmpOp::kNe, "gamma", 667, kPrim_sel_ne_str_col_str_val},
+      {CmpOp::kEq, "delta", 0, kPrim_sel_eq_str_col_str_val},
+      {CmpOp::kNe, "delta", 1000, kPrim_sel_ne_str_col_str_val},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.op == CmpOp::kEq ? "= " : "<> ") + c.needle);
+    PrimitiveProfiler::ScopedEnable enable(true);
+    PrimitiveProfiler::Reset();
+    QueryResult result = TagCmp(c.op, c.needle);
+    EXPECT_EQ(PrimitiveProfiler::Snapshot()[c.kernel].tuples, 1000u);
+    ASSERT_EQ(result.rows.size(), c.rows);
+    for (const auto& row : result.rows) {
+      const bool match = row[1].AsString() == c.needle;
+      EXPECT_EQ(match, c.op == CmpOp::kEq) << "id " << row[0].AsInt();
+    }
+  }
+  // LIKE and substr read the decoded string bytes.
+  auto scan = std::make_unique<ScanOperator>(Snap(), std::vector<uint32_t>{2},
+                                             config_);
+  SelectOperator like(std::move(scan),
+                      e::Like(e::Col(0, DataType::Varchar()), "%amm%"), config_);
+  EXPECT_EQ(Run(&like).rows.size(), 333u);  // only "gamma" contains "amm"
+  scan = std::make_unique<ScanOperator>(Snap(), std::vector<uint32_t>{2},
+                                        config_);
+  std::vector<ExprPtr> exprs;
+  exprs.push_back(e::Substr(e::Col(0, DataType::Varchar()), 1, 2));
+  ProjectOperator project(std::move(scan), std::move(exprs), config_);
+  auto prefixes = Run(&project);
+  ASSERT_EQ(prefixes.rows.size(), 1000u);
+  EXPECT_EQ(prefixes.rows[0][0].AsString(), "al");
+  EXPECT_EQ(prefixes.rows[2][0].AsString(), "ga");
+}
+
+// A PDICT row modified under pending deltas shows its new value, both one
+// present in the dictionary and one absent from it.
+TEST_F(StoredCodecTest, PdictRowModifiedUnderPendingDeltas) {
+  auto txn = mgr_->Begin();
+  ASSERT_TRUE(txn->Modify("events", 0, 2, Value::String("gamma")).ok());
+  ASSERT_TRUE(txn->Modify("events", 1, 2, Value::String("delta")).ok());
+  ASSERT_TRUE(mgr_->Commit(txn.get()).ok());
+
+  QueryResult gamma = TagCmp(CmpOp::kEq, "gamma");
+  ASSERT_EQ(gamma.rows.size(), 334u);  // row 0 ("alpha") patched to "gamma"
+  EXPECT_EQ(gamma.rows[0][0].AsInt(), 0);
+  QueryResult delta = TagCmp(CmpOp::kEq, "delta");
+  ASSERT_EQ(delta.rows.size(), 1u);  // row 1 ("beta") patched to "delta"
+  EXPECT_EQ(delta.rows[0][0].AsInt(), 1);
+  EXPECT_EQ(TagCmp(CmpOp::kNe, "beta").rows.size(), 668u);
+}
+
+uint64_t Bits(const Value& v) { return std::bit_cast<uint64_t>(v.AsDouble()); }
+
+// RLE-stored doubles decode flat at the scan, so a global aggregate adds
+// them once per row in row order — a per-run `value * run_length` fold
+// would round differently for 0.1 * k.
+TEST_F(StoredCodecTest, RleDoublesAggregateBitIdenticalToRowOrder) {
+  ExpectCodec(1, Codec::kRle);
+  ExpectCodec(3, Codec::kRle);
+  struct Expected {
+    uint32_t col;
+    double bound;  // `col < bound` keeps the first three runs
+    double sum, min, max;
+  };
+  double level2_sum = 0;
+  for (int64_t i = 0; i < 1000; i++) level2_sum += Level2(i);
+  const Expected cases[] = {{1, 3.0, 4500.0, 0.0, 9.0},
+                            {3, 0.35, level2_sum, Level2(0), Level2(999)}};
+  for (const Expected& x : cases) {
+    SCOPED_TRACE("column " + std::to_string(x.col));
+    auto scan = std::make_unique<ScanOperator>(
+        Snap(), std::vector<uint32_t>{x.col}, config_);
+    HashAggOperator agg(std::move(scan), {},
+                        {AggSpec::Sum(0), AggSpec::Min(0), AggSpec::Max(0),
+                         AggSpec::Avg(0), AggSpec::CountStar()},
+                        config_);
+    QueryResult r = Run(&agg);
+    ASSERT_EQ(r.rows.size(), 1u);
+    EXPECT_EQ(Bits(r.rows[0][0]), std::bit_cast<uint64_t>(x.sum));
+    EXPECT_EQ(Bits(r.rows[0][1]), std::bit_cast<uint64_t>(x.min));
+    EXPECT_EQ(Bits(r.rows[0][2]), std::bit_cast<uint64_t>(x.max));
+    EXPECT_EQ(Bits(r.rows[0][3]), std::bit_cast<uint64_t>(x.sum / 1000));
+    EXPECT_EQ(r.rows[0][4].AsInt(), 1000);
+
+    scan = std::make_unique<ScanOperator>(Snap(), std::vector<uint32_t>{x.col},
+                                          config_);
+    SelectOperator lt(std::move(scan),
+                      e::Lt(e::Col(0, DataType::Double()), e::F64(x.bound)),
+                      config_);
+    QueryResult rows = Run(&lt);
+    ASSERT_EQ(rows.rows.size(), 300u);  // runs 0, 1, 2 cover i in [0, 300)
+    for (size_t i = 0; i < rows.rows.size(); i++) {
+      const double want = x.col == 1 ? static_cast<double>(i / 100)
+                                     : Level2(static_cast<int64_t>(i));
+      EXPECT_EQ(Bits(rows.rows[i][0]), std::bit_cast<uint64_t>(want))
+          << "row " << i;
+    }
+  }
 }
 
 }  // namespace

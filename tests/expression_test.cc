@@ -8,7 +8,6 @@
 #include "expr/primitive_registry.h"
 #include "gtest/gtest.h"
 #include "vector/chunk.h"
-#include "vector/representation.h"
 
 namespace vwise {
 namespace {
@@ -302,7 +301,7 @@ TEST(LikeMatchTest, Patterns) {
 // ---------------------------------------------------------------------------
 // Binding coverage: each catalog entry is bound by the expression node its
 // name describes — running that node over one vector advances exactly that
-// entry's counter. Encoded twins run over a column in their representation.
+// entry's counter.
 // ---------------------------------------------------------------------------
 
 const char* const kArithTokens[] = {"add", "sub", "mul", "div"};
@@ -342,9 +341,8 @@ class BindingCoverageTest : public ::testing::Test {
  protected:
   static constexpr size_t kRows = 100;
 
-  // One column per physical type; with `dict`, the string column is
-  // published as a dict view instead of flat values.
-  void MakeChunk(DataChunk* c, bool dict = false) {
+  // One column per physical type.
+  void MakeChunk(DataChunk* c) {
     c->Init({TypeId::kU8, TypeId::kI32, TypeId::kI64, TypeId::kF64,
              TypeId::kStr},
             kCap);
@@ -358,22 +356,9 @@ class BindingCoverageTest : public ::testing::Test {
       c->column(4).Data<StringVal>()[i] = heap->Add(kWords[i % 3]);
     }
     c->SetCount(kRows);
-    if (dict) {
-      c->column(static_cast<size_t>(TypeId::kStr))
-          .SetDict(codes_.data(), dict_, nullptr);
-    }
   }
 
-  void SetUp() override {
-    MakeChunk(&flat_);
-    for (size_t i = 0; i < kRows; i++) codes_.push_back(i % 2);
-    dict_values_[0] = StringVal("a", 1);
-    dict_values_[1] = StringVal("b", 1);
-    auto dict = std::make_shared<StringDict>();
-    dict->values = dict_values_;
-    dict->size = 2;
-    dict_ = dict;
-  }
+  void SetUp() override { MakeChunk(&flat_); }
 
   static ExprPtr Operand(bool val, TypeId ty) {
     const int t = static_cast<int>(ty);
@@ -413,9 +398,6 @@ class BindingCoverageTest : public ::testing::Test {
   }
 
   DataChunk flat_;
-  std::vector<uint32_t> codes_;
-  StringVal dict_values_[2];
-  std::shared_ptr<const StringDict> dict_;
 };
 
 TEST_F(BindingCoverageTest, EveryCatalogEntryIsBoundByItsNode) {
@@ -439,18 +421,12 @@ TEST_F(BindingCoverageTest, EveryCatalogEntryIsBoundByItsNode) {
       continue;
     }
     const CmpOp op = static_cast<CmpOp>(IndexOf(kCmpTokens, 6, tok[1]));
-    DataChunk enc;
-    DataChunk* in = &flat_;
-    if (tok[3] == "dict") {  // dict twin: the column arrives as codes
-      MakeChunk(&enc, true);
-      in = &enc;
-    }
     CmpFilter node(op, Operand(false, ty), Operand(rval, ty));
-    EXPECT_EQ(RunOnce(&node, *in), want) << name;
+    EXPECT_EQ(RunOnce(&node, flat_), want) << name;
     if (rval) {
       // "const OP' col" is mirrored onto the same entry at Prepare.
       CmpFilter mirrored(Mirror(op), Operand(true, ty), Operand(false, ty));
-      EXPECT_EQ(RunOnce(&mirrored, *in), want) << name << " (const on the left)";
+      EXPECT_EQ(RunOnce(&mirrored, flat_), want) << name << " (const on the left)";
     }
   }
 }

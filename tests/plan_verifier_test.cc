@@ -68,7 +68,7 @@ TEST_F(PlanVerifierTpchTest, AcceptsAll22SerialPlans) {
   for (int q = 1; q <= 22; q++) {
     auto root = tpch::BuildQuery(q, mgr_, *config_);
     ASSERT_TRUE(root.ok()) << "Q" << q << ": " << root.status().ToString();
-    PlanVerifier verifier(*config_);
+    PlanVerifier verifier;
     PlanProperties props;
     Status st = verifier.Verify(**root, &props);
     EXPECT_TRUE(st.ok()) << "Q" << q << ": " << st.ToString();
@@ -86,7 +86,7 @@ TEST_F(PlanVerifierTpchTest, AcceptsAll22PlansUnderParallelizeRewrite) {
   for (int q = 1; q <= 22; q++) {
     auto root = tpch::BuildQuery(q, mgr_, cfg);
     ASSERT_TRUE(root.ok()) << "Q" << q << ": " << root.status().ToString();
-    PlanVerifier verifier(cfg);
+    PlanVerifier verifier;
     Status st = verifier.Verify(**root);
     EXPECT_TRUE(st.ok()) << "Q" << q << ": " << st.ToString();
   }
@@ -104,7 +104,7 @@ TEST_F(PlanVerifierTpchTest, PropagatesOrderingProperty) {
                   .Build();
   ASSERT_TRUE(root.ok()) << root.status().ToString();
   PlanProperties props;
-  ASSERT_TRUE(PlanVerifier(*config_).Verify(**root, &props).ok());
+  ASSERT_TRUE(PlanVerifier().Verify(**root, &props).ok());
   // Sort keys (0 asc, 1 desc) land at projected positions (1, 0).
   ASSERT_EQ(props.ordering.size(), 2u);
   EXPECT_EQ(props.ordering[0].col, 1u);
@@ -118,7 +118,7 @@ TEST_F(PlanVerifierTpchTest, PropagatesOrderingProperty) {
                           {DataType::Int64(), DataType::Int64()});
   auto agg_root = a.Build();
   ASSERT_TRUE(agg_root.ok()) << agg_root.status().ToString();
-  ASSERT_TRUE(PlanVerifier(*config_).Verify(**agg_root, &props).ok());
+  ASSERT_TRUE(PlanVerifier().Verify(**agg_root, &props).ok());
   EXPECT_TRUE(props.ordering.empty());
 }
 
@@ -224,99 +224,6 @@ TEST(NullRewriteVerification, RejectsPairThatDropsAnIndicatorColumn) {
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.ToString().find("indicator"), std::string::npos)
       << st.ToString();
-}
-
-// --- representation propagation (compressed execution) -----------------------
-
-TEST(ReprPropagationVerification, AcceptsConsistentMasks) {
-  std::vector<TypeId> types = {TypeId::kStr, TypeId::kI64, TypeId::kF64};
-  std::vector<uint8_t> reprs = {kReprFlat | kReprDict, kReprFlat, kReprFlat};
-  EXPECT_TRUE(VerifyReprPropagation(types, reprs).ok());
-}
-
-// The masks are per-column claims about what chunks may carry; a dict claim
-// on a non-string column contradicts PDICT (strings only) and must reject.
-TEST(ReprPropagationVerification, RejectsDictOnNonString) {
-  std::vector<TypeId> types = {TypeId::kI64};
-  std::vector<uint8_t> reprs = {kReprFlat | kReprDict};
-  Status st = VerifyReprPropagation(types, reprs);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.ToString().find("strings only"), std::string::npos)
-      << st.ToString();
-}
-
-// Bit 1u << 2 once claimed RLE runs; RLE now decodes flat at the scan, so
-// the bit is unknown on any column type.
-TEST(ReprPropagationVerification, RejectsRetiredRleBit) {
-  for (TypeId t : {TypeId::kStr, TypeId::kI64, TypeId::kF64}) {
-    std::vector<TypeId> types = {t};
-    std::vector<uint8_t> reprs = {static_cast<uint8_t>(kReprFlat | (1u << 2))};
-    Status st = VerifyReprPropagation(types, reprs);
-    ASSERT_FALSE(st.ok()) << TypeIdToString(t);
-    EXPECT_NE(st.ToString().find("unknown representation bits"),
-              std::string::npos)
-        << st.ToString();
-  }
-}
-
-// Every mask must include flat: Normalize() is the universal landing, and a
-// mask excluding it would promise an encoding the executor cannot guarantee.
-TEST(ReprPropagationVerification, RejectsMaskWithoutFlat) {
-  std::vector<TypeId> types = {TypeId::kStr};
-  std::vector<uint8_t> reprs = {kReprDict};
-  Status st = VerifyReprPropagation(types, reprs);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.ToString().find("flat"), std::string::npos) << st.ToString();
-}
-
-TEST(ReprPropagationVerification, RejectsCountMismatch) {
-  std::vector<TypeId> types = {TypeId::kI64, TypeId::kI64};
-  std::vector<uint8_t> reprs = {kReprFlat};
-  EXPECT_FALSE(VerifyReprPropagation(types, reprs).ok());
-}
-
-// Scans over delta-free PDICT segments advertise the dict representation,
-// Select passes the masks through (encoded filter kernels keep the encoding),
-// and aggregation — which normalizes at its input boundary — resets to flat.
-TEST_F(PlanVerifierTpchTest, PropagatesRepresentationMasks) {
-  using namespace tpch::col;
-  if (!config_->enable_encoded_exec) {
-    GTEST_SKIP() << "compressed execution disabled (VWISE_ENCODED_EXEC=0)";
-  }
-  PlanBuilder b(mgr_, *config_);
-  ASSERT_TRUE(b.Scan("lineitem", {l::kReturnflag, l::kQuantity}).ok());
-  auto scan_root = b.Build();
-  ASSERT_TRUE(scan_root.ok()) << scan_root.status().ToString();
-  PlanProperties props;
-  ASSERT_TRUE(PlanVerifier(*config_).Verify(**scan_root, &props).ok());
-  ASSERT_EQ(props.reprs.size(), 2u);
-  EXPECT_TRUE(VerifyReprPropagation(props.types, props.reprs).ok());
-  // l_returnflag (three distinct one-char values) stores as PDICT, so the
-  // scan edge advertises dict; l_quantity is integer-typed and can never
-  // carry the dict representation.
-  EXPECT_NE(props.reprs[0] & kReprDict, 0);
-  EXPECT_EQ(props.reprs[1] & kReprDict, 0);
-
-  PlanBuilder s(mgr_, *config_);
-  ASSERT_TRUE(s.Scan("lineitem", {l::kReturnflag, l::kQuantity}).ok());
-  auto sel_root =
-      s.Select(e::Eq(e::Col(0, DataType::Varchar()), e::Str("R"))).Build();
-  ASSERT_TRUE(sel_root.ok()) << sel_root.status().ToString();
-  PlanProperties sel_props;
-  ASSERT_TRUE(PlanVerifier(*config_).Verify(**sel_root, &sel_props).ok());
-  EXPECT_EQ(sel_props.reprs, props.reprs);
-
-  PlanBuilder a(mgr_, *config_);
-  ASSERT_TRUE(a.Scan("lineitem", {l::kReturnflag, l::kQuantity}).ok());
-  auto agg_root = a.Agg({0}, {AggSpec::Sum(1)},
-                        {DataType::Varchar(), DataType::Int64()})
-                      .Build();
-  ASSERT_TRUE(agg_root.ok()) << agg_root.status().ToString();
-  PlanProperties agg_props;
-  ASSERT_TRUE(PlanVerifier(*config_).Verify(**agg_root, &agg_props).ok());
-  ASSERT_EQ(agg_props.reprs.size(), 2u);
-  EXPECT_EQ(agg_props.reprs[0], kReprFlat);
-  EXPECT_EQ(agg_props.reprs[1], kReprFlat);
 }
 
 // --- nullability as a plan property ------------------------------------------
@@ -450,7 +357,7 @@ TEST_F(ParallelizeVerifierTest, AcceptsSoundRewrite) {
   auto plan = rewriter::ParallelizeScanAgg(MakeSpec(cfg), cfg);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   PlanProperties props;
-  ASSERT_TRUE(PlanVerifier(cfg).Verify(**plan, &props).ok());
+  ASSERT_TRUE(PlanVerifier().Verify(**plan, &props).ok());
   EXPECT_EQ(props.partitions, 1);  // the final agg re-serializes
 }
 

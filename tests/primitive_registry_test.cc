@@ -5,15 +5,14 @@
 #include "common/rng.h"
 #include "expr/primitive_registry.h"
 #include "gtest/gtest.h"
-#include "vector/representation.h"
 
 namespace vwise {
 namespace {
 
 TEST(PrimitiveRegistryTest, CatalogSizeAndNaming) {
   // 4 ops x 2 types x 3 kinds = 24 maps; 6 cmps x 5 types x 2 kinds = 60
-  // sels; 2 dict twins (eq, ne over PDICT codes).
-  EXPECT_EQ(kNumPrimitives, 24 + 60 + 2);
+  // sels.
+  EXPECT_EQ(kNumPrimitives, 24 + 60);
   for (int i = 0; i < kNumPrimitives; i++) {
     const PrimitiveEntry& e = PrimitiveRegistry::Get(PrimitiveId(i));
     std::string name = e.name;
@@ -27,9 +26,7 @@ TEST(PrimitiveRegistryTest, CatalogSizeAndNaming) {
       continue;
     }
     ASSERT_EQ(name.rfind("sel_", 0), 0u) << name;
-    bool encoded = name.find("_dict_") != std::string::npos;
-    EXPECT_EQ(e.kind, encoded ? PrimitiveKind::kEnc : PrimitiveKind::kSel)
-        << name;
+    EXPECT_EQ(e.kind, PrimitiveKind::kSel) << name;
     EXPECT_EQ(e.map, nullptr) << name;
     EXPECT_NE(e.select, nullptr) << name;
   }
@@ -47,45 +44,12 @@ TEST(PrimitiveRegistryTest, LookupKnownAndUnknown) {
   EXPECT_EQ(PrimitiveRegistry::Find("sel_lt_i64_col_f64_val"), nullptr);
   EXPECT_EQ(PrimitiveRegistry::Find("nonsense"), nullptr);
   EXPECT_EQ(PrimitiveRegistry::Find(""), nullptr);
-  // Encoded twins are their own entries, of their own kind.
-  const PrimitiveEntry* dict = PrimitiveRegistry::Find("sel_eq_str_dict_str_val");
-  ASSERT_NE(dict, nullptr);
-  EXPECT_EQ(dict->kind, PrimitiveKind::kEnc);
-  EXPECT_EQ(PrimitiveRegistry::Find("sel_lt_str_dict_str_val"), nullptr);
-  // RLE decodes flat at the scan: no run-level twins.
+  // Every codec decodes flat at the scan: no kernels over encoded operands.
+  EXPECT_EQ(PrimitiveRegistry::Find("sel_eq_str_dict_str_val"), nullptr);
   EXPECT_EQ(PrimitiveRegistry::Find("sel_ge_i64_rle_i64_val"), nullptr);
 }
 
-uint8_t CapsOf(const std::string& name) {
-  const PrimitiveEntry* e = PrimitiveRegistry::Find(name);
-  EXPECT_NE(e, nullptr) << name;
-  return e == nullptr ? 0 : e->caps;
-}
-
-TEST(PrimitiveRegistryTest, CapsColumnMatchesEncodedTwins) {
-  EXPECT_EQ(CapsOf("map_add_i64_col_i64_col"), kReprFlat);
-  EXPECT_EQ(CapsOf("sel_eq_str_col_str_val"), kReprFlat | kReprDict);
-  EXPECT_EQ(CapsOf("sel_eq_str_col_str_col"), kReprFlat);
-  EXPECT_EQ(CapsOf("sel_lt_i64_col_i64_val"), kReprFlat);
-  EXPECT_EQ(CapsOf("sel_lt_str_col_str_val"), kReprFlat);
-  EXPECT_EQ(CapsOf("sel_eq_str_dict_str_val"), kReprDict);
-  // Every granted dict capability has its encoded twin registered under the
-  // name with the column's `col` token swapped for `dict`.
-  for (int i = 0; i < kNumPrimitives; i++) {
-    const PrimitiveEntry& e = PrimitiveRegistry::Get(PrimitiveId(i));
-    if (e.kind == PrimitiveKind::kEnc) continue;
-    std::string name = e.name;
-    if (e.caps & kReprDict) {
-      std::string twin = name;
-      twin.replace(twin.find("_col_"), 5, "_dict_");
-      const PrimitiveEntry* t = PrimitiveRegistry::Find(twin);
-      ASSERT_NE(t, nullptr) << name;
-      EXPECT_EQ(t->kind, PrimitiveKind::kEnc) << name;
-    }
-  }
-}
-
-// Looks up a select (flat or encoded) kernel by name; nullptr if absent.
+// Looks up a select kernel by name; nullptr if absent.
 SelectFn FindSelect(const char* name) {
   const PrimitiveEntry* e = PrimitiveRegistry::Find(name);
   return e == nullptr ? nullptr : e->select;
@@ -94,19 +58,6 @@ SelectFn FindSelect(const char* name) {
 MapBinaryFn FindMap(const char* name) {
   const PrimitiveEntry* e = PrimitiveRegistry::Find(name);
   return e == nullptr ? nullptr : e->map;
-}
-
-TEST(PrimitiveRegistryTest, DictSelectComparesCodes) {
-  auto fn = FindSelect("sel_eq_str_dict_str_val");
-  ASSERT_NE(fn, nullptr);
-  std::vector<uint32_t> codes = {2, 0, 2, 1, 2};
-  uint32_t needle = 2;
-  std::vector<sel_t> out(codes.size());
-  size_t n = fn(codes.data(), &needle, nullptr, codes.size(), out.data());
-  ASSERT_EQ(n, 3u);
-  EXPECT_EQ(out[0], 0u);
-  EXPECT_EQ(out[1], 2u);
-  EXPECT_EQ(out[2], 4u);
 }
 
 TEST(PrimitiveRegistryTest, MapKernelComputesThroughErasedSignature) {

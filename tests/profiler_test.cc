@@ -161,10 +161,9 @@ TEST_F(ProfilerTest, ExplainAnalyzeOutputParses) {
 
   // EXPLAIN ANALYZE must line up with EXPLAIN: same tree, annotations added.
   std::string plain = ExplainPlan(**plan);
-  // Timing annotations plus the scan-level compressed-execution note
-  // (repr=dict:N/rle:0/flat:N) — both are EXPLAIN ANALYZE-only.
+  // Timing annotations are EXPLAIN ANALYZE-only.
   std::regex ann(
-      R"( \[rows=\d+ in=\d+ chunks=\d+ next_calls=\d+ open=\d+\.\d{3}ms next=\d+\.\d{3}ms\]| repr=dict:\d+/rle:\d+/flat:\d+)");
+      R"( \[rows=\d+ in=\d+ chunks=\d+ next_calls=\d+ open=\d+\.\d{3}ms next=\d+\.\d{3}ms\])");
   EXPECT_EQ(std::regex_replace(text.substr(0, text.find("primitives:")), ann,
                                ""),
             plain);

@@ -170,32 +170,6 @@ TEST_P(TpchAllQueries, RunsAndHasPlausibleShape) {
   }
 }
 
-// Compressed execution must be invisible: every query produces bit-identical
-// rows whether the scan hands PDICT segments through to the dict kernels or
-// decodes eagerly. Exact equality on purpose — the dict kernels
-// compare integer codes and TPC-H decimals store as i64 cents, so there is
-// no floating-point slack to hide behind.
-TEST_P(TpchAllQueries, EncodedExecInvariance) {
-  int q = GetParam();
-  Config on = *config_;
-  on.vector_size = 1024;
-  on.enable_encoded_exec = true;
-  Config off = on;
-  off.enable_encoded_exec = false;
-  auto r_on = tpch::RunQuery(q, mgr_, on);
-  ASSERT_TRUE(r_on.ok()) << "Q" << q << ": " << r_on.status().ToString();
-  auto r_off = tpch::RunQuery(q, mgr_, off);
-  ASSERT_TRUE(r_off.ok()) << "Q" << q << ": " << r_off.status().ToString();
-  ASSERT_EQ(r_on->rows.size(), r_off->rows.size()) << "Q" << q;
-  for (size_t i = 0; i < r_on->rows.size(); i++) {
-    ASSERT_EQ(r_on->rows[i].size(), r_off->rows[i].size());
-    for (size_t c = 0; c < r_on->rows[i].size(); c++) {
-      EXPECT_EQ(r_on->rows[i][c], r_off->rows[i][c])
-          << "Q" << q << " row " << i << " col " << c;
-    }
-  }
-}
-
 // Engine agreement: the same query at radically different vector sizes
 // (1 = tuple-at-a-time, 1024 = vectorized) must produce identical rows.
 // This exercises disjoint code paths (selection handling, chunk boundaries,

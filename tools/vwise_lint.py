@@ -7,19 +7,11 @@ Checks
    * every entry obeys the naming grammar
        map_<op>_<ty>_{col_<ty>_{col,val} | val_<ty>_col}
        sel_<cmp>_<ty>_col_<ty>_{col,val}
-       sel_<cmp>_str_dict_str_val                (VWISE_ENC_PRIMITIVE)
-     with both type tokens equal and matching the entry's C++ type;
+     with both type tokens equal and matching the entry's C++ type (every
+     storage codec decodes flat at the scan, so no kernel takes an encoded
+     operand: a `dict` or `rle` operand kind is a grammar violation);
    * the operand-kind suffix matches the registered adapter kernel, and the
      op token matches the operator functor;
-   * the caps column is a '|' of kReprFlat / kReprDict that always
-     includes kReprFlat; kReprDict appears only on string sel col/val
-     entries (PDICT is a string encoding). RLE has no token: it decodes
-     flat at the scan, so an RLE caps bit or an _rle_ twin is an error;
-   * caps and encoded twins are 1:1 — every kReprDict bit promises a
-     VWISE_ENC_PRIMITIVE entry whose name swaps the column's 'col' token
-     for 'dict', and every encoded entry's flat base must grant the bit;
-   * encoded entries use the EncSelDictVal adapter, a uint32_t code type
-     (codes, not strings), and declare exactly kReprDict;
    * no duplicate names; every (op x type) block is a complete kind grid;
    * 1:1 consistency with src/expr/primitives.h: each Op* functor declared
      there is used by the catalog and vice versa; every kernel the catalog
@@ -70,8 +62,7 @@ Checks
    `// vwise-lint: allow(unguarded-member): <rationale>`.
 
 --self-test seeds deliberate violations (misnamed primitive, catalog /
-primitives.h mismatch, caps bits without encoded twins and vice versa,
-dict caps on integer columns, an RLE twin or caps bit, raw assert, a
+primitives.h mismatch, an encoded-operand entry, raw assert, a
 constructor that stores its child without InterposeChild, a helper that
 drops one wrapper, a std::thread spawned outside src/service/, discarded
 Status returns on the WAL path and in a test, a raw std::mutex, an allow()
@@ -110,26 +101,17 @@ ADAPTER_TO_KERNEL = {
     "MapValCol": "MapValCol",
     "SelColVal": "SelectColVal",
     "SelColCol": "SelectColCol",
-    "EncSelDictVal": "SelectDictVal",
 }
-# representation-capability tokens (vector/representation.h)
-REPR_TOKENS = {"kReprFlat", "kReprDict"}
-# encoding token -> (required adapter, repr bit it implements)
-ENC_ADAPTERS = {"dict": "EncSelDictVal"}
-ENC_REPR = {"dict": "kReprDict"}
 
 ENTRY_RE = re.compile(
-    r"^VWISE_(MAP|SEL|ENC)_PRIMITIVE\(\s*(\w+)\s*,\s*([\w:]+)\s*,"
-    r"\s*(\w+)\s*,\s*(\w+)\s*,\s*([\w |]+?)\s*\)\s*$")
+    r"^VWISE_(MAP|SEL)_PRIMITIVE\(\s*(\w+)\s*,\s*([\w:]+)\s*,"
+    r"\s*(\w+)\s*,\s*(\w+)\s*\)\s*$")
 MAP_NAME_RE = re.compile(
     r"^map_(?P<op>[a-z]+)_(?P<ty1>[a-z0-9]+)_"
     r"(?:col_(?P<ty2c>[a-z0-9]+)_(?P<rhs>col|val)|val_(?P<ty2v>[a-z0-9]+)_col)$")
 SEL_NAME_RE = re.compile(
     r"^sel_(?P<op>[a-z]+)_(?P<ty1>[a-z0-9]+)_col_(?P<ty2>[a-z0-9]+)_"
     r"(?P<rhs>col|val)$")
-ENC_NAME_RE = re.compile(
-    r"^sel_(?P<op>[a-z]+)_(?P<ty1>[a-z0-9]+)_(?P<enc>dict)_"
-    r"(?P<ty2>[a-z0-9]+)_val$")
 
 
 class Lint:
@@ -153,10 +135,10 @@ class Lint:
                 if not m:
                     self.error(path, lineno,
                                f"unparseable catalog line (expected "
-                               f"name, ctype, adapter, functor, caps): {line}")
+                               f"name, ctype, adapter, functor): {line}")
                     continue
                 entries.append((lineno, m.group(1), m.group(2), m.group(3),
-                                m.group(4), m.group(5), m.group(6)))
+                                m.group(4), m.group(5)))
         return entries
 
     def check_catalog(self, catalog_path, primitives_path, registry_path,
@@ -171,21 +153,12 @@ class Lint:
         used_functors = set()
         used_kernels = set()
         grid = {}
-        # flat entries eligible to grant encoded caps: name -> (lineno, bits)
-        flat_caps = {}
-        enc_entries = {}  # encoded-twin name -> lineno
-        for lineno, family, name, ctype, adapter, functor, caps in entries:
+        for lineno, family, name, ctype, adapter, functor in entries:
             if name in seen_names:
                 self.error(catalog_path, lineno, f"duplicate primitive {name}")
                 continue
             seen_names.add(name)
             used_functors.add(functor)
-
-            if family == "ENC":
-                self.check_enc_entry(catalog_path, lineno, name, ctype,
-                                     adapter, functor, caps, enc_entries)
-                used_kernels.add(adapter)
-                continue
 
             name_re = MAP_NAME_RE if family == "MAP" else SEL_NAME_RE
             ops = MAP_OPS if family == "MAP" else SEL_OPS
@@ -236,60 +209,6 @@ class Lint:
             used_kernels.add(adapter)
             grid.setdefault((family, op, ty1), set()).add(kind_fmt)
 
-            # Caps column: '|' of kRepr* tokens, kReprFlat always present,
-            # encoded bits only where an encoded kernel can actually run.
-            bits = [t.strip() for t in caps.split("|")]
-            bad = [t for t in bits if t not in REPR_TOKENS]
-            for t in bad:
-                self.error(catalog_path, lineno,
-                           f"'{name}': unknown caps token '{t}' (caps is a "
-                           "'|' of kReprFlat/kReprDict)")
-            if bad:
-                continue
-            if "kReprFlat" not in bits:
-                self.error(catalog_path, lineno,
-                           f"'{name}': caps must include kReprFlat — "
-                           "Normalize() must always leave a runnable "
-                           "representation")
-                continue
-            enc_ok = family == "SEL" and kind_fmt == "col_%s_val"
-            placed_ok = True
-            if "kReprDict" in bits and not (enc_ok and ty1 == "str"):
-                placed_ok = False
-                self.error(catalog_path, lineno,
-                           f"'{name}': kReprDict cap is only valid on "
-                           "sel_*_str_col_str_val — PDICT covers strings "
-                           "only, and only the col/val shape can translate "
-                           "the constant to a code up front")
-            if placed_ok:
-                flat_caps[name] = (lineno, set(bits))
-
-        # Caps <-> encoded-twin 1:1: every encoded bit promises a twin whose
-        # name swaps the column's 'col' token for the encoding, and every
-        # twin's flat base must grant the matching bit (an orphan twin is
-        # unreachable: CmpFilter binds twins from the flat entry's caps).
-        for name, (lineno, bits) in sorted(flat_caps.items()):
-            for enc, bit in sorted(ENC_REPR.items(), key=lambda kv: kv[1]):
-                if bit not in bits:
-                    continue
-                twin = name.replace("_col_", f"_{enc}_", 1)
-                if twin not in enc_entries:
-                    self.error(catalog_path, lineno,
-                               f"'{name}' grants {bit} but the catalog has "
-                               f"no encoded twin '{twin}'")
-        for name, lineno in sorted(enc_entries.items()):
-            flat = name.replace("_dict_", "_col_", 1)
-            bit = ENC_REPR["dict"]
-            if flat not in flat_caps:
-                self.error(catalog_path, lineno,
-                           f"encoded twin '{name}' has no flat base entry "
-                           f"'{flat}'")
-            elif bit not in flat_caps[flat][1]:
-                self.error(catalog_path, lineno,
-                           f"encoded twin '{name}' exists but its flat base "
-                           f"'{flat}' does not grant the {bit} cap, so the "
-                           "expression layer can never bind it")
-
         # Grid completeness: every (op, type) block lists every operand kind.
         for (family, op, ty), kinds_seen in sorted(grid.items()):
             want = set(MAP_KINDS if family == "MAP" else SEL_KINDS)
@@ -337,54 +256,6 @@ class Lint:
                        "primitive_registry.cc does not include "
                        "expr/primitive_catalog.inc — registry and catalog "
                        "can drift")
-
-    def check_enc_entry(self, catalog_path, lineno, name, ctype, adapter,
-                        functor, repr_arg, enc_entries):
-        """One VWISE_ENC_PRIMITIVE line: an encoded twin that consumes the
-        column operand as PDICT codes."""
-        m = ENC_NAME_RE.match(name)
-        if not m:
-            self.error(catalog_path, lineno,
-                       f"encoded primitive name '{name}' violates the "
-                       "naming grammar sel_<cmp>_str_dict_str_val")
-            return
-        op, ty1, enc, ty2 = (m.group("op"), m.group("ty1"), m.group("enc"),
-                             m.group("ty2"))
-        if op not in SEL_OPS:
-            self.error(catalog_path, lineno,
-                       f"'{name}': unknown op token '{op}'")
-            return
-        if ty1 not in TYPE_TOKENS:
-            self.error(catalog_path, lineno,
-                       f"'{name}': unknown type token '{ty1}'")
-            return
-        if ty1 != ty2:
-            self.error(catalog_path, lineno,
-                       f"'{name}': operand type tokens differ ({ty1} vs "
-                       f"{ty2}); mixed-type primitives are not in the "
-                       "catalog grammar")
-        if enc == "dict" and ty1 != "str":
-            self.error(catalog_path, lineno,
-                       f"'{name}': dict encoding over '{ty1}' — PDICT "
-                       "covers strings only")
-        # Dict kernels compare uint32 codes, never the decoded strings.
-        if ctype != "uint32_t":
-            self.error(catalog_path, lineno,
-                       f"'{name}': C++ type {ctype} does not match the "
-                       f"{enc} encoding (expected uint32_t)")
-        if adapter != ENC_ADAPTERS[enc]:
-            self.error(catalog_path, lineno,
-                       f"'{name}': {enc} encoding requires adapter "
-                       f"{ENC_ADAPTERS[enc]}, catalog says {adapter}")
-        if SEL_OPS[op] != functor:
-            self.error(catalog_path, lineno,
-                       f"'{name}': functor {functor} does not match op "
-                       f"token '{op}' (expected {SEL_OPS[op]})")
-        if repr_arg.strip() != ENC_REPR[enc]:
-            self.error(catalog_path, lineno,
-                       f"'{name}': repr column must be exactly "
-                       f"{ENC_REPR[enc]}, catalog says '{repr_arg.strip()}'")
-        enc_entries[name] = lineno
 
     def kernel_used_in_src(self, kernel, src_dir, primitives_path):
         pat = re.compile(r"\b(?:prim::)?" + re.escape(kernel) + r"\s*<")
@@ -904,72 +775,26 @@ def self_test(repo):
         "misnamed primitive": (lambda tmp: patch_file(
             tmp, os.path.join("src", "expr", "primitive_catalog.inc"),
             "VWISE_MAP_PRIMITIVE(map_add_i64_col_i64_col, int64_t, "
-            "MapColCol, OpAdd, kReprFlat)",
+            "MapColCol, OpAdd)",
             "VWISE_MAP_PRIMITIVE(map_add_i64_col_f64_col, int64_t, "
-            "MapColCol, OpAdd, kReprFlat)"), "type tokens differ"),
+            "MapColCol, OpAdd)"), "type tokens differ"),
         # Grammar violation: op token not in the grammar.
         "unknown op token": (lambda tmp: patch_file(
             tmp, os.path.join("src", "expr", "primitive_catalog.inc"),
             "VWISE_SEL_PRIMITIVE(sel_eq_u8_col_u8_val, uint8_t, "
-            "SelColVal, OpEq, kReprFlat)",
+            "SelColVal, OpEq)",
             "VWISE_SEL_PRIMITIVE(sel_equals_u8_col_u8_val, uint8_t, "
-            "SelColVal, OpEq, kReprFlat)"), "unknown op token"),
-        # Caps granted with no encoded twin behind it: CmpFilter::Prepare
-        # would fail to bind a kernel that does not exist.
-        "caps bit without encoded twin": (lambda tmp: patch_file(
+            "SelColVal, OpEq)"), "unknown op token"),
+        # Every codec decodes flat at the scan: a kernel over an encoded
+        # operand (here PDICT codes) is outside the grammar.
+        "encoded-operand entry": (lambda tmp: patch_file(
             tmp, os.path.join("src", "expr", "primitive_catalog.inc"),
-            "VWISE_SEL_PRIMITIVE(sel_lt_str_col_str_val, StringVal, "
-            "SelColVal, OpLt, kReprFlat)",
-            "VWISE_SEL_PRIMITIVE(sel_lt_str_col_str_val, StringVal, "
-            "SelColVal, OpLt, kReprFlat | kReprDict)"), "no encoded twin"),
-        # Dict cap on an integer column: PDICT only encodes strings.
-        "dict cap on non-string": (lambda tmp: patch_file(
-            tmp, os.path.join("src", "expr", "primitive_catalog.inc"),
-            "VWISE_SEL_PRIMITIVE(sel_eq_i64_col_i64_val, int64_t, "
-            "SelColVal, OpEq, kReprFlat)",
-            "VWISE_SEL_PRIMITIVE(sel_eq_i64_col_i64_val, int64_t, "
-            "SelColVal, OpEq, kReprFlat | kReprDict)"),
-            "PDICT covers strings only"),
-        # RLE decodes flat at the scan: the grammar has no _rle_ twins.
-        "rle twin declared": (lambda tmp: patch_file(
-            tmp, os.path.join("src", "expr", "primitive_catalog.inc"),
-            "VWISE_ENC_PRIMITIVE(sel_ne_str_dict_str_val, uint32_t, "
-            "EncSelDictVal, OpNe, kReprDict)",
-            "VWISE_ENC_PRIMITIVE(sel_ne_str_dict_str_val, uint32_t, "
-            "EncSelDictVal, OpNe, kReprDict)\n"
-            "VWISE_ENC_PRIMITIVE(sel_lt_f64_rle_f64_val, double, "
-            "EncSelRleVal, OpLt, kReprRle)"), "naming grammar"),
-        # Nor an RLE caps token: no consumer takes runs.
-        "rle caps bit": (lambda tmp: patch_file(
-            tmp, os.path.join("src", "expr", "primitive_catalog.inc"),
-            "VWISE_SEL_PRIMITIVE(sel_lt_f64_col_f64_val, double, "
-            "SelColVal, OpLt, kReprFlat)",
-            "VWISE_SEL_PRIMITIVE(sel_lt_f64_col_f64_val, double, "
-            "SelColVal, OpLt, kReprFlat | kReprRle)"),
-            "unknown caps token 'kReprRle'"),
-        # Encoded twin whose flat base dropped the cap: the twin becomes
-        # dead code the expression layer can never bind.
-        "encoded twin without caps bit": (lambda tmp: patch_file(
-            tmp, os.path.join("src", "expr", "primitive_catalog.inc"),
-            "VWISE_SEL_PRIMITIVE(sel_eq_str_col_str_val, StringVal, "
-            "SelColVal, OpEq, kReprFlat | kReprDict)",
-            "VWISE_SEL_PRIMITIVE(sel_eq_str_col_str_val, StringVal, "
-            "SelColVal, OpEq, kReprFlat)"), "does not grant the kReprDict"),
-        # Caps without kReprFlat: Normalize() would have nowhere to land.
-        "caps excludes flat": (lambda tmp: patch_file(
-            tmp, os.path.join("src", "expr", "primitive_catalog.inc"),
-            "VWISE_MAP_PRIMITIVE(map_sub_i64_col_i64_col, int64_t, "
-            "MapColCol, OpSub, kReprFlat)",
-            "VWISE_MAP_PRIMITIVE(map_sub_i64_col_i64_col, int64_t, "
-            "MapColCol, OpSub, kReprDict)"), "must include kReprFlat"),
-        # Encoded twin registered with the string type instead of codes.
-        "dict twin with string ctype": (lambda tmp: patch_file(
-            tmp, os.path.join("src", "expr", "primitive_catalog.inc"),
-            "VWISE_ENC_PRIMITIVE(sel_eq_str_dict_str_val, uint32_t, "
-            "EncSelDictVal, OpEq, kReprDict)",
-            "VWISE_ENC_PRIMITIVE(sel_eq_str_dict_str_val, StringVal, "
-            "EncSelDictVal, OpEq, kReprDict)"),
-            "does not match the dict encoding"),
+            "VWISE_SEL_PRIMITIVE(sel_ne_str_col_str_val, StringVal, "
+            "SelColVal, OpNe)",
+            "VWISE_SEL_PRIMITIVE(sel_ne_str_col_str_val, StringVal, "
+            "SelColVal, OpNe)\n"
+            "VWISE_SEL_PRIMITIVE(sel_ne_str_dict_str_val, StringVal, "
+            "SelColVal, OpNe)"), "naming grammar"),
         # primitives.h / catalog drift: a functor disappears.
         "catalog/primitives.h mismatch": (lambda tmp: patch_file(
             tmp, os.path.join("src", "expr", "primitives.h"),
