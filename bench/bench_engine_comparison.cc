@@ -62,7 +62,9 @@ class MemSource final : public Operator {
       : d_(d), vector_size_(vector_size),
         types_{TypeId::kI64, TypeId::kI64, TypeId::kI64, TypeId::kI64} {}
   const std::vector<TypeId>& OutputTypes() const override { return types_; }
-  Status Next(DataChunk* out) override {
+
+ private:
+  Status NextImpl(DataChunk* out) override {
     size_t n = std::min(out->capacity(), d_->qty.size() - pos_);
     if (n > 0) {
       std::memcpy(out->column(0).Data<int64_t>(), d_->qty.data() + pos_, n * 8);
@@ -74,9 +76,7 @@ class MemSource final : public Operator {
     out->SetCount(n);
     return Status::OK();
   }
-  void Close() override {}
-
- private:
+  void CloseImpl() override {}
   Status OpenImpl() override {
     pos_ = 0;
     return Status::OK();

@@ -33,7 +33,7 @@ inline bool EnvVerifyPlans() {
 }
 
 // Default for Config::profile, same contract: VWISE_PROFILE turns on the
-// per-operator profiling wrapper and the per-primitive cycle counters for
+// per-operator profiling and the per-primitive cycle counters for
 // every Config constructed in the process.
 inline bool EnvProfile() {
   static const bool enabled = [] {
@@ -145,9 +145,10 @@ struct Config {
   // gets its own subdirectory, removed when the query's context is
   // destroyed.
   std::string spill_dir;
-  // Interpose a CheckedOperator between every parent/child operator pair,
-  // validating the X100 chunk invariants (see vector/chunk.h) after every
-  // Next(). Debug tooling: on in all tests, off in benchmarks.
+  // Every operator built with this Config validates the X100 chunk
+  // invariants (see vector/chunk.h) around each of its Next() calls
+  // (Operator::Next, exec/checked.h). Debug tooling: on in all tests, off in
+  // benchmarks.
   bool check_contracts = detail::EnvCheckContracts();
   // Run the static plan verifier (src/planner/plan_verifier.h) over every
   // plan produced by PlanBuilder::Build() and by the rewriter rules:
@@ -155,12 +156,12 @@ struct Config {
   // types, plus plan-property (nullability/ordering/partitioning) checks.
   // Debug tooling: on in all tests, off in benchmarks.
   bool verify_plans = detail::EnvVerifyPlans();
-  // Interpose a ProfiledOperator between every parent/child operator pair
-  // (wall time, Next() calls, rows/vectors produced per operator) and record
-  // per-primitive call/tuple/cycle counters in the expression dispatch path.
-  // Results surface through QueryResult::profile (EXPLAIN ANALYZE text) and
-  // planner::CollectPlanProfile. Off by default: profiled plans produce
-  // bit-identical results, but the wrappers cost a timer call per Next().
+  // Every operator built with this Config profiles itself (Open/Next wall
+  // time, Next() calls, rows/vectors produced: Operator::stats()), and the
+  // expression dispatch path records per-primitive call/tuple/cycle
+  // counters. Results surface through QueryResult::profile (EXPLAIN ANALYZE
+  // text) and planner::CollectPlanProfile. Off by default: profiled plans
+  // produce bit-identical results, but each Next() pays two timer calls.
   bool profile = detail::EnvProfile();
 
   // --- Storage --------------------------------------------------------------

@@ -6,9 +6,9 @@ namespace vwise {
 
 namespace {
 
-Status Violation(const std::string& context, const std::string& what) {
-  return Status::Internal("chunk contract violation [" + context + "]: " +
-                          what);
+Status Violation(const Operator& producer, const std::string& what) {
+  return Status::Internal("chunk contract violation [" + producer.Name() +
+                          "]: " + what);
 }
 
 }  // namespace
@@ -17,12 +17,12 @@ Status Violation(const std::string& context, const std::string& what) {
 // contract check has failed — the query is already being torn down, and the
 // success path touches nothing but the chunk metadata
 Status ChunkValidator::Validate(const DataChunk& chunk,
-                                const std::vector<TypeId>& expected_types,
-                                const std::string& context) {
+                                const Operator& producer) {
+  const std::vector<TypeId>& expected_types = producer.OutputTypes();
   if (chunk.count() > chunk.capacity()) {
     std::ostringstream os;
     os << "count " << chunk.count() << " exceeds capacity " << chunk.capacity();
-    return Violation(context, os.str());
+    return Violation(producer, os.str());
   }
 
   if (chunk.has_selection()) {
@@ -30,7 +30,7 @@ Status ChunkValidator::Validate(const DataChunk& chunk,
       std::ostringstream os;
       os << "sel_count " << chunk.sel_count() << " exceeds count "
          << chunk.count();
-      return Violation(context, os.str());
+      return Violation(producer, os.str());
     }
     const sel_t* sel = chunk.sel();
     for (size_t i = 0; i < chunk.sel_count(); i++) {
@@ -38,13 +38,13 @@ Status ChunkValidator::Validate(const DataChunk& chunk,
         std::ostringstream os;
         os << "sel[" << i << "] = " << sel[i] << " out of range (count "
            << chunk.count() << ")";
-        return Violation(context, os.str());
+        return Violation(producer, os.str());
       }
       if (i > 0 && sel[i] <= sel[i - 1]) {
         std::ostringstream os;
         os << "selection not strictly increasing at " << i << ": sel[" << i - 1
            << "] = " << sel[i - 1] << ", sel[" << i << "] = " << sel[i];
-        return Violation(context, os.str());
+        return Violation(producer, os.str());
       }
     }
   }
@@ -56,7 +56,7 @@ Status ChunkValidator::Validate(const DataChunk& chunk,
     std::ostringstream os;
     os << "operator declares " << expected_types.size()
        << " output columns, chunk has " << chunk.num_columns();
-    return Violation(context, os.str());
+    return Violation(producer, os.str());
   }
   for (size_t c = 0; c < chunk.num_columns(); c++) {
     const Vector& col = chunk.column(c);
@@ -64,13 +64,13 @@ Status ChunkValidator::Validate(const DataChunk& chunk,
       std::ostringstream os;
       os << "column " << c << " has type " << TypeIdToString(col.type())
          << ", operator declares " << TypeIdToString(expected_types[c]);
-      return Violation(context, os.str());
+      return Violation(producer, os.str());
     }
     if (col.capacity() < chunk.count()) {
       std::ostringstream os;
       os << "column " << c << " capacity " << col.capacity()
          << " smaller than chunk count " << chunk.count();
-      return Violation(context, os.str());
+      return Violation(producer, os.str());
     }
     if (col.type() == TypeId::kStr) {
       const StringVal* vals = col.Data<StringVal>();
@@ -85,7 +85,7 @@ Status ChunkValidator::Validate(const DataChunk& chunk,
             std::ostringstream os;
             os << "column " << c << " row " << i << " holds a StringVal of "
                << "length " << v.len << " with a null pointer";
-            return Violation(context, os.str());
+            return Violation(producer, os.str());
           }
         }
       }
@@ -94,7 +94,7 @@ Status ChunkValidator::Validate(const DataChunk& chunk,
         os << "string column " << c << " carries bytes but registers no "
            << "StringHeap ref or keepalive (dangling once the producer "
            << "advances)";
-        return Violation(context, os.str());
+        return Violation(producer, os.str());
       }
     }
   }
@@ -103,54 +103,22 @@ Status ChunkValidator::Validate(const DataChunk& chunk,
 
 // vwise-hotpath: allow(alloc): same as Validate — formatting on failure only
 Status ChunkValidator::ValidateReset(const DataChunk& chunk,
-                                     const std::string& context) {
+                                     const Operator& producer) {
   if (chunk.count() != 0 || chunk.has_selection()) {
     std::ostringstream os;
     os << "chunk passed to Next() without Reset(): count " << chunk.count()
        << ", has_selection " << chunk.has_selection();
-    return Violation(context, os.str());
+    return Violation(producer, os.str());
   }
   for (size_t c = 0; c < chunk.num_columns(); c++) {
     if (!chunk.column(c).heaps().empty()) {
       std::ostringstream os;
       os << "chunk passed to Next() with stale heap refs on column " << c
          << " (Reset() clears keepalives between refills)";
-      return Violation(context, os.str());
+      return Violation(producer, os.str());
     }
   }
   return Status::OK();
-}
-
-CheckedOperator::CheckedOperator(OperatorPtr child, std::string label)
-    : child_(std::move(child)), label_(std::move(label)) {}
-
-Status CheckedOperator::OpenImpl() {
-  VWISE_RETURN_IF_ERROR(child_->Open(ctx()));
-  open_ = true;
-  return Status::OK();
-}
-
-Status CheckedOperator::Next(DataChunk* out) {
-  if (!open_) {
-    return Status::Internal("operator contract violation [" + label_ +
-                            "]: Next() before Open()");
-  }
-  VWISE_RETURN_IF_ERROR(ChunkValidator::ValidateReset(*out, label_));
-  VWISE_RETURN_IF_ERROR(child_->Next(out));
-  return ChunkValidator::Validate(*out, child_->OutputTypes(), label_);
-}
-
-void CheckedOperator::Close() {
-  // Close() must be idempotent for every operator; delegate unconditionally
-  // so double-Close bugs in children surface under the checker too.
-  open_ = false;
-  child_->Close();
-}
-
-OperatorPtr MaybeChecked(OperatorPtr op, const Config& config,
-                         const char* label) {
-  if (!config.check_contracts || op == nullptr) return op;
-  return std::make_unique<CheckedOperator>(std::move(op), label);
 }
 
 }  // namespace vwise

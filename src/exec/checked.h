@@ -1,23 +1,20 @@
 #ifndef VWISE_EXEC_CHECKED_H_
 #define VWISE_EXEC_CHECKED_H_
 
-#include <memory>
-#include <string>
-#include <vector>
-
 #include "exec/operator.h"
 
 namespace vwise {
 
 // Validates the X100 chunk invariants documented on DataChunk
-// (vector/chunk.h). Violations are reported as Status::Internal with enough
-// context to locate the offending operator — a contract violation is always
-// a bug in vwise, never bad user input, but tests want to observe it as a
+// (vector/chunk.h). Operator::Next runs it around every NextImpl when
+// Config::check_contracts is set. Violations are reported as
+// Status::Internal naming the operator — a contract violation is always a
+// bug in vwise, never bad user input, but tests want to observe it as a
 // catchable error rather than a process abort.
 class ChunkValidator {
  public:
-  // Full post-Next() validation of `chunk` against the producing operator's
-  // declared output types:
+  // Full post-Next() validation of `chunk` against `producer`'s declared
+  // output types:
   //   * count <= capacity
   //   * selection strictly increasing, every entry < count, sel_count <= count
   //   * one column per declared output type, each with the declared TypeId
@@ -25,48 +22,12 @@ class ChunkValidator {
   //   * string columns keep their bytes alive: any active non-empty
   //     StringVal requires a registered StringHeap ref (or keepalive pin),
   //     and a non-null pointer
-  static Status Validate(const DataChunk& chunk,
-                         const std::vector<TypeId>& expected_types,
-                         const std::string& context);
+  static Status Validate(const DataChunk& chunk, const Operator& producer);
 
   // Pre-Next() validation: callers must Reset() a chunk before each refill
   // (no stale cardinality, selection, or heap keepalives).
-  static Status ValidateReset(const DataChunk& chunk,
-                              const std::string& context);
+  static Status ValidateReset(const DataChunk& chunk, const Operator& producer);
 };
-
-// Transparent wrapper that runs ChunkValidator around a child operator's
-// Next(). When Config::check_contracts is set, every operator constructor
-// that owns a child wraps it (see MaybeChecked below), so the checker
-// interposes between every parent/child pair of the plan without the plan
-// builder or tests having to know about it.
-class CheckedOperator final : public Operator {
- public:
-  CheckedOperator(OperatorPtr child, std::string label);
-
-  const std::vector<TypeId>& OutputTypes() const override {
-    return child_->OutputTypes();
-  }
-  Status Next(DataChunk* out) override;
-  void Close() override;
-
-  // Static-analysis surface: the plan verifier sees through the wrapper.
-  const Operator& child() const { return *child_; }
-  const std::string& label() const { return label_; }
-
- private:
-  Status OpenImpl() override;
-  OperatorPtr child_;
-  std::string label_;
-  bool open_ = false;
-};
-
-// Wraps `op` in a CheckedOperator when `config.check_contracts` is set;
-// otherwise returns it unchanged. `label` names the consumer side for error
-// messages ("select.child", "xchg.fragment", ...). Null-safe: a null `op`
-// passes through (operator constructors run before validity checks).
-OperatorPtr MaybeChecked(OperatorPtr op, const Config& config,
-                         const char* label);
 
 }  // namespace vwise
 

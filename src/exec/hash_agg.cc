@@ -4,7 +4,6 @@
 #include <cstring>
 #include <type_traits>
 
-#include "exec/profile.h"
 #include "storage/spill_file.h"
 
 namespace vwise {
@@ -101,7 +100,8 @@ HashAggOperator::HashAggOperator(OperatorPtr child,
                                  std::vector<size_t> group_cols,
                                  std::vector<AggSpec> aggs,
                                  const Config& config)
-    : child_(InterposeChild(std::move(child), config, "hash_agg.child")),
+    : Operator(config),
+      child_(std::move(child)),
       group_cols_(std::move(group_cols)),
       aggs_(std::move(aggs)),
       config_(config) {
@@ -382,7 +382,7 @@ Status HashAggOperator::LoadPartition() {
   return Status::OK();
 }
 
-Status HashAggOperator::Next(DataChunk* out) {
+Status HashAggOperator::NextImpl(DataChunk* out) {
   if (!consumed_) {
     // vwise-hotpath: allow(cold-call): consumes the whole input once per
     // query; the per-chunk work inside is ProcessChunk, a root of its own
@@ -453,7 +453,7 @@ Status HashAggOperator::Next(DataChunk* out) {
   return Status::OK();
 }
 
-void HashAggOperator::Close() {
+void HashAggOperator::CloseImpl() {
   // The child is normally closed at the end of ConsumeInput; close it again
   // here (idempotent) so an error/cancel unwind that skipped the consume
   // still reaches Xchg fragments running below on pool threads.

@@ -57,8 +57,6 @@ class HashAggOperator final : public Operator {
   ~HashAggOperator() override;
 
   const std::vector<TypeId>& OutputTypes() const override { return out_types_; }
-  Status Next(DataChunk* out) override;
-  void Close() override;
 
   size_t num_groups() const { return n_groups_; }
 
@@ -74,6 +72,8 @@ class HashAggOperator final : public Operator {
 
  private:
   Status OpenImpl() override;
+  Status NextImpl(DataChunk* out) override;
+  void CloseImpl() override;
   Status ConsumeInput();
   Status ProcessChunk(const DataChunk& chunk);
   // Resolves rows sel[0..n) of `chunk` (group keys `key_cols`) into

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "exec/profile.h"
 #include "expr/primitives.h"
 #include "storage/spill_file.h"
 
@@ -17,8 +16,9 @@ constexpr size_t kProbeStream = 1;
 
 HashJoinOperator::HashJoinOperator(OperatorPtr probe, OperatorPtr build,
                                    Spec spec, const Config& config)
-    : probe_(InterposeChild(std::move(probe), config, "hash_join.probe")),
-      build_(InterposeChild(std::move(build), config, "hash_join.build")),
+    : Operator(config),
+      probe_(std::move(probe)),
+      build_(std::move(build)),
       spec_(std::move(spec)),
       config_(config) {
   out_types_ = probe_->OutputTypes();
@@ -370,7 +370,7 @@ Status HashJoinOperator::EmitSemiAnti(DataChunk* out) {
   return Status::OK();
 }
 
-Status HashJoinOperator::Next(DataChunk* out) {
+Status HashJoinOperator::NextImpl(DataChunk* out) {
   while (true) {
     if (pair_cursor_ < pairs_.size()) {
       EmitPairs(out);
@@ -397,7 +397,7 @@ Status HashJoinOperator::Next(DataChunk* out) {
   }
 }
 
-void HashJoinOperator::Close() {
+void HashJoinOperator::CloseImpl() {
   probe_->Close();
   // Normally closed at the end of ConsumeBuildSide; close again (idempotent)
   // so an error/cancel unwind still reaches fragments below.

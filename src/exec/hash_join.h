@@ -55,8 +55,6 @@ class HashJoinOperator final : public Operator {
   ~HashJoinOperator() override;
 
   const std::vector<TypeId>& OutputTypes() const override { return out_types_; }
-  Status Next(DataChunk* out) override;
-  void Close() override;
 
   // Static-analysis surface (plan verifier).
   const Operator& probe() const { return *probe_; }
@@ -72,6 +70,8 @@ class HashJoinOperator final : public Operator {
   using Pair = KeyTable::Match;  // (probe position, build row)
 
   Status OpenImpl() override;
+  Status NextImpl(DataChunk* out) override;
+  void CloseImpl() override;
   Status ConsumeBuildSide();
   // Links the resident build rows into the key table's chains; a budget
   // that cannot hold the buckets degrades to the grace join.

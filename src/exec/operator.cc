@@ -1,16 +1,70 @@
 #include "exec/operator.h"
 
+#include <cxxabi.h>
+
+#include <chrono>
+#include <cstdlib>
 #include <sstream>
 #include <type_traits>
+#include <typeinfo>
 
 #include "common/macros.h"
+#include "exec/checked.h"
 #include "service/query_context.h"
 
 namespace vwise {
 
+namespace {
+
+inline uint64_t NowNs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+}  // namespace
+
 Status Operator::Open(QueryContext* ctx) {
   ctx_ = ctx != nullptr ? ctx : QueryContext::Background();
-  return OpenImpl();
+  uint64_t t0 = profile_ ? NowNs() : 0;
+  Status s = OpenImpl();
+  if (profile_) stats_.open_ns += NowNs() - t0;
+  open_ = s.ok();
+  return s;
+}
+
+Status Operator::NextInstrumented(DataChunk* out) {
+  if (check_) {
+    if (!open_) {
+      return Status::Internal("operator contract violation [" + Name() +
+                              "]: Next() before Open() or after Close()");
+    }
+    VWISE_RETURN_IF_ERROR(ChunkValidator::ValidateReset(*out, *this));
+  }
+  uint64_t t0 = profile_ ? NowNs() : 0;
+  Status s = NextImpl(out);
+  if (profile_) {
+    stats_.next_ns += NowNs() - t0;
+    stats_.next_calls++;
+    size_t rows = s.ok() ? out->ActiveCount() : 0;
+    if (rows > 0) {
+      stats_.chunks_out++;
+      stats_.rows_out += rows;
+    }
+  }
+  VWISE_RETURN_IF_ERROR(s);
+  if (check_) return ChunkValidator::Validate(*out, *this);
+  return Status::OK();
+}
+
+std::string Operator::Name() const {
+  const char* mangled = typeid(*this).name();
+  int rc = 0;
+  char* demangled = abi::__cxa_demangle(mangled, nullptr, nullptr, &rc);
+  std::string name = rc == 0 ? demangled : mangled;
+  std::free(demangled);
+  return name;
 }
 
 void DeepCopyChunk(const DataChunk& src, DataChunk* dst) {
@@ -68,8 +122,8 @@ Result<QueryResult> CollectRows(Operator* root, QueryContext* ctx,
   // expiry, and Open/Next errors: Xchg fragments on shared pool threads keep
   // referencing `ctx` until Close() joins them, so skipping the unwind would
   // let a fragment outlive the query that owns the context. Close() is
-  // idempotent for every operator (see CheckedOperator::Close), so closing a
-  // partially-opened tree is safe.
+  // idempotent for every operator, so closing a partially-opened tree is
+  // safe.
   Status status = root->Open(ctx);
   if (!status.ok()) {
     root->Close();

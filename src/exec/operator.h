@@ -1,11 +1,13 @@
 #ifndef VWISE_EXEC_OPERATOR_H_
 #define VWISE_EXEC_OPERATOR_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/config.h"
+#include "common/macros.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "vector/chunk.h"
@@ -13,6 +15,19 @@
 namespace vwise {
 
 class QueryContext;  // service/query_context.h
+
+// Per-operator runtime counters, filled by Operator's own Open/Next when
+// Config::profile is set. Times are wall-clock nanoseconds (steady_clock) and
+// inclusive of the subtree; Open and Next are measured separately so a
+// pipeline breaker's build cost (Open) is attributable apart from its
+// streaming cost (Next).
+struct OperatorStats {
+  uint64_t open_ns = 0;
+  uint64_t next_ns = 0;
+  uint64_t next_calls = 0;
+  uint64_t chunks_out = 0;  // Next() calls that produced >= 1 active row
+  uint64_t rows_out = 0;    // active rows across all Next() calls
+};
 
 // A physical vectorized operator (X100 execution model). Pull-based:
 // Next() fills the caller's chunk; an empty chunk (ActiveCount() == 0)
@@ -31,8 +46,18 @@ class QueryContext;  // service/query_context.h
 // producers/consumer, the CollectRows drive loop), so a cancel or deadline
 // unwinds the whole tree, including fragments on shared pool threads, within
 // one vector boundary.
+//
+// Open/Next/Close are the one operator boundary: non-virtual, they wrap the
+// subclass hooks OpenImpl/NextImpl/CloseImpl. With Config::check_contracts
+// set, Next validates the X100 chunk invariants (exec/checked.h) on the way
+// in and out and rejects a Next before Open or after Close; with
+// Config::profile set, Open and Next time themselves and count the chunks
+// and rows produced (stats()). Both switches are read once, at construction,
+// so the untraced Next costs one predicted branch.
 class Operator {
  public:
+  explicit Operator(const Config& config = Config{})
+      : check_(config.check_contracts), profile_(config.profile) {}
   virtual ~Operator() = default;
 
   // Physical column types this operator emits.
@@ -45,19 +70,43 @@ class Operator {
   Status Open(QueryContext* ctx);
   Status Open() { return Open(nullptr); }
 
-  virtual Status Next(DataChunk* out) = 0;
-  virtual void Close() = 0;
+  Status Next(DataChunk* out) {
+    if (VWISE_UNLIKELY(check_ || profile_)) return NextInstrumented(out);
+    return NextImpl(out);
+  }
+
+  // Releases the pipeline's resources. Idempotent for every operator, so a
+  // partially-opened tree can always be closed.
+  void Close() {
+    open_ = false;
+    CloseImpl();
+  }
+
+  // Runtime counters; all zero unless profiled().
+  bool profiled() const { return profile_; }
+  const OperatorStats& stats() const { return stats_; }
+
+  // The dynamic (demangled) type name, for diagnostics.
+  std::string Name() const;
 
  protected:
   // The bound per-query context; non-null after Open(). Subclasses open
   // their children with child->Open(ctx()).
   QueryContext* ctx() const { return ctx_; }
 
-  // Subclass hook, runs with ctx() already bound.
+  // Subclass hooks; OpenImpl runs with ctx() already bound.
   virtual Status OpenImpl() = 0;
+  virtual Status NextImpl(DataChunk* out) = 0;
+  virtual void CloseImpl() = 0;
 
  private:
+  Status NextInstrumented(DataChunk* out);
+
   QueryContext* ctx_ = nullptr;
+  bool check_;
+  bool profile_;
+  bool open_ = false;
+  OperatorStats stats_;
 };
 
 using OperatorPtr = std::unique_ptr<Operator>;

@@ -1,66 +1,17 @@
 #ifndef VWISE_EXEC_PROFILE_H_
 #define VWISE_EXEC_PROFILE_H_
 
-#include <cstdint>
-#include <memory>
-#include <string>
-
 #include "exec/operator.h"
 
 namespace vwise {
 
-// Per-operator runtime counters accumulated by ProfiledOperator. Times are
-// wall-clock nanoseconds (steady_clock); Open/Next/Close are measured
-// separately so a pipeline-breaker's build cost (Open) is attributable apart
-// from its streaming cost (Next).
-struct OperatorStats {
-  uint64_t open_ns = 0;
-  uint64_t next_ns = 0;
-  uint64_t close_ns = 0;
-  uint64_t next_calls = 0;
-  uint64_t chunks_out = 0;  // Next() calls that produced >= 1 active row
-  uint64_t rows_out = 0;    // active rows across all Next() calls
-};
-
-// Transparent wrapper that times a child operator's Open/Next/Close and
-// counts the chunks and rows it produces. Mirrors CheckedOperator: when
-// Config::profile is set, every operator constructor that owns a child wraps
-// it (see InterposeChild below), so the profiler interposes between every
-// parent/child pair without the plan builder or tests knowing about it.
-// Plan analysis (verifier, EXPLAIN) sees through the wrapper via child().
-class ProfiledOperator final : public Operator {
- public:
-  ProfiledOperator(OperatorPtr child, std::string label);
-
-  const std::vector<TypeId>& OutputTypes() const override {
-    return child_->OutputTypes();
-  }
-  Status Next(DataChunk* out) override;
-  void Close() override;
-
-  const Operator& child() const { return *child_; }
-  const std::string& label() const { return label_; }
-  const OperatorStats& stats() const { return stats_; }
-
- private:
-  Status OpenImpl() override;
-  OperatorPtr child_;
-  std::string label_;
-  OperatorStats stats_;
-};
-
-// Wraps `op` in a ProfiledOperator when `config.profile` is set; otherwise
-// returns it unchanged. Null-safe like MaybeChecked.
-OperatorPtr MaybeProfiled(OperatorPtr op, const Config& config,
-                          const char* label);
-
-// The interposition helper every child-owning operator constructor routes its
-// children through (enforced by tools/vwise_lint.py). Applies both optional
-// wrappers: profiling innermost so its Next() time covers only the child, and
-// contract checking outermost so the checker also validates what profiled
-// plans hand upward.
-OperatorPtr InterposeChild(OperatorPtr op, const Config& config,
-                           const char* label);
+// Inert identity: every operator built with Config::profile times itself
+// (Operator::stats()), the plan root included. Kept only because the repo
+// benchmark (perfbench/) still calls it on the plan root; the next benchmark
+// change drops that call and deletes this header.
+inline OperatorPtr MaybeProfiled(OperatorPtr op, const Config&, const char*) {
+  return op;
+}
 
 }  // namespace vwise
 

@@ -2,13 +2,12 @@
 
 #include <cstring>
 
-#include "exec/profile.h"
-
 namespace vwise {
 
 ProjectOperator::ProjectOperator(OperatorPtr child, std::vector<ExprPtr> exprs,
                                  const Config& config)
-    : child_(InterposeChild(std::move(child), config, "project.child")),
+    : Operator(config),
+      child_(std::move(child)),
       exprs_(std::move(exprs)),
       config_(config) {
   for (const auto& e : exprs_) out_types_.push_back(e->physical());
@@ -23,7 +22,7 @@ Status ProjectOperator::OpenImpl() {
   return Status::OK();
 }
 
-Status ProjectOperator::Next(DataChunk* out) {
+Status ProjectOperator::NextImpl(DataChunk* out) {
   input_.Reset();
   VWISE_RETURN_IF_ERROR(child_->Next(&input_));
   size_t n = input_.ActiveCount();

@@ -18,8 +18,6 @@ class ProjectOperator final : public Operator {
                   const Config& config);
 
   const std::vector<TypeId>& OutputTypes() const override { return out_types_; }
-  Status Next(DataChunk* out) override;
-  void Close() override { child_->Close(); }
 
   // Static-analysis surface (plan verifier).
   const Operator& child() const { return *child_; }
@@ -27,6 +25,8 @@ class ProjectOperator final : public Operator {
 
  private:
   Status OpenImpl() override;
+  Status NextImpl(DataChunk* out) override;
+  void CloseImpl() override { child_->Close(); }
   OperatorPtr child_;
   std::vector<ExprPtr> exprs_;
   Config config_;

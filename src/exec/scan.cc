@@ -44,7 +44,8 @@ Status DecodeRows(StripeColumn* col, size_t row, size_t n, Vector* vec,
 
 ScanOperator::ScanOperator(TableSnapshot snap, std::vector<uint32_t> columns,
                            const Config& config, Options opts)
-    : snap_(std::move(snap)),
+    : Operator(config),
+      snap_(std::move(snap)),
       columns_(std::move(columns)),
       config_(config),
       opts_(std::move(opts)) {
@@ -138,7 +139,7 @@ Status ScanOperator::AdvanceStripe(bool* done) {
   return Status::OK();
 }
 
-Status ScanOperator::Next(DataChunk* out) {
+Status ScanOperator::NextImpl(DataChunk* out) {
   // The per-vector cancellation/deadline poll for every leaf pipeline: each
   // Next() emits at most one vector, so a cancel unwinds the plan within one
   // vector boundary.
@@ -211,7 +212,7 @@ Status ScanOperator::Next(DataChunk* out) {
   return Status::OK();
 }
 
-void ScanOperator::Close() {
+void ScanOperator::CloseImpl() {
   if (sched_handle_ != nullptr && opts_.scheduler != nullptr) {
     opts_.scheduler->Finish(sched_handle_.get());
     sched_handle_.reset();

@@ -44,8 +44,6 @@ class ScanOperator final : public Operator {
   ~ScanOperator() override;
 
   const std::vector<TypeId>& OutputTypes() const override { return out_types_; }
-  Status Next(DataChunk* out) override;
-  void Close() override;
 
   // Stripes actually decoded (tests: min-max skipping, coop scans).
   size_t stripes_read() const { return stripes_read_; }
@@ -57,6 +55,8 @@ class ScanOperator final : public Operator {
 
  private:
   Status OpenImpl() override;
+  Status NextImpl(DataChunk* out) override;
+  void CloseImpl() override;
   Status AdvanceStripe(bool* done);
   bool StripeQualifies(size_t stripe) const;
 

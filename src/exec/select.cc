@@ -1,12 +1,11 @@
 #include "exec/select.h"
 
-#include "exec/profile.h"
-
 namespace vwise {
 
 SelectOperator::SelectOperator(OperatorPtr child, FilterPtr filter,
                                const Config& config)
-    : child_(InterposeChild(std::move(child), config, "select.child")),
+    : Operator(config),
+      child_(std::move(child)),
       filter_(std::move(filter)),
       config_(config) {}
 
@@ -17,7 +16,7 @@ Status SelectOperator::OpenImpl() {
   return Status::OK();
 }
 
-Status SelectOperator::Next(DataChunk* out) {
+Status SelectOperator::NextImpl(DataChunk* out) {
   while (true) {
     input_.Reset();
     VWISE_RETURN_IF_ERROR(child_->Next(&input_));

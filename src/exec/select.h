@@ -18,8 +18,6 @@ class SelectOperator final : public Operator {
   const std::vector<TypeId>& OutputTypes() const override {
     return child_->OutputTypes();
   }
-  Status Next(DataChunk* out) override;
-  void Close() override { child_->Close(); }
 
   // Static-analysis surface (plan verifier).
   const Operator& child() const { return *child_; }
@@ -27,6 +25,8 @@ class SelectOperator final : public Operator {
 
  private:
   Status OpenImpl() override;
+  Status NextImpl(DataChunk* out) override;
+  void CloseImpl() override { child_->Close(); }
   OperatorPtr child_;
   FilterPtr filter_;
   Config config_;

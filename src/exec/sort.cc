@@ -6,7 +6,6 @@
 #include <type_traits>
 
 #include "exec/key_hash.h"
-#include "exec/profile.h"
 #include "exec/radix_spill.h"
 #include "storage/spill_file.h"
 
@@ -42,7 +41,8 @@ struct SortOperator::SortRun {
 
 SortOperator::SortOperator(OperatorPtr child, std::vector<SortKey> keys,
                            const Config& config, size_t limit, size_t offset)
-    : child_(InterposeChild(std::move(child), config, "sort.child")),
+    : Operator(config),
+      child_(std::move(child)),
       keys_(std::move(keys)),
       config_(config),
       limit_(limit),
@@ -290,7 +290,7 @@ Status SortOperator::Merge(DataChunk* out, size_t* skip, size_t* left) {
   return Status::OK();
 }
 
-Status SortOperator::Next(DataChunk* out) {
+Status SortOperator::NextImpl(DataChunk* out) {
   // vwise-hotpath: allow(cold-call): materialize-and-sort runs once per
   // query before the first emitted vector
   if (!sorted_) VWISE_RETURN_IF_ERROR(ConsumeAndSort());
@@ -321,7 +321,7 @@ void SortOperator::DropRuns() {
   buffered_bytes_ = 0;
 }
 
-void SortOperator::Close() {
+void SortOperator::CloseImpl() {
   // Normally closed at the end of ConsumeAndSort; close again (idempotent)
   // so an error/cancel unwind still reaches fragments below.
   child_->Close();
@@ -331,7 +331,7 @@ void SortOperator::Close() {
   mem_.ReleaseAll();
 }
 
-Status LimitOperator::Next(DataChunk* out) {
+Status LimitOperator::NextImpl(DataChunk* out) {
   while (emitted_ < limit_) {
     out->Reset();
     VWISE_RETURN_IF_ERROR(child_->Next(out));

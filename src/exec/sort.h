@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "exec/profile.h"
 #include "exec/column_store.h"
 #include "exec/operator.h"
 #include "service/query_context.h"
@@ -40,8 +39,6 @@ class SortOperator final : public Operator {
   const std::vector<TypeId>& OutputTypes() const override {
     return child_->OutputTypes();
   }
-  Status Next(DataChunk* out) override;
-  void Close() override;
 
   // Static-analysis surface (plan verifier).
   const Operator& child() const { return *child_; }
@@ -57,6 +54,8 @@ class SortOperator final : public Operator {
   struct SortRun;  // merge-side state of one spilled run (sort.cc)
 
   Status OpenImpl() override;
+  Status NextImpl(DataChunk* out) override;
+  void CloseImpl() override;
   Status ConsumeAndSort();
   bool RowLess(uint32_t a, uint32_t b) const;
   // Orders the buffered rows into order_, keeping the top offset+limit.
@@ -106,15 +105,14 @@ class LimitOperator final : public Operator {
  public:
   LimitOperator(OperatorPtr child, const Config& config, size_t limit,
                 size_t offset = 0)
-      : child_(InterposeChild(std::move(child), config, "limit.child")),
+      : Operator(config),
+        child_(std::move(child)),
         limit_(limit),
         offset_(offset) {}
 
   const std::vector<TypeId>& OutputTypes() const override {
     return child_->OutputTypes();
   }
-  Status Next(DataChunk* out) override;
-  void Close() override { child_->Close(); }
 
   // Static-analysis surface (plan verifier).
   const Operator& child() const { return *child_; }
@@ -127,6 +125,8 @@ class LimitOperator final : public Operator {
     emitted_ = 0;
     return child_->Open(ctx());
   }
+  Status NextImpl(DataChunk* out) override;
+  void CloseImpl() override { child_->Close(); }
   OperatorPtr child_;
   size_t limit_;
   size_t offset_;

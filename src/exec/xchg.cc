@@ -1,6 +1,5 @@
 #include "exec/xchg.h"
 
-#include "exec/profile.h"
 #include "service/query_context.h"
 #include "service/worker_pool.h"
 
@@ -8,7 +7,8 @@ namespace vwise {
 
 XchgOperator::XchgOperator(FragmentFactory factory, int num_workers,
                            std::vector<TypeId> types, const Config& config)
-    : factory_(std::move(factory)),
+    : Operator(config),
+      factory_(std::move(factory)),
       num_workers_(num_workers),
       types_(std::move(types)),
       config_(config) {}
@@ -73,7 +73,7 @@ void XchgOperator::ProducerLoop(int worker) {
     finish(fragment.status());
     return;
   }
-  OperatorPtr op = InterposeChild(std::move(*fragment), config_, "xchg.fragment");
+  OperatorPtr op = std::move(*fragment);
   // The fragment runs under the consumer's QueryContext, so cancellation,
   // deadlines, and the memory budget propagate onto pool threads.
   Status status = op->Open(ctx());
@@ -98,7 +98,7 @@ void XchgOperator::ProducerLoop(int worker) {
   finish(status);
 }
 
-Status XchgOperator::Next(DataChunk* out) {
+Status XchgOperator::NextImpl(DataChunk* out) {
   VWISE_RETURN_IF_ERROR(ctx()->Check());
   QueuedChunk qc;
   {
@@ -135,7 +135,7 @@ Status XchgOperator::Next(DataChunk* out) {
   return Status::OK();
 }
 
-void XchgOperator::Close() {
+void XchgOperator::CloseImpl() {
   // Safe to call twice and concurrently with in-flight producers: shared
   // state is only touched under mu_. Cancellation drains in three steps:
   // wake everything, help-run this operator's own not-yet-scheduled

@@ -38,8 +38,6 @@ class XchgOperator final : public Operator {
   ~XchgOperator() override;
 
   const std::vector<TypeId>& OutputTypes() const override { return types_; }
-  Status Next(DataChunk* out) override VWISE_EXCLUDES(mu_);
-  void Close() override VWISE_EXCLUDES(mu_);
 
   // Static-analysis surface (plan verifier): the verifier instantiates
   // fragments through the factory (construction only, no Open) to check
@@ -49,6 +47,8 @@ class XchgOperator final : public Operator {
 
  private:
   Status OpenImpl() override VWISE_EXCLUDES(mu_);
+  Status NextImpl(DataChunk* out) override VWISE_EXCLUDES(mu_);
+  void CloseImpl() override VWISE_EXCLUDES(mu_);
   void ProducerLoop(int worker) VWISE_EXCLUDES(mu_);
   void PushChunk(DataChunk chunk) VWISE_EXCLUDES(mu_);
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "exec/profile.h"
 #include "exec/hash_agg.h"
 #include "exec/hash_join.h"
 #include "exec/project.h"
@@ -186,17 +185,14 @@ class PlanBuilder {
 
   // Finishes the plan. Surfaces any error a fluent method recorded, then —
   // under Config::verify_plans — runs the static plan verifier over the tree
-  // and checks the declared logical types against the verified layout. The
-  // per-operator contract wrapping happens inside each operator's
-  // constructor; wrapping the finished plan here additionally validates the
-  // root's output stream (the chunks CollectRows and the API layer consume).
+  // and checks the declared logical types against the verified layout.
   Result<OperatorPtr> Build() {
     VWISE_RETURN_IF_ERROR(status_);
     if (op_ == nullptr) {
       return Status::InvalidArgument(
           "PlanBuilder::Build: empty plan (Scan failed or was never called)");
     }
-    OperatorPtr root = InterposeChild(std::move(op_), config_, "plan.root");
+    OperatorPtr root = std::move(op_);
     if (config_.verify_plans) {
       PlanVerifier verifier;
       PlanProperties props;

@@ -6,8 +6,6 @@
 #include <utility>
 
 #include "catalog/schema.h"
-#include "exec/checked.h"
-#include "exec/profile.h"
 #include "exec/hash_agg.h"
 #include "exec/hash_join.h"
 #include "exec/project.h"
@@ -348,23 +346,15 @@ void PseudoLine(std::string text, size_t depth,
   out->push_back(std::move(e));
 }
 
-// Pre-order walk producing one PlanNodeProfile per printed line. `prof` is
-// the closest ProfiledOperator peeled off above `op` (its counters describe
-// this node's output stream). Returns the index of the entry created for the
-// unwrapped node, or SIZE_MAX when nothing was appended.
-size_t WalkNode(const Operator& op, size_t depth, const ProfiledOperator* prof,
+// Pre-order walk producing one PlanNodeProfile per printed line. Returns the
+// index of the entry created for `op`.
+size_t WalkNode(const Operator& op, size_t depth,
                 std::vector<PlanNodeProfile>* out) {
-  if (auto* ck = dynamic_cast<const CheckedOperator*>(&op)) {
-    return WalkNode(ck->child(), depth, prof, out);  // transparent wrapper
-  }
-  if (auto* pf = dynamic_cast<const ProfiledOperator*>(&op)) {
-    // Innermost wrapper wins (there is at most one per edge today).
-    return WalkNode(pf->child(), depth, pf, out);
-  }
   std::string line;
   std::string spill_note;  // EXPLAIN ANALYZE-only spill telemetry
   const Operator* child0 = nullptr;
   const Operator* child1 = nullptr;
+  const XchgOperator* xchg = nullptr;  // its fragment prints below its line
   if (auto* s = dynamic_cast<const ScanOperator*>(&op)) {
     line += "Scan ";
     line += s->snapshot().schema != nullptr ? s->snapshot().schema->name()
@@ -463,40 +453,10 @@ size_t WalkNode(const Operator& op, size_t depth, const ProfiledOperator* prof,
     line += " offset=";
     line += std::to_string(lim->offset());
     child0 = &lim->child();
+  } else if ((xchg = dynamic_cast<const XchgOperator*>(&op)) != nullptr) {
+    line += "Xchg workers=" + std::to_string(xchg->num_workers());
   } else {
-    auto* x = dynamic_cast<const XchgOperator*>(&op);
-    line += x != nullptr
-                ? "Xchg workers=" + std::to_string(x->num_workers())
-                : "<operator>";
-    line += " -> ";
-    line += TypesToString(op.OutputTypes());
-    PlanNodeProfile e;
-    e.op = std::move(line);
-    e.depth = depth;
-    if (prof != nullptr) {
-      const OperatorStats& st = prof->stats();
-      e.profiled = true;
-      e.next_calls = st.next_calls;
-      e.chunks_out = st.chunks_out;
-      e.rows_out = st.rows_out;
-      e.open_ms = static_cast<double>(st.open_ns) / 1e6;
-      e.next_ms = static_cast<double>(st.next_ns) / 1e6;
-    }
-    out->push_back(std::move(e));
-    size_t idx = out->size() - 1;
-    if (x != nullptr) {
-      // Show worker 0's fragment as the representative sub-plan. The factory
-      // builds a fresh, never-opened instance, so its counters stay zero —
-      // per-worker runtime lives in the Xchg line above it.
-      auto frag = x->factory()(0, x->num_workers());
-      if (frag.ok() && frag.value() != nullptr) {
-        PseudoLine("fragment(0):", depth + 1, out);
-        WalkNode(*frag.value(), depth + 2, nullptr, out);
-      } else {
-        PseudoLine("<fragment unavailable>", depth + 1, out);
-      }
-    }
-    return idx;
+    line += "<operator>";
   }
   line += " -> ";
   line += TypesToString(op.OutputTypes());
@@ -504,8 +464,8 @@ size_t WalkNode(const Operator& op, size_t depth, const ProfiledOperator* prof,
   e.op = std::move(line);
   e.depth = depth;
   e.spill = std::move(spill_note);
-  if (prof != nullptr) {
-    const OperatorStats& st = prof->stats();
+  if (op.profiled()) {
+    const OperatorStats& st = op.stats();
     e.profiled = true;
     e.next_calls = st.next_calls;
     e.chunks_out = st.chunks_out;
@@ -517,9 +477,20 @@ size_t WalkNode(const Operator& op, size_t depth, const ProfiledOperator* prof,
   size_t idx = out->size() - 1;
   for (const Operator* c : {child0, child1}) {
     if (c == nullptr) continue;
-    size_t ci = WalkNode(*c, depth + 1, nullptr, out);
-    if (ci != SIZE_MAX && (*out)[ci].profiled) {
-      (*out)[idx].rows_in += (*out)[ci].rows_out;
+    size_t ci = WalkNode(*c, depth + 1, out);
+    if ((*out)[ci].profiled) (*out)[idx].rows_in += (*out)[ci].rows_out;
+  }
+  if (xchg != nullptr) {
+    // Show worker 0's fragment as the representative sub-plan. The factory
+    // builds a fresh, never-opened instance, so its counters stay zero —
+    // per-worker runtime lives in the Xchg line above it, which is why the
+    // copy's root line claims no profile.
+    auto frag = xchg->factory()(0, xchg->num_workers());
+    if (frag.ok() && frag.value() != nullptr) {
+      PseudoLine("fragment(0):", depth + 1, out);
+      (*out)[WalkNode(*frag.value(), depth + 2, out)].profiled = false;
+    } else {
+      PseudoLine("<fragment unavailable>", depth + 1, out);
     }
   }
   return idx;
@@ -529,7 +500,7 @@ size_t WalkNode(const Operator& op, size_t depth, const ProfiledOperator* prof,
 
 std::vector<PlanNodeProfile> CollectPlanProfile(const Operator& root) {
   std::vector<PlanNodeProfile> nodes;
-  WalkNode(root, 0, nullptr, &nodes);
+  WalkNode(root, 0, &nodes);
   return nodes;
 }
 
@@ -1078,12 +1049,6 @@ Status PlanVerifier::VerifyXchg(const XchgOperator& op,
 }
 
 Status PlanVerifier::VerifyNode(const Operator& op, PlanProperties* out) const {
-  if (auto* ck = dynamic_cast<const CheckedOperator*>(&op)) {
-    return VerifyNode(ck->child(), out);
-  }
-  if (auto* pf = dynamic_cast<const ProfiledOperator*>(&op)) {
-    return VerifyNode(pf->child(), out);
-  }
   if (auto* s = dynamic_cast<const ScanOperator*>(&op)) {
     return VerifyScan(*s, out);
   }
@@ -1363,11 +1328,7 @@ Status PlanVerifier::VerifyNode(const Operator& op, PlanProperties* out) const {
 namespace {
 
 void CollectScans(const Operator& op, std::vector<const ScanOperator*>* out) {
-  if (auto* ck = dynamic_cast<const CheckedOperator*>(&op)) {
-    CollectScans(ck->child(), out);
-  } else if (auto* pf = dynamic_cast<const ProfiledOperator*>(&op)) {
-    CollectScans(pf->child(), out);
-  } else if (auto* s = dynamic_cast<const ScanOperator*>(&op)) {
+  if (auto* s = dynamic_cast<const ScanOperator*>(&op)) {
     out->push_back(s);
   } else if (auto* sel = dynamic_cast<const SelectOperator*>(&op)) {
     CollectScans(sel->child(), out);

@@ -35,11 +35,10 @@ namespace vwise {
 //     operator (1 below an Xchg, num_workers above it until a blocking
 //     operator re-serializes).
 //
-// The verifier sees through CheckedOperator/ProfiledOperator wrappers, and
-// descends into
-// XchgOperator fragments by instantiating them through the fragment factory
-// (construction only — nothing is opened). Unknown operator types are
-// accepted at their declared types with properties reset.
+// The verifier descends into XchgOperator fragments by instantiating them
+// through the fragment factory (construction only — nothing is opened).
+// Unknown operator types are accepted at their declared types with
+// properties reset.
 
 // Stream properties inferred for (the output of) a verified plan node.
 struct PlanProperties {
@@ -117,9 +116,11 @@ std::string ExplainFilter(const Filter& f);
 // ---------------------------------------------------------------------------
 
 // One rendered plan line in top-down (pre-order) print order: either a real
-// operator node or a pseudo-line (an Xchg "fragment(0):" header). When a
-// ProfiledOperator wraps the node (Config::profile), `profiled` is set and
-// the runtime counters are filled from its stats; otherwise they stay zero.
+// operator node or a pseudo-line (an Xchg "fragment(0):" header). When the
+// node was built with Config::profile, `profiled` is set and the runtime
+// counters are filled from its Operator::stats(); otherwise they stay zero.
+// The Xchg fragment copy built for display was never opened: it reports
+// zeros, and its root line is not profiled.
 // ExplainPlan / ExplainAnalyzePlan are both rendered from this walk, so the
 // two stay line-for-line aligned.
 struct PlanNodeProfile {
@@ -141,8 +142,8 @@ struct PlanNodeProfile {
   std::string repr;
 };
 
-// Walks the plan (seeing through Checked/Profiled wrappers, descending into
-// Xchg's worker-0 fragment) and returns one entry per printed line.
+// Walks the plan (descending into Xchg's worker-0 fragment) and returns one
+// entry per printed line.
 std::vector<PlanNodeProfile> CollectPlanProfile(const Operator& root);
 
 // ExplainPlan with per-operator runtime annotations appended to profiled

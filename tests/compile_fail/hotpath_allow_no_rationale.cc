@@ -15,7 +15,7 @@ namespace vwise {
 
 class RationaleDemoOperator {
  public:
-  int Next(long* out) {
+  int NextImpl(long* out) {
 #ifdef VWISE_COMPILE_FAIL
     // vwise-hotpath: allow(alloc)
     scratch_.push_back(1);

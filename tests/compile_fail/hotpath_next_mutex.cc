@@ -1,4 +1,4 @@
-// Negative hot-path check: a lock acquisition inside an operator's Next()
+// Negative hot-path check: a lock acquisition inside an operator's NextImpl()
 // must be rejected by tools/vwise_hotpath.py.
 //
 // tools/check_compile_fail.py runs this twice (mode hotpath-lock): the
@@ -15,8 +15,9 @@ namespace vwise {
 
 class DemoCounterOperator {
  public:
-  // Stands in for Operator::Next — the analyzer roots every Next method.
-  int Next(long* out) {
+  // Stands in for an operator's NextImpl — the analyzer roots every NextImpl
+  // method.
+  int NextImpl(long* out) {
 #ifdef VWISE_COMPILE_FAIL
     MutexLock lock(&mu_);  // per-vector lock: must be flagged
 #endif

@@ -1,15 +1,14 @@
 // Exercises the debug-mode operator-contract checker (src/exec/checked.h)
 // with deliberately malformed chunks: every violated X100 chunk invariant
-// must surface as a Status::Internal from the CheckedOperator wrapper (or,
-// for invariants already guarded by VWISE_DCHECK in debug builds, as a
-// CHECK failure).
+// must surface as a Status::Internal from the producing operator's own
+// Operator::Next (or, for invariants already guarded by VWISE_DCHECK in
+// debug builds, as a CHECK failure).
 
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "exec/checked.h"
 #include "exec/operator.h"
 #include "exec/select.h"
 #include "expr/expression.h"
@@ -24,12 +23,17 @@ class MalformedSource final : public Operator {
  public:
   using Corruptor = std::function<void(DataChunk*)>;
 
-  MalformedSource(std::vector<TypeId> types, size_t n, Corruptor corrupt)
-      : types_(std::move(types)), n_(n), corrupt_(std::move(corrupt)) {}
+  MalformedSource(std::vector<TypeId> types, size_t n, Corruptor corrupt,
+                  const Config& config)
+      : Operator(config),
+        types_(std::move(types)),
+        n_(n),
+        corrupt_(std::move(corrupt)) {}
 
   const std::vector<TypeId>& OutputTypes() const override { return types_; }
 
-  Status Next(DataChunk* out) override {
+ private:
+  Status NextImpl(DataChunk* out) override {
     if (done_) {
       out->SetCount(0);
       return Status::OK();
@@ -45,9 +49,7 @@ class MalformedSource final : public Operator {
     if (corrupt_) corrupt_(out);
     return Status::OK();
   }
-  void Close() override {}
-
- private:
+  void CloseImpl() override {}
   Status OpenImpl() override { return Status::OK(); }
   std::vector<TypeId> types_;
   size_t n_;
@@ -65,11 +67,18 @@ Status DriveOnce(Operator* op, size_t capacity) {
   return s;
 }
 
-CheckedOperator Checked(std::vector<TypeId> types, size_t n,
+Config Checking(bool on) {
+  Config config;
+  config.check_contracts = on;
+  return config;
+}
+
+// A malformed source built with contract checking on: its own Next() runs
+// the validator.
+MalformedSource Checked(std::vector<TypeId> types, size_t n,
                         MalformedSource::Corruptor corrupt) {
-  return CheckedOperator(
-      std::make_unique<MalformedSource>(std::move(types), n, std::move(corrupt)),
-      "test.child");
+  return MalformedSource(std::move(types), n, std::move(corrupt),
+                         Checking(true));
 }
 
 TEST(ContractCheckerTest, WellFormedChunkPasses) {
@@ -207,39 +216,52 @@ TEST(ContractCheckerTest, NextBeforeOpenCaught) {
   EXPECT_NE(s.message().find("before Open"), std::string::npos) << s.message();
 }
 
-TEST(ContractCheckerTest, MaybeCheckedHonorsConfigFlag) {
-  Config on;
-  on.check_contracts = true;
-  Config off;
-  off.check_contracts = false;
-  auto mk = [] {
-    return std::make_unique<MalformedSource>(
-        std::vector<TypeId>{TypeId::kI64}, 4, nullptr);
-  };
-  OperatorPtr wrapped = MaybeChecked(mk(), on, "x");
-  OperatorPtr plain = MaybeChecked(mk(), off, "x");
-  EXPECT_NE(dynamic_cast<CheckedOperator*>(wrapped.get()), nullptr);
-  EXPECT_EQ(dynamic_cast<CheckedOperator*>(plain.get()), nullptr);
+TEST(ContractCheckerTest, NextAfterCloseCaught) {
+  auto op = Checked({TypeId::kI64}, 10, nullptr);
+  ASSERT_TRUE(op.Open().ok());
+  op.Close();
+  DataChunk chunk;
+  chunk.Init({TypeId::kI64}, 16);
+  Status s = op.Next(&chunk);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("after Close"), std::string::npos)
+      << s.message();
 }
 
-TEST(ContractCheckerTest, InterposesThroughOperatorConstructors) {
-  // A SelectOperator built with check_contracts on wraps its child, so a
-  // corrupted child chunk fails the query instead of corrupting results.
-  Config cfg;
-  cfg.check_contracts = true;
+TEST(ContractCheckerTest, CheckContractsFlagControlsValidation) {
+  // The same malformed stream: the flag off lets it through, on catches it.
+  auto unsorted = [](DataChunk* out) {
+    sel_t* sel = out->MutableSel();
+    sel[0] = 5;
+    sel[1] = 2;
+    out->SetSelection(2);
+  };
+  MalformedSource plain({TypeId::kI64}, 10, unsorted, Checking(false));
+  EXPECT_TRUE(DriveOnce(&plain, 16).ok());
+  MalformedSource checked({TypeId::kI64}, 10, unsorted, Checking(true));
+  EXPECT_FALSE(DriveOnce(&checked, 16).ok());
+}
+
+TEST(ContractCheckerTest, ViolationInsidePlanNamesProducer) {
+  // A Select over a checked source whose chunk is corrupted fails the query
+  // instead of corrupting results, and the error names the producer.
+  Config cfg = Checking(true);
   cfg.vector_size = 16;
   auto bad = std::make_unique<MalformedSource>(
-      std::vector<TypeId>{TypeId::kI64}, 10, [](DataChunk* out) {
+      std::vector<TypeId>{TypeId::kI64}, 10,
+      [](DataChunk* out) {
         sel_t* sel = out->MutableSel();
         sel[0] = 3;
         sel[1] = 1;
         out->SetSelection(2);
-      });
+      },
+      cfg);
   SelectOperator select(std::move(bad),
                         e::Gt(e::Col(0, DataType::Int64()), e::I64(-1)), cfg);
   Status s = DriveOnce(&select, 16);
   ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("select.child"), std::string::npos) << s.message();
+  EXPECT_NE(s.message().find("MalformedSource"), std::string::npos)
+      << s.message();
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Tests for the query profiling layer: ProfiledOperator interposition,
-// per-primitive counters, EXPLAIN ANALYZE rendering, and the guarantee that
-// profiling never changes plan shape semantics or query results.
+// Tests for the query profiling layer: per-operator counters kept by
+// Operator's own Open/Next, per-primitive counters, EXPLAIN ANALYZE
+// rendering, and the guarantee that profiling never changes plan shape
+// semantics or query results.
 
 #include <filesystem>
 #include <regex>
@@ -9,8 +10,7 @@
 #include <vector>
 
 #include "api/database.h"
-#include "exec/checked.h"
-#include "exec/profile.h"
+#include "exec/select.h"
 #include "expr/primitive_profiler.h"
 #include "gtest/gtest.h"
 #include "planner/plan_verifier.h"
@@ -75,7 +75,8 @@ const PlanNodeProfile* FindNode(const std::vector<PlanNodeProfile>& nodes,
 }
 
 // Q1 is the multi-operator pipeline Agg(Project(Select(Scan))) (plus Sort):
-// the wrapper counters must be mutually consistent across the whole tree.
+// the per-operator counters must be mutually consistent across the whole
+// tree.
 TEST_F(ProfilerTest, OperatorCountersSumAcrossPlan) {
   Config cfg = ProfiledConfig();
   auto plan = tpch::BuildQuery(1, mgr_, cfg);
@@ -186,33 +187,83 @@ TEST_F(ProfilerTest, ExplainAnalyzeOutputParses) {
 }
 
 TEST_F(ProfilerTest, ProfileFlagControlsOperatorIdentity) {
-  // Off: no ProfiledOperator anywhere (nothing in the walk claims profiled).
+  // Off: nothing in the walk claims profiled.
   Config off = *config_;
   off.profile = false;
   off.check_contracts = false;
   auto plain = tpch::BuildQuery(6, mgr_, off);
   ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(dynamic_cast<ProfiledOperator*>(plain->get()), nullptr);
-  EXPECT_EQ(dynamic_cast<CheckedOperator*>(plain->get()), nullptr);
   for (const auto& n : CollectPlanProfile(**plain)) {
     EXPECT_FALSE(n.profiled) << n.op;
   }
 
-  // On: the root edge is wrapped (checker outermost when both are enabled).
-  Config on = *config_;
-  on.profile = true;
-  on.check_contracts = false;
-  auto profiled = tpch::BuildQuery(6, mgr_, on);
-  ASSERT_TRUE(profiled.ok());
-  EXPECT_NE(dynamic_cast<ProfiledOperator*>(profiled->get()), nullptr);
+  // On, with or without contract checking: every node, root included.
+  for (bool check : {false, true}) {
+    Config on = *config_;
+    on.profile = true;
+    on.check_contracts = check;
+    auto profiled = tpch::BuildQuery(6, mgr_, on);
+    ASSERT_TRUE(profiled.ok());
+    std::vector<PlanNodeProfile> nodes = CollectPlanProfile(**profiled);
+    ASSERT_GE(nodes.size(), 4u);
+    for (const auto& n : nodes) {
+      EXPECT_TRUE(n.profiled) << n.op << " check_contracts=" << check;
+    }
+  }
+}
 
-  Config both = on;
-  both.check_contracts = true;
-  auto wrapped = tpch::BuildQuery(6, mgr_, both);
-  ASSERT_TRUE(wrapped.ok());
-  auto* checked = dynamic_cast<CheckedOperator*>(wrapped->get());
-  ASSERT_NE(checked, nullptr);
-  EXPECT_NE(dynamic_cast<const ProfiledOperator*>(&checked->child()), nullptr);
+// A tree built without PlanBuilder and handed straight to PrepareRoot (no
+// MaybeProfiled call) still reports its root: the root profiles itself.
+TEST_F(ProfilerTest, BareTreeThroughPrepareRootHasProfiledRoot) {
+  std::string dir = ::testing::TempDir() + "/vwise_profiler_bare";
+  std::filesystem::remove_all(dir);
+  Config cfg;
+  cfg.profile = true;
+  auto db = Database::Open(dir, cfg);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  TableSchema t("t", {ColumnDef("k", DataType::Int64())});
+  ASSERT_TRUE((*db)->CreateTable(t).ok());
+  ASSERT_TRUE((*db)
+                  ->BulkLoad("t",
+                             [](TableWriter* w) -> Status {
+                               for (int64_t i = 0; i < 3000; i++) {
+                                 VWISE_RETURN_IF_ERROR(
+                                     w->AppendRow({Value::Int(i)}));
+                               }
+                               return Status::OK();
+                             })
+                  .ok());
+
+  auto snap = (*db)->Internals().tm->GetSnapshot("t");
+  ASSERT_TRUE(snap.ok());
+  auto scan = std::make_unique<ScanOperator>(*snap, std::vector<uint32_t>{0},
+                                             cfg);
+  OperatorPtr root = std::make_unique<SelectOperator>(
+      std::move(scan), e::Lt(e::Col(0, DataType::Int64()), e::I64(1000)),
+      cfg);
+  const Operator* raw = root.get();
+  std::unique_ptr<Session> session = (*db)->Connect();
+  std::unique_ptr<PreparedQuery> prepared =
+      session->PrepareRoot(std::move(root), {"k"});
+  std::unique_ptr<QueryHandle> handle = prepared->Execute();
+  const Result<QueryResult>& result = handle->Wait();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->rows.size(), 1000u);
+
+  std::vector<PlanNodeProfile> nodes = CollectPlanProfile(*raw);
+  ASSERT_EQ(nodes.size(), 2u);
+  EXPECT_TRUE(nodes[0].profiled) << nodes[0].op;
+  EXPECT_EQ(nodes[0].rows_out, 1000u);
+  EXPECT_EQ(nodes[0].rows_in, 3000u);
+  EXPECT_GT(nodes[0].next_calls, 0u);
+  EXPECT_EQ(result->profile.rfind("Select", 0), 0u) << result->profile;
+  EXPECT_NE(result->profile.find("[rows=1000 in=3000"), std::string::npos)
+      << result->profile;
+  handle.reset();
+  prepared.reset();
+  session.reset();
+  db->reset();
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ProfilerTest, ProfiledResultsBitIdentical) {

@@ -457,7 +457,7 @@ TEST_F(QueryServiceDbTest, ConcurrentXchgPlansShareThePoolBitIdentically) {
 
 TEST(QueryServiceProfiledTest, ProfiledConcurrentSessionsStayBitIdentical) {
   // Same data and plan as the shared fixture, but with Config::profile on:
-  // the profiling wrappers and primitive counters must not perturb results,
+  // per-operator profiling and primitive counters must not perturb results,
   // even with eight profiled queries interleaving on the pool.
   std::string dir = ::testing::TempDir() + "/vwise_qsvc_profiled";
   std::filesystem::remove_all(dir);

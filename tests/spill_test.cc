@@ -720,7 +720,8 @@ class LaneSource final : public Operator {
     return LaneTypes();
   }
 
-  Status Next(DataChunk* out) override {
+ private:
+  Status NextImpl(DataChunk* out) override {
     size_t n = static_cast<size_t>(
         std::min<int64_t>(static_cast<int64_t>(vector_size_), rows_ - next_));
     size_t active = 0;
@@ -742,9 +743,7 @@ class LaneSource final : public Operator {
     next_ += static_cast<int64_t>(n);
     return Status::OK();
   }
-  void Close() override {}
-
- private:
+  void CloseImpl() override {}
   Status OpenImpl() override {
     next_ = 0;
     return Status::OK();
@@ -1368,6 +1367,7 @@ TEST_F(SpillTest, CancelMidSpillLeavesNoScratch) {
   ASSERT_TRUE(sort.Next(&out).ok());
   EXPECT_GT(sort.spill_runs(), 0u);
   ctx.Cancel();
+  out.Reset();
   Status s = sort.Next(&out);
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(s.IsCancelled()) << s.ToString();

@@ -363,8 +363,9 @@ TEST_F(TxnTest, CheckpointMergesAndSurvivesReopen) {
     auto txn = mgr_->Begin();
     for (int op = 0; op < 5; op++) {
       int64_t v = static_cast<int64_t>(rng.Next() % 100000);
-      Row row = {Value::Int(1000 + v), Value::Int(v),
-                 Value::String("r" + std::to_string(v))};
+      std::string name = "r";
+      name += std::to_string(v);
+      Row row = {Value::Int(1000 + v), Value::Int(v), Value::String(name)};
       switch (rng.Next() % 5) {
         case 0:
           ASSERT_TRUE(txn->Insert("accounts", rng.Next() % (n + 1), row).ok());

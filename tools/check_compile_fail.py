@@ -22,6 +22,9 @@ Modes
                  analysis only exists in clang, so under any other compiler
                  the runner exits 77 (ctest SKIP_RETURN_CODE) rather than
                  reporting a vacuous pass.
+  override       the seeded snippet overrides a non-virtual method (the
+                 operator boundary Operator::Next); meaningful under gcc AND
+                 clang.
   hotpath-*      analyzer-backed: the "compiler" for the seeded violation is
                  tools/vwise_hotpath.py in --src mode. Both variants must
                  still compile as plain C++ (the violation is semantic, not
@@ -55,6 +58,13 @@ MODES = {
         # e.g. "reading variable 'balance_' requires holding mutex 'mu_'",
         # "calling function 'AuditLocked' requires holding mutex 'mu_'".
         "markers": ["requires holding", "-Wthread-safety"],
+    },
+    "override": {
+        "flags": [],
+        "clang_only": False,
+        # gcc: "... marked 'override', but does not override"; clang: "only
+        # virtual member functions can be marked 'override'".
+        "markers": ["override"],
     },
     "hotpath-alloc": {
         "flags": [],

@@ -19,9 +19,11 @@ Roots
     (the adapter column of primitive_catalog.inc): expression dispatch
     reaches them through the bound entry's function pointer, which no call
     graph can follow;
-  * every Operator::Next defined in src/exec/ (scan, select, project,
-    hash_agg, hash_join, sort, xchg, checked, profile) — with the helpers
-    they reach in src/exec/ (key_hash.h, radix_spill.cc, ...);
+  * the operator boundary: the non-virtual Operator::Next and its
+    out-of-line instrumented half (contract checks, profiling counters),
+    plus every NextImpl defined in src/exec/ (scan, select, project,
+    hash_agg, hash_join, sort, xchg) — with the helpers they reach in
+    src/exec/ (key_hash.h, radix_spill.cc, ...);
   * expression dispatch: every Eval/Select defined in src/expr/expression.cc;
   * any function marked VWISE_HOT (src/common/macros.h).
 
@@ -524,7 +526,10 @@ def find_roots(frontend, repo):
             roots.append(fn)  # catalog kernels + operator functors
         elif p == "src/expr/primitive_registry.cc" and fn.name in adapters:
             roots.append(fn)  # called through PrimitiveEntry::map / select
-        elif p.startswith("src/exec/") and p.endswith(".cc") and fn.name == "Next":
+        elif fn.qual in ("Operator::Next", "Operator::NextInstrumented"):
+            roots.append(fn)  # the boundary every NextImpl runs under
+        elif (p.startswith("src/exec/") and p.endswith(".cc") and
+              fn.name == "NextImpl"):
             roots.append(fn)
         elif p == "src/expr/expression.cc" and fn.name in ("Eval", "Select"):
             roots.append(fn)
@@ -532,10 +537,10 @@ def find_roots(frontend, repo):
 
 
 def single_file_roots(frontend):
-    """Roots in --src mode: VWISE_HOT markers plus Next methods — snippets
-    declare their own roots."""
+    """Roots in --src mode: VWISE_HOT markers plus NextImpl methods —
+    snippets declare their own roots."""
     return [fn for fn in frontend.functions
-            if fn.is_hot_marked or fn.name == "Next"]
+            if fn.is_hot_marked or fn.name == "NextImpl"]
 
 
 class Analyzer:
@@ -793,8 +798,9 @@ def self_test(repo):
              "  std::vector<int> shadow;\n"
              "  shadow.push_back(1);"),
             "alloc"),
-        # The spill lineage's Next is reached from HashAggOperator::Next on
-        # every emitted vector of a spilled aggregation.
+        # The spill lineage's Next is reached from
+        # HashAggOperator::NextImpl on every emitted vector of a spilled
+        # aggregation.
         "alloc in RadixSpill::Next": (
             ("src/exec/radix_spill.cc",
              "bool RadixSpill::Next() {",
@@ -802,41 +808,50 @@ def self_test(repo):
              "  std::vector<int> shadow;\n"
              "  shadow.push_back(1);"),
             "alloc"),
-        # Lock acquisition inside an operator's Next.
+        # The operator boundary runs around every NextImpl: its instrumented
+        # half (contract checks, profiling) is a root in its own right.
+        "alloc at the operator boundary": (
+            ("src/exec/operator.cc",
+             "Status Operator::NextInstrumented(DataChunk* out) {",
+             "Status Operator::NextInstrumented(DataChunk* out) {\n"
+             "  std::vector<int> shadow;\n"
+             "  shadow.push_back(1);"),
+            "alloc"),
+        # Lock acquisition inside an operator's NextImpl.
         "mutex in Next": (
             ("src/exec/select.cc",
-             "Status SelectOperator::Next(DataChunk* out) {",
-             "Status SelectOperator::Next(DataChunk* out) {\n"
+             "Status SelectOperator::NextImpl(DataChunk* out) {",
+             "Status SelectOperator::NextImpl(DataChunk* out) {\n"
              "  static Mutex m;\n"
              "  MutexLock guard(&m);"),
             "lock"),
         # I/O on the per-vector path.
         "printf in Next": (
             ("src/exec/project.cc",
-             "Status ProjectOperator::Next(DataChunk* out) {",
-             "Status ProjectOperator::Next(DataChunk* out) {\n"
+             "Status ProjectOperator::NextImpl(DataChunk* out) {",
+             "Status ProjectOperator::NextImpl(DataChunk* out) {\n"
              "  printf(\"next\\n\");"),
             "io"),
         # Success-path Status formatting.
         "status message off the return path": (
             ("src/exec/project.cc",
-             "Status ProjectOperator::Next(DataChunk* out) {",
-             "Status ProjectOperator::Next(DataChunk* out) {\n"
+             "Status ProjectOperator::NextImpl(DataChunk* out) {",
+             "Status ProjectOperator::NextImpl(DataChunk* out) {\n"
              "  Status probe = Status::Internal(\"speculative\");\n"
              "  (void)probe;"),
             "statusfmt"),
         # Virtual dispatch inside a per-tuple loop.
         "virtual call in a for loop": (
             ("src/exec/select.cc",
-             "Status SelectOperator::Next(DataChunk* out) {",
-             "Status SelectOperator::Next(DataChunk* out) {\n"
-             "  for (size_t i = 0; i < 4; i++) child_->Close();"),
+             "Status SelectOperator::NextImpl(DataChunk* out) {",
+             "Status SelectOperator::NextImpl(DataChunk* out) {\n"
+             "  for (size_t i = 0; i < 4; i++) (void)child_->OutputTypes();"),
             "virtual-in-loop"),
         # An allow() escape with no rationale is itself an error.
         "allow() without rationale": (
             ("src/exec/select.cc",
-             "Status SelectOperator::Next(DataChunk* out) {",
-             "Status SelectOperator::Next(DataChunk* out) {\n"
+             "Status SelectOperator::NextImpl(DataChunk* out) {",
+             "Status SelectOperator::NextImpl(DataChunk* out) {\n"
              "  // vwise-hotpath: allow(alloc)\n"
              "  std::vector<int> scratch;\n"
              "  (void)scratch;"),

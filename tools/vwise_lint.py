@@ -24,19 +24,12 @@ Checks
    * no raw assert() (use VWISE_CHECK / VWISE_DCHECK) and no std::cout
      (report through Status or stderr);
    * macro definitions are VWISE_-prefixed.
-3. Operator-child wrapping: every constructor that takes ownership of a
-   child plan (an OperatorPtr parameter) must route it through
-   InterposeChild(std::move(child), ...) so both interposition wrappers
-   (contract checker, profiler) can sit on every parent/child pair. The
-   wrappers themselves (CheckedOperator, ProfiledOperator) are the only
-   exemptions. The InterposeChild helper in exec/profile.cc must in turn
-   route through both MaybeChecked and MaybeProfiled, checker outermost.
-4. Thread confinement: no std::thread under src/ outside src/service/.
+3. Thread confinement: no std::thread under src/ outside src/service/.
    Query parallelism goes through the shared WorkerPool (plan fragments)
    and admission runners own their threads in the QueryService; ad-hoc
    threads elsewhere bypass admission control, the memory budget, and
    cooperative cancellation. (std::this_thread — sleeps, yields — is fine.)
-5. Discarded Status/Result returns in src/storage, src/txn, src/pdt, and
+4. Discarded Status/Result returns in src/storage, src/txn, src/pdt, and
    repo-wide in tests/ and bench/: a bare `file->Sync();` statement
    silently swallows an I/O error on the durability path (and in a test,
    silently stops testing the thing it claims to test). Every such call
@@ -46,7 +39,7 @@ Checks
    overloads apart. This textual pass backstops the compiler-enforced
    [[nodiscard]] on Status/Result (common/status.h) for compilers/flags
    where -Wunused-result is off.
-6. Raw synchronization primitives: std::mutex, std::lock_guard,
+5. Raw synchronization primitives: std::mutex, std::lock_guard,
    std::unique_lock, std::scoped_lock, std::condition_variable, etc. are
    forbidden under src/ outside common/thread_annotations.h. Locking must
    go through the annotated vwise::Mutex / MutexLock / CondVar wrappers so
@@ -54,7 +47,7 @@ Checks
    CMake option) sees every acquisition. Escape hatch for the rare
    legitimate exception: `// vwise-lint: allow(raw-mutex): <rationale>` on
    the same or preceding line — the rationale is mandatory.
-7. Guarded members: in a header class that has a vwise::Mutex member,
+6. Guarded members: in a header class that has a vwise::Mutex member,
    every data member declared after it (our convention puts the mutex
    first, then the state it protects) must carry VWISE_GUARDED_BY /
    VWISE_PT_GUARDED_BY. Atomics, CondVars, further Mutexes, and thread
@@ -63,8 +56,7 @@ Checks
 
 --self-test seeds deliberate violations (misnamed primitive, catalog /
 primitives.h mismatch, an encoded-operand entry, raw assert, a
-constructor that stores its child without InterposeChild, a helper that
-drops one wrapper, a std::thread spawned outside src/service/, discarded
+std::thread spawned outside src/service/, discarded
 Status returns on the WAL path and in a test, a raw std::mutex, an allow()
 escape with no rationale, a guarded member stripped of its
 VWISE_GUARDED_BY) into a scratch copy and verifies the lint reports the
@@ -269,133 +261,6 @@ class Lint:
                 if pat.search(open(path, encoding="utf-8").read()):
                     return True
         return False
-
-    # -- operator-child wrapping --------------------------------------------
-
-    # The wrappers themselves store the raw child; everything else must wrap.
-    # PreparedQuery is the plan *owner*, not a plan operator: the root edge it
-    # holds was already interposed by PlanBuilder::Build ("plan.root") before
-    # it can reach a session, so wrapping again would double-count the root.
-    CHECKED_EXEMPT = {"CheckedOperator", "ProfiledOperator", "PreparedQuery"}
-
-    @staticmethod
-    def balanced_parens(text, open_idx):
-        """Returns (contents, index_after_close) for the paren at open_idx."""
-        depth = 0
-        for i in range(open_idx, len(text)):
-            if text[i] == "(":
-                depth += 1
-            elif text[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    return text[open_idx + 1:i], i + 1
-        return None, None
-
-    def check_operator_children(self, src_dir):
-        ctor_re = re.compile(
-            r"(?:^|\n)[ \t]*(?:explicit\s+)?([A-Z]\w*)(?:::\1)?\s*\(")
-        found = 0
-        for root, _dirs, files in os.walk(src_dir):
-            for fn in sorted(files):
-                if not fn.endswith((".cc", ".h")):
-                    continue
-                path = os.path.join(root, fn)
-                text = open(path, encoding="utf-8").read()
-                for m in ctor_re.finditer(text):
-                    params, after = self.balanced_parens(text, m.end() - 1)
-                    if params is None or "OperatorPtr" not in params:
-                        continue
-                    # Children are OperatorPtr parameters by value; the \b
-                    # keeps Tuple/column baseline types (TupleOperatorPtr)
-                    # out — the baselines must NOT share the checker.
-                    children = re.findall(r"\bOperatorPtr\s+(\w+)", params)
-                    if not children:
-                        continue
-                    rest = text[after:].lstrip()
-                    if not rest.startswith((":", "{")):
-                        continue  # declaration — the definition is checked
-                    found += 1
-                    name = m.group(1)
-                    if name in self.CHECKED_EXEMPT:
-                        continue
-                    # Scope = init list + body (up to the body's close).
-                    brace = text.find("{", after)
-                    depth = 0
-                    end = len(text)
-                    for i in range(brace, len(text)):
-                        if text[i] == "{":
-                            depth += 1
-                        elif text[i] == "}":
-                            depth -= 1
-                            if depth == 0:
-                                end = i + 1
-                                break
-                    region = text[after:end]
-                    lineno = text.count("\n", 0, m.start() + 1) + 1
-                    for child in children:
-                        wrap = re.compile(r"InterposeChild\(\s*std::move\(\s*" +
-                                          re.escape(child) + r"\b")
-                        if not wrap.search(region):
-                            self.error(
-                                path, lineno,
-                                f"{name} takes child '{child}' but does not "
-                                "route it through InterposeChild(std::move("
-                                f"{child}), ...) — neither the contract "
-                                "checker nor the profiler can interpose on "
-                                "this edge")
-        if found == 0:
-            self.error(src_dir, 0,
-                       "operator-child pass matched no constructors — the "
-                       "detection pattern has rotted; update vwise_lint.py")
-
-    def check_interpose_helper(self, src_dir):
-        """InterposeChild must apply BOTH wrappers, checker outermost.
-
-        The operator-child pass above only proves call sites reach the
-        helper; if the helper silently dropped MaybeProfiled (or
-        MaybeChecked), every edge in every plan would lose that wrapper at
-        once, which no per-call-site check would notice.
-        """
-        path = os.path.join(src_dir, "exec", "profile.cc")
-        if not os.path.isfile(path):
-            self.error(path, 0,
-                       "exec/profile.cc is missing — InterposeChild (the "
-                       "combined interposition helper) must live there")
-            return
-        text = open(path, encoding="utf-8").read()
-        m = re.search(r"OperatorPtr\s+InterposeChild\s*\(", text)
-        if m is None:
-            self.error(path, 0,
-                       "InterposeChild definition not found in "
-                       "exec/profile.cc")
-            return
-        _params, after = self.balanced_parens(text, text.index("(", m.start()))
-        brace = text.find("{", after)
-        depth = 0
-        end = len(text)
-        for i in range(brace, len(text)):
-            if text[i] == "{":
-                depth += 1
-            elif text[i] == "}":
-                depth -= 1
-                if depth == 0:
-                    end = i + 1
-                    break
-        body = text[brace:end]
-        lineno = text.count("\n", 0, m.start() + 1) + 1
-        checked = body.find("MaybeChecked(")
-        profiled = body.find("MaybeProfiled(")
-        if checked < 0 or profiled < 0:
-            missing = "MaybeChecked" if checked < 0 else "MaybeProfiled"
-            self.error(path, lineno,
-                       f"InterposeChild does not route through {missing} — "
-                       "every plan edge silently loses that wrapper")
-            return
-        if checked > profiled:
-            self.error(path, lineno,
-                       "InterposeChild nests MaybeProfiled outside "
-                       "MaybeChecked — the checker must be outermost so "
-                       "profiled Next() time covers only the child")
 
     # -- repo rules ---------------------------------------------------------
 
@@ -738,8 +603,6 @@ def run_lint(repo):
         src_dir=src)
     lint.check_repo_rules(src)
     lint.check_kernel_growth(src)
-    lint.check_operator_children(src)
-    lint.check_interpose_helper(src)
     lint.check_thread_confinement(src)
     lint.check_raw_mutex(src)
     lint.check_guarded_members(src)
@@ -809,18 +672,6 @@ def self_test(repo):
             tmp, os.path.join("src", "common", "config.h"),
             "#ifndef VWISE_COMMON_CONFIG_H_",
             "#ifndef VWISE_CONFIG_H_"), "include guard"),
-        # Operator child stored without the interposition helper.
-        "unwrapped operator child": (lambda tmp: patch_file(
-            tmp, os.path.join("src", "exec", "select.cc"),
-            'InterposeChild(std::move(child), config, "select.child")',
-            "std::move(child)"), "InterposeChild"),
-        # Helper silently drops the profiler wrapper: every call site still
-        # lints clean, so only the helper check can catch this.
-        "interpose helper drops profiler": (lambda tmp: patch_file(
-            tmp, os.path.join("src", "exec", "profile.cc"),
-            "MaybeChecked(MaybeProfiled(std::move(op), config, label), "
-            "config,\n                      label)",
-            "MaybeChecked(std::move(op), config, label)"), "MaybeProfiled"),
         # A raw thread spawned outside src/service/ — bypasses the pool.
         "thread outside service": (lambda tmp: patch_file(
             tmp, os.path.join("src", "exec", "scan.cc"),
