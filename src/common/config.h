@@ -153,7 +153,7 @@ struct Config {
   // Run the static plan verifier (src/planner/plan_verifier.h) over every
   // plan produced by PlanBuilder::Build() and by the rewriter rules:
   // bottom-up expression type inference against declared operator output
-  // types, plus plan-property (nullability/ordering/partitioning) checks.
+  // types, plus nullability checks.
   // Debug tooling: on in all tests, off in benchmarks.
   bool verify_plans = detail::EnvVerifyPlans();
   // Every operator built with this Config profiles itself (Open/Next wall

@@ -5,11 +5,10 @@
 
 namespace vwise {
 
-XchgOperator::XchgOperator(FragmentFactory factory, int num_workers,
+XchgOperator::XchgOperator(std::vector<OperatorPtr> fragments,
                            std::vector<TypeId> types, const Config& config)
     : Operator(config),
-      factory_(std::move(factory)),
-      num_workers_(num_workers),
+      fragments_(std::move(fragments)),
       types_(std::move(types)),
       config_(config) {}
 
@@ -23,11 +22,11 @@ Status XchgOperator::OpenImpl() {
     pool_ = pool;  // published under mu_: Close() reads it under the lock
     cancelled_ = false;
     first_error_ = Status::OK();
-    producers_running_ = num_workers_;
+    producers_running_ = fragments_.size();
   }
   // One pool task per fragment, tagged with this operator so Close() can
   // help-run not-yet-scheduled fragments inline.
-  for (int w = 0; w < num_workers_; w++) {
+  for (size_t w = 0; w < fragments_.size(); w++) {
     pool->Submit(this, [this, w] { ProducerLoop(w); });
   }
   return Status::OK();
@@ -53,7 +52,7 @@ void XchgOperator::PushChunk(DataChunk chunk) {
   not_empty_.Signal();
 }
 
-void XchgOperator::ProducerLoop(int worker) {
+void XchgOperator::ProducerLoop(size_t worker) {
   auto finish = [this](const Status& status) VWISE_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     if (!status.ok() && first_error_.ok()) first_error_ = status;
@@ -68,12 +67,7 @@ void XchgOperator::ProducerLoop(int worker) {
     finish(Status::OK());
     return;
   }
-  auto fragment = factory_(worker, num_workers_);
-  if (!fragment.ok()) {
-    finish(fragment.status());
-    return;
-  }
-  OperatorPtr op = std::move(*fragment);
+  Operator* op = fragments_[worker].get();
   // The fragment runs under the consumer's QueryContext, so cancellation,
   // deadlines, and the memory budget propagate onto pool threads.
   Status status = op->Open(ctx());
@@ -93,8 +87,10 @@ void XchgOperator::ProducerLoop(int worker) {
       DeepCopyChunk(chunk, &owned);
       PushChunk(std::move(owned));
     }
-    op->Close();
   }
+  // Closed here, not destroyed: the Xchg keeps the fragment for EXPLAIN and
+  // for the next Open.
+  op->Close();
   finish(status);
 }
 
@@ -146,7 +142,7 @@ void XchgOperator::CloseImpl() {
   WorkerPool* pool;
   {
     MutexLock lock(&mu_);
-    if (pool_ == nullptr) return;  // never opened
+    if (pool_ == nullptr) return;  // never opened, or already closed
     pool = pool_;
     cancelled_ = true;
     not_full_.SignalAll();
@@ -160,6 +156,9 @@ void XchgOperator::CloseImpl() {
   while (producers_running_ > 0) producers_done_.Wait(&mu_);
   for (QueuedChunk& qc : queue_) ctx()->Release(qc.bytes);
   queue_.clear();
+  // A closed Xchg no longer touches the pool: the destructor's Close() stays
+  // safe when the plan outlives the database that owns the pool.
+  pool_ = nullptr;
 }
 
 }  // namespace vwise

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -14,11 +13,13 @@ namespace vwise {
 
 // Volcano-style exchange operator — the unit the rewriter's parallelization
 // rule injects (paper Sec. I-B: "a Volcano-style query parallellizer").
-// Each worker fragment (typically a partitioned scan + pipeline) is submitted
-// as one task to the shared worker pool (Config::worker_pool, falling back to
-// WorkerPool::Global()); fragments push deep-copied chunks into a bounded
-// queue that the consumer drains. The operator tree above the Xchg stays
-// serial.
+// The Xchg owns one built worker fragment per worker (typically a
+// partitioned scan + pipeline), so the plan stays one tree that the
+// verifier and EXPLAIN walk like any other child. Open() submits each
+// fragment as one task to the shared worker pool (Config::worker_pool,
+// falling back to WorkerPool::Global()); fragments push deep-copied chunks
+// into a bounded queue that the consumer drains. The operator tree above the
+// Xchg stays serial.
 //
 // Liveness: pool tasks block only in PushChunk on a full queue, and every
 // queue is drained by a non-pool thread (the client or a QueryService
@@ -26,34 +27,28 @@ namespace vwise {
 // queue, and help-runs this operator's own not-yet-scheduled fragments
 // inline (WorkerPool::TryRunTagged), so Close() cannot deadlock even when
 // the pool is saturated or the queue is full — the cancellation regression
-// test runs it with a 1-slot queue.
+// test runs it with a 1-slot queue. Close() joins every producer, so the
+// fragments outlive their runs and a closed Xchg can be opened again.
 class XchgOperator final : public Operator {
  public:
-  // Builds worker `w`'s fragment (0 <= w < num_workers).
-  using FragmentFactory =
-      std::function<Result<OperatorPtr>(int worker, int num_workers)>;
-
-  XchgOperator(FragmentFactory factory, int num_workers,
-               std::vector<TypeId> types, const Config& config);
+  XchgOperator(std::vector<OperatorPtr> fragments, std::vector<TypeId> types,
+               const Config& config);
   ~XchgOperator() override;
 
   const std::vector<TypeId>& OutputTypes() const override { return types_; }
 
-  // Static-analysis surface (plan verifier): the verifier instantiates
-  // fragments through the factory (construction only, no Open) to check
-  // them against the declared types.
-  const FragmentFactory& factory() const { return factory_; }
-  int num_workers() const { return num_workers_; }
+  // Static-analysis surface (plan verifier, EXPLAIN): one fragment per
+  // worker. Their stats() are only stable once Close() has joined them.
+  const std::vector<OperatorPtr>& fragments() const { return fragments_; }
 
  private:
   Status OpenImpl() override VWISE_EXCLUDES(mu_);
   Status NextImpl(DataChunk* out) override VWISE_EXCLUDES(mu_);
   void CloseImpl() override VWISE_EXCLUDES(mu_);
-  void ProducerLoop(int worker) VWISE_EXCLUDES(mu_);
+  void ProducerLoop(size_t worker) VWISE_EXCLUDES(mu_);
   void PushChunk(DataChunk chunk) VWISE_EXCLUDES(mu_);
 
-  FragmentFactory factory_;
-  int num_workers_;
+  std::vector<OperatorPtr> fragments_;
   std::vector<TypeId> types_;
   Config config_;
 
@@ -69,10 +64,10 @@ class XchgOperator final : public Operator {
     size_t bytes = 0;  // reserved against the query budget while queued
   };
   std::deque<QueuedChunk> queue_ VWISE_GUARDED_BY(mu_);
-  int producers_running_ VWISE_GUARDED_BY(mu_) = 0;
+  size_t producers_running_ VWISE_GUARDED_BY(mu_) = 0;
   std::atomic<bool> cancelled_{false};
   Status first_error_ VWISE_GUARDED_BY(mu_);
-  // Bound at Open; needed by Close to help-run. nullptr = never opened.
+  // Bound at Open; needed by Close to help-run. nullptr = not open.
   WorkerPool* pool_ VWISE_GUARDED_BY(mu_) = nullptr;
 };
 

@@ -11,6 +11,7 @@
 #include "exec/project.h"
 #include "exec/scan.h"
 #include "exec/select.h"
+#include "exec/sort.h"
 #include "exec/xchg.h"
 #include "rewriter/null_rewrite.h"
 #include "storage/table_file.h"
@@ -354,7 +355,7 @@ size_t WalkNode(const Operator& op, size_t depth,
   std::string spill_note;  // EXPLAIN ANALYZE-only spill telemetry
   const Operator* child0 = nullptr;
   const Operator* child1 = nullptr;
-  const XchgOperator* xchg = nullptr;  // its fragment prints below its line
+  const XchgOperator* xchg = nullptr;  // its fragments print below its line
   if (auto* s = dynamic_cast<const ScanOperator*>(&op)) {
     line += "Scan ";
     line += s->snapshot().schema != nullptr ? s->snapshot().schema->name()
@@ -454,7 +455,7 @@ size_t WalkNode(const Operator& op, size_t depth,
     line += std::to_string(lim->offset());
     child0 = &lim->child();
   } else if ((xchg = dynamic_cast<const XchgOperator*>(&op)) != nullptr) {
-    line += "Xchg workers=" + std::to_string(xchg->num_workers());
+    line += "Xchg workers=" + std::to_string(xchg->fragments().size());
   } else {
     line += "<operator>";
   }
@@ -480,18 +481,17 @@ size_t WalkNode(const Operator& op, size_t depth,
     size_t ci = WalkNode(*c, depth + 1, out);
     if ((*out)[ci].profiled) (*out)[idx].rows_in += (*out)[ci].rows_out;
   }
-  if (xchg != nullptr) {
-    // Show worker 0's fragment as the representative sub-plan. The factory
-    // builds a fresh, never-opened instance, so its counters stay zero —
-    // per-worker runtime lives in the Xchg line above it, which is why the
-    // copy's root line claims no profile.
-    auto frag = xchg->factory()(0, xchg->num_workers());
-    if (frag.ok() && frag.value() != nullptr) {
-      PseudoLine("fragment(0):", depth + 1, out);
-      (*out)[WalkNode(*frag.value(), depth + 2, out)].profiled = false;
-    } else {
-      PseudoLine("<fragment unavailable>", depth + 1, out);
-    }
+  for (size_t w = 0; xchg != nullptr && w < xchg->fragments().size(); w++) {
+    // Every worker's live fragment, under a header line; its root's rows
+    // are the Xchg's input.
+    const Operator* frag = xchg->fragments()[w].get();
+    std::string header = "fragment(";
+    header += std::to_string(w);
+    header += frag != nullptr ? "):" : "): <null>";
+    PseudoLine(std::move(header), depth + 1, out);
+    if (frag == nullptr) continue;
+    size_t fi = WalkNode(*frag, depth + 2, out);
+    if ((*out)[fi].profiled) (*out)[idx].rows_in += (*out)[fi].rows_out;
   }
   return idx;
 }
@@ -936,15 +936,13 @@ Status PlanVerifier::VerifyScan(const ScanOperator& op,
     msg += " stripes";
     return NodeErr("scan", std::move(msg));
   }
-  out->ordering.clear();
-  out->partitions = 1;
   return Status::OK();
 }
 
 Status PlanVerifier::VerifyXchg(const XchgOperator& op,
                                 PlanProperties* out) const {
-  const int n = op.num_workers();
-  if (n < 1) return NodeErr("xchg", "num_workers must be >= 1");
+  const size_t n = op.fragments().size();
+  if (n == 0) return NodeErr("xchg", "has no fragments");
   const std::vector<TypeId>& declared = op.OutputTypes();
 
   // Stripe partitions per table file, for disjointness/coverage checking.
@@ -952,18 +950,10 @@ Status PlanVerifier::VerifyXchg(const XchgOperator& op,
     size_t stripe_count = 0;
     std::vector<std::pair<size_t, size_t>> intervals;
   };
-  std::map<const TableFile*, TableStripes> partitions;
+  std::map<const TableFile*, TableStripes> by_table;
 
-  for (int w = 0; w < n; w++) {
-    auto frag_or = op.factory()(w, n);
-    if (!frag_or.ok()) {
-      std::string msg = "fragment ";
-      msg += std::to_string(w);
-      msg += " failed to build: ";
-      msg += frag_or.status().message();
-      return NodeErr("xchg", std::move(msg));
-    }
-    OperatorPtr frag = std::move(frag_or).value();
+  for (size_t w = 0; w < n; w++) {
+    const Operator* frag = op.fragments()[w].get();
     if (frag == nullptr) {
       std::string msg = "fragment ";
       msg += std::to_string(w);
@@ -998,14 +988,14 @@ Status PlanVerifier::VerifyXchg(const XchgOperator& op,
       if (opts.stripe_end == SIZE_MAX || s->snapshot().stable == nullptr) {
         continue;  // unpartitioned scan — nothing to cross-check
       }
-      TableStripes& ts = partitions[s->snapshot().stable.get()];
+      TableStripes& ts = by_table[s->snapshot().stable.get()];
       ts.stripe_count = s->snapshot().stable->stripe_count();
       ts.intervals.emplace_back(
           opts.stripe_begin, std::min(opts.stripe_end, ts.stripe_count));
     }
   }
 
-  for (auto& [file, ts] : partitions) {
+  for (auto& [file, ts] : by_table) {
     (void)file;
     std::sort(ts.intervals.begin(), ts.intervals.end());
     size_t covered = 0;
@@ -1029,7 +1019,7 @@ Status PlanVerifier::VerifyXchg(const XchgOperator& op,
     }
     // When every worker contributed exactly one partition of this table, the
     // union must cover all stripes — a gap silently drops rows.
-    if (static_cast<int>(ts.intervals.size()) == n &&
+    if (ts.intervals.size() == n &&
         (!contiguous_from_zero || covered != ts.stripe_count)) {
       std::string msg =
           "parallel scan stripe partitions do not cover the table: union "
@@ -1043,8 +1033,6 @@ Status PlanVerifier::VerifyXchg(const XchgOperator& op,
   }
 
   out->types = declared;
-  out->ordering.clear();  // nondeterministic interleave of worker streams
-  out->partitions = n;
   return Status::OK();
 }
 
@@ -1062,7 +1050,7 @@ Status PlanVerifier::VerifyNode(const Operator& op, PlanProperties* out) const {
     // without an indicator guard would let NULL rows qualify.
     VWISE_RETURN_IF_ERROR(
         VerifyFilterTree(sel->filter(), out->types, &out->nullable));
-    // Types/nullability/ordering/partitions unchanged.
+    // Types and nullability unchanged.
     return Status::OK();
   }
 
@@ -1095,20 +1083,6 @@ Status PlanVerifier::VerifyNode(const Operator& op, PlanProperties* out) const {
       out->types.push_back(t);
       out->nullable.push_back(AnyNullable(ex, in.nullable));
     }
-    // Ordering survives only through pass-through columns (remapped).
-    out->ordering.clear();
-    for (const SortKey& k : in.ordering) {
-      bool mapped = false;
-      for (size_t i = 0; i < p->exprs().size() && !mapped; i++) {
-        auto* cr = dynamic_cast<const ColRefExpr*>(p->exprs()[i].get());
-        if (cr != nullptr && cr->index() == k.col) {
-          out->ordering.push_back({i, k.ascending});
-          mapped = true;
-        }
-      }
-      if (!mapped) break;  // ordering is a prefix property
-    }
-    out->partitions = in.partitions;
     return Status::OK();
   }
 
@@ -1199,8 +1173,6 @@ Status PlanVerifier::VerifyNode(const Operator& op, PlanProperties* out) const {
     }
     out->types = std::move(expected);
     out->nullable.assign(out->types.size(), false);
-    out->ordering.clear();  // hash table iteration order
-    out->partitions = 1;    // blocking operator re-serializes
     return Status::OK();
   }
 
@@ -1285,8 +1257,6 @@ Status PlanVerifier::VerifyNode(const Operator& op, PlanProperties* out) const {
     }
     out->types = std::move(expected);
     out->nullable = std::move(expected_null);
-    out->ordering = probe.ordering;  // pairs are emitted in probe order
-    out->partitions = probe.partitions;
     return Status::OK();
   }
 
@@ -1308,8 +1278,6 @@ Status PlanVerifier::VerifyNode(const Operator& op, PlanProperties* out) const {
         return NodeErr("sort", std::move(msg));
       }
     }
-    out->ordering = so->keys();
-    out->partitions = 1;  // full materialization re-serializes
     return Status::OK();
   }
 
@@ -1320,8 +1288,6 @@ Status PlanVerifier::VerifyNode(const Operator& op, PlanProperties* out) const {
   // Unknown operator: accept at declared types, reset properties.
   out->types = op.OutputTypes();
   out->nullable.assign(out->types.size(), false);
-  out->ordering.clear();
-  out->partitions = 1;
   return Status::OK();
 }
 

@@ -8,7 +8,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "exec/operator.h"
-#include "exec/sort.h"
 #include "expr/expression.h"
 
 namespace vwise {
@@ -21,22 +20,15 @@ namespace vwise {
 // what each operator must emit — expression result types inferred against
 // the child layout, aggregate output types from the AggSpec rules, join
 // layouts from the Spec — and checks the derivation against each operator's
-// declared OutputTypes(). Alongside the types it propagates three plan
-// properties:
+// declared OutputTypes(). Alongside the types it propagates nullability —
+// which columns are catalog-NULLable. Execution primitives are NULL-oblivious
+// (paper Sec. I-B): an expression or aggregate that consumes a NULLable
+// column directly, without the rewriter's (value, indicator) decomposition,
+// is a plan bug and is rejected.
 //
-//   * nullability — which columns are catalog-NULLable. Execution primitives
-//     are NULL-oblivious (paper Sec. I-B): an expression or aggregate that
-//     consumes a NULLable column directly, without the rewriter's
-//     (value, indicator) decomposition, is a plan bug and is rejected.
-//   * ordering — the sort-key prefix the stream is known to be ordered by
-//     (established by Sort, preserved by Select/Limit, destroyed by
-//     hash operators and by Xchg's nondeterministic merge).
-//   * partitioning — how many interleaved producer streams feed the
-//     operator (1 below an Xchg, num_workers above it until a blocking
-//     operator re-serializes).
-//
-// The verifier descends into XchgOperator fragments by instantiating them
-// through the fragment factory (construction only — nothing is opened).
+// The verifier descends into an XchgOperator's worker fragments like any
+// other children, checks each against the exchange's declared types, and
+// cross-checks their scans' stripe partitions for overlap and coverage.
 // Unknown operator types are accepted at their declared types with
 // properties reset.
 
@@ -46,10 +38,6 @@ struct PlanProperties {
   // Per column: does it come from a catalog-NULLable column (directly or
   // through a pass-through/join) without NULL decomposition applied?
   std::vector<bool> nullable;
-  // The stream is ordered by this sort-key prefix (empty: no known order).
-  std::vector<SortKey> ordering;
-  // Number of interleaved producer partitions feeding downstream.
-  int partitions = 1;
 };
 
 class PlanVerifier {
@@ -116,11 +104,11 @@ std::string ExplainFilter(const Filter& f);
 // ---------------------------------------------------------------------------
 
 // One rendered plan line in top-down (pre-order) print order: either a real
-// operator node or a pseudo-line (an Xchg "fragment(0):" header). When the
+// operator node or a pseudo-line (an Xchg "fragment(w):" header). When the
 // node was built with Config::profile, `profiled` is set and the runtime
 // counters are filled from its Operator::stats(); otherwise they stay zero.
-// The Xchg fragment copy built for display was never opened: it reports
-// zeros, and its root line is not profiled.
+// Xchg fragments are the live ones the workers ran, so their counters are
+// real and the Xchg's rows_in is the sum of its fragment roots' rows_out.
 // ExplainPlan / ExplainAnalyzePlan are both rendered from this walk, so the
 // two stay line-for-line aligned.
 struct PlanNodeProfile {
@@ -142,8 +130,8 @@ struct PlanNodeProfile {
   std::string repr;
 };
 
-// Walks the plan (descending into Xchg's worker-0 fragment) and returns one
-// entry per printed line.
+// Walks the plan (descending into every Xchg fragment) and returns one entry
+// per printed line.
 std::vector<PlanNodeProfile> CollectPlanProfile(const Operator& root);
 
 // ExplainPlan with per-operator runtime annotations appended to profiled

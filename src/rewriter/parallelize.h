@@ -2,7 +2,6 @@
 #define VWISE_REWRITER_PARALLELIZE_H_
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "exec/hash_agg.h"
@@ -22,6 +21,8 @@ namespace vwise::rewriter {
 // projections, a partial aggregate) over its partition, and the consumer
 // combines partials with `final_group_cols`/`final_aggs` (avg must be
 // decomposed into sum+count by the caller, as the real rewriter does).
+// The worker fragments are built here, once each, and handed to the Xchg;
+// a `build_pipeline` error is returned from this call.
 struct ParallelAggSpec {
   TableSnapshot snapshot;
   std::vector<uint32_t> scan_cols;
@@ -34,7 +35,7 @@ struct ParallelAggSpec {
   std::vector<AggSpec> final_aggs;
 };
 
-Result<OperatorPtr> ParallelizeScanAgg(ParallelAggSpec spec,
+Result<OperatorPtr> ParallelizeScanAgg(const ParallelAggSpec& spec,
                                        const Config& config);
 
 }  // namespace vwise::rewriter

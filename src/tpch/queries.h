@@ -14,10 +14,9 @@ namespace vwise::tpch {
 
 // Builders for all 22 TPC-H queries as vectorized physical plans — the
 // plans the Ingres cross compiler [7] would emit for the X100 engine.
-// Parameters use the specification's validation values.
-//
-// `threads` > 1 parallelizes the supported queries (Q1, Q6) with the
-// Volcano Xchg rewrite; other queries run serial regardless.
+// Parameters use the specification's validation values. The plans are
+// serial; Config::num_threads does not affect them (the Xchg rewrite is
+// rewriter::ParallelizeScanAgg).
 
 struct QueryInfo {
   std::vector<std::string> column_names;

@@ -8,6 +8,7 @@
 #include "exec/sort.h"
 #include "exec/xchg.h"
 #include "gtest/gtest.h"
+#include "service/worker_pool.h"
 
 namespace vwise {
 namespace {
@@ -194,13 +195,20 @@ TEST_F(ExecEdgeTest, AggStringKeysDeduplicate) {
   EXPECT_EQ(total, 300);
 }
 
+// A one-column i64 source whose every Next fails.
+struct FailingSource final : Operator {
+  const std::vector<TypeId>& OutputTypes() const override { return types; }
+  Status OpenImpl() override { return Status::OK(); }
+  Status NextImpl(DataChunk*) override { return Status::Internal("injected"); }
+  void CloseImpl() override {}
+  std::vector<TypeId> types{TypeId::kI64};
+};
+
 TEST_F(ExecEdgeTest, XchgPropagatesProducerErrors) {
-  auto factory = [](int w, int n) -> Result<OperatorPtr> {
-    (void)n;
-    if (w == 1) return Status::Internal("injected fragment failure");
-    return Status::Internal("injected fragment failure");
-  };
-  XchgOperator xchg(factory, 2, {TypeId::kI64}, config_);
+  std::vector<OperatorPtr> fragments;
+  fragments.push_back(std::make_unique<FailingSource>());
+  fragments.push_back(std::make_unique<FailingSource>());
+  XchgOperator xchg(std::move(fragments), {TypeId::kI64}, config_);
   ASSERT_TRUE(xchg.Open().ok());
   DataChunk chunk;
   chunk.Init(xchg.OutputTypes(), config_.vector_size);
@@ -208,6 +216,19 @@ TEST_F(ExecEdgeTest, XchgPropagatesProducerErrors) {
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInternal);
   xchg.Close();
+}
+
+// A closed Xchg never touches its pool again, so a plan may be destroyed
+// after the pool (the database's) is gone.
+TEST_F(ExecEdgeTest, ClosedXchgOutlivesItsPool) {
+  auto pool = std::make_unique<WorkerPool>(2);
+  Config cfg = config_;
+  cfg.worker_pool = pool.get();
+  std::vector<OperatorPtr> fragments;
+  fragments.push_back(ScanT({0}));
+  XchgOperator xchg(std::move(fragments), {TypeId::kI64}, cfg);
+  EXPECT_EQ(Count(&xchg), 300u);  // CollectRows closes the tree
+  pool.reset();
 }
 
 TEST_F(ExecEdgeTest, TinyBufferPoolStillScans) {

@@ -345,14 +345,15 @@ TEST_F(ExecTest, XchgParallelScanCoversAllStripes) {
   for (int workers : {1, 2, 4}) {
     TableSnapshot snap = Snap("orders");
     size_t n_stripes = snap.stable->stripe_count();
-    auto factory = [this, snap, n_stripes](int w, int n) -> Result<OperatorPtr> {
+    std::vector<OperatorPtr> fragments;
+    for (int w = 0; w < workers; w++) {
       ScanOperator::Options opts;
-      opts.stripe_begin = n_stripes * w / n;
-      opts.stripe_end = n_stripes * (w + 1) / n;
-      return OperatorPtr(std::make_unique<ScanOperator>(
+      opts.stripe_begin = n_stripes * w / workers;
+      opts.stripe_end = n_stripes * (w + 1) / workers;
+      fragments.push_back(std::make_unique<ScanOperator>(
           snap, std::vector<uint32_t>{0}, config_, opts));
-    };
-    XchgOperator xchg(factory, workers, {TypeId::kI64}, config_);
+    }
+    XchgOperator xchg(std::move(fragments), {TypeId::kI64}, config_);
     auto result = Run(&xchg);
     ASSERT_EQ(result.rows.size(), 1000u) << "workers=" << workers;
     std::vector<int64_t> ids;
@@ -365,19 +366,20 @@ TEST_F(ExecTest, XchgParallelScanCoversAllStripes) {
 TEST_F(ExecTest, XchgParallelPartialAggregation) {
   TableSnapshot snap = Snap("orders");
   size_t n_stripes = snap.stable->stripe_count();
-  auto factory = [this, snap, n_stripes](int w, int n) -> Result<OperatorPtr> {
+  std::vector<OperatorPtr> fragments;
+  for (size_t w = 0; w < 4; w++) {
     ScanOperator::Options opts;
-    opts.stripe_begin = n_stripes * w / n;
-    opts.stripe_end = n_stripes * (w + 1) / n;
-    auto scan = std::make_unique<ScanOperator>(
-        snap, std::vector<uint32_t>{1, 2}, config_, opts);
-    return OperatorPtr(std::make_unique<HashAggOperator>(
-        std::move(scan), std::vector<size_t>{0},
+    opts.stripe_begin = n_stripes * w / 4;
+    opts.stripe_end = n_stripes * (w + 1) / 4;
+    fragments.push_back(std::make_unique<HashAggOperator>(
+        std::make_unique<ScanOperator>(snap, std::vector<uint32_t>{1, 2},
+                                       config_, opts),
+        std::vector<size_t>{0},
         std::vector<AggSpec>{AggSpec::CountStar(), AggSpec::Sum(1)}, config_));
-  };
+  }
   auto xchg = std::make_unique<XchgOperator>(
-      factory, 4, std::vector<TypeId>{TypeId::kI64, TypeId::kI64, TypeId::kI64},
-      config_);
+      std::move(fragments),
+      std::vector<TypeId>{TypeId::kI64, TypeId::kI64, TypeId::kI64}, config_);
   // Final combine: regroup partials, summing counts and sums.
   HashAggOperator final_agg(std::move(xchg), {0},
                             {AggSpec::Sum(1), AggSpec::Sum(2)}, config_);

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -172,6 +173,15 @@ TEST(QueryServiceTest, ShutdownCancelsRunningAndQueuedJobs) {
 
 // --- Full stack: Database + Session + plans over real tables ----------------
 
+// A one-column i64 source whose every Next fails.
+struct FailingSource final : Operator {
+  const std::vector<TypeId>& OutputTypes() const override { return types; }
+  Status OpenImpl() override { return Status::OK(); }
+  Status NextImpl(DataChunk*) override { return Status::Internal("injected"); }
+  void CloseImpl() override {}
+  std::vector<TypeId> types{TypeId::kI64};
+};
+
 constexpr int64_t kSmallRows = 10000;
 constexpr int64_t kBigRows = 2000000;
 
@@ -192,7 +202,7 @@ void LoadSmallTable(Database* db) {
 
 // group g -> count(*), sum(k): integer-only aggregates (order-insensitive),
 // totally ordered by the trailing sort, so the rendered result is
-// bit-identical no matter how fragments interleave on the pool.
+// bit-identical no matter how concurrent queries interleave.
 Result<QueryResult> GroupedQuery(Session* session) {
   PlanBuilder q = session->NewPlan();
   VWISE_RETURN_IF_ERROR(q.Scan("t", {0, 1}));
@@ -202,13 +212,53 @@ Result<QueryResult> GroupedQuery(Session* session) {
   return session->Query(&q, {"g", "n", "sum_k"});
 }
 
+// The same aggregation through the parallelize rewriter: with
+// Config::num_threads > 1 its partial aggregates run as Xchg fragments on
+// the shared pool, and a final aggregate plus sort combine them, so the
+// result stays bit-identical however the fragments interleave.
+Result<QueryResult> ParallelGroupedQuery(Database* db, Session* session) {
+  Config cfg = session->config();
+  auto snap = db->Internals().tm->GetSnapshot("t");
+  VWISE_RETURN_IF_ERROR(snap.status());
+  rewriter::ParallelAggSpec spec;
+  spec.snapshot = *snap;
+  spec.scan_cols = {0, 1};  // k, g
+  spec.build_pipeline = [cfg](OperatorPtr scan) -> Result<OperatorPtr> {
+    return OperatorPtr(std::make_unique<HashAggOperator>(
+        std::move(scan), std::vector<size_t>{1},
+        std::vector<AggSpec>{AggSpec::Sum(0), AggSpec::CountStar()}, cfg));
+  };
+  spec.partial_types = {TypeId::kI64, TypeId::kI64, TypeId::kI64};
+  spec.final_group_cols = {0};
+  spec.final_aggs = {AggSpec::Sum(1), AggSpec::Sum(2)};
+  VWISE_ASSIGN_OR_RETURN(OperatorPtr root,
+                         rewriter::ParallelizeScanAgg(spec, cfg));
+  root = std::make_unique<SortOperator>(std::move(root),
+                                        std::vector<SortKey>{{0, true}}, cfg);
+  return session->PrepareRoot(std::move(root), {"g", "sum_k", "n"})->Run();
+}
+
+// Runs `query` on eight concurrent sessions of `db`; one result per client.
+std::vector<Result<QueryResult>> RunConcurrently(
+    Database* db, const std::function<Result<QueryResult>(Session*)>& query) {
+  std::vector<Result<QueryResult>> results(8, Status::Internal("not run"));
+  std::vector<std::thread> clients;
+  for (size_t i = 0; i < results.size(); i++) {
+    clients.emplace_back([&, i] { results[i] = query(db->Connect().get()); });
+  }
+  for (auto& th : clients) th.join();
+  return results;
+}
+
 class QueryServiceDbTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     dir_ = new std::string(::testing::TempDir() + "/vwise_qsvc_suite");
     std::filesystem::remove_all(*dir_);
     Config cfg;
-    cfg.num_threads = 2;   // plans fan out through Xchg onto the shared pool
+    // ParallelGroupedQuery fans out through Xchg onto the shared pool;
+    // PlanBuilder plans stay serial.
+    cfg.num_threads = 2;
     cfg.pool_threads = 4;
     auto db = Database::Open(*dir_, cfg);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
@@ -305,14 +355,14 @@ TEST_F(QueryServiceDbTest, MemoryBudgetFailsQueryWithResourceExhausted) {
 }
 
 TEST_F(QueryServiceDbTest, PoolSurvivesErroringFragment) {
-  // An Xchg whose fragments fail to even build: the error must surface at
-  // Next() without taking down the shared pool threads.
+  // An Xchg whose fragments fail on their first Next: the error must
+  // surface at Next() without taking down the shared pool threads.
   Config cfg = db_->config();  // worker_pool points at the service's pool
-  auto factory = [](int, int) -> Result<OperatorPtr> {
-    return Status::Internal("injected fragment failure");
-  };
   {
-    XchgOperator xchg(factory, 2, {TypeId::kI64}, cfg);
+    std::vector<OperatorPtr> fragments;
+    fragments.push_back(std::make_unique<FailingSource>());
+    fragments.push_back(std::make_unique<FailingSource>());
+    XchgOperator xchg(std::move(fragments), {TypeId::kI64}, cfg);
     ASSERT_TRUE(xchg.Open().ok());
     DataChunk chunk;
     chunk.Init(xchg.OutputTypes(), cfg.vector_size);
@@ -338,16 +388,20 @@ TEST_F(QueryServiceDbTest, XchgCloseDrainsWithOneSlotQueueAndFullPool) {
   Config cfg = db_->config();
   cfg.xchg_queue_capacity = 1;
   cfg.vector_size = 64;  // hundreds of chunks per fragment
-  auto factory = [&](int, int) -> Result<OperatorPtr> {
-    auto snap = db_->Internals().tm->GetSnapshot("t");
-    VWISE_RETURN_IF_ERROR(snap.status());
-    return OperatorPtr(
-        new ScanOperator(*snap, std::vector<uint32_t>{0, 2}, cfg));
+  auto snap = db_->Internals().tm->GetSnapshot("t");
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  auto fragments = [&] {
+    std::vector<OperatorPtr> scans;
+    for (int w = 0; w < 8; w++) {
+      scans.push_back(std::make_unique<ScanOperator>(
+          *snap, std::vector<uint32_t>{0, 2}, cfg));
+    }
+    return scans;
   };
 
   {
     // Close after consuming a single chunk: producers are mid-stream.
-    XchgOperator xchg(factory, 8, {TypeId::kI64, TypeId::kStr}, cfg);
+    XchgOperator xchg(fragments(), {TypeId::kI64, TypeId::kStr}, cfg);
     ASSERT_TRUE(xchg.Open().ok());
     DataChunk chunk;
     chunk.Init(xchg.OutputTypes(), cfg.vector_size);
@@ -357,14 +411,14 @@ TEST_F(QueryServiceDbTest, XchgCloseDrainsWithOneSlotQueueAndFullPool) {
   {
     // Close without consuming anything: some fragments may not have been
     // scheduled yet (8 fragments > 4 pool threads) — Close help-runs them.
-    XchgOperator xchg(factory, 8, {TypeId::kI64, TypeId::kStr}, cfg);
+    XchgOperator xchg(fragments(), {TypeId::kI64, TypeId::kStr}, cfg);
     ASSERT_TRUE(xchg.Open().ok());
     xchg.Close();
   }
   {
     // Cancellation through the context: Next() observes it within a vector.
     QueryContext ctx;
-    XchgOperator xchg(factory, 8, {TypeId::kI64, TypeId::kStr}, cfg);
+    XchgOperator xchg(fragments(), {TypeId::kI64, TypeId::kStr}, cfg);
     ASSERT_TRUE(xchg.Open(&ctx).ok());
     DataChunk chunk;
     chunk.Init(xchg.OutputTypes(), cfg.vector_size);
@@ -384,20 +438,9 @@ TEST_F(QueryServiceDbTest, ConcurrentSessionsProduceBitIdenticalResults) {
   Result<QueryResult> ref = GroupedQuery(db_->Connect().get());
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
   const std::string expected = ref->ToString(kSmallRows);
-
-  constexpr int kClients = 8;
-  std::vector<std::string> outs(kClients);
-  std::vector<std::thread> clients;
-  for (int i = 0; i < kClients; i++) {
-    clients.emplace_back([&, i] {
-      auto session = db_->Connect();
-      Result<QueryResult> r = GroupedQuery(session.get());
-      outs[i] = r.ok() ? r->ToString(kSmallRows) : r.status().ToString();
-    });
-  }
-  for (auto& th : clients) th.join();
-  for (int i = 0; i < kClients; i++) {
-    EXPECT_EQ(outs[i], expected) << "client " << i << " diverged";
+  for (const Result<QueryResult>& r : RunConcurrently(db_, GroupedQuery)) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->ToString(kSmallRows), expected);
   }
 }
 
@@ -406,59 +449,25 @@ TEST_F(QueryServiceDbTest, ConcurrentXchgPlansShareThePoolBitIdentically) {
   // query's fragments land on the same shared worker pool, so this is the
   // many-queries-times-many-fragments interleaving the service exists for.
   // Sorted output + integer aggregates keep the rendered result exact.
-  auto build_parallel = [](Session* session) -> Result<QueryResult> {
-    Config cfg = session->config();
-    auto snap = QueryServiceDbTest::db_->Internals().tm->GetSnapshot("t");
-    VWISE_RETURN_IF_ERROR(snap.status());
-    rewriter::ParallelAggSpec spec;
-    spec.snapshot = *snap;
-    spec.scan_cols = {0, 1};  // k, g
-    Config worker_cfg = cfg;
-    spec.build_pipeline =
-        [worker_cfg](OperatorPtr scan) -> Result<OperatorPtr> {
-      return OperatorPtr(std::make_unique<HashAggOperator>(
-          std::move(scan), std::vector<size_t>{1},
-          std::vector<AggSpec>{AggSpec::Sum(0), AggSpec::CountStar()},
-          worker_cfg));
-    };
-    spec.partial_types = {TypeId::kI64, TypeId::kI64, TypeId::kI64};
-    spec.final_group_cols = {0};
-    spec.final_aggs = {AggSpec::Sum(1), AggSpec::Sum(2)};
-    VWISE_ASSIGN_OR_RETURN(OperatorPtr root,
-                           rewriter::ParallelizeScanAgg(std::move(spec), cfg));
-    root = std::make_unique<SortOperator>(std::move(root),
-                                          std::vector<SortKey>{{0, true}}, cfg);
-    return session->PrepareRoot(std::move(root), {"g", "sum_k", "n"})->Run();
-  };
-
-  Result<QueryResult> ref = build_parallel(db_->Connect().get());
+  Result<QueryResult> ref = ParallelGroupedQuery(db_, db_->Connect().get());
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
   ASSERT_EQ(ref->rows.size(), 7u);
   int64_t total = 0;
   for (const auto& row : ref->rows) total += row[2].AsInt();
   EXPECT_EQ(total, kSmallRows);
   const std::string expected = ref->ToString(kSmallRows);
-
-  constexpr int kClients = 8;
-  std::vector<std::string> outs(kClients);
-  std::vector<std::thread> clients;
-  for (int i = 0; i < kClients; i++) {
-    clients.emplace_back([&, i] {
-      auto session = db_->Connect();
-      Result<QueryResult> r = build_parallel(session.get());
-      outs[i] = r.ok() ? r->ToString(kSmallRows) : r.status().ToString();
-    });
-  }
-  for (auto& th : clients) th.join();
-  for (int i = 0; i < kClients; i++) {
-    EXPECT_EQ(outs[i], expected) << "client " << i << " diverged";
+  auto query = [](Session* s) { return ParallelGroupedQuery(db_, s); };
+  for (const Result<QueryResult>& r : RunConcurrently(db_, query)) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->ToString(kSmallRows), expected);
   }
 }
 
 TEST(QueryServiceProfiledTest, ProfiledConcurrentSessionsStayBitIdentical) {
-  // Same data and plan as the shared fixture, but with Config::profile on:
-  // per-operator profiling and primitive counters must not perturb results,
-  // even with eight profiled queries interleaving on the pool.
+  // Same data and parallel plan as the shared fixture, but with
+  // Config::profile on: per-operator profiling (live fragment counters
+  // included) and primitive counters must not perturb results, even with
+  // eight profiled queries' fragments interleaving on the pool.
   std::string dir = ::testing::TempDir() + "/vwise_qsvc_profiled";
   std::filesystem::remove_all(dir);
   Config cfg;
@@ -469,29 +478,17 @@ TEST(QueryServiceProfiledTest, ProfiledConcurrentSessionsStayBitIdentical) {
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   LoadSmallTable(db->get());
 
-  Result<QueryResult> ref = GroupedQuery((*db)->Connect().get());
+  Result<QueryResult> ref =
+      ParallelGroupedQuery(db->get(), (*db)->Connect().get());
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-  EXPECT_FALSE(ref->profile.empty());
+  EXPECT_NE(ref->profile.find("fragment(1):"), std::string::npos)
+      << ref->profile;
   const std::string expected = ref->ToString(kSmallRows);
-
-  constexpr int kClients = 8;
-  std::vector<std::string> outs(kClients);
-  // char, not bool: vector<bool> packs bits, so concurrent writers to
-  // distinct indices would race on the shared word.
-  std::vector<char> profiled(kClients, 0);
-  std::vector<std::thread> clients;
-  for (int i = 0; i < kClients; i++) {
-    clients.emplace_back([&, i] {
-      auto session = (*db)->Connect();
-      Result<QueryResult> r = GroupedQuery(session.get());
-      outs[i] = r.ok() ? r->ToString(kSmallRows) : r.status().ToString();
-      profiled[i] = r.ok() && !r->profile.empty();
-    });
-  }
-  for (auto& th : clients) th.join();
-  for (int i = 0; i < kClients; i++) {
-    EXPECT_EQ(outs[i], expected) << "client " << i << " diverged";
-    EXPECT_TRUE(profiled[i]) << "client " << i << " lost its profile";
+  auto query = [&](Session* s) { return ParallelGroupedQuery(db->get(), s); };
+  for (const Result<QueryResult>& r : RunConcurrently(db->get(), query)) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->ToString(kSmallRows), expected);
+    EXPECT_FALSE(r->profile.empty()) << "a client lost its profile";
   }
   db->reset();
   std::filesystem::remove_all(dir);
@@ -506,7 +503,6 @@ TEST(QueryServiceFaultTest, InjectedChunkLoadErrorFailsOnlyTheOwningQuery) {
   std::string dir = ::testing::TempDir() + "/vwise_qsvc_fault";
   std::filesystem::remove_all(dir);
   Config cfg;
-  cfg.num_threads = 2;
   cfg.pool_threads = 4;
   auto db = Database::Open(dir, cfg);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
@@ -516,31 +512,17 @@ TEST(QueryServiceFaultTest, InjectedChunkLoadErrorFailsOnlyTheOwningQuery) {
   // armed site; count:1 fails exactly one load, i.e. exactly one query.
   ASSERT_TRUE(failpoint::Arm("bufmgr.load=err:EIO,count:1").ok());
 
-  constexpr int kClients = 8;
-  std::vector<Status> statuses(kClients, Status::OK());
-  std::vector<std::string> outs(kClients);
-  std::vector<std::thread> clients;
-  for (int i = 0; i < kClients; i++) {
-    clients.emplace_back([&, i] {
-      auto session = (*db)->Connect();
-      Result<QueryResult> r = GroupedQuery(session.get());
-      if (r.ok()) {
-        outs[i] = r->ToString(kSmallRows);
-      } else {
-        statuses[i] = r.status();
-      }
-    });
-  }
-  for (auto& th : clients) th.join();
+  std::vector<Result<QueryResult>> results =
+      RunConcurrently(db->get(), GroupedQuery);
   EXPECT_GE(failpoint::Hits("bufmgr.load"), 1u);
   failpoint::DisarmAll();
 
   int failures = 0;
-  for (int i = 0; i < kClients; i++) {
-    if (!statuses[i].ok()) {
+  for (const Result<QueryResult>& r : results) {
+    if (!r.ok()) {
       failures++;
-      EXPECT_EQ(statuses[i].code(), StatusCode::kIOError)
-          << statuses[i].ToString();
+      EXPECT_EQ(r.status().code(), StatusCode::kIOError)
+          << r.status().ToString();
     }
   }
   EXPECT_EQ(failures, 1);
@@ -550,9 +532,9 @@ TEST(QueryServiceFaultTest, InjectedChunkLoadErrorFailsOnlyTheOwningQuery) {
   Result<QueryResult> ref = GroupedQuery((*db)->Connect().get());
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
   const std::string expected = ref->ToString(kSmallRows);
-  for (int i = 0; i < kClients; i++) {
-    if (statuses[i].ok()) {
-      EXPECT_EQ(outs[i], expected) << "client " << i << " diverged";
+  for (const Result<QueryResult>& r : results) {
+    if (r.ok()) {
+      EXPECT_EQ(r->ToString(kSmallRows), expected);
     }
   }
   db->reset();

@@ -1019,12 +1019,13 @@ TEST_F(SpillTest, BudgetExhaustionSweepFailsCleanWithoutSpill) {
       // fails regardless of how fast the consumer drains the queue.
       {"xchg queue", 256,
        [&]() -> OperatorPtr {
-         auto factory = [snap = *snap_l, cfg](int, int) -> Result<OperatorPtr> {
-           return OperatorPtr(std::make_unique<ScanOperator>(
-               snap, std::vector<uint32_t>{0}, cfg));
-         };
+         std::vector<OperatorPtr> fragments;
+         for (int w = 0; w < 2; w++) {
+           fragments.push_back(std::make_unique<ScanOperator>(
+               *snap_l, std::vector<uint32_t>{0}, cfg));
+         }
          return std::make_unique<XchgOperator>(
-             factory, 2, std::vector<TypeId>{TypeId::kI64}, cfg);
+             std::move(fragments), std::vector<TypeId>{TypeId::kI64}, cfg);
        }},
   };
   for (const Case& c : cases) {

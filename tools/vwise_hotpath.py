@@ -346,6 +346,12 @@ def parse_functions(path, text, stripped):
                 stmt_start = j + 1
                 i = j + 1
                 continue
+            # Inside a parameter list, `=` opens a default argument and `{`
+            # a braced one: neither ends the signature.
+            if c in "={" and (stripped.count("(", stmt_start, i) >
+                              stripped.count(")", stmt_start, i)):
+                i = match_brace(stripped, i) + 1 if c == "{" else i + 1
+                continue
             if c == "=":
                 # Initializer at this nesting level: `int x[] = {...};` or a
                 # default member. Skip to the statement end, stepping over
@@ -366,8 +372,8 @@ def parse_functions(path, text, stripped):
                     # namespace/class/struct/enum block: descend (enums have
                     # no functions but scanning them is harmless).
                     name_m = re.search(
-                        m_cont.group(1) + r"\s+(?:\w+\s+)*?([A-Za-z_]\w*)\s*"
-                        r"(?::[^{]*)?$", head)
+                        m_cont.group(1) + r"\s+(?:\w+\s+)*?([A-Za-z_]\w*)"
+                        r"(?:\s+final)?\s*(?::[^{]*)?$", head)
                     inner_name = name_m.group(1) if name_m else ""
                     scan(i + 1, close,
                          class_stack + ([inner_name] if inner_name and
@@ -867,6 +873,12 @@ def self_test(repo):
     }
 
     failures = []
+    # `class X final : ...` must record its methods as X::m, not final::m.
+    misnamed = sorted({fn.qual for fn in SyntacticFrontend(repo).load().functions
+                       if fn.qual.startswith("final::")})
+    if misnamed:
+        failures.append("methods recorded under the class name 'final': " +
+                        ", ".join(misnamed[:5]))
     clean = run_over_tree(repo)
     if clean:
         failures.append("pristine tree must pass, got:\n  " +
