@@ -49,51 +49,6 @@ void GatherLane(const std::vector<T>& lane, const uint32_t* idx, size_t n,
   for (size_t i = 0; i < n; i++) dst[i] = lane[idx[i]];
 }
 
-// The one aggregate update: merges n source rows into the lanes (value,
-// and count for min/max/avg) of groups[0..n). Source row i is value
-// src[sel[i]] (src[i] without a selection) standing for counts[i] input
-// rows (1 each without counts); a null src is a count, worth 1 a row.
-// Sums and counts add; min/max compare with IEEE `<`/`>`, take the first
-// value a group sees (count 0 is the first-touch marker) and skip count-0
-// partials; avg adds both lanes.
-template <typename V, typename S>
-void MergeLane(AggSpec::Fn fn, const S* src, const sel_t* sel,
-               const int64_t* counts, const uint32_t* groups, size_t n,
-               V* value, int64_t* count) {
-  switch (fn) {
-    case AggSpec::Fn::kSum:
-    case AggSpec::Fn::kCount:
-    case AggSpec::Fn::kCountStar:
-      if (src == nullptr) {
-        for (size_t i = 0; i < n; i++) value[groups[i]] += 1;
-        break;
-      }
-      for (size_t i = 0; i < n; i++) {
-        value[groups[i]] += static_cast<V>(src[sel ? sel[i] : i]);
-      }
-      break;
-    case AggSpec::Fn::kMin:
-    case AggSpec::Fn::kMax: {
-      bool is_min = fn == AggSpec::Fn::kMin;
-      for (size_t i = 0; i < n; i++) {
-        if (counts != nullptr && counts[i] == 0) continue;  // no-data partial
-        uint32_t g = groups[i];
-        V v = static_cast<V>(src[sel ? sel[i] : i]);
-        if (!count[g] || (is_min ? v < value[g] : v > value[g])) value[g] = v;
-        count[g] = 1;
-      }
-      break;
-    }
-    case AggSpec::Fn::kAvg:
-      for (size_t i = 0; i < n; i++) {
-        uint32_t g = groups[i];
-        value[g] += static_cast<V>(src[sel ? sel[i] : i]);
-        count[g] += counts != nullptr ? counts[i] : 1;
-      }
-      break;
-  }
-}
-
 }  // namespace
 
 HashAggOperator::HashAggOperator(OperatorPtr child,
@@ -313,8 +268,7 @@ Status HashAggOperator::ConsumeInput() {
     // Flush the tail so every group lives in exactly one partition, then
     // close the writers; emission reloads partitions one at a time.
     VWISE_RETURN_IF_ERROR(SpillGroups());
-    spill_.Seal();
-    return Status::OK();
+    return spill_.Seal();
   }
   // An ungrouped aggregate always emits one row, even on empty input.
   if (group_cols_.empty() && n_groups_ == 0) {
@@ -359,25 +313,44 @@ Status HashAggOperator::LoadPartition() {
   VWISE_ASSIGN_OR_RETURN(reader, spill_.Read(0));
   DataChunk chunk;
   chunk.Init(state_types_, config_.vector_size);
+  std::vector<sel_t> slice_sel;  // positions of a slice of a (dense) block
   while (true) {
     VWISE_RETURN_IF_ERROR(ctx()->Check());
     bool more = false;
     VWISE_ASSIGN_OR_RETURN(more, reader->Next(&chunk));
     if (!more) break;
-    size_t n = chunk.count();
-    // Same reserve-before-insert protocol as the consume path.
-    // ResourceExhausted here means one partition's groups alone exceed the
-    // budget; the caller splits it onto a fresh radix level
+    const size_t n = chunk.count();
+    // Same reserve-before-insert protocol as the consume path, a slice of
+    // the block at a time: a slice whose worst case does not fit is halved.
+    // ResourceExhausted for a single row means one partition's groups alone
+    // exceed the budget; the caller splits it onto a fresh radix level
     // (RadixSpill::Split) instead of failing the query, so the partially
     // merged groups go first.
-    Status grown = ReserveGroups(n);
-    if (!grown.ok()) {
-      ClearTable();
-      return grown;
+    size_t done = 0;
+    while (done < n) {
+      size_t slice = n - done;
+      Status grown = ReserveGroups(slice);
+      while (grown.code() == StatusCode::kResourceExhausted && slice > 1) {
+        slice = (slice + 1) / 2;
+        grown = ReserveGroups(slice);
+      }
+      if (!grown.ok()) {
+        ClearTable();
+        return grown;
+      }
+      const sel_t* sel = nullptr;
+      if (slice < n) {
+        slice_sel.resize(slice);
+        for (size_t i = 0; i < slice; i++) {
+          slice_sel[i] = static_cast<sel_t>(done + i);
+        }
+        sel = slice_sel.data();
+      }
+      ResolveGroups(chunk, identity_cols_, sel, slice);
+      UpdateLanes(chunk, sel, slice, /*state_rows=*/true);
+      TrimReservation();
+      done += slice;
     }
-    ResolveGroups(chunk, identity_cols_, nullptr, n);  // state chunks are dense
-    UpdateLanes(chunk, nullptr, n, /*state_rows=*/true);
-    TrimReservation();
   }
   return Status::OK();
 }

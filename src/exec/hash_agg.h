@@ -26,6 +26,53 @@ struct AggSpec {
   static AggSpec Avg(size_t col) { return {Fn::kAvg, col}; }
 };
 
+// The one aggregate update: merges n source rows into the lanes (value,
+// and count for min/max/avg) of groups[0..n). Source row i is position
+// sel[i] (i without a selection): value src[pos] standing for counts[pos]
+// input rows (1 each without counts); a null src is a count, worth 1 a row.
+// Sums and counts add; min/max compare with IEEE `<`/`>`, take the first
+// value a group sees (count 0 is the first-touch marker) and skip count-0
+// partials; avg adds both lanes.
+template <typename V, typename S>
+void MergeLane(AggSpec::Fn fn, const S* src, const sel_t* sel,
+               const int64_t* counts, const uint32_t* groups, size_t n,
+               V* value, int64_t* count) {
+  switch (fn) {
+    case AggSpec::Fn::kSum:
+    case AggSpec::Fn::kCount:
+    case AggSpec::Fn::kCountStar:
+      if (src == nullptr) {
+        for (size_t i = 0; i < n; i++) value[groups[i]] += 1;
+        break;
+      }
+      for (size_t i = 0; i < n; i++) {
+        value[groups[i]] += static_cast<V>(src[sel ? sel[i] : i]);
+      }
+      break;
+    case AggSpec::Fn::kMin:
+    case AggSpec::Fn::kMax: {
+      bool is_min = fn == AggSpec::Fn::kMin;
+      for (size_t i = 0; i < n; i++) {
+        size_t pos = sel ? sel[i] : i;
+        if (counts != nullptr && counts[pos] == 0) continue;  // no-data partial
+        uint32_t g = groups[i];
+        V v = static_cast<V>(src[pos]);
+        if (!count[g] || (is_min ? v < value[g] : v > value[g])) value[g] = v;
+        count[g] = 1;
+      }
+      break;
+    }
+    case AggSpec::Fn::kAvg:
+      for (size_t i = 0; i < n; i++) {
+        size_t pos = sel ? sel[i] : i;
+        uint32_t g = groups[i];
+        value[g] += static_cast<V>(src[pos]);
+        count[g] += counts != nullptr ? counts[pos] : 1;
+      }
+      break;
+  }
+}
+
 // Vectorized hash aggregation (grouped or, with no group columns, a single
 // global group). The groups are the rows of a KeyTable: keys are hashed a
 // column at a time and resolved to group indices a vector at a time. Each
@@ -82,9 +129,9 @@ class HashAggOperator final : public Operator {
                      const sel_t* sel, size_t n);
   void AddGroups();  // zeroed lanes for the groups the table just created
   // Merges a source into every aggregate's lanes for the groups
-  // group_idx_[0..n): rows sel[0..n) of an input chunk (value = the input
-  // column, count 1 a row), or with `state_rows` the dense rows of a spilled
-  // state chunk (value and count lanes as stored).
+  // group_idx_[0..n): rows sel[0..n) (nullptr = dense) of an input chunk
+  // (value = the input column, count 1 a row), or with `state_rows` of a
+  // spilled state chunk (value and count lanes as stored).
   void UpdateLanes(const DataChunk& chunk, const sel_t* sel, size_t n,
                    bool state_rows);
   // Reserves the worst case for `rows` more rows: every one a new group,

@@ -131,8 +131,7 @@ Status HashJoinOperator::ConsumeBuildSide() {
   }
   // Close the partition files; tables are built per partition at probe
   // time (LoadBuildPartition).
-  spill_.CloseStream(kBuildStream);
-  return Status::OK();
+  return spill_.CloseStream(kBuildStream);
 }
 
 Status HashJoinOperator::BuildTable() {
@@ -181,8 +180,7 @@ Status HashJoinOperator::PartitionProbeSide() {
         spill_.Scatter(kProbeStream, input_, input_.sel(), n));
   }
   probe_->Close();
-  spill_.Seal();
-  return Status::OK();
+  return spill_.Seal();
 }
 
 void HashJoinOperator::ReleaseBuildSide() {

@@ -83,13 +83,27 @@ Status RadixSpill::OpenStream(size_t stream) {
     VWISE_ASSIGN_OR_RETURN(writer,
                            SpillWriter::Create(part.paths[stream],
                                                streams_[stream].types,
+                                               config_->vector_size,
                                                &ctx_->spill_counters()));
     writers_[stream].push_back(std::move(writer));
   }
   return Status::OK();
 }
 
-void RadixSpill::CloseStream(size_t stream) { writers_[stream].clear(); }
+Status RadixSpill::CloseStream(size_t stream) {
+  return FinishWriters(&writers_[stream]);
+}
+
+Status RadixSpill::FinishWriters(
+    std::vector<std::unique_ptr<SpillWriter>>* writers) {
+  for (const std::unique_ptr<SpillWriter>& writer : *writers) {
+    VWISE_RETURN_IF_ERROR(writer->Finish());
+    stats_.rows += writer->rows_written();
+    stats_.blocks += writer->blocks_written();
+  }
+  writers->clear();
+  return Status::OK();
+}
 
 Status RadixSpill::Flush(
     size_t stream, size_t n, const std::function<uint64_t(uint32_t)>& hash,
@@ -142,10 +156,12 @@ Status RadixSpill::Route(size_t stream, const DataChunk& chunk,
   return Status::OK();
 }
 
-void RadixSpill::Seal() {
-  for (auto& writers : writers_) writers.clear();  // readers reopen the files
+Status RadixSpill::Seal() {
+  // The writers close here; Read() reopens each file.
+  for (auto& writers : writers_) VWISE_RETURN_IF_ERROR(FinishWriters(&writers));
   for (Partition& part : level0_) pending_.push_back(std::move(part));
   level0_.clear();
+  return Status::OK();
 }
 
 bool RadixSpill::Next() {
@@ -208,6 +224,7 @@ Status RadixSpill::Split(const Status& reload) {
       VWISE_ASSIGN_OR_RETURN(writer,
                              SpillWriter::Create(pending_[f].paths[s],
                                                  streams_[s].types,
+                                                 config_->vector_size,
                                                  &ctx_->spill_counters()));
       writers[s].push_back(std::move(writer));
     }
@@ -229,7 +246,10 @@ Status RadixSpill::Split(const Status& reload) {
                                   LevelShift(level), fanout, &writers[s]));
     }
   }
-  writers.clear();  // close the children before the parent is unlinked
+  // Finish the children before the parent is unlinked.
+  for (auto& children : writers) {
+    VWISE_RETURN_IF_ERROR(FinishWriters(&children));
+  }
   RemoveFiles(&current_);
   return Status::OK();
 }

@@ -45,15 +45,19 @@ void RemoveSpillFile(const std::string& path);
 //
 // Lifecycle:
 //   1. Write: Flush() and Scatter() route rows to a stream's level-0
-//      partition files, creating them on first use.
-//   2. Seal() closes the writers and queues the level-0 partitions.
+//      partition files, creating them on first use. Each writer stages its
+//      rows and writes them in blocks of Config::vector_size rows.
+//   2. CloseStream() finishes one stream's writers (their last, partial
+//      blocks); Seal() finishes every stream's and queues the level-0
+//      partitions. Both return the status of those last writes.
 //   3. Reload: Next() makes the front partition current (removing the files
 //      of the previous one) and Read() opens its files. When the primary
 //      stream (stream 0, the one reloaded into memory) does not fit the
 //      budget, Split() re-partitions the current partition onto the next
 //      radix level — a fresh byte of the same hash — and queues the
 //      children ahead of the rest (depth-first: live spill disk stays one
-//      lineage per level), up to Config::spill_max_repartition_depth.
+//      lineage per level), up to Config::spill_max_repartition_depth. The
+//      children are finished before the parent's files are removed.
 //
 // Every file is recorded before it is written, so Drop() (also run by the
 // destructor) removes all of them on any exit path.
@@ -71,6 +75,8 @@ class RadixSpill {
     size_t partitions = 0;    // partitions written, all levels
     size_t repartitions = 0;  // oversized partitions split onto a new level
     size_t depth = 0;         // deepest level reached (0 = level 0 sufficed)
+    uint64_t rows = 0;        // rows written to partition files, all levels
+    uint64_t blocks = 0;      // blocks those rows were written in
   };
 
   ~RadixSpill();
@@ -98,10 +104,11 @@ class RadixSpill {
   // Creates the stream's level-0 files (no-op when they exist), so a stream
   // that receives no rows still has its (empty) files.
   Status OpenStream(size_t stream);
-  // Closes the stream's level-0 writers.
-  void CloseStream(size_t stream);
-  // Closes every writer and queues the level-0 partitions for reload.
-  void Seal();
+  // Finishes and closes the stream's level-0 writers.
+  Status CloseStream(size_t stream);
+  // Finishes and closes every writer and queues the level-0 partitions for
+  // reload.
+  Status Seal();
 
   // Makes the next queued partition current, removing the files of the
   // previous one. False when none is left.
@@ -112,7 +119,8 @@ class RadixSpill {
   // the caller moves on with Next()); any other failure is returned.
   Status Split(const Status& reload);
 
-  // Closes every writer and removes every file this spill created.
+  // Closes every writer (writing nothing more) and removes every file this
+  // spill created.
   void Drop();
 
  private:
@@ -124,6 +132,9 @@ class RadixSpill {
   Status Route(size_t stream, const DataChunk& chunk, const sel_t* sel,
                size_t n, size_t shift, size_t fanout,
                std::vector<std::unique_ptr<SpillWriter>>* writers);
+  // Finishes every writer of `writers`, counts their blocks into the stats
+  // and closes them.
+  Status FinishWriters(std::vector<std::unique_ptr<SpillWriter>>* writers);
   size_t RepartitionFanout(uint64_t part_bytes) const;
   static void RemoveFiles(Partition* part);
 

@@ -154,6 +154,7 @@ Status SortOperator::SpillRun() {
   std::unique_ptr<SpillWriter> writer;
   VWISE_ASSIGN_OR_RETURN(writer,
                          SpillWriter::Create(path, child_->OutputTypes(),
+                                             run_block_rows_,
                                              &ctx()->spill_counters()));
   DataChunk scratch;
   scratch.Init(child_->OutputTypes(), run_block_rows_);
@@ -167,6 +168,7 @@ Status SortOperator::SpillRun() {
     scratch.SetCount(batch);
     VWISE_RETURN_IF_ERROR(writer->Append(scratch));
   }
+  VWISE_RETURN_IF_ERROR(writer->Finish());
   data_.clear();
   for (TypeId t : child_->OutputTypes()) data_.emplace_back(t);
   order_.clear();
@@ -212,7 +214,8 @@ Status SortOperator::OpenMerge() {
     run_paths_.insert(run_paths_.begin() + fan_in, path);
     std::unique_ptr<SpillWriter> writer;
     VWISE_ASSIGN_OR_RETURN(
-        writer, SpillWriter::Create(path, types, &ctx()->spill_counters()));
+        writer, SpillWriter::Create(path, types, run_block_rows_,
+                                    &ctx()->spill_counters()));
     DataChunk scratch;
     scratch.Init(types, run_block_rows_);
     size_t skip = 0;
@@ -224,6 +227,7 @@ Status SortOperator::OpenMerge() {
       if (scratch.count() == 0) break;
       VWISE_RETURN_IF_ERROR(writer->Append(scratch));
     }
+    VWISE_RETURN_IF_ERROR(writer->Finish());
     runs_.clear();
     for (size_t r = 0; r < fan_in; r++) RemoveSpillFile(run_paths_[r]);
     run_paths_.erase(run_paths_.begin(), run_paths_.begin() + fan_in);

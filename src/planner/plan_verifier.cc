@@ -106,6 +106,10 @@ std::string RadixSpillNote(const RadixSpill::Stats& stats) {
   if (stats.partitions == 0) return "";
   std::string note = " spill_partitions=";
   note += std::to_string(stats.partitions);
+  note += " spill_rows=";
+  note += std::to_string(stats.rows);
+  note += " spill_blocks=";
+  note += std::to_string(stats.blocks);
   if (stats.repartitions > 0) {
     note += " repartitions=";
     note += std::to_string(stats.repartitions);

@@ -1,5 +1,6 @@
 #include "storage/spill_file.h"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <system_error>
@@ -15,7 +16,7 @@ namespace {
 
 constexpr uint32_t kFileMagic = 0x4650'5356;   // "VSPF"
 constexpr uint32_t kBlockMagic = 0x4C50'5356;  // "VSPL"
-// A block holds at most one chunk's rows; anything beyond a generous bound
+// A block holds at most one vector's rows; anything beyond a generous bound
 // on `vector_size * widest row` is a corrupt length field, not real data.
 constexpr uint64_t kMaxBlockPayload = 1ull << 30;
 
@@ -41,11 +42,26 @@ uint64_t GetU64(const uint8_t* p) {
   return v;
 }
 
+// Copies the W-byte values at positions rows[0..n) of `src` densely to `dst`.
+template <size_t W>
+void GatherFixed(const uint8_t* src, const sel_t* rows, size_t n,
+                 uint8_t* dst) {
+  for (size_t i = 0; i < n; i++) std::memcpy(dst + i * W, src + rows[i] * W, W);
+}
+
+// Appends `n` bytes to `out` (resize + memcpy rather than a range insert).
+void PutBytes(std::vector<uint8_t>* out, const uint8_t* p, size_t n) {
+  size_t off = out->size();
+  out->resize(off + n);
+  if (n > 0) std::memcpy(out->data() + off, p, n);
+}
+
 }  // namespace
 
 Result<std::unique_ptr<SpillWriter>> SpillWriter::Create(
     const std::string& path, const std::vector<TypeId>& types,
-    QueryContext::SpillCounters* counters) {
+    size_t block_rows, QueryContext::SpillCounters* counters) {
+  VWISE_DCHECK(block_rows > 0);
   std::unique_ptr<IoFile> file;
   VWISE_ASSIGN_OR_RETURN(file, IoFile::Create(path, nullptr, "spill"));
   std::vector<uint8_t> header;
@@ -58,7 +74,7 @@ Result<std::unique_ptr<SpillWriter>> SpillWriter::Create(
                                       std::memory_order_relaxed);
   }
   return std::unique_ptr<SpillWriter>(
-      new SpillWriter(std::move(file), types, counters));
+      new SpillWriter(std::move(file), types, block_rows, counters));
 }
 
 Status SpillWriter::Append(const DataChunk& chunk) {
@@ -70,45 +86,104 @@ Status SpillWriter::Append(const DataChunk& chunk) {
 
 Status SpillWriter::AppendRows(const DataChunk& chunk, const sel_t* rows,
                                size_t n) {
-  if (n == 0) return Status::OK();
   VWISE_DCHECK(chunk.num_columns() == types_.size());
-  buf_.clear();
-  // Block header; payload_bytes backpatched once the payload is assembled.
-  PutU32(&buf_, kBlockMagic);
-  PutU32(&buf_, static_cast<uint32_t>(n));
-  PutU64(&buf_, 0);
-  const size_t payload_start = buf_.size();
-  for (size_t c = 0; c < types_.size(); c++) {
-    const Vector& col = chunk.column(c);
-    if (types_[c] == TypeId::kStr) {
-      const StringVal* vals = col.Data<StringVal>();
-      for (size_t i = 0; i < n; i++) {
-        PutU32(&buf_, vals[rows != nullptr ? rows[i] : i].len);
-      }
-      for (size_t i = 0; i < n; i++) {
-        const StringVal& sv = vals[rows != nullptr ? rows[i] : i];
-        const uint8_t* p = reinterpret_cast<const uint8_t*>(sv.ptr);
-        buf_.insert(buf_.end(), p, p + sv.len);
-      }
-    } else {
-      const size_t width = TypeWidth(types_[c]);
-      const uint8_t* data = reinterpret_cast<const uint8_t*>(col.raw());
-      if (rows == nullptr) {
-        buf_.insert(buf_.end(), data, data + n * width);
-      } else {
-        for (size_t i = 0; i < n; i++) {
-          buf_.insert(buf_.end(), data + rows[i] * width,
-                      data + rows[i] * width + width);
-        }
-      }
+  size_t done = 0;
+  while (done < n) {
+    size_t take = std::min(n - done, block_rows_ - staged_rows_);
+    const sel_t* part = rows != nullptr ? rows + done : nullptr;
+    for (size_t c = 0; c < types_.size(); c++) {
+      Stage(c, chunk.column(c), part, done, take);
     }
+    staged_rows_ += take;
+    done += take;
+    if (staged_rows_ == block_rows_) VWISE_RETURN_IF_ERROR(WriteBlock());
   }
-  const uint64_t payload_bytes = buf_.size() - payload_start;
-  std::memcpy(buf_.data() + payload_start - sizeof(uint64_t), &payload_bytes,
-              sizeof(payload_bytes));
+  return Status::OK();
+}
+
+Status SpillWriter::Finish() {
+  if (staged_rows_ == 0) return Status::OK();
+  return WriteBlock();
+}
+
+void SpillWriter::Stage(size_t c, const Vector& col, const sel_t* rows,
+                        size_t first, size_t n) {
+  StagedColumn& st = staged_[c];
+  const size_t width =
+      types_[c] == TypeId::kStr ? sizeof(uint32_t) : TypeWidth(types_[c]);
+  // A full block's values (or string lengths) exactly, not a doubling's
+  // worth more: every open writer holds its staged block.
+  if (st.data.capacity() == 0) st.data.reserve(block_rows_ * width);
+  if (types_[c] == TypeId::kStr) {
+    const StringVal* vals = col.Data<StringVal>();
+    size_t len_off = st.data.size();
+    st.data.resize(len_off + n * sizeof(uint32_t));
+    uint64_t total = 0;
+    for (size_t i = 0; i < n; i++) {
+      const StringVal& sv = vals[rows != nullptr ? rows[i] : first + i];
+      std::memcpy(st.data.data() + len_off + i * sizeof(uint32_t), &sv.len,
+                  sizeof(uint32_t));
+      total += sv.len;
+    }
+    size_t str_off = st.strings.size();
+    st.strings.resize(str_off + total);
+    uint8_t* dst = st.strings.data() + str_off;
+    for (size_t i = 0; i < n; i++) {
+      const StringVal& sv = vals[rows != nullptr ? rows[i] : first + i];
+      if (sv.len > 0) std::memcpy(dst, sv.ptr, sv.len);
+      dst += sv.len;
+    }
+    return;
+  }
+  const uint8_t* src = reinterpret_cast<const uint8_t*>(col.raw());
+  size_t off = st.data.size();
+  st.data.resize(off + n * width);
+  uint8_t* dst = st.data.data() + off;
+  if (rows == nullptr) {
+    std::memcpy(dst, src + first * width, n * width);
+    return;
+  }
+  switch (width) {
+    case 1:
+      GatherFixed<1>(src, rows, n, dst);
+      break;
+    case 4:
+      GatherFixed<4>(src, rows, n, dst);
+      break;
+    case 8:
+      GatherFixed<8>(src, rows, n, dst);
+      break;
+    default:
+      for (size_t i = 0; i < n; i++) {
+        std::memcpy(dst + i * width, src + rows[i] * width, width);
+      }
+  }
+}
+
+Status SpillWriter::WriteBlock() {
+  uint64_t payload_bytes = 0;
+  for (const StagedColumn& st : staged_) {
+    payload_bytes += st.data.size() + st.strings.size();
+  }
+  buf_.clear();
+  buf_.reserve(16 + payload_bytes + 4);
+  PutU32(&buf_, kBlockMagic);
+  PutU32(&buf_, static_cast<uint32_t>(staged_rows_));
+  PutU64(&buf_, payload_bytes);
+  const size_t payload_start = buf_.size();
+  for (const StagedColumn& st : staged_) {
+    PutBytes(&buf_, st.data.data(), st.data.size());
+    PutBytes(&buf_, st.strings.data(), st.strings.size());
+  }
   PutU32(&buf_, Crc32(buf_.data() + payload_start, payload_bytes));
   VWISE_RETURN_IF_ERROR(file_->Append(buf_.data(), buf_.size()));
-  rows_written_ += n;
+  rows_written_ += staged_rows_;
+  blocks_written_++;
+  staged_rows_ = 0;
+  for (StagedColumn& st : staged_) {
+    st.data.clear();
+    st.strings.clear();
+  }
   if (counters_ != nullptr) {
     counters_->bytes_written.fetch_add(buf_.size(), std::memory_order_relaxed);
   }

@@ -24,6 +24,10 @@ namespace vwise {
 //   file_header := magic:u32 ncols:u32 type_id:u8 * ncols
 //   block  := magic:u32 rows:u32 payload_bytes:u64 payload crc:u32
 //
+// A block holds at most `block_rows` rows — the writer's vector size — and
+// every block but a file's last holds exactly that many, so a reload runs at
+// full vector size however the rows were routed in.
+//
 // The payload serializes each column in declaration order: fixed-width
 // columns as `rows * width` dense bytes, string columns as `rows` u32
 // lengths followed by the concatenated string bytes (StringVal pointers are
@@ -42,36 +46,70 @@ namespace vwise {
 
 // Writes one spill file. Not thread-safe; each partition/run has its own
 // writer.
+//
+// Rows are staged per column (a string column's lengths and bytes apart) and
+// written as one block each time `block_rows` of them are staged; Finish()
+// writes the staged tail as the last, partial block. A writer destroyed
+// without Finish() writes nothing more — its owners delete the file on those
+// paths anyway. Staged rows are not reserved against the query budget: an
+// open writer holds at most one staged block plus the buffer it assembles a
+// block in, about 2 * block_rows * row bytes (string bytes included).
 class SpillWriter {
  public:
   // `counters` (may be null) receives bytes-written accounting; pass
   // &ctx->spill_counters() so EXPLAIN ANALYZE sees the traffic.
   static Result<std::unique_ptr<SpillWriter>> Create(
       const std::string& path, const std::vector<TypeId>& types,
-      QueryContext::SpillCounters* counters);
+      size_t block_rows, QueryContext::SpillCounters* counters);
 
-  // Appends the chunk's active rows (honors the selection vector) as one
-  // block. No-op for an empty chunk.
+  // Stages the chunk's active rows (honors the selection vector). No-op for
+  // an empty chunk.
   Status Append(const DataChunk& chunk);
 
-  // Appends the `n` physical positions listed in `rows` — the radix
-  // partitioner hands each partition its slice of the input chunk.
+  // Stages the `n` physical positions listed in `rows` (nullptr = the dense
+  // positions [0, n)) — the radix partitioner hands each partition its slice
+  // of the input chunk.
   Status AppendRows(const DataChunk& chunk, const sel_t* rows, size_t n);
 
+  // Writes the staged rows as the file's last block; no block when none are
+  // staged. Returns the status of that write.
+  Status Finish();
+
+  // Rows and blocks on disk (staged rows are not counted until written).
   uint64_t rows_written() const { return rows_written_; }
+  uint64_t blocks_written() const { return blocks_written_; }
   uint64_t bytes_written() const { return file_->size(); }
   const std::string& path() const { return file_->path(); }
 
  private:
+  // One column's staged rows: fixed-width values, or a string column's u32
+  // lengths in `data` and its concatenated bytes in `strings`.
+  struct StagedColumn {
+    std::vector<uint8_t> data;
+    std::vector<uint8_t> strings;
+  };
+
   SpillWriter(std::unique_ptr<IoFile> file, std::vector<TypeId> types,
-              QueryContext::SpillCounters* counters)
-      : file_(std::move(file)), types_(std::move(types)), counters_(counters) {}
+              size_t block_rows, QueryContext::SpillCounters* counters)
+      : file_(std::move(file)),
+        types_(std::move(types)),
+        block_rows_(block_rows),
+        counters_(counters),
+        staged_(types_.size()) {}
+
+  void Stage(size_t c, const Vector& col, const sel_t* rows, size_t first,
+             size_t n);
+  Status WriteBlock();
 
   std::unique_ptr<IoFile> file_;
   std::vector<TypeId> types_;
+  size_t block_rows_;
   QueryContext::SpillCounters* counters_;
-  std::vector<uint8_t> buf_;  // block assembly buffer, reused across appends
+  std::vector<StagedColumn> staged_;
+  size_t staged_rows_ = 0;
+  std::vector<uint8_t> buf_;  // block assembly buffer, reused across blocks
   uint64_t rows_written_ = 0;
+  uint64_t blocks_written_ = 0;
 };
 
 // Reads a spill file back block by block. Not thread-safe.
@@ -83,7 +121,7 @@ class SpillReader {
       QueryContext::SpillCounters* counters);
 
   // Fills `out` (Init'ed with the writer's types and capacity >= the
-  // writer's chunk capacity) with the next block. Returns false at EOF.
+  // writer's block_rows) with the next block. Returns false at EOF.
   Result<bool> Next(DataChunk* out);
 
   // Rows decoded so far — the recursive-repartition tests assert a

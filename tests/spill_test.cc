@@ -504,6 +504,95 @@ void SortRowsByFirstCol(std::vector<std::vector<Value>>* rows) {
             });
 }
 
+// Reads "<key>=<number>" from the first profile line containing `node`;
+// -1 when the node or the key is missing.
+int64_t ProfileField(const std::string& profile, const std::string& node,
+                     const std::string& key) {
+  size_t at = profile.find(node);
+  if (at == std::string::npos) return -1;
+  size_t eol = profile.find('\n', at);
+  std::string line = profile.substr(at, eol == std::string::npos
+                                            ? std::string::npos
+                                            : eol - at);
+  size_t k = line.find(" " + key + "=");
+  if (k == std::string::npos) k = line.find("[" + key + "=");
+  if (k == std::string::npos) return -1;
+  return std::stoll(line.substr(k + key.size() + 2));
+}
+
+// Spilled rows travel in full vectors: however a grace join or a spilled
+// aggregation routes rows into partitions and splits them, the partition
+// files hold blocks of one vector, so the reload (and the grace join's
+// probe, which runs on the reloaded blocks) works at vector size. With a
+// block per partition per input chunk, a split's children reloaded a few
+// rows per chunk. EXPLAIN ANALYZE shows both: the join's rows per emitted
+// chunk and each breaker's spill_rows / spill_blocks.
+TEST_F(SpillTest, SpilledRowsReloadAtVectorSize) {
+  Config cfg = config_;
+  cfg.profile = true;
+  const std::string db_dir = dir_ + "_vec";
+  auto db = Database::Open(db_dir, cfg);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  TableSchema t("t", {ColumnDef("k", DataType::Int64()),
+                      ColumnDef("v", DataType::Int64())});
+  ASSERT_TRUE((*db)->CreateTable(t).ok());
+  ASSERT_TRUE((*db)->BulkLoad("t", [](TableWriter* w) -> Status {
+    for (int64_t i = 0; i < 8000; i++) {
+      VWISE_RETURN_IF_ERROR(w->AppendRow({Value::Int(i), Value::Int(i % 9)}));
+    }
+    return Status::OK();
+  }).ok());
+  auto session = (*db)->Connect();
+  const int64_t half_vector = static_cast<int64_t>(cfg.vector_size / 2);
+  auto run = [&](PlanBuilder* q, size_t budget, const char* node) {
+    SCOPED_TRACE(node);
+    auto prepared = session->Prepare(q);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    auto base = (*prepared)->Execute();
+    const Result<QueryResult>& expect = base->Wait();
+    ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+    QueryOptions opt;
+    opt.memory_budget_bytes = budget;
+    auto handle = (*prepared)->Execute(opt);
+    const Result<QueryResult>& r = handle->Wait();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    std::vector<std::vector<Value>> want = expect->rows;
+    std::vector<std::vector<Value>> got = r->rows;
+    SortRowsByFirstCol(&want);
+    SortRowsByFirstCol(&got);
+    EXPECT_EQ(got, want);
+    const std::string& profile = handle->profile();
+    EXPECT_GE(ProfileField(profile, node, "repartitions"), 1) << profile;
+    int64_t rows = ProfileField(profile, node, "spill_rows");
+    int64_t blocks = ProfileField(profile, node, "spill_blocks");
+    ASSERT_GT(blocks, 0) << profile;
+    EXPECT_GE(rows / blocks, half_vector) << profile;
+    if (std::string(node) == "HashJoin") {
+      int64_t out = ProfileField(profile, node, "rows");
+      int64_t chunks = ProfileField(profile, node, "chunks");
+      ASSERT_GT(chunks, 0) << profile;
+      EXPECT_GE(out / chunks, half_vector) << profile;
+    }
+  };
+  {
+    PlanBuilder q = session->NewPlan();
+    ASSERT_TRUE(q.Scan("t", {0, 1}).ok());
+    PlanBuilder build = session->NewPlan();
+    ASSERT_TRUE(build.Scan("t", {0, 1}).ok());
+    q.Join(std::move(build), JoinType::kInner, {0}, {0}, {1});
+    run(&q, 32 << 10, "HashJoin");
+  }
+  {
+    PlanBuilder q = session->NewPlan();
+    ASSERT_TRUE(q.Scan("t", {0, 1}).ok());
+    q.Agg({0}, {AggSpec::Sum(1)}, {DataType::Int64(), DataType::Int64()});
+    run(&q, 32 << 10, "HashAgg");
+  }
+  session.reset();
+  db->reset();
+  fs::remove_all(db_dir);
+}
+
 // A build side within half the budget whose buckets did not fit in the other
 // half used to fail the query with ResourceExhausted instead of spilling, so
 // success was not monotone in the budget. Every budget of the sweep must
@@ -929,6 +1018,94 @@ TEST_F(SpillTest, AggLanesMatchReferenceForEveryFunctionAndInputType) {
   EXPECT_EQ(CountSpillFiles(SpillBase()), 0u);
 }
 
+// A sliced partition reload hands MergeLane a selection over a state chunk:
+// the value and the count of state row i are both read at position sel[i].
+TEST(AggMergeLaneTest, MergesStateRowsThroughASelection) {
+  // State rows at positions 0..5; the slice selects 1, 3 and 4, merged into
+  // groups 0, 0 and 1. The unselected positions hold counts that would
+  // change every answer if read instead.
+  const int64_t ivals[] = {100, 2, 100, 4, 6, 100};
+  const double fvals[] = {100, 2, 100, 4, 6, 100};
+  const int64_t counts[] = {0, 1, 9, 3, 0, 9};
+  const sel_t sel[] = {1, 3, 4};
+  const uint32_t groups[] = {0, 0, 1};
+  {
+    int64_t value[2] = {0, 0};
+    int64_t count[2] = {0, 0};
+    MergeLane(AggSpec::Fn::kMin, ivals, sel, counts, groups, 3, value, count);
+    EXPECT_EQ(value[0], 2);
+    EXPECT_EQ(count[0], 1);
+    EXPECT_EQ(count[1], 0);  // position 4 is a no-data partial
+  }
+  {
+    int64_t value[2] = {0, 0};
+    int64_t count[2] = {0, 0};
+    MergeLane(AggSpec::Fn::kMax, ivals, sel, counts, groups, 3, value, count);
+    EXPECT_EQ(value[0], 4);
+    EXPECT_EQ(count[0], 1);
+    EXPECT_EQ(value[1], 0);
+    EXPECT_EQ(count[1], 0);
+  }
+  {
+    double value[2] = {0, 0};
+    int64_t count[2] = {0, 0};
+    MergeLane(AggSpec::Fn::kAvg, fvals, sel, counts, groups, 3, value, count);
+    EXPECT_EQ(value[0], 6.0);
+    EXPECT_EQ(count[0], 4);
+    EXPECT_EQ(value[1], 6.0);
+    EXPECT_EQ(count[1], 0);
+  }
+  {
+    // A count's state is its value lane: the selected partial counts add.
+    int64_t value[2] = {0, 0};
+    MergeLane(AggSpec::Fn::kCount, counts, sel, nullptr, groups, 3, value,
+              static_cast<int64_t*>(nullptr));
+    EXPECT_EQ(value[0], 4);
+    EXPECT_EQ(value[1], 0);
+  }
+}
+
+// A budget far below one reload block's worst case: under 16 KiB with
+// 1024-row vectors the table flushes every few dozen input rows, so each of
+// the hot groups 0-4 leaves hundreds of state rows in its partition file,
+// more than the budget holds as fresh groups. Splitting cannot help (a
+// key's rows all land in one child); the reload must merge each block a
+// slice at a time, and answer like the unbudgeted run.
+TEST_F(SpillTest, AggReloadReservesASliceAtATime) {
+  constexpr size_t kVec = 1024;
+  constexpr int64_t kRows = 60000;
+  Config cfg = config_;
+  cfg.vector_size = kVec;
+  const std::vector<AggSpec> aggs = {AggSpec::Sum(2), AggSpec::Min(3),
+                                     AggSpec::Max(4), AggSpec::Avg(5),
+                                     AggSpec::Count(3)};
+  auto run = [&](size_t budget, RadixSpill::Stats* stats) {
+    HashAggOperator agg(std::make_unique<LaneSource>(kRows, kVec),
+                        std::vector<size_t>{0}, aggs, cfg);
+    QueryContext ctx;
+    ctx.set_memory_budget(budget);
+    ctx.set_spill_dir(SpillBase());
+    Result<QueryResult> r = CollectRows(&agg, &ctx, kVec);
+    *stats = agg.spill_stats();
+    agg.Close();
+    EXPECT_EQ(ctx.reserved_bytes(), 0u);
+    EXPECT_TRUE(r.ok()) << "budget " << budget << ": " << r.status().ToString();
+    if (!r.ok()) return std::vector<std::vector<Value>>();
+    EXPECT_LE(r->peak_reserved_bytes, budget == 0 ? SIZE_MAX : budget);
+    SortRowsByFirstCol(&r->rows);
+    return r->rows;
+  };
+  RadixSpill::Stats stats;
+  std::vector<std::vector<Value>> expect = run(0, &stats);
+  ASSERT_EQ(expect.size(), 97u);
+  std::vector<std::vector<Value>> got = run(16 << 10, &stats);
+  // The hot groups alone left more state rows than 16 KiB of fresh groups.
+  EXPECT_GT(stats.rows, 5 * (16 << 10) / (KeyTable::kRowBytes + 8 + 24));
+  ASSERT_EQ(got.size(), expect.size());
+  EXPECT_EQ(got, expect);
+  EXPECT_EQ(CountSpillFiles(SpillBase()), 0u);
+}
+
 // The depth bound is a real guard: identical keys hash identically at every
 // level, so no amount of re-partitioning can split a one-key flood. The
 // query must fail with ResourceExhausted once the bound is hit — not loop.
@@ -1096,7 +1273,7 @@ TEST_F(SpillTest, WriterReaderRoundTripsSelectionsAndStrings) {
   std::string path = SpillBase() + "/unit-0.spill";
   std::vector<TypeId> types = {TypeId::kI64, TypeId::kStr, TypeId::kF64};
   QueryContext::SpillCounters counters;
-  auto writer = SpillWriter::Create(path, types, &counters);
+  auto writer = SpillWriter::Create(path, types, /*block_rows=*/8, &counters);
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
   DataChunk chunk;
   chunk.Init(types, 8);
@@ -1108,13 +1285,18 @@ TEST_F(SpillTest, WriterReaderRoundTripsSelectionsAndStrings) {
     chunk.column(2).Data<double>()[i] = static_cast<double>(i) * 0.25;
   }
   chunk.SetCount(8);
-  // Block 1: dense. Block 2: every other row via the selection vector.
+  // Block 1: dense, written as soon as its 8 rows are staged. Block 2:
+  // every other row via the selection vector, written by Finish.
   ASSERT_TRUE((*writer)->Append(chunk).ok());
+  EXPECT_EQ((*writer)->rows_written(), 8u);
   sel_t* sel = chunk.MutableSel();
   for (size_t i = 0; i < 4; i++) sel[i] = static_cast<sel_t>(i * 2);
   chunk.SetSelection(4);
   ASSERT_TRUE((*writer)->Append(chunk).ok());
+  EXPECT_EQ((*writer)->rows_written(), 8u);  // staged, not yet written
+  ASSERT_TRUE((*writer)->Finish().ok());
   EXPECT_EQ((*writer)->rows_written(), 12u);
+  EXPECT_EQ((*writer)->blocks_written(), 2u);
   writer->reset();  // close before reading
 
   auto reader = SpillReader::Open(path, types, &counters);
@@ -1146,11 +1328,138 @@ TEST_F(SpillTest, WriterReaderRoundTripsSelectionsAndStrings) {
   EXPECT_GT(counters.bytes_read.load(), 0u);
 }
 
+// Rows staged over many small appends, dense, through a selection and as
+// explicit position lists, strings included, reach disk in blocks of exactly
+// block_rows rows but the last, which Finish writes; they read back in
+// append order.
+TEST_F(SpillTest, WriterWritesFullBlocksAcrossSmallAppends) {
+  fs::create_directories(SpillBase());
+  std::string path = SpillBase() + "/stage-0.spill";
+  const std::vector<TypeId> types = {TypeId::kI64, TypeId::kStr, TypeId::kU8,
+                                     TypeId::kI32};
+  constexpr size_t kBlockRows = 16;
+  auto str_of = [](int64_t id) {
+    std::string s(static_cast<size_t>(id % 5), static_cast<char>('a' + id % 26));
+    s += std::to_string(id);
+    return s;
+  };
+  auto writer = SpillWriter::Create(path, types, kBlockRows, nullptr);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  std::vector<int64_t> expect;  // ids in append order
+  int64_t next_id = 0;
+  for (size_t round = 0; round < 60; round++) {
+    DataChunk chunk;
+    chunk.Init(types, 8);
+    StringHeap* heap = chunk.column(1).GetStringHeap();
+    const size_t rows = round % 8 + 1;
+    for (size_t i = 0; i < rows; i++) {
+      int64_t id = next_id++;
+      chunk.column(0).Data<int64_t>()[i] = id;
+      chunk.column(1).Data<StringVal>()[i] = heap->Add(str_of(id));
+      chunk.column(2).Data<uint8_t>()[i] = static_cast<uint8_t>(id % 251);
+      chunk.column(3).Data<int32_t>()[i] = static_cast<int32_t>(-3 * id);
+    }
+    chunk.SetCount(rows);
+    const int64_t* ids = chunk.column(0).Data<int64_t>();
+    if (round % 3 == 0) {  // dense
+      ASSERT_TRUE((*writer)->Append(chunk).ok());
+      for (size_t i = 0; i < rows; i++) expect.push_back(ids[i]);
+    } else if (round % 3 == 1) {  // the even positions, via the selection
+      size_t k = 0;
+      for (size_t i = 0; i < rows; i += 2) {
+        chunk.MutableSel()[k++] = static_cast<sel_t>(i);
+        expect.push_back(ids[i]);
+      }
+      chunk.SetSelection(k);
+      ASSERT_TRUE((*writer)->Append(chunk).ok());
+    } else {  // every position, last first
+      std::vector<sel_t> order;
+      for (size_t i = rows; i-- > 0;) {
+        order.push_back(static_cast<sel_t>(i));
+        expect.push_back(ids[i]);
+      }
+      ASSERT_TRUE(
+          (*writer)->AppendRows(chunk, order.data(), order.size()).ok());
+    }
+  }
+  const size_t full_blocks = expect.size() / kBlockRows;
+  ASSERT_GT(expect.size() % kBlockRows, 0u) << "pick a partial last block";
+  EXPECT_EQ((*writer)->blocks_written(), full_blocks);
+  EXPECT_EQ((*writer)->rows_written(), full_blocks * kBlockRows);
+  ASSERT_TRUE((*writer)->Finish().ok());
+  EXPECT_EQ((*writer)->blocks_written(), full_blocks + 1);
+  EXPECT_EQ((*writer)->rows_written(), expect.size());
+  writer->reset();
+
+  auto reader = SpillReader::Open(path, types, nullptr);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  DataChunk out;
+  out.Init(types, kBlockRows);
+  size_t read = 0;
+  size_t blocks = 0;
+  while (true) {
+    auto more = (*reader)->Next(&out);
+    ASSERT_TRUE(more.ok()) << more.status().ToString();
+    if (!*more) break;
+    blocks++;
+    if (blocks <= full_blocks) {
+      ASSERT_EQ(out.count(), kBlockRows) << "block " << blocks;
+    } else {
+      ASSERT_EQ(out.count(), expect.size() % kBlockRows);
+    }
+    for (size_t i = 0; i < out.count(); i++, read++) {
+      const int64_t id = expect[read];
+      ASSERT_EQ(out.column(0).Data<int64_t>()[i], id);
+      EXPECT_EQ(out.column(1).Data<StringVal>()[i].view(), str_of(id));
+      EXPECT_EQ(out.column(2).Data<uint8_t>()[i], id % 251);
+      EXPECT_EQ(out.column(3).Data<int32_t>()[i], -3 * id);
+    }
+  }
+  EXPECT_EQ(blocks, full_blocks + 1);
+  EXPECT_EQ(read, expect.size());
+}
+
+// Finish with nothing staged writes no block, and a writer dropped without
+// Finish writes none of its staged rows: both files hold just the header.
+TEST_F(SpillTest, WriterWritesNoBlockWithoutStagedRowsOrFinish) {
+  fs::create_directories(SpillBase());
+  const std::vector<TypeId> types = {TypeId::kI64};
+  const uint64_t header_bytes = 8 + types.size();
+  std::string empty = SpillBase() + "/empty-0.spill";
+  std::string dropped = SpillBase() + "/dropped-0.spill";
+  {
+    auto writer = SpillWriter::Create(empty, types, 4, nullptr);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+    EXPECT_EQ((*writer)->blocks_written(), 0u);
+    EXPECT_EQ((*writer)->bytes_written(), header_bytes);
+  }
+  {
+    auto writer = SpillWriter::Create(dropped, types, 4, nullptr);
+    ASSERT_TRUE(writer.ok());
+    DataChunk chunk;
+    chunk.Init(types, 4);
+    chunk.column(0).Data<int64_t>()[0] = 7;
+    chunk.SetCount(1);
+    ASSERT_TRUE((*writer)->Append(chunk).ok());
+  }
+  for (const std::string& path : {empty, dropped}) {
+    EXPECT_EQ(fs::file_size(path), header_bytes) << path;
+    auto reader = SpillReader::Open(path, types, nullptr);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    DataChunk out;
+    out.Init(types, 4);
+    auto more = (*reader)->Next(&out);
+    ASSERT_TRUE(more.ok());
+    EXPECT_FALSE(*more) << path;
+  }
+}
+
 TEST_F(SpillTest, ReaderRejectsFlippedBytes) {
   fs::create_directories(SpillBase());
   std::string path = SpillBase() + "/corrupt-0.spill";
   std::vector<TypeId> types = {TypeId::kI64};
-  auto writer = SpillWriter::Create(path, types, nullptr);
+  auto writer = SpillWriter::Create(path, types, /*block_rows=*/4, nullptr);
   ASSERT_TRUE(writer.ok());
   DataChunk chunk;
   chunk.Init(types, 4);
@@ -1159,6 +1468,7 @@ TEST_F(SpillTest, ReaderRejectsFlippedBytes) {
   }
   chunk.SetCount(4);
   ASSERT_TRUE((*writer)->Append(chunk).ok());
+  ASSERT_TRUE((*writer)->Finish().ok());
   writer->reset();
   // Flip one payload byte on disk; the block CRC must catch it.
   {
@@ -1298,6 +1608,60 @@ TEST_F(SpillTest, FailpointSweepOverSpillSites) {
     EXPECT_GT(ctx.spill_counters().bytes_written.load(), 0u);
   }
   failpoint::DisarmAll();
+}
+
+// A partition smaller than one block reaches disk only through its writer's
+// Finish. In this 2-way self-join of "o" with 1024-row vectors, each of the
+// four partition files holds one such block, so spill.append fires for the
+// two build-file headers and then for the first build partition's Finish.
+// Erroring that write must end the query in IOError with nothing reserved
+// and no file left.
+TEST_F(SpillTest, ErroredFinishWriteFailsTheQueryCleanly) {
+  Config cfg = config_;
+  cfg.vector_size = 1024;
+  cfg.spill_partitions = 2;
+  auto snap = db_->Internals().tm->GetSnapshot("o");
+  ASSERT_TRUE(snap.ok());
+  auto make_join = [&]() -> OperatorPtr {
+    HashJoinOperator::Spec spec;
+    spec.probe_keys = {0};
+    spec.build_keys = {0};
+    spec.build_payload = {1};
+    return std::make_unique<HashJoinOperator>(
+        std::make_unique<ScanOperator>(*snap, std::vector<uint32_t>{0, 1}, cfg),
+        std::make_unique<ScanOperator>(*snap, std::vector<uint32_t>{0, 1}, cfg),
+        std::move(spec), cfg);
+  };
+  constexpr size_t kBudget = 32 << 10;
+  {
+    QueryContext ctx;
+    ctx.set_memory_budget(kBudget);
+    ctx.set_spill_dir(SpillBase());
+    OperatorPtr op = make_join();
+    auto* join = static_cast<HashJoinOperator*>(op.get());
+    Result<QueryResult> r = CollectRows(op.get(), &ctx, cfg.vector_size);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->rows.size(), static_cast<size_t>(kORows));
+    const RadixSpill::Stats& stats = join->spill_stats();
+    EXPECT_EQ(stats.repartitions, 0u);
+    EXPECT_EQ(stats.rows, 2u * kORows);
+    EXPECT_EQ(stats.blocks, 4u) << "every file one Finish-written block";
+  }
+  ASSERT_TRUE(failpoint::Arm("spill.append=err,nth:3").ok());
+  {
+    QueryContext ctx;
+    ctx.set_memory_budget(kBudget);
+    ctx.set_spill_dir(SpillBase());
+    OperatorPtr op = make_join();
+    Result<QueryResult> r = CollectRows(op.get(), &ctx, cfg.vector_size);
+    ASSERT_FALSE(r.ok()) << "the Finish write did not fail";
+    EXPECT_EQ(r.status().code(), StatusCode::kIOError)
+        << r.status().ToString();
+    EXPECT_EQ(ctx.reserved_bytes(), 0u);
+    EXPECT_EQ(CountSpillFiles(SpillBase()), 0u);
+  }
+  failpoint::DisarmAll();
+  EXPECT_EQ(CountSpillFiles(SpillBase()), 0u);
 }
 
 // --- temp-file lifecycle ------------------------------------------------------

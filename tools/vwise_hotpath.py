@@ -153,6 +153,16 @@ VIRTUAL_DECL_RE = re.compile(
 SIG_NAME_RE = re.compile(
     r"([A-Za-z_~]\w*(?:\s*::\s*[A-Za-z_~]\w*)*)\s*\(")
 
+# An operator function's name: `operator` and its symbol (`operator==`,
+# `operator()`, `operator[]`, `operator->`, ...), qualified or not.
+OPERATOR_NAME_RE = re.compile(
+    r"((?:[A-Za-z_]\w*\s*::\s*)*operator\s*"
+    r"(?:\(\s*\)|\[\s*\]|[-+*/%^&|~!=<>,]+))\s*\(")
+# Text ending in an operator name's symbol so far: the `=` that follows it
+# (`operator==`, `operator<=`, `operator=`) is part of the name, not an
+# initializer.
+OPERATOR_TAIL_RE = re.compile(r"\boperator\s*[-+*/%^&|~!=<>]*$")
+
 CONTAINER_RE = re.compile(
     r"(?:^|\s)(namespace|class|struct|union|enum)\b")
 
@@ -352,6 +362,9 @@ def parse_functions(path, text, stripped):
                               stripped.count(")", stmt_start, i)):
                 i = match_brace(stripped, i) + 1 if c == "{" else i + 1
                 continue
+            if c == "=" and OPERATOR_TAIL_RE.search(stripped, stmt_start, i):
+                i += 1
+                continue
             if c == "=":
                 # Initializer at this nesting level: `int x[] = {...};` or a
                 # default member. Skip to the statement end, stepping over
@@ -382,14 +395,19 @@ def parse_functions(path, text, stripped):
                     # Candidate function definition. Find the first
                     # identifier immediately followed by '(' that is not a
                     # keyword — that is the function name (constructors with
-                    # init lists included, since the ctor name comes first).
+                    # init lists included, since the ctor name comes first);
+                    # an operator's name is `operator` and its symbol.
                     fname = None
-                    for m in SIG_NAME_RE.finditer(head):
-                        base = m.group(1).split("::")[-1].strip()
-                        if base in CPP_KEYWORDS:
-                            continue
-                        fname = m.group(1).replace(" ", "")
-                        break
+                    m_op = OPERATOR_NAME_RE.search(head)
+                    if m_op:
+                        fname = re.sub(r"\s+", "", m_op.group(1))
+                    else:
+                        for m in SIG_NAME_RE.finditer(head):
+                            base = m.group(1).split("::")[-1].strip()
+                            if base in CPP_KEYWORDS:
+                                continue
+                            fname = m.group(1).replace(" ", "")
+                            break
                     if fname is not None:
                         base = fname.split("::")[-1]
                         qual = fname if "::" in fname else (
@@ -879,6 +897,22 @@ def self_test(repo):
     if misnamed:
         failures.append("methods recorded under the class name 'final': " +
                         ", ".join(misnamed[:5]))
+    # In-class comparison and call operators are recorded under their full
+    # names: an operator's `=` is not an initializer, and `operator()` is
+    # not a function named `operator`.
+    names = {fn.qual for fn in SyntacticFrontend(repo).load().functions}
+    expected = ["StringVal::operator" + op
+                for op in ("==", "!=", "<", "<=", ">", ">=")]
+    expected += ["Value::operator==", "BufferManager::Key::operator==",
+                 "BufferManager::KeyHash::operator()"]
+    missing = [q for q in expected if q not in names]
+    if missing:
+        failures.append("operators not recorded: " + ", ".join(missing))
+    bare = sorted(q for q in names
+                  if q == "operator" or q.endswith("::operator"))
+    if bare:
+        failures.append("operators recorded without their symbol: " +
+                        ", ".join(bare[:5]))
     clean = run_over_tree(repo)
     if clean:
         failures.append("pristine tree must pass, got:\n  " +
