@@ -154,10 +154,11 @@ TEST(DateTest, AllDaysRoundTrip1992to1999) {
 TEST(Crc32Test, MatchesKnownVector) {
   // CRC32("123456789") = 0xCBF43926 for the ISO-HDLC polynomial.
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(detail::Crc32Portable("123456789", 9, 0), 0xCBF43926u);
 }
 
-// The bytewise CRC-32 loop, one table lookup per byte: the reference the
-// slice-by-8 Crc32 must equal bit for bit.
+// The bytewise CRC-32 loop, one table lookup per byte: the reference both
+// Crc32 paths (carry-less fold and slice-by-8) must equal bit for bit.
 uint32_t BytewiseCrc32(const uint8_t* p, size_t len, uint32_t seed) {
   uint32_t table[256];
   for (uint32_t i = 0; i < 256; i++) {
@@ -170,21 +171,53 @@ uint32_t BytewiseCrc32(const uint8_t* p, size_t len, uint32_t seed) {
   return c ^ 0xffffffffu;
 }
 
-TEST(Crc32Test, SliceBy8MatchesBytewise) {
+std::vector<uint8_t> RandomBytes(size_t n) {
   Rng rng(42);
-  std::vector<uint8_t> buf(64 * 1024 + 8);
+  std::vector<uint8_t> buf(n);
   for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Next());
-  for (size_t off = 0; off < 8; off++) {
+  return buf;
+}
+
+// Every length 0-1100 at every offset 0-15 crosses the 64-byte fold
+// threshold, every 16-byte tail and every alignment of the first load.
+TEST(Crc32Test, BothPathsMatchBytewise) {
+  std::vector<uint8_t> buf = RandomBytes(1100 + 16);
+  for (size_t off = 0; off < 16; off++) {
     const uint8_t* p = buf.data() + off;
-    for (size_t len = 0; len <= 300; len++) {
-      ASSERT_EQ(Crc32(p, len), BytewiseCrc32(p, len, 0))
+    for (size_t len = 0; len <= 1100; len++) {
+      uint32_t want = BytewiseCrc32(p, len, 0);
+      ASSERT_EQ(Crc32(p, len), want) << "offset " << off << " length " << len;
+      ASSERT_EQ(detail::Crc32Portable(p, len, 0), want)
           << "offset " << off << " length " << len;
     }
-    EXPECT_EQ(Crc32(p, 64 * 1024), BytewiseCrc32(p, 64 * 1024, 0)) << off;
-    // A seed continues a running CRC: two pieces equal the whole.
-    uint32_t head = Crc32(p, 100 + off);
-    EXPECT_EQ(Crc32(p + 100 + off, 1000, head), Crc32(p, 1100 + off)) << off;
-    EXPECT_EQ(Crc32(p, 77, 0x12345678u), BytewiseCrc32(p, 77, 0x12345678u));
+  }
+}
+
+TEST(Crc32Test, BothPathsMatchBytewiseOnOneMebibyte) {
+  std::vector<uint8_t> buf = RandomBytes(1 << 20);
+  uint32_t want = BytewiseCrc32(buf.data(), buf.size(), 0);
+  EXPECT_EQ(Crc32(buf.data(), buf.size()), want);
+  EXPECT_EQ(detail::Crc32Portable(buf.data(), buf.size(), 0), want);
+}
+
+// A seed continues a running CRC: two pieces equal the whole, also when the
+// split falls inside the folded region and the second piece starts there.
+TEST(Crc32Test, SeedContinuesAcrossTheFoldedRegion) {
+  std::vector<uint8_t> buf = RandomBytes(4096 + 16);
+  for (size_t off = 0; off < 16; off++) {
+    const uint8_t* p = buf.data() + off;
+    for (size_t split : {1, 63, 64, 100, 129, 1000, 4000}) {
+      uint32_t head = Crc32(p, split);
+      EXPECT_EQ(Crc32(p + split, 4096 - split, head), Crc32(p, 4096))
+          << "offset " << off << " split " << split;
+      EXPECT_EQ(detail::Crc32Portable(p + split, 4096 - split, head),
+                BytewiseCrc32(p, 4096, 0))
+          << "offset " << off << " split " << split;
+    }
+    for (size_t len : {77, 1024, 1100}) {
+      EXPECT_EQ(Crc32(p, len, 0x12345678u), BytewiseCrc32(p, len, 0x12345678u))
+          << "offset " << off << " length " << len;
+    }
   }
 }
 

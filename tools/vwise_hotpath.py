@@ -163,6 +163,30 @@ OPERATOR_NAME_RE = re.compile(
 # initializer.
 OPERATOR_TAIL_RE = re.compile(r"\boperator\s*[-+*/%^&|~!=<>]*$")
 
+# Attribute specifiers (`[[nodiscard]]`, `__attribute__((target("...")))`)
+# that may precede a class or function name; see blank_specifiers.
+SPECIFIER_START_RE = re.compile(r"\[\[|\b__attribute__\s*\(")
+
+
+def blank_specifiers(head):
+    """Blanks attribute specifiers in a declaration head, keeping its length,
+    so neither a class nor a function is named after `__attribute__` or
+    left unnamed by `class [[nodiscard]] X`."""
+    out = list(head)
+    for m in SPECIFIER_START_RE.finditer(head):
+        if out[m.start()] == " ":
+            continue  # inside a specifier already blanked
+        if m.group(0) == "[[":
+            close = head.find("]]", m.end())
+            stop = len(head) if close == -1 else close + 2
+        else:
+            stop = match_close(head, m.end() - 1) + 1
+        for j in range(m.start(), stop):
+            if out[j] != "\n":
+                out[j] = " "
+    return "".join(out)
+
+
 CONTAINER_RE = re.compile(
     r"(?:^|\s)(namespace|class|struct|union|enum)\b")
 
@@ -304,14 +328,16 @@ class Function:
         return f"{self.path}:{self.start_line} {self.qual}"
 
 
-def match_brace(text, open_idx):
-    """Index of the '}' matching the '{' at open_idx in comment-stripped
-    text."""
+def match_close(text, open_idx):
+    """Index of the '}' or ')' matching the '{' or '(' at open_idx in
+    comment-stripped text."""
+    opener = text[open_idx]
+    closer = "}" if opener == "{" else ")"
     depth = 0
     for i in range(open_idx, len(text)):
-        if text[i] == "{":
+        if text[i] == opener:
             depth += 1
-        elif text[i] == "}":
+        elif text[i] == closer:
             depth -= 1
             if depth == 0:
                 return i
@@ -360,7 +386,7 @@ def parse_functions(path, text, stripped):
             # a braced one: neither ends the signature.
             if c in "={" and (stripped.count("(", stmt_start, i) >
                               stripped.count(")", stmt_start, i)):
-                i = match_brace(stripped, i) + 1 if c == "{" else i + 1
+                i = match_close(stripped, i) + 1 if c == "{" else i + 1
                 continue
             if c == "=" and OPERATOR_TAIL_RE.search(stripped, stmt_start, i):
                 i += 1
@@ -372,14 +398,14 @@ def parse_functions(path, text, stripped):
                 j = i + 1
                 while j < end and stripped[j] != ";":
                     if stripped[j] == "{":
-                        j = match_brace(stripped, j)
+                        j = match_close(stripped, j)
                     j += 1
                 stmt_start = j + 1
                 i = j + 1
                 continue
             if c == "{":
-                head = stripped[stmt_start:i]
-                close = match_brace(stripped, i)
+                head = blank_specifiers(stripped[stmt_start:i])
+                close = match_close(stripped, i)
                 m_cont = CONTAINER_RE.search(head)
                 if m_cont and "(" not in head.split(m_cont.group(1), 1)[1]:
                     # namespace/class/struct/enum block: descend (enums have
@@ -450,21 +476,12 @@ def parse_functions(path, text, stripped):
         # for-loop extents (brace bodies and single statements).
         for m in re.finditer(r"\bfor\s*\(", body):
             p = base_off + m.end() - 1
-            close_paren = p
-            depth = 0
-            while close_paren < end:
-                if stripped[close_paren] == "(":
-                    depth += 1
-                elif stripped[close_paren] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                close_paren += 1
+            close_paren = min(match_close(stripped, p), end)
             j = close_paren + 1
             while j < end and stripped[j] in " \t\n":
                 j += 1
             if j < end and stripped[j] == "{":
-                last = match_brace(stripped, j)
+                last = match_close(stripped, j)
             else:
                 last = stripped.find(";", j)
                 if last == -1 or last > end:
@@ -913,6 +930,18 @@ def self_test(repo):
     if bare:
         failures.append("operators recorded without their symbol: " +
                         ", ".join(bare[:5]))
+    # Attribute specifiers name nothing: `class [[nodiscard]] Status` keeps
+    # its methods qualified, and a kernel declared
+    # `__attribute__((target(...))) uint32_t FoldPclmul(...)` keeps its name.
+    missing = [q for q in ("Result::ok", "Status::ok", "FoldPclmul")
+               if q not in names]
+    if missing:
+        failures.append("functions behind attribute specifiers not recorded: "
+                        + ", ".join(missing))
+    attr = sorted(q for q in names if "__attribute__" in q or "[[" in q)
+    if attr:
+        failures.append("functions named after an attribute specifier: " +
+                        ", ".join(attr[:5]))
     clean = run_over_tree(repo)
     if clean:
         failures.append("pristine tree must pass, got:\n  " +
