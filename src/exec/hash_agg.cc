@@ -109,7 +109,7 @@ Status HashAggOperator::OpenImpl() {
   }
   consumed_ = false;
   emit_cursor_ = 0;
-  spill_.Init(ctx(), &config_, {{state_types_, identity_cols_, "agg_part"}});
+  spill_.Init(ctx(), &config_, "agg", {{state_types_, identity_cols_}});
   hash_scratch_.resize(config_.vector_size);
   group_idx_.resize(config_.vector_size);
   emit_idx_.resize(config_.vector_size);

@@ -55,9 +55,9 @@ Status HashJoinOperator::OpenImpl() {
   ReleaseBuildSide();
   probe_partitioned_ = false;
   build_view_.Init(spill_types_, 1);
-  spill_.Init(ctx(), &config_,
-              {{spill_types_, spill_keys_, "join_build"},
-               {probe_->OutputTypes(), spec_.probe_keys, "join_probe"}});
+  spill_.Init(ctx(), &config_, "join",
+              {{spill_types_, spill_keys_},
+               {probe_->OutputTypes(), spec_.probe_keys}});
   VWISE_RETURN_IF_ERROR(ConsumeBuildSide());
   input_.Init(probe_->OutputTypes(), config_.vector_size);
   input_exhausted_ = false;
@@ -86,7 +86,7 @@ Status HashJoinOperator::ConsumeBuildSide() {
     size_t n = chunk.ActiveCount();
     if (n == 0) break;
     // View the chunk through the spill schema (keys then payload), the
-    // layout of the resident stores and the partition files alike;
+    // layout of the resident stores and the partition runs alike;
     // Reference shares the buffers.
     size_t n_keys = spec_.build_keys.size();
     for (size_t k = 0; k < n_keys; k++) {
@@ -97,7 +97,7 @@ Status HashJoinOperator::ConsumeBuildSide() {
           chunk.column(spec_.build_payload[k]));
     }
     if (spill_.spilled()) {
-      // Already degraded: route the chunk straight to the partition files.
+      // Already degraded: route the chunk straight to the partitions.
       VWISE_RETURN_IF_ERROR(
           spill_.Scatter(kBuildStream, build_view_, chunk.sel(), n));
       continue;
@@ -129,8 +129,8 @@ Status HashJoinOperator::ConsumeBuildSide() {
         ShouldSpill(ctx(), config_, built, mem_.bytes()).status());
     VWISE_RETURN_IF_ERROR(SpillBuildRows());
   }
-  // Close the partition files; tables are built per partition at probe
-  // time (LoadBuildPartition).
+  // Finish the build runs; tables are built per partition at probe time
+  // (LoadBuildPartition).
   return spill_.CloseStream(kBuildStream);
 }
 
@@ -169,7 +169,6 @@ void HashJoinOperator::AppendBuildRows(const DataChunk& rows,
 }
 
 Status HashJoinOperator::PartitionProbeSide() {
-  VWISE_RETURN_IF_ERROR(spill_.OpenStream(kProbeStream));
   while (true) {
     VWISE_RETURN_IF_ERROR(ctx()->Check());
     input_.Reset();
@@ -242,7 +241,7 @@ Status HashJoinOperator::FetchProbeChunk() {
     if (!load.ok()) {
       // This partition alone exceeds the budget: split it onto the next
       // radix level and retry with its children. The peeked probe chunk is
-      // re-read from the file by the split.
+      // re-read from its run by the split.
       reader.reset();
       ReleaseBuildSide();
       VWISE_RETURN_IF_ERROR(spill_.Split(load));

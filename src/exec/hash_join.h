@@ -36,7 +36,7 @@ enum class JoinType : uint8_t {
 // buffered and remaining build rows are radix-partitioned to disk by the
 // high bits of the key hash, the probe side is partitioned the same way,
 // and partitions are then joined one at a time (load build partition, build
-// its table, stream its probe file). Equal keys hash identically, so every
+// its table, stream its probe run). Equal keys hash identically, so every
 // probe row still sees all of its potential matches — inner/semi/anti/outer
 // semantics are unchanged. Output order becomes partition-major, but within
 // a partition probe order is preserved.
@@ -92,7 +92,7 @@ class HashJoinOperator final : public Operator {
   // PartitionProbeSide drains the probe child into the probe partitions;
   // LoadBuildPartition reloads the current partition's build rows and
   // rebuilds the table; FetchProbeChunk fills input_ from the probe child
-  // (in-memory) or the current partition's probe file.
+  // (in-memory) or the current partition's probe run.
   Status SpillBuildRows();
   Status PartitionProbeSide();
   Status LoadBuildPartition();

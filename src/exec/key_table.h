@@ -19,7 +19,7 @@ namespace vwise {
 // A row's key hash is HashCombine(...HashCombine(0, h(k0))..., h(kn)), h =
 // HashKey (exec/key_hash.h), computed a column at a time with the type
 // resolved once per column. RadixSpill routes by the same hash, so a key
-// lands in the same partition from a chunk, a table or a spill file.
+// lands in the same partition from a chunk, a table or a spill run.
 class KeyTable {
  public:
   // A (chunk row, table row) pair: a join match or a resolved group.

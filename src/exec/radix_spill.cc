@@ -1,12 +1,10 @@
 #include "exec/radix_spill.h"
 
 #include <algorithm>
-#include <filesystem>
-#include <system_error>
+#include <iterator>
 
 #include "common/failpoint.h"
 #include "exec/key_table.h"
-#include "storage/spill_file.h"
 
 namespace vwise {
 
@@ -46,19 +44,14 @@ Result<bool> ShouldSpill(QueryContext* ctx, const Config& config,
   return ctx->memory_budget() > 0 && held > ctx->memory_budget() / 2;
 }
 
-void RemoveSpillFile(const std::string& path) {
-  if (path.empty()) return;
-  std::error_code ec;
-  std::filesystem::remove(path, ec);
-}
-
 RadixSpill::~RadixSpill() { Drop(); }
 
 void RadixSpill::Init(QueryContext* ctx, const Config* config,
-                      std::vector<Stream> streams) {
+                      const char* tag, std::vector<Stream> streams) {
   Drop();
   ctx_ = ctx;
   config_ = config;
+  tag_ = tag;
   streams_ = std::move(streams);
   writers_.clear();
   writers_.resize(streams_.size());
@@ -66,40 +59,37 @@ void RadixSpill::Init(QueryContext* ctx, const Config* config,
 }
 
 Status RadixSpill::OpenStream(size_t stream) {
-  if (!level0_.empty() && !level0_[0].paths[stream].empty()) {
-    return Status::OK();
-  }
+  if (!writers_[stream].empty()) return Status::OK();
   if (level0_.empty()) {
+    VWISE_RETURN_IF_ERROR(file_.Create(ctx_, tag_));
     spilled_ = true;
     fanout_ = SpillPartitionCount(config_->spill_partitions);
     stats_.partitions = fanout_;
     level0_.assign(fanout_,
-                   Partition{std::vector<std::string>(streams_.size()), 0});
+                   Partition{std::vector<SpillRun>(streams_.size()), 0});
   }
-  for (Partition& part : level0_) {
-    VWISE_ASSIGN_OR_RETURN(part.paths[stream],
-                           ctx_->NewSpillPath(streams_[stream].tag));
-    std::unique_ptr<SpillWriter> writer;
-    VWISE_ASSIGN_OR_RETURN(writer,
-                           SpillWriter::Create(part.paths[stream],
-                                               streams_[stream].types,
-                                               config_->vector_size,
-                                               &ctx_->spill_counters()));
-    writers_[stream].push_back(std::move(writer));
-  }
+  OpenWriters(stream, &level0_, &writers_[stream]);
   return Status::OK();
+}
+
+void RadixSpill::OpenWriters(size_t stream, std::vector<Partition>* children,
+                             std::vector<SpillWriter>* writers) {
+  writers->reserve(children->size());
+  for (Partition& part : *children) {
+    writers->emplace_back(&file_, &part.runs[stream], streams_[stream].types,
+                          config_->vector_size);
+  }
 }
 
 Status RadixSpill::CloseStream(size_t stream) {
   return FinishWriters(&writers_[stream]);
 }
 
-Status RadixSpill::FinishWriters(
-    std::vector<std::unique_ptr<SpillWriter>>* writers) {
-  for (const std::unique_ptr<SpillWriter>& writer : *writers) {
-    VWISE_RETURN_IF_ERROR(writer->Finish());
-    stats_.rows += writer->rows_written();
-    stats_.blocks += writer->blocks_written();
+Status RadixSpill::FinishWriters(std::vector<SpillWriter>* writers) {
+  for (SpillWriter& writer : *writers) {
+    VWISE_RETURN_IF_ERROR(writer.Finish());
+    stats_.rows += writer.rows_written();
+    stats_.blocks += writer.blocks_written();
   }
   writers->clear();
   return Status::OK();
@@ -124,7 +114,7 @@ Status RadixSpill::Flush(
       scratch.Reset();
       gather(ids.data() + i, batch, &scratch);
       scratch.SetCount(batch);
-      VWISE_RETURN_IF_ERROR(writers_[stream][p]->Append(scratch));
+      VWISE_RETURN_IF_ERROR(writers_[stream][p].Append(scratch));
     }
   }
   return Status::OK();
@@ -139,8 +129,7 @@ Status RadixSpill::Scatter(size_t stream, const DataChunk& chunk,
 
 Status RadixSpill::Route(size_t stream, const DataChunk& chunk,
                          const sel_t* sel, size_t n, size_t shift,
-                         size_t fanout,
-                         std::vector<std::unique_ptr<SpillWriter>>* writers) {
+                         size_t fanout, std::vector<SpillWriter>* writers) {
   buckets_.resize(fanout);
   for (auto& rows : buckets_) rows.clear();
   hashes_.resize(n);
@@ -150,14 +139,13 @@ Status RadixSpill::Route(size_t stream, const DataChunk& chunk,
     buckets_[(hashes_[i] >> shift) & (fanout - 1)].push_back(pos);
   }
   for (size_t f = 0; f < fanout; f++) {
-    VWISE_RETURN_IF_ERROR((*writers)[f]->AppendRows(chunk, buckets_[f].data(),
-                                                    buckets_[f].size()));
+    VWISE_RETURN_IF_ERROR((*writers)[f].AppendRows(chunk, buckets_[f].data(),
+                                                   buckets_[f].size()));
   }
   return Status::OK();
 }
 
 Status RadixSpill::Seal() {
-  // The writers close here; Read() reopens each file.
   for (auto& writers : writers_) VWISE_RETURN_IF_ERROR(FinishWriters(&writers));
   for (Partition& part : level0_) pending_.push_back(std::move(part));
   level0_.clear();
@@ -165,23 +153,23 @@ Status RadixSpill::Seal() {
 }
 
 bool RadixSpill::Next() {
-  RemoveFiles(&current_);
+  ReleaseRuns(&current_);
   if (pending_.empty()) return false;
   current_ = std::move(pending_.front());
   pending_.pop_front();
   return true;
 }
 
-Result<std::unique_ptr<SpillReader>> RadixSpill::Read(size_t stream) const {
-  return SpillReader::Open(current_.paths[stream], streams_[stream].types,
-                           &ctx_->spill_counters());
+Result<std::unique_ptr<SpillReader>> RadixSpill::Read(size_t stream) {
+  return SpillReader::Open(&file_, current_.runs[stream],
+                           streams_[stream].types);
 }
 
 size_t RadixSpill::RepartitionFanout(uint64_t part_bytes) const {
   // Aim each child at a fraction of the budget: serialized spill bytes
   // understate resident bytes (string headers, table slots, stored hashes),
   // and a join's reload must coexist with its probe stream. Per-level fanout
-  // is capped at the configured partition count — every child holds open
+  // is capped at the configured partition count — every child has open
   // writers with their own buffers, so one level never fans wider than the
   // initial flush did; depth supplies the remaining capacity (fanout^depth).
   size_t budget = ctx_->memory_budget();
@@ -202,37 +190,19 @@ Status RadixSpill::Split(const Status& reload) {
   }
   VWISE_FAILPOINT("spill.repartition");
   size_t level = current_.level + 1;
-  std::error_code ec;
-  uint64_t part_bytes = std::filesystem::file_size(current_.paths[0], ec);
-  if (ec) part_bytes = 0;
-  size_t fanout = RepartitionFanout(part_bytes);
+  size_t fanout = RepartitionFanout(current_.runs[0].bytes);
   stats_.repartitions++;
   stats_.depth = std::max(stats_.depth, level);
   stats_.partitions += fanout;
 
-  // The children go to the front of the queue (depth-first) before any of
-  // their files exists, so Drop() finds every file on any exit path.
-  pending_.insert(pending_.begin(), fanout,
-                  Partition{std::vector<std::string>(streams_.size()), level});
-  std::vector<std::vector<std::unique_ptr<SpillWriter>>> writers(
-      streams_.size());
-  for (size_t f = 0; f < fanout; f++) {
-    for (size_t s = 0; s < streams_.size(); s++) {
-      VWISE_ASSIGN_OR_RETURN(pending_[f].paths[s],
-                             ctx_->NewSpillPath(streams_[s].tag));
-      std::unique_ptr<SpillWriter> writer;
-      VWISE_ASSIGN_OR_RETURN(writer,
-                             SpillWriter::Create(pending_[f].paths[s],
-                                                 streams_[s].types,
-                                                 config_->vector_size,
-                                                 &ctx_->spill_counters()));
-      writers[s].push_back(std::move(writer));
-    }
-  }
-  // Stream every parent file into the children, routed by the next byte of
+  // Stream every parent run into the children, routed by the next byte of
   // the same key hash — matching rows of different streams land in
   // matching children.
+  std::vector<Partition> children(
+      fanout, Partition{std::vector<SpillRun>(streams_.size()), level});
   for (size_t s = 0; s < streams_.size(); s++) {
+    std::vector<SpillWriter> writers;
+    OpenWriters(s, &children, &writers);
     std::unique_ptr<SpillReader> reader;
     VWISE_ASSIGN_OR_RETURN(reader, Read(s));
     DataChunk chunk;
@@ -243,29 +213,29 @@ Status RadixSpill::Split(const Status& reload) {
       VWISE_ASSIGN_OR_RETURN(more, reader->Next(&chunk));
       if (!more) break;
       VWISE_RETURN_IF_ERROR(Route(s, chunk, nullptr, chunk.count(),
-                                  LevelShift(level), fanout, &writers[s]));
+                                  LevelShift(level), fanout, &writers));
     }
+    VWISE_RETURN_IF_ERROR(FinishWriters(&writers));
   }
-  // Finish the children before the parent is unlinked.
-  for (auto& children : writers) {
-    VWISE_RETURN_IF_ERROR(FinishWriters(&children));
-  }
-  RemoveFiles(&current_);
+  // The children are whole: the parent's space goes back to the file, and
+  // the children go to the front of the queue (depth-first).
+  ReleaseRuns(&current_);
+  pending_.insert(pending_.begin(), std::make_move_iterator(children.begin()),
+                  std::make_move_iterator(children.end()));
   return Status::OK();
 }
 
-void RadixSpill::RemoveFiles(Partition* part) {
-  for (const std::string& path : part->paths) RemoveSpillFile(path);
+void RadixSpill::ReleaseRuns(Partition* part) {
+  for (SpillRun& run : part->runs) file_.Release(&run);
   *part = Partition();
 }
 
 void RadixSpill::Drop() {
   for (auto& writers : writers_) writers.clear();
-  for (Partition& part : level0_) RemoveFiles(&part);
   level0_.clear();
-  for (Partition& part : pending_) RemoveFiles(&part);
   pending_.clear();
-  RemoveFiles(&current_);
+  current_ = Partition();
+  file_.Remove();
   buckets_.clear();
   hashes_.clear();
   fanout_ = 0;

@@ -7,7 +7,6 @@
 
 #include "exec/key_hash.h"
 #include "exec/radix_spill.h"
-#include "storage/spill_file.h"
 
 namespace vwise {
 
@@ -96,7 +95,7 @@ Status SortOperator::ConsumeAndSort() {
       VWISE_RETURN_IF_ERROR(
           ShouldSpill(ctx(), config_, grown, mem_.bytes()).status());
       // Budget full: turn the buffered rows into a spill run, then retry.
-      VWISE_RETURN_IF_ERROR(SpillRun());
+      VWISE_RETURN_IF_ERROR(SpillBuffered());
       grown = mem_.Grow(grow);
     }
     if (grown.ok()) buffered_bytes_ += grow;
@@ -112,11 +111,11 @@ Status SortOperator::ConsumeAndSort() {
       VWISE_ASSIGN_OR_RETURN(
           spill, ShouldSpill(ctx(), config_, Status::OK(), mem_.bytes()));
     }
-    if (spill) VWISE_RETURN_IF_ERROR(SpillRun());
+    if (spill) VWISE_RETURN_IF_ERROR(SpillBuffered());
   }
   child_->Close();
-  if (!run_paths_.empty()) {
-    VWISE_RETURN_IF_ERROR(SpillRun());  // flush the in-memory tail
+  if (!disk_runs_.empty()) {
+    VWISE_RETURN_IF_ERROR(SpillBuffered());  // flush the in-memory tail
     VWISE_RETURN_IF_ERROR(OpenMerge());
     sorted_ = true;
     return Status::OK();
@@ -143,19 +142,14 @@ void SortOperator::SortBuffered() {
   }
 }
 
-Status SortOperator::SpillRun() {
+Status SortOperator::SpillBuffered() {
   if (data_.empty() || data_[0].size() == 0) return Status::OK();
   SortBuffered();
-  std::string path;
-  VWISE_ASSIGN_OR_RETURN(path, ctx()->NewSpillPath("sort_run"));
-  // Registered before writing so Close removes even a half-written file.
-  run_paths_.push_back(path);
-  spill_runs_stat_ = run_paths_.size();
-  std::unique_ptr<SpillWriter> writer;
-  VWISE_ASSIGN_OR_RETURN(writer,
-                         SpillWriter::Create(path, child_->OutputTypes(),
-                                             run_block_rows_,
-                                             &ctx()->spill_counters()));
+  VWISE_RETURN_IF_ERROR(file_.Create(ctx(), "sort"));
+  disk_runs_.emplace_back();
+  spill_runs_stat_ = disk_runs_.size();
+  SpillWriter writer(&file_, &disk_runs_.back(), child_->OutputTypes(),
+                     run_block_rows_);
   DataChunk scratch;
   scratch.Init(child_->OutputTypes(), run_block_rows_);
   for (size_t i = 0; i < order_.size(); i += scratch.capacity()) {
@@ -166,9 +160,9 @@ Status SortOperator::SpillRun() {
       data_[c].Gather(order_.data() + i, batch, &scratch.column(c));
     }
     scratch.SetCount(batch);
-    VWISE_RETURN_IF_ERROR(writer->Append(scratch));
+    VWISE_RETURN_IF_ERROR(writer.Append(scratch));
   }
-  VWISE_RETURN_IF_ERROR(writer->Finish());
+  VWISE_RETURN_IF_ERROR(writer.Finish());
   data_.clear();
   for (TypeId t : child_->OutputTypes()) data_.emplace_back(t);
   order_.clear();
@@ -186,7 +180,7 @@ Status SortOperator::OpenMerge() {
   const std::vector<TypeId>& types = child_->OutputTypes();
   size_t block_bytes = run_block_rows_ * RowFixedBytes(types);
   while (true) {
-    size_t fan_in = run_paths_.size();
+    size_t fan_in = disk_runs_.size();
     Status grown = mem_.Grow(fan_in * block_bytes);
     while (!grown.ok() && fan_in > 2) {
       fan_in = std::max<size_t>(2, fan_in / 2);
@@ -197,8 +191,7 @@ Status SortOperator::OpenMerge() {
       auto run = std::make_unique<SortRun>();
       run->chunk.Init(types, config_.vector_size);
       VWISE_ASSIGN_OR_RETURN(run->reader,
-                             SpillReader::Open(run_paths_[r], types,
-                                               &ctx()->spill_counters()));
+                             SpillReader::Open(&file_, disk_runs_[r], types));
       bool more = false;
       VWISE_ASSIGN_OR_RETURN(more, run->reader->Next(&run->chunk));
       run->done = !more;
@@ -206,16 +199,11 @@ Status SortOperator::OpenMerge() {
     }
     merge_skip_ = offset_;
     merge_left_ = limit_;
-    if (fan_in == run_paths_.size()) return Status::OK();
-    // Merge pass: registered before writing so Close removes even a
-    // half-written file.
-    std::string path;
-    VWISE_ASSIGN_OR_RETURN(path, ctx()->NewSpillPath("sort_run"));
-    run_paths_.insert(run_paths_.begin() + fan_in, path);
-    std::unique_ptr<SpillWriter> writer;
-    VWISE_ASSIGN_OR_RETURN(
-        writer, SpillWriter::Create(path, types, run_block_rows_,
-                                    &ctx()->spill_counters()));
+    if (fan_in == disk_runs_.size()) return Status::OK();
+    // Merge pass: the merged run replaces its inputs, whose space the
+    // following passes reuse.
+    SpillRun merged;
+    SpillWriter writer(&file_, &merged, types, run_block_rows_);
     DataChunk scratch;
     scratch.Init(types, run_block_rows_);
     size_t skip = 0;
@@ -225,12 +213,13 @@ Status SortOperator::OpenMerge() {
       scratch.Reset();
       VWISE_RETURN_IF_ERROR(Merge(&scratch, &skip, &left));
       if (scratch.count() == 0) break;
-      VWISE_RETURN_IF_ERROR(writer->Append(scratch));
+      VWISE_RETURN_IF_ERROR(writer.Append(scratch));
     }
-    VWISE_RETURN_IF_ERROR(writer->Finish());
+    VWISE_RETURN_IF_ERROR(writer.Finish());
     runs_.clear();
-    for (size_t r = 0; r < fan_in; r++) RemoveSpillFile(run_paths_[r]);
-    run_paths_.erase(run_paths_.begin(), run_paths_.begin() + fan_in);
+    for (size_t r = 0; r < fan_in; r++) file_.Release(&disk_runs_[r]);
+    disk_runs_.erase(disk_runs_.begin() + 1, disk_runs_.begin() + fan_in);
+    disk_runs_[0] = std::move(merged);
     mem_.Shrink(fan_in * block_bytes);
   }
 }
@@ -320,8 +309,8 @@ Status SortOperator::NextImpl(DataChunk* out) {
 
 void SortOperator::DropRuns() {
   runs_.clear();
-  for (const std::string& path : run_paths_) RemoveSpillFile(path);
-  run_paths_.clear();
+  disk_runs_.clear();
+  file_.Remove();
   buffered_bytes_ = 0;
 }
 

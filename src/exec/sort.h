@@ -7,6 +7,7 @@
 #include "exec/column_store.h"
 #include "exec/operator.h"
 #include "service/query_context.h"
+#include "storage/spill_file.h"
 
 namespace vwise {
 
@@ -62,7 +63,7 @@ class SortOperator final : public Operator {
   void SortBuffered();
   // Sorts and writes the buffered rows as one spill run, then resets the
   // buffer and gives its reservation back.
-  Status SpillRun();
+  Status SpillBuffered();
   // Opens the runs for reading and primes the merge cursors, first merging
   // runs on disk while a block of every run does not fit the budget.
   Status OpenMerge();
@@ -87,8 +88,10 @@ class SortOperator final : public Operator {
   size_t cursor_ = 0;
   bool sorted_ = false;
 
-  // External-sort state; empty when the input fit in budget.
-  std::vector<std::string> run_paths_;
+  // External-sort state; empty when the input fit in budget. Every run,
+  // merge passes' included, lives in one scratch file.
+  SpillFile file_;
+  std::vector<SpillRun> disk_runs_;  // in input order
   std::vector<std::unique_ptr<SortRun>> runs_;
   size_t buffered_bytes_ = 0;   // reservation attributable to data_/order_
   size_t run_block_rows_ = 0;   // rows per spill-run block

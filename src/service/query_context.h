@@ -35,9 +35,10 @@ namespace vwise {
 // set_memory_budget are configuration and must happen before Open().
 class QueryContext {
  public:
-  // Spill I/O accounting for the query: bytes moved through SpillWriter /
-  // SpillReader and temp files created, surfaced via QueryResult and the
-  // out-of-core bench. Atomics: breakers of one query may run on different
+  // Spill I/O accounting for the query: block bytes written and read
+  // through the operators' scratch files (storage/spill_file.h) and the
+  // files created, one per spilling operator — surfaced via QueryResult, the
+  // EXPLAIN ANALYZE spill line and the out-of-core bench. Atomics: breakers of one query may run on different
   // threads (Xchg fragments).
   struct SpillCounters {
     std::atomic<uint64_t> bytes_written{0};

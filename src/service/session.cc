@@ -39,7 +39,10 @@ Result<QueryResult> RunPlan(Operator* root, QueryContext* ctx,
   if (result.spill_bytes_written > 0 || result.spill_bytes_read > 0) {
     spill_line = "spill: bytes_written=" +
                  std::to_string(result.spill_bytes_written) + " bytes_read=" +
-                 std::to_string(result.spill_bytes_read) + "\n";
+                 std::to_string(result.spill_bytes_read) + " files=" +
+                 std::to_string(ctx->spill_counters().files_created.load(
+                     std::memory_order_relaxed)) +
+                 "\n";
   }
   result.profile = ExplainAnalyzePlan(*root) + spill_line +
                    RenderPrimitiveProfile(before, after);

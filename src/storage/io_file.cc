@@ -123,13 +123,17 @@ Status IoFile::Read(uint64_t offset, uint64_t size, void* out) {
 }
 
 Status IoFile::Append(const void* data, uint64_t size, uint64_t* offset) {
+  if (offset != nullptr) *offset = size_;
+  return WriteAt(size_, data, size);
+}
+
+Status IoFile::WriteAt(uint64_t offset, const void* data, uint64_t size) {
   failpoint::Action act;
   if (failpoint::Armed()) {
     act = failpoint::Evaluate(site_append_);
     if (!act.status.ok() && !act.torn) return act.status;
   }
   if (device_ != nullptr) device_->ChargeWrite(size);
-  if (offset != nullptr) *offset = size_;
   // A torn write physically lands a prefix of the data — exactly what a
   // power cut mid-pwrite leaves behind — then fails without moving the
   // logical size, so recovery code sees the partial bytes on reopen.
@@ -140,7 +144,7 @@ Status IoFile::Append(const void* data, uint64_t size, uint64_t* offset) {
     uint64_t want = limit - done;
     if (act.short_bytes > 0) want = std::min(want, act.short_bytes);
     ssize_t n = ::pwrite(fd_, src + done, want,
-                         static_cast<off_t>(size_ + done));
+                         static_cast<off_t>(offset + done));
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::IOError("pwrite " + path_ + ": " + std::strerror(errno));
@@ -148,7 +152,7 @@ Status IoFile::Append(const void* data, uint64_t size, uint64_t* offset) {
     done += static_cast<uint64_t>(n);
   }
   if (act.torn) return act.status;
-  size_ += size;
+  size_ = std::max(size_, offset + size);
   return Status::OK();
 }
 

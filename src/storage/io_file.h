@@ -59,7 +59,7 @@ class IoDevice {
   IoStats stats_;
 };
 
-// A file opened for positional reads and appends.
+// A file opened for positional reads, positional writes and appends.
 //
 // Every operation is a failpoint evaluation site named `<scope>.<op>`
 // (common/failpoint.h): callers pick the scope at open time so faults can be
@@ -93,6 +93,10 @@ class IoFile {
   // failure the logical size is unchanged: a later Append overwrites any
   // bytes a torn write left behind.
   Status Append(const void* data, uint64_t size, uint64_t* offset = nullptr);
+  // Writes `size` bytes at `offset` (the append site's failpoints apply),
+  // growing the logical size when they reach past it. A torn write lands a
+  // prefix and leaves the logical size unchanged.
+  Status WriteAt(uint64_t offset, const void* data, uint64_t size);
   Status Sync();
   Status Truncate(uint64_t size);
   uint64_t size() const { return size_; }

@@ -6,6 +6,7 @@
 #include <system_error>
 
 #include "common/crc32.h"
+#include "common/failpoint.h"
 #include "common/macros.h"
 #include "vector/string_heap.h"
 #include "vector/vector.h"
@@ -14,11 +15,10 @@ namespace vwise {
 
 namespace {
 
-constexpr uint32_t kFileMagic = 0x4650'5356;   // "VSPF"
 constexpr uint32_t kBlockMagic = 0x4C50'5356;  // "VSPL"
-// A block holds at most one vector's rows; anything beyond a generous bound
-// on `vector_size * widest row` is a corrupt length field, not real data.
-constexpr uint64_t kMaxBlockPayload = 1ull << 30;
+// magic, rows and payload length before the payload, the CRC after it.
+constexpr uint64_t kBlockHeader = 16;
+constexpr uint64_t kBlockOverhead = kBlockHeader + 4;
 
 template <typename T>
 void PutRaw(std::vector<uint8_t>* buf, T v) {
@@ -58,23 +58,90 @@ void PutBytes(std::vector<uint8_t>* out, const uint8_t* p, size_t n) {
 
 }  // namespace
 
-Result<std::unique_ptr<SpillWriter>> SpillWriter::Create(
-    const std::string& path, const std::vector<TypeId>& types,
-    size_t block_rows, QueryContext::SpillCounters* counters) {
-  VWISE_DCHECK(block_rows > 0);
-  std::unique_ptr<IoFile> file;
-  VWISE_ASSIGN_OR_RETURN(file, IoFile::Create(path, nullptr, "spill"));
-  std::vector<uint8_t> header;
-  PutU32(&header, kFileMagic);
-  PutU32(&header, static_cast<uint32_t>(types.size()));
-  for (TypeId t : types) header.push_back(static_cast<uint8_t>(t));
-  VWISE_RETURN_IF_ERROR(file->Append(header.data(), header.size()));
-  if (counters != nullptr) {
-    counters->bytes_written.fetch_add(header.size(),
-                                      std::memory_order_relaxed);
+Status SpillFile::Create(QueryContext* ctx, const char* tag) {
+  if (created()) return Status::OK();
+  VWISE_ASSIGN_OR_RETURN(path_, ctx->NewSpillPath(tag));
+  VWISE_ASSIGN_OR_RETURN(file_, IoFile::Create(path_, nullptr, "spill"));
+  counters_ = &ctx->spill_counters();
+  return Status::OK();
+}
+
+Status SpillFile::Write(const uint8_t* data, uint64_t size, SpillExtent* at) {
+  VWISE_DCHECK(created());
+  auto fit = std::find_if(free_.begin(), free_.end(),
+                          [size](const SpillExtent& e) {
+                            return e.length >= size;
+                          });
+  const uint64_t offset = fit != free_.end() ? fit->offset : end_;
+  VWISE_RETURN_IF_ERROR(file_->WriteAt(offset, data, size));
+  if (fit == free_.end()) {
+    end_ += size;
+  } else if (fit->length == size) {
+    free_.erase(fit);
+  } else {
+    fit->offset += size;
+    fit->length -= size;
   }
-  return std::unique_ptr<SpillWriter>(
-      new SpillWriter(std::move(file), types, block_rows, counters));
+  *at = SpillExtent{offset, size};
+  counters_->bytes_written.fetch_add(size, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+Status SpillFile::Read(const SpillExtent& at, uint8_t* out) {
+  VWISE_DCHECK(created() && at.offset + at.length <= end_);
+  VWISE_RETURN_IF_ERROR(file_->Read(at.offset, at.length, out));
+  counters_->bytes_read.fetch_add(at.length, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+void SpillFile::Release(SpillRun* run) {
+  for (const SpillExtent& extent : run->blocks) Free(extent);
+  *run = SpillRun();
+}
+
+void SpillFile::Free(SpillExtent extent) {
+  auto next = std::lower_bound(
+      free_.begin(), free_.end(), extent.offset,
+      [](const SpillExtent& e, uint64_t offset) { return e.offset < offset; });
+  if (next != free_.end() && extent.offset + extent.length == next->offset) {
+    extent.length += next->length;
+    next = free_.erase(next);
+  }
+  if (next != free_.begin()) {
+    auto prev = next - 1;
+    if (prev->offset + prev->length == extent.offset) {
+      extent = SpillExtent{prev->offset, prev->length + extent.length};
+      next = free_.erase(prev);
+    }
+  }
+  // A free tail is not kept: the end moves back over it, so the next
+  // block that fits nowhere else lands there too.
+  if (extent.offset + extent.length == end_) {
+    end_ = extent.offset;
+    return;
+  }
+  free_.insert(next, extent);
+}
+
+void SpillFile::Remove() {
+  file_.reset();
+  if (!path_.empty()) {
+    std::error_code ec;
+    std::filesystem::remove(path_, ec);  // best effort: the query's spill
+    path_.clear();                       // directory is the backstop
+  }
+  free_.clear();
+  end_ = 0;
+}
+
+SpillWriter::SpillWriter(SpillFile* file, SpillRun* run,
+                         std::vector<TypeId> types, size_t block_rows)
+    : file_(file),
+      run_(run),
+      types_(std::move(types)),
+      block_rows_(block_rows),
+      staged_(types_.size()) {
+  VWISE_DCHECK(block_rows > 0);
 }
 
 Status SpillWriter::Append(const DataChunk& chunk) {
@@ -166,7 +233,7 @@ Status SpillWriter::WriteBlock() {
     payload_bytes += st.data.size() + st.strings.size();
   }
   buf_.clear();
-  buf_.reserve(16 + payload_bytes + 4);
+  buf_.reserve(kBlockOverhead + payload_bytes);
   PutU32(&buf_, kBlockMagic);
   PutU32(&buf_, static_cast<uint32_t>(staged_rows_));
   PutU64(&buf_, payload_bytes);
@@ -176,75 +243,49 @@ Status SpillWriter::WriteBlock() {
     PutBytes(&buf_, st.strings.data(), st.strings.size());
   }
   PutU32(&buf_, Crc32(buf_.data() + payload_start, payload_bytes));
-  VWISE_RETURN_IF_ERROR(file_->Append(buf_.data(), buf_.size()));
-  rows_written_ += staged_rows_;
-  blocks_written_++;
+  SpillExtent at;
+  VWISE_RETURN_IF_ERROR(file_->Write(buf_.data(), buf_.size(), &at));
+  run_->blocks.push_back(at);
+  run_->rows += staged_rows_;
+  run_->bytes += at.length;
   staged_rows_ = 0;
   for (StagedColumn& st : staged_) {
     st.data.clear();
     st.strings.clear();
   }
-  if (counters_ != nullptr) {
-    counters_->bytes_written.fetch_add(buf_.size(), std::memory_order_relaxed);
-  }
   return Status::OK();
 }
 
 Result<std::unique_ptr<SpillReader>> SpillReader::Open(
-    const std::string& path, const std::vector<TypeId>& types,
-    QueryContext::SpillCounters* counters) {
-  std::unique_ptr<IoFile> file;
-  VWISE_ASSIGN_OR_RETURN(file, IoFile::OpenRead(path, nullptr, "spill"));
-  const uint64_t header_size = 8 + types.size();
-  if (file->size() < header_size) {
-    return Status::Corruption("spill file " + path + " truncated header");
-  }
-  std::vector<uint8_t> header(header_size);
-  VWISE_RETURN_IF_ERROR(file->Read(0, header_size, header.data()));
-  if (GetU32(header.data()) != kFileMagic ||
-      GetU32(header.data() + 4) != types.size()) {
-    return Status::Corruption("spill file " + path + " bad header");
-  }
-  for (size_t c = 0; c < types.size(); c++) {
-    if (header[8 + c] != static_cast<uint8_t>(types[c])) {
-      return Status::Corruption("spill file " + path + " schema mismatch");
-    }
-  }
-  if (counters != nullptr) {
-    counters->bytes_read.fetch_add(header_size, std::memory_order_relaxed);
-  }
+    SpillFile* file, const SpillRun& run, const std::vector<TypeId>& types) {
+  VWISE_FAILPOINT("spill.open");
   return std::unique_ptr<SpillReader>(
-      new SpillReader(std::move(file), types, header_size, counters));
+      new SpillReader(file, run.blocks, types));
 }
 
 Result<bool> SpillReader::Next(DataChunk* out) {
   out->Reset();
-  if (offset_ >= file_->size()) return false;
-  uint8_t header[16];
-  if (file_->size() - offset_ < sizeof(header)) {
-    return Status::Corruption("spill file " + file_->path() +
-                              " truncated block header");
-  }
-  VWISE_RETURN_IF_ERROR(file_->Read(offset_, sizeof(header), header));
-  const uint32_t rows = GetU32(header + 4);
-  const uint64_t payload_bytes = GetU64(header + 8);
-  if (GetU32(header) != kBlockMagic || payload_bytes > kMaxBlockPayload ||
-      rows > out->capacity() ||
-      file_->size() - offset_ < sizeof(header) + payload_bytes + 4) {
+  if (next_ == blocks_.size()) return false;
+  const SpillExtent& at = blocks_[next_];
+  VWISE_DCHECK(at.length >= kBlockOverhead);
+  buf_.resize(at.length);
+  VWISE_RETURN_IF_ERROR(file_->Read(at, buf_.data()));
+  const uint32_t rows = GetU32(buf_.data() + 4);
+  const uint64_t payload_bytes = GetU64(buf_.data() + 8);
+  if (GetU32(buf_.data()) != kBlockMagic || rows > out->capacity() ||
+      payload_bytes != at.length - kBlockOverhead) {
     return Status::Corruption("spill file " + file_->path() +
                               " bad block at offset " +
-                              std::to_string(offset_));
+                              std::to_string(at.offset));
   }
-  buf_.resize(payload_bytes + 4);
-  VWISE_RETURN_IF_ERROR(
-      file_->Read(offset_ + sizeof(header), payload_bytes + 4, buf_.data()));
-  if (Crc32(buf_.data(), payload_bytes) != GetU32(buf_.data() + payload_bytes)) {
+  const uint8_t* payload = buf_.data() + kBlockHeader;
+  if (Crc32(payload, payload_bytes) != GetU32(payload + payload_bytes)) {
     return Status::Corruption("spill file " + file_->path() +
                               " CRC mismatch at offset " +
-                              std::to_string(offset_));
+                              std::to_string(at.offset));
   }
-  const uint8_t* p = buf_.data();
-  const uint8_t* end = buf_.data() + payload_bytes;
+  const uint8_t* p = payload;
+  const uint8_t* end = payload + payload_bytes;
   for (size_t c = 0; c < types_.size(); c++) {
     Vector& col = out->column(c);
     if (types_[c] == TypeId::kStr) {
@@ -281,13 +322,8 @@ Result<bool> SpillReader::Next(DataChunk* out) {
   if (p != end) {
     return Status::Corruption("spill block payload overrun");
   }
-  offset_ += sizeof(header) + payload_bytes + 4;
+  next_++;
   out->SetCount(rows);
-  rows_read_ += rows;
-  if (counters_ != nullptr) {
-    counters_->bytes_read.fetch_add(sizeof(header) + payload_bytes + 4,
-                                    std::memory_order_relaxed);
-  }
   return true;
 }
 

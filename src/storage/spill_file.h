@@ -15,18 +15,20 @@
 
 namespace vwise {
 
-// Chunk-at-a-time temp-file format for the spilling pipeline breakers
+// Chunk-at-a-time scratch format for the spilling pipeline breakers
 // (external sort runs, radix partitions of hash join / aggregation inputs).
 //
-// Layout:
+// Each spilling operator owns one scratch file (SpillFile). Its runs — one
+// sort run, or one stream of one radix partition — are interleaved in that
+// file as blocks, and a run is the in-memory list of its blocks' extents
+// (SpillRun); the file itself has no header and no directory:
 //
-//   file   := file_header block*
-//   file_header := magic:u32 ncols:u32 type_id:u8 * ncols
-//   block  := magic:u32 rows:u32 payload_bytes:u64 payload crc:u32
+//   block := magic:u32 rows:u32 payload_bytes:u64 payload crc:u32
 //
 // A block holds at most `block_rows` rows — the writer's vector size — and
-// every block but a file's last holds exactly that many, so a reload runs at
-// full vector size however the rows were routed in.
+// every block but a run's last holds exactly that many, so a reload runs at
+// full vector size however the rows were routed in. The row types live with
+// the run's owner in memory; a reader is handed them with the run.
 //
 // The payload serializes each column in declaration order: fixed-width
 // columns as `rows * width` dense bytes, string columns as `rows` u32
@@ -35,32 +37,93 @@ namespace vwise {
 // or bit-flipped block surfaces as Status::Corruption on read instead of
 // silently wrong query results.
 //
+// Space is reused: releasing a run returns its extents to the file's free
+// list (sorted by offset, neighbours coalesced, a free tail folded back into
+// the end), and a new block goes into the first free extent that fits
+// before the file grows. An operator that releases each run once it is
+// consumed therefore keeps its file as large as its live runs.
+//
 // Spill files are query-private scratch: byte order is native, there is no
 // sync-for-durability (a crash discards the query anyway), and the whole
 // per-query directory is removed when the QueryContext dies — or, after a
 // crash, by SweepSpillDir at the next Database::Open.
 //
-// All I/O goes through IoFile with scope "spill", so the spill.create /
-// spill.open / spill.append / spill.read failpoint sites can inject
-// err/torn/short/corrupt/crash faults (common/failpoint.h).
+// All I/O goes through IoFile with scope "spill", so failpoints can inject
+// err/torn/short/corrupt/crash faults (common/failpoint.h): spill.create
+// fires when an operator's file is created, spill.append and spill.read
+// once per block. Opening a reader on a run is the spill.open site.
 
-// Writes one spill file. Not thread-safe; each partition/run has its own
-// writer.
+// Where one block lies in its operator's scratch file.
+struct SpillExtent {
+  uint64_t offset = 0;
+  uint64_t length = 0;  // the whole block: header, payload and CRC
+};
+
+// One written run: its blocks in write order.
+struct SpillRun {
+  std::vector<SpillExtent> blocks;
+  uint64_t rows = 0;
+  uint64_t bytes = 0;  // sum of the blocks' lengths
+};
+
+// One spilling operator's scratch file and its free space. Not thread-safe:
+// each file belongs to one single-threaded operator.
+class SpillFile {
+ public:
+  SpillFile() = default;
+  ~SpillFile() { Remove(); }
+  SpillFile(const SpillFile&) = delete;
+  SpillFile& operator=(const SpillFile&) = delete;
+
+  // Creates the file under the query's spill directory (no-op once
+  // created). The path is recorded before the file is created, so Remove()
+  // finds it on any exit path. Byte traffic is counted into
+  // ctx->spill_counters().
+  Status Create(QueryContext* ctx, const char* tag);
+
+  // Writes one block into the first free extent that fits, else at the end
+  // of the file, and returns where it went.
+  Status Write(const uint8_t* data, uint64_t size, SpillExtent* at);
+  // Reads the block at `at` into `out` (one pread).
+  Status Read(const SpillExtent& at, uint8_t* out);
+  // Returns the run's extents to the free list and empties the run.
+  void Release(SpillRun* run);
+  // Closes and unlinks the file and forgets its space; a later Create()
+  // makes a new one. Idempotent.
+  void Remove();
+
+  // One past the last byte in use: the file's extent minus a free tail.
+  uint64_t end() const { return end_; }
+  const std::string& path() const { return path_; }
+
+ private:
+  bool created() const { return file_ != nullptr; }
+  void Free(SpillExtent extent);
+
+  std::string path_;
+  std::unique_ptr<IoFile> file_;
+  QueryContext::SpillCounters* counters_ = nullptr;
+  uint64_t end_ = 0;
+  // Free extents below end_, sorted by offset; no two touch.
+  std::vector<SpillExtent> free_;
+};
+
+// Writes one run into a SpillFile. Not thread-safe; each run being written
+// has its own writer.
 //
 // Rows are staged per column (a string column's lengths and bytes apart) and
 // written as one block each time `block_rows` of them are staged; Finish()
 // writes the staged tail as the last, partial block. A writer destroyed
-// without Finish() writes nothing more — its owners delete the file on those
+// without Finish() writes nothing more — its owners drop the file on those
 // paths anyway. Staged rows are not reserved against the query budget: an
 // open writer holds at most one staged block plus the buffer it assembles a
 // block in, about 2 * block_rows * row bytes (string bytes included).
 class SpillWriter {
  public:
-  // `counters` (may be null) receives bytes-written accounting; pass
-  // &ctx->spill_counters() so EXPLAIN ANALYZE sees the traffic.
-  static Result<std::unique_ptr<SpillWriter>> Create(
-      const std::string& path, const std::vector<TypeId>& types,
-      size_t block_rows, QueryContext::SpillCounters* counters);
+  // Appends blocks of `types` rows to `file` and records them in `run`;
+  // both must outlive the writer.
+  SpillWriter(SpillFile* file, SpillRun* run, std::vector<TypeId> types,
+              size_t block_rows);
 
   // Stages the chunk's active rows (honors the selection vector). No-op for
   // an empty chunk.
@@ -71,15 +134,13 @@ class SpillWriter {
   // of the input chunk.
   Status AppendRows(const DataChunk& chunk, const sel_t* rows, size_t n);
 
-  // Writes the staged rows as the file's last block; no block when none are
+  // Writes the staged rows as the run's last block; no block when none are
   // staged. Returns the status of that write.
   Status Finish();
 
   // Rows and blocks on disk (staged rows are not counted until written).
-  uint64_t rows_written() const { return rows_written_; }
-  uint64_t blocks_written() const { return blocks_written_; }
-  uint64_t bytes_written() const { return file_->size(); }
-  const std::string& path() const { return file_->path(); }
+  uint64_t rows_written() const { return run_->rows; }
+  uint64_t blocks_written() const { return run_->blocks.size(); }
 
  private:
   // One column's staged rows: fixed-width values, or a string column's u32
@@ -89,59 +150,42 @@ class SpillWriter {
     std::vector<uint8_t> strings;
   };
 
-  SpillWriter(std::unique_ptr<IoFile> file, std::vector<TypeId> types,
-              size_t block_rows, QueryContext::SpillCounters* counters)
-      : file_(std::move(file)),
-        types_(std::move(types)),
-        block_rows_(block_rows),
-        counters_(counters),
-        staged_(types_.size()) {}
-
   void Stage(size_t c, const Vector& col, const sel_t* rows, size_t first,
              size_t n);
   Status WriteBlock();
 
-  std::unique_ptr<IoFile> file_;
+  SpillFile* file_;
+  SpillRun* run_;
   std::vector<TypeId> types_;
   size_t block_rows_;
-  QueryContext::SpillCounters* counters_;
   std::vector<StagedColumn> staged_;
   size_t staged_rows_ = 0;
   std::vector<uint8_t> buf_;  // block assembly buffer, reused across blocks
-  uint64_t rows_written_ = 0;
-  uint64_t blocks_written_ = 0;
 };
 
-// Reads a spill file back block by block. Not thread-safe.
+// Reads one run back block by block, one pread a block. Not thread-safe.
 class SpillReader {
  public:
-  // Validates the file header against `types` (Corruption on mismatch).
+  // Opens a reader on `run`, whose rows are of `types`. The run must not be
+  // released while the reader is in use.
   static Result<std::unique_ptr<SpillReader>> Open(
-      const std::string& path, const std::vector<TypeId>& types,
-      QueryContext::SpillCounters* counters);
+      SpillFile* file, const SpillRun& run, const std::vector<TypeId>& types);
 
   // Fills `out` (Init'ed with the writer's types and capacity >= the
-  // writer's block_rows) with the next block. Returns false at EOF.
+  // writer's block_rows) with the next block. Returns false at the run's
+  // end.
   Result<bool> Next(DataChunk* out);
 
-  // Rows decoded so far — the recursive-repartition tests assert a
-  // re-partitioned level actually re-read its parent's rows.
-  uint64_t rows_read() const { return rows_read_; }
-
  private:
-  SpillReader(std::unique_ptr<IoFile> file, std::vector<TypeId> types,
-              uint64_t offset, QueryContext::SpillCounters* counters)
-      : file_(std::move(file)),
-        types_(std::move(types)),
-        offset_(offset),
-        counters_(counters) {}
+  SpillReader(SpillFile* file, std::vector<SpillExtent> blocks,
+              std::vector<TypeId> types)
+      : file_(file), blocks_(std::move(blocks)), types_(std::move(types)) {}
 
-  std::unique_ptr<IoFile> file_;
+  SpillFile* file_;
+  std::vector<SpillExtent> blocks_;
   std::vector<TypeId> types_;
-  uint64_t offset_;  // next unread byte
-  QueryContext::SpillCounters* counters_;
-  std::vector<uint8_t> buf_;  // payload buffer, reused across blocks
-  uint64_t rows_read_ = 0;
+  size_t next_ = 0;           // next unread block
+  std::vector<uint8_t> buf_;  // block buffer, reused across blocks
 };
 
 // Clamps Config::spill_partitions to the power of two in [2, 256] the radix

@@ -447,7 +447,7 @@ TEST_F(SpillTest, ExternalSortHonorsLimitAndOffset) {
 }
 
 // EXPLAIN ANALYZE surfaces the degradation: per-node spill annotations plus
-// the query-level byte totals.
+// the query-level byte and file totals.
 TEST_F(SpillTest, ExplainAnalyzeShowsSpill) {
   Config cfg = config_;
   cfg.profile = true;
@@ -482,6 +482,8 @@ TEST_F(SpillTest, ExplainAnalyzeShowsSpill) {
   EXPECT_NE(profile.find("spill_runs="), std::string::npos) << profile;
   EXPECT_NE(profile.find("spill: bytes_written="), std::string::npos)
       << profile;
+  // One scratch file per spilling operator: the aggregation's, the sort's.
+  EXPECT_NE(profile.find(" files=2\n"), std::string::npos) << profile;
   // Unbudgeted, the same plan reports no spill lines.
   auto clean = (*prepared)->Execute();
   ASSERT_TRUE(clean->Wait().ok());
@@ -522,11 +524,13 @@ int64_t ProfileField(const std::string& profile, const std::string& node,
 
 // Spilled rows travel in full vectors: however a grace join or a spilled
 // aggregation routes rows into partitions and splits them, the partition
-// files hold blocks of one vector, so the reload (and the grace join's
+// runs hold blocks of one vector, so the reload (and the grace join's
 // probe, which runs on the reloaded blocks) works at vector size. With a
 // block per partition per input chunk, a split's children reloaded a few
 // rows per chunk. EXPLAIN ANALYZE shows both: the join's rows per emitted
-// chunk and each breaker's spill_rows / spill_blocks.
+// chunk and each breaker's spill_rows / spill_blocks. However many
+// partitions, levels or sort runs a breaker writes, they share its one
+// scratch file: the query-level spill line reports files=1.
 TEST_F(SpillTest, SpilledRowsReloadAtVectorSize) {
   Config cfg = config_;
   cfg.profile = true;
@@ -562,6 +566,11 @@ TEST_F(SpillTest, SpilledRowsReloadAtVectorSize) {
     SortRowsByFirstCol(&got);
     EXPECT_EQ(got, want);
     const std::string& profile = handle->profile();
+    EXPECT_EQ(ProfileField(profile, "spill:", "files"), 1) << profile;
+    if (std::string(node) == "Sort") {
+      EXPECT_GE(ProfileField(profile, node, "spill_runs"), 2) << profile;
+      return;
+    }
     EXPECT_GE(ProfileField(profile, node, "repartitions"), 1) << profile;
     int64_t rows = ProfileField(profile, node, "spill_rows");
     int64_t blocks = ProfileField(profile, node, "spill_blocks");
@@ -587,6 +596,12 @@ TEST_F(SpillTest, SpilledRowsReloadAtVectorSize) {
     ASSERT_TRUE(q.Scan("t", {0, 1}).ok());
     q.Agg({0}, {AggSpec::Sum(1)}, {DataType::Int64(), DataType::Int64()});
     run(&q, 32 << 10, "HashAgg");
+  }
+  {
+    PlanBuilder q = session->NewPlan();
+    ASSERT_TRUE(q.Scan("t", {0, 1}).ok());
+    q.Sort({SortKey{0, true}});
+    run(&q, 32 << 10, "Sort");
   }
   session.reset();
   db->reset();
@@ -1067,7 +1082,7 @@ TEST(AggMergeLaneTest, MergesStateRowsThroughASelection) {
 
 // A budget far below one reload block's worst case: under 16 KiB with
 // 1024-row vectors the table flushes every few dozen input rows, so each of
-// the hot groups 0-4 leaves hundreds of state rows in its partition file,
+// the hot groups 0-4 leaves hundreds of state rows in its partition run,
 // more than the budget holds as fresh groups. Splitting cannot help (a
 // key's rows all land in one child); the reload must merge each block a
 // slice at a time, and answer like the unbudgeted run.
@@ -1268,13 +1283,61 @@ TEST_F(SpillTest, SpillPartitionCountClampsToPowerOfTwo) {
   EXPECT_EQ(SpillPartitionCount(100000), 256u);
 }
 
+// A one-column (i64) chunk holding `values` densely.
+DataChunk I64Chunk(const std::vector<int64_t>& values) {
+  DataChunk chunk;
+  chunk.Init({TypeId::kI64}, values.size());
+  for (size_t i = 0; i < values.size(); i++) {
+    chunk.column(0).Data<int64_t>()[i] = values[i];
+  }
+  chunk.SetCount(values.size());
+  return chunk;
+}
+
+// Writes `values` as one run of `block_rows`-row blocks into `file`.
+SpillRun WriteI64Run(SpillFile* file, const std::vector<int64_t>& values,
+                     size_t block_rows) {
+  SpillRun run;
+  SpillWriter writer(file, &run, {TypeId::kI64}, block_rows);
+  EXPECT_TRUE(writer.Append(I64Chunk(values)).ok());
+  EXPECT_TRUE(writer.Finish().ok());
+  return run;
+}
+
+// Reads an i64 run back whole; fails the test on a read error.
+std::vector<int64_t> ReadI64Run(SpillFile* file, const SpillRun& run,
+                                size_t block_rows) {
+  std::vector<int64_t> values;
+  auto reader = SpillReader::Open(file, run, {TypeId::kI64});
+  EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+  if (!reader.ok()) return values;
+  DataChunk out;
+  out.Init({TypeId::kI64}, block_rows);
+  while (true) {
+    auto more = (*reader)->Next(&out);
+    EXPECT_TRUE(more.ok()) << more.status().ToString();
+    if (!more.ok() || !*more) break;
+    for (size_t i = 0; i < out.count(); i++) {
+      values.push_back(out.column(0).Data<int64_t>()[i]);
+    }
+  }
+  return values;
+}
+
+std::vector<int64_t> Iota(int64_t first, size_t n) {
+  std::vector<int64_t> values(n);
+  for (size_t i = 0; i < n; i++) values[i] = first + static_cast<int64_t>(i);
+  return values;
+}
+
 TEST_F(SpillTest, WriterReaderRoundTripsSelectionsAndStrings) {
-  fs::create_directories(SpillBase());
-  std::string path = SpillBase() + "/unit-0.spill";
+  QueryContext ctx;
+  ctx.set_spill_dir(SpillBase());
+  SpillFile file;
+  ASSERT_TRUE(file.Create(&ctx, "unit").ok());
   std::vector<TypeId> types = {TypeId::kI64, TypeId::kStr, TypeId::kF64};
-  QueryContext::SpillCounters counters;
-  auto writer = SpillWriter::Create(path, types, /*block_rows=*/8, &counters);
-  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  SpillRun run;
+  SpillWriter writer(&file, &run, types, /*block_rows=*/8);
   DataChunk chunk;
   chunk.Init(types, 8);
   StringHeap* heap = chunk.column(1).GetStringHeap();
@@ -1287,19 +1350,22 @@ TEST_F(SpillTest, WriterReaderRoundTripsSelectionsAndStrings) {
   chunk.SetCount(8);
   // Block 1: dense, written as soon as its 8 rows are staged. Block 2:
   // every other row via the selection vector, written by Finish.
-  ASSERT_TRUE((*writer)->Append(chunk).ok());
-  EXPECT_EQ((*writer)->rows_written(), 8u);
+  ASSERT_TRUE(writer.Append(chunk).ok());
+  EXPECT_EQ(writer.rows_written(), 8u);
   sel_t* sel = chunk.MutableSel();
   for (size_t i = 0; i < 4; i++) sel[i] = static_cast<sel_t>(i * 2);
   chunk.SetSelection(4);
-  ASSERT_TRUE((*writer)->Append(chunk).ok());
-  EXPECT_EQ((*writer)->rows_written(), 8u);  // staged, not yet written
-  ASSERT_TRUE((*writer)->Finish().ok());
-  EXPECT_EQ((*writer)->rows_written(), 12u);
-  EXPECT_EQ((*writer)->blocks_written(), 2u);
-  writer->reset();  // close before reading
+  ASSERT_TRUE(writer.Append(chunk).ok());
+  EXPECT_EQ(writer.rows_written(), 8u);  // staged, not yet written
+  ASSERT_TRUE(writer.Finish().ok());
+  EXPECT_EQ(writer.rows_written(), 12u);
+  EXPECT_EQ(writer.blocks_written(), 2u);
+  ASSERT_EQ(run.blocks.size(), 2u);
+  EXPECT_EQ(run.blocks[0].offset, 0u);  // no file header
+  EXPECT_EQ(run.blocks[1].offset, run.blocks[0].length);
+  EXPECT_EQ(run.bytes, file.end());
 
-  auto reader = SpillReader::Open(path, types, &counters);
+  auto reader = SpillReader::Open(&file, run, types);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   DataChunk out;
   out.Init(types, 8);
@@ -1323,9 +1389,10 @@ TEST_F(SpillTest, WriterReaderRoundTripsSelectionsAndStrings) {
   }
   more = (*reader)->Next(&out);
   ASSERT_TRUE(more.ok());
-  EXPECT_FALSE(*more);  // EOF
-  EXPECT_GT(counters.bytes_written.load(), 0u);
-  EXPECT_GT(counters.bytes_read.load(), 0u);
+  EXPECT_FALSE(*more);  // end of the run
+  EXPECT_EQ(ctx.spill_counters().bytes_written.load(), run.bytes);
+  EXPECT_EQ(ctx.spill_counters().bytes_read.load(), run.bytes);
+  EXPECT_EQ(ctx.spill_counters().files_created.load(), 1u);
 }
 
 // Rows staged over many small appends, dense, through a selection and as
@@ -1333,8 +1400,10 @@ TEST_F(SpillTest, WriterReaderRoundTripsSelectionsAndStrings) {
 // block_rows rows but the last, which Finish writes; they read back in
 // append order.
 TEST_F(SpillTest, WriterWritesFullBlocksAcrossSmallAppends) {
-  fs::create_directories(SpillBase());
-  std::string path = SpillBase() + "/stage-0.spill";
+  QueryContext ctx;
+  ctx.set_spill_dir(SpillBase());
+  SpillFile file;
+  ASSERT_TRUE(file.Create(&ctx, "stage").ok());
   const std::vector<TypeId> types = {TypeId::kI64, TypeId::kStr, TypeId::kU8,
                                      TypeId::kI32};
   constexpr size_t kBlockRows = 16;
@@ -1343,8 +1412,8 @@ TEST_F(SpillTest, WriterWritesFullBlocksAcrossSmallAppends) {
     s += std::to_string(id);
     return s;
   };
-  auto writer = SpillWriter::Create(path, types, kBlockRows, nullptr);
-  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  SpillRun run;
+  SpillWriter writer(&file, &run, types, kBlockRows);
   std::vector<int64_t> expect;  // ids in append order
   int64_t next_id = 0;
   for (size_t round = 0; round < 60; round++) {
@@ -1362,7 +1431,7 @@ TEST_F(SpillTest, WriterWritesFullBlocksAcrossSmallAppends) {
     chunk.SetCount(rows);
     const int64_t* ids = chunk.column(0).Data<int64_t>();
     if (round % 3 == 0) {  // dense
-      ASSERT_TRUE((*writer)->Append(chunk).ok());
+      ASSERT_TRUE(writer.Append(chunk).ok());
       for (size_t i = 0; i < rows; i++) expect.push_back(ids[i]);
     } else if (round % 3 == 1) {  // the even positions, via the selection
       size_t k = 0;
@@ -1371,27 +1440,25 @@ TEST_F(SpillTest, WriterWritesFullBlocksAcrossSmallAppends) {
         expect.push_back(ids[i]);
       }
       chunk.SetSelection(k);
-      ASSERT_TRUE((*writer)->Append(chunk).ok());
+      ASSERT_TRUE(writer.Append(chunk).ok());
     } else {  // every position, last first
       std::vector<sel_t> order;
       for (size_t i = rows; i-- > 0;) {
         order.push_back(static_cast<sel_t>(i));
         expect.push_back(ids[i]);
       }
-      ASSERT_TRUE(
-          (*writer)->AppendRows(chunk, order.data(), order.size()).ok());
+      ASSERT_TRUE(writer.AppendRows(chunk, order.data(), order.size()).ok());
     }
   }
   const size_t full_blocks = expect.size() / kBlockRows;
   ASSERT_GT(expect.size() % kBlockRows, 0u) << "pick a partial last block";
-  EXPECT_EQ((*writer)->blocks_written(), full_blocks);
-  EXPECT_EQ((*writer)->rows_written(), full_blocks * kBlockRows);
-  ASSERT_TRUE((*writer)->Finish().ok());
-  EXPECT_EQ((*writer)->blocks_written(), full_blocks + 1);
-  EXPECT_EQ((*writer)->rows_written(), expect.size());
-  writer->reset();
+  EXPECT_EQ(writer.blocks_written(), full_blocks);
+  EXPECT_EQ(writer.rows_written(), full_blocks * kBlockRows);
+  ASSERT_TRUE(writer.Finish().ok());
+  EXPECT_EQ(writer.blocks_written(), full_blocks + 1);
+  EXPECT_EQ(writer.rows_written(), expect.size());
 
-  auto reader = SpillReader::Open(path, types, nullptr);
+  auto reader = SpillReader::Open(&file, run, types);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
   DataChunk out;
   out.Init(types, kBlockRows);
@@ -1420,74 +1487,172 @@ TEST_F(SpillTest, WriterWritesFullBlocksAcrossSmallAppends) {
 }
 
 // Finish with nothing staged writes no block, and a writer dropped without
-// Finish writes none of its staged rows: both files hold just the header.
+// Finish writes none of its staged rows: both runs are empty, and so is the
+// file they share.
 TEST_F(SpillTest, WriterWritesNoBlockWithoutStagedRowsOrFinish) {
-  fs::create_directories(SpillBase());
+  QueryContext ctx;
+  ctx.set_spill_dir(SpillBase());
+  SpillFile file;
+  ASSERT_TRUE(file.Create(&ctx, "empty").ok());
   const std::vector<TypeId> types = {TypeId::kI64};
-  const uint64_t header_bytes = 8 + types.size();
-  std::string empty = SpillBase() + "/empty-0.spill";
-  std::string dropped = SpillBase() + "/dropped-0.spill";
+  SpillRun empty;
+  SpillRun dropped;
   {
-    auto writer = SpillWriter::Create(empty, types, 4, nullptr);
-    ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE((*writer)->Finish().ok());
-    EXPECT_EQ((*writer)->blocks_written(), 0u);
-    EXPECT_EQ((*writer)->bytes_written(), header_bytes);
+    SpillWriter writer(&file, &empty, types, 4);
+    ASSERT_TRUE(writer.Finish().ok());
+    EXPECT_EQ(writer.blocks_written(), 0u);
   }
   {
-    auto writer = SpillWriter::Create(dropped, types, 4, nullptr);
-    ASSERT_TRUE(writer.ok());
-    DataChunk chunk;
-    chunk.Init(types, 4);
-    chunk.column(0).Data<int64_t>()[0] = 7;
-    chunk.SetCount(1);
-    ASSERT_TRUE((*writer)->Append(chunk).ok());
+    SpillWriter writer(&file, &dropped, types, 4);
+    ASSERT_TRUE(writer.Append(I64Chunk({7})).ok());
   }
-  for (const std::string& path : {empty, dropped}) {
-    EXPECT_EQ(fs::file_size(path), header_bytes) << path;
-    auto reader = SpillReader::Open(path, types, nullptr);
+  EXPECT_EQ(file.end(), 0u);
+  EXPECT_EQ(fs::file_size(file.path()), 0u);
+  for (const SpillRun* run : {&empty, &dropped}) {
+    EXPECT_TRUE(run->blocks.empty());
+    EXPECT_EQ(run->rows, 0u);
+    auto reader = SpillReader::Open(&file, *run, types);
     ASSERT_TRUE(reader.ok()) << reader.status().ToString();
     DataChunk out;
     out.Init(types, 4);
     auto more = (*reader)->Next(&out);
     ASSERT_TRUE(more.ok());
-    EXPECT_FALSE(*more) << path;
+    EXPECT_FALSE(*more);
   }
 }
 
+// A flipped payload byte in a run's last block fails that block's CRC: the
+// blocks before it read back, the last gives Corruption.
 TEST_F(SpillTest, ReaderRejectsFlippedBytes) {
-  fs::create_directories(SpillBase());
-  std::string path = SpillBase() + "/corrupt-0.spill";
+  QueryContext ctx;
+  ctx.set_spill_dir(SpillBase());
+  SpillFile file;
+  ASSERT_TRUE(file.Create(&ctx, "corrupt").ok());
   std::vector<TypeId> types = {TypeId::kI64};
-  auto writer = SpillWriter::Create(path, types, /*block_rows=*/4, nullptr);
-  ASSERT_TRUE(writer.ok());
-  DataChunk chunk;
-  chunk.Init(types, 4);
-  for (size_t i = 0; i < 4; i++) {
-    chunk.column(0).Data<int64_t>()[i] = static_cast<int64_t>(i);
-  }
-  chunk.SetCount(4);
-  ASSERT_TRUE((*writer)->Append(chunk).ok());
-  ASSERT_TRUE((*writer)->Finish().ok());
-  writer->reset();
-  // Flip one payload byte on disk; the block CRC must catch it.
+  SpillRun run = WriteI64Run(&file, Iota(0, 10), /*block_rows=*/4);
+  ASSERT_EQ(run.blocks.size(), 3u);
+  const SpillExtent last = run.blocks.back();
   {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(-6, std::ios::end);
+    // Past the 16-byte block header: the second payload byte.
+    std::fstream f(file.path(), std::ios::in | std::ios::out | std::ios::binary);
+    const auto at = static_cast<std::streamoff>(last.offset + 16 + 1);
     char b;
-    f.seekg(-6, std::ios::end);
+    f.seekg(at);
     f.get(b);
-    f.seekp(-6, std::ios::end);
+    f.seekp(at);
     f.put(static_cast<char>(b ^ 0x40));
   }
-  auto reader = SpillReader::Open(path, types, nullptr);
+  auto reader = SpillReader::Open(&file, run, types);
   ASSERT_TRUE(reader.ok());
   DataChunk out;
   out.Init(types, 4);
+  for (int64_t block = 0; block < 2; block++) {
+    auto more = (*reader)->Next(&out);
+    ASSERT_TRUE(more.ok() && *more) << more.status().ToString();
+    EXPECT_EQ(out.column(0).Data<int64_t>()[0], block * 4);
+  }
   auto more = (*reader)->Next(&out);
   ASSERT_FALSE(more.ok());
   EXPECT_EQ(more.status().code(), StatusCode::kCorruption)
       << more.status().ToString();
+}
+
+// Released space is written again before the file grows: a run rewritten
+// after its predecessor's release takes the same extents, whether the
+// released run sat at the tail or before a live one.
+TEST_F(SpillTest, SpillFileRewritesReleasedSpaceWithoutGrowing) {
+  QueryContext ctx;
+  ctx.set_spill_dir(SpillBase());
+  SpillFile file;
+  ASSERT_TRUE(file.Create(&ctx, "reuse").ok());
+  SpillRun run = WriteI64Run(&file, Iota(0, 40), /*block_rows=*/8);
+  ASSERT_EQ(run.blocks.size(), 5u);
+  const uint64_t size = fs::file_size(file.path());
+  EXPECT_EQ(size, run.bytes);
+  for (int64_t round = 1; round <= 4; round++) {
+    file.Release(&run);
+    EXPECT_EQ(file.end(), 0u);
+    run = WriteI64Run(&file, Iota(round * 100, 40), 8);
+    EXPECT_EQ(ReadI64Run(&file, run, 8), Iota(round * 100, 40));
+    EXPECT_EQ(fs::file_size(file.path()), size) << "round " << round;
+  }
+  // A live run behind the released one: the rewrite takes the released
+  // extents, in their order.
+  SpillRun live = WriteI64Run(&file, Iota(-40, 40), 8);
+  const uint64_t two_runs = fs::file_size(file.path());
+  const std::vector<SpillExtent> released = run.blocks;
+  file.Release(&run);
+  run = WriteI64Run(&file, Iota(500, 40), 8);
+  ASSERT_EQ(run.blocks.size(), released.size());
+  for (size_t b = 0; b < released.size(); b++) {
+    EXPECT_EQ(run.blocks[b].offset, released[b].offset) << "block " << b;
+  }
+  EXPECT_EQ(fs::file_size(file.path()), two_runs);
+  EXPECT_EQ(ReadI64Run(&file, live, 8), Iota(-40, 40));
+  EXPECT_EQ(ReadI64Run(&file, run, 8), Iota(500, 40));
+}
+
+// Two released neighbours coalesce into one free extent: a block larger
+// than either (but not than both) lands where they were instead of growing
+// the file.
+TEST_F(SpillTest, SpillFileCoalescesAdjacentReleasedRuns) {
+  QueryContext ctx;
+  ctx.set_spill_dir(SpillBase());
+  SpillFile file;
+  ASSERT_TRUE(file.Create(&ctx, "coalesce").ok());
+  // One block each: 20 bytes of framing plus 8 a row.
+  SpillRun a = WriteI64Run(&file, Iota(0, 4), /*block_rows=*/16);
+  SpillRun b = WriteI64Run(&file, Iota(4, 4), 16);
+  SpillRun live = WriteI64Run(&file, Iota(8, 4), 16);
+  ASSERT_EQ(a.bytes, 52u);
+  ASSERT_EQ(b.blocks[0].offset, a.bytes);
+  const uint64_t size = fs::file_size(file.path());
+  file.Release(&b);
+  file.Release(&a);
+  SpillRun big = WriteI64Run(&file, Iota(100, 10), 16);
+  ASSERT_EQ(big.blocks.size(), 1u);
+  ASSERT_GT(big.bytes, 52u);
+  EXPECT_EQ(big.blocks[0].offset, 0u);
+  EXPECT_EQ(fs::file_size(file.path()), size);
+  EXPECT_EQ(ReadI64Run(&file, big, 16), Iota(100, 10));
+  EXPECT_EQ(ReadI64Run(&file, live, 16), Iota(8, 4));
+}
+
+// Runs written block by block in turn interleave in the file. Releasing the
+// runs around one, and writing new runs into their space, leaves it intact.
+TEST_F(SpillTest, SpillRunStaysReadableAfterNeighboursAreReleased) {
+  QueryContext ctx;
+  ctx.set_spill_dir(SpillBase());
+  SpillFile file;
+  ASSERT_TRUE(file.Create(&ctx, "interleave").ok());
+  constexpr size_t kBlockRows = 4;
+  std::vector<SpillRun> runs(3);
+  {
+    std::vector<SpillWriter> writers;
+    for (SpillRun& run : runs) {
+      writers.emplace_back(&file, &run, std::vector<TypeId>{TypeId::kI64},
+                           kBlockRows);
+    }
+    for (int64_t block = 0; block < 6; block++) {
+      for (size_t w = 0; w < writers.size(); w++) {
+        const int64_t first = static_cast<int64_t>(w) * 1000 + block * 4;
+        ASSERT_TRUE(writers[w].Append(I64Chunk(Iota(first, kBlockRows))).ok());
+      }
+    }
+    for (SpillWriter& writer : writers) ASSERT_TRUE(writer.Finish().ok());
+  }
+  ASSERT_EQ(runs[1].blocks[0].offset, runs[0].blocks[0].length);
+  file.Release(&runs[0]);
+  file.Release(&runs[2]);
+  // Blocks of other sizes too, so the new runs split the freed extents.
+  SpillRun fill = WriteI64Run(&file, Iota(5000, 30), kBlockRows);
+  SpillRun odd = WriteI64Run(&file, Iota(7000, 7), 3);
+  EXPECT_EQ(ReadI64Run(&file, runs[1], kBlockRows), Iota(1000, 24));
+  EXPECT_EQ(ReadI64Run(&file, fill, kBlockRows), Iota(5000, 30));
+  EXPECT_EQ(ReadI64Run(&file, odd, 3), Iota(7000, 7));
+  file.Release(&fill);
+  EXPECT_EQ(ReadI64Run(&file, runs[1], kBlockRows), Iota(1000, 24));
+  EXPECT_EQ(ReadI64Run(&file, odd, 3), Iota(7000, 7));
 }
 
 // Deterministic fault sweep over the spill I/O sites, against every breaker
@@ -1521,37 +1686,43 @@ TEST_F(SpillTest, FailpointSweepOverSpillSites) {
         std::make_unique<ScanOperator>(*snap_l, std::vector<uint32_t>{0, 2}, c),
         std::vector<size_t>{0}, std::vector<AggSpec>{AggSpec::Sum(1)}, c);
   };
+  // `torn` tears a block write: the sort's second block (its first run has
+  // several), the partitioners' first (their partitions share one file, so
+  // no other write comes before it).
   struct Breaker {
     const char* name;
     size_t budget;
     bool repartitions;
+    const char* torn;
     std::function<OperatorPtr()> make;
   };
   const Breaker breakers[] = {
-      {"sort", 24 << 10, false,
+      {"sort", 24 << 10, false, "spill.append=torn:7,nth:2",
        [&]() -> OperatorPtr {
          return std::make_unique<SortOperator>(
              std::make_unique<ScanOperator>(
                  *snap_l, std::vector<uint32_t>{0, 1}, config_),
              std::vector<SortKey>{SortKey{0, true}}, config_);
        }},
-      {"join", 8 << 10, true, [&]() { return make_join(cfg); }},
-      {"agg", 8 << 10, true, [&]() { return make_agg(cfg); }},
+      {"join", 8 << 10, true, "spill.append=torn:7,nth:1",
+       [&]() { return make_join(cfg); }},
+      {"agg", 8 << 10, true, "spill.append=torn:7,nth:1",
+       [&]() { return make_agg(cfg); }},
   };
   struct Fault {
     const char* spec;
     StatusCode expect;
   };
-  const Fault faults[] = {
-      {"spill.create=err", StatusCode::kIOError},
-      {"spill.append=err", StatusCode::kIOError},
-      {"spill.append=torn:7,nth:3", StatusCode::kIOError},
-      {"spill.open=err", StatusCode::kIOError},
-      {"spill.read=err", StatusCode::kIOError},
-      {"spill.read=corrupt,nth:2", StatusCode::kCorruption},
-      {"spill.repartition=err", StatusCode::kIOError},
-  };
   for (const Breaker& b : breakers) {
+    const Fault faults[] = {
+        {"spill.create=err", StatusCode::kIOError},
+        {"spill.append=err", StatusCode::kIOError},
+        {b.torn, StatusCode::kIOError},
+        {"spill.open=err", StatusCode::kIOError},
+        {"spill.read=err", StatusCode::kIOError},
+        {"spill.read=corrupt,nth:2", StatusCode::kCorruption},
+        {"spill.repartition=err", StatusCode::kIOError},
+    };
     for (const Fault& f : faults) {
       bool repartition = std::string(f.spec).rfind("spill.repartition", 0) == 0;
       if (repartition && !b.repartitions) continue;
@@ -1612,10 +1783,9 @@ TEST_F(SpillTest, FailpointSweepOverSpillSites) {
 
 // A partition smaller than one block reaches disk only through its writer's
 // Finish. In this 2-way self-join of "o" with 1024-row vectors, each of the
-// four partition files holds one such block, so spill.append fires for the
-// two build-file headers and then for the first build partition's Finish.
-// Erroring that write must end the query in IOError with nothing reserved
-// and no file left.
+// four partition runs holds one such block, so the first spill.append is the
+// first build partition's Finish. Erroring that write must end the query in
+// IOError with nothing reserved and no file left.
 TEST_F(SpillTest, ErroredFinishWriteFailsTheQueryCleanly) {
   Config cfg = config_;
   cfg.vector_size = 1024;
@@ -1645,9 +1815,9 @@ TEST_F(SpillTest, ErroredFinishWriteFailsTheQueryCleanly) {
     const RadixSpill::Stats& stats = join->spill_stats();
     EXPECT_EQ(stats.repartitions, 0u);
     EXPECT_EQ(stats.rows, 2u * kORows);
-    EXPECT_EQ(stats.blocks, 4u) << "every file one Finish-written block";
+    EXPECT_EQ(stats.blocks, 4u) << "every run one Finish-written block";
   }
-  ASSERT_TRUE(failpoint::Arm("spill.append=err,nth:3").ok());
+  ASSERT_TRUE(failpoint::Arm("spill.append=err,nth:1").ok());
   {
     QueryContext ctx;
     ctx.set_memory_budget(kBudget);
